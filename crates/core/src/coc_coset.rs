@@ -129,9 +129,7 @@ impl CocCosetCodec {
         out.set_state(self.flag_cell(), format.flag_state());
 
         if format == Format::Raw {
-            for cell in 0..LINE_CELLS {
-                out.set_state(cell, self.mapping.state_of(data.symbol(cell)));
-            }
+            kernel::store_mapped(data, &TransitionTable::new(&self.mapping, energy), &mut out);
             return out;
         }
 
@@ -225,11 +223,7 @@ impl LineCodec for CocCosetCodec {
             _ => Format::Raw,
         };
         if format == Format::Raw {
-            let mut line = MemoryLine::ZERO;
-            for cell in 0..LINE_CELLS {
-                line.set_symbol(cell, self.mapping.symbol_of(stored.state(cell)));
-            }
-            return line;
+            return kernel::load_mapped(stored, &self.mapping);
         }
         let blocks = format.blocks();
         let block_cells = format.block_cells();

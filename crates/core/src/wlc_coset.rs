@@ -532,10 +532,8 @@ impl WlcCosetCodec {
             }
         } else {
             out.set_state(self.flag_cell(), CellState::S2);
-            let default = SymbolMapping::default_mapping();
-            for cell in 0..LINE_CELLS {
-                out.set_state(cell, default.state_of(data.symbol(cell)));
-            }
+            let raw = TransitionTable::new(&SymbolMapping::default_mapping(), energy);
+            kernel::store_mapped(data, &raw, &mut out);
         }
         out
     }
@@ -590,12 +588,7 @@ impl LineCodec for WlcCosetCodec {
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
         assert_eq!(stored.len(), self.encoded_cells());
         if stored.state(self.flag_cell()) != CellState::S1 {
-            let default = SymbolMapping::default_mapping();
-            let mut line = MemoryLine::ZERO;
-            for cell in 0..LINE_CELLS {
-                line.set_symbol(cell, default.symbol_of(stored.state(cell)));
-            }
-            return line;
+            return kernel::load_mapped(stored, &SymbolMapping::default_mapping());
         }
         let mut words = [0u64; LINE_WORDS];
         for (word, slot) in words.iter_mut().enumerate() {

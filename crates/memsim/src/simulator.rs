@@ -162,14 +162,13 @@ impl Simulator {
         let organization = MemoryOrganization::new(&self.config);
         let mut lanes: Vec<Option<BankLane>> = Vec::new();
         lanes.resize_with(organization.total_banks(), || None);
-        let energy = &self.config.energy;
         for record in &mut source {
             let bank = organization.bank_index(record.address);
             if bank % shards != shard {
                 continue;
             }
             let lane = lanes[bank].get_or_insert_with(|| BankLane::new(self.options.seed, bank));
-            lane.feed(codec, &record, energy, &self.config, &self.options, tracking);
+            lane.feed(codec, &record, &self.config, &self.options, tracking);
         }
         lanes
             .into_iter()
@@ -269,14 +268,7 @@ impl SimulatorSession {
         let seed = self.options.seed;
         let options = self.effective_options();
         let lane = self.lanes[bank].get_or_insert_with(|| BankLane::new(seed, bank));
-        lane.feed(
-            self.codec.as_ref(),
-            record,
-            &self.config.energy,
-            &self.config,
-            &options,
-            Tracking::Stored,
-        );
+        lane.feed(self.codec.as_ref(), record, &self.config, &options, Tracking::Stored);
         self.writes += 1;
     }
 
@@ -313,13 +305,7 @@ impl SimulatorSession {
                 order[start..end].iter().map(|&k| &records[k as usize]).collect();
             let seed = self.options.seed;
             let lane = self.lanes[bank].get_or_insert_with(|| BankLane::new(seed, bank));
-            lane.feed_batch(
-                self.codec.as_ref(),
-                &lane_records,
-                &self.config.energy,
-                &self.config,
-                &options,
-            );
+            lane.feed_batch(self.codec.as_ref(), &lane_records, &self.config, &options);
             self.writes += lane_records.len() as u64;
             start = end;
         }
@@ -417,11 +403,11 @@ impl BankLane {
         &mut self,
         codec: &dyn LineCodec,
         record: &WriteRecord,
-        energy: &wlcrc_pcm::energy::EnergyModel,
         config: &PcmConfig,
         options: &SimulationOptions,
         tracking: Tracking,
     ) {
+        let energy = &config.energy;
         let old = match tracking {
             Tracking::Stored => self
                 .stored
@@ -430,9 +416,26 @@ impl BankLane {
             Tracking::Isolated => codec.encode(&record.old, &codec.initial_line(), energy),
         };
         let new = codec.encode(&record.new, &old, energy);
-        let outcome = differential_write(&old, &new, energy);
+        self.account(codec, record, &old, new, config, options, tracking);
+    }
+
+    /// The per-record step after encoding: differential-write energy,
+    /// sampled disturbance, the integrity check and the statistics, then
+    /// the new line replaces the stored one when the lane tracks content.
+    #[allow(clippy::too_many_arguments)]
+    fn account(
+        &mut self,
+        codec: &dyn LineCodec,
+        record: &WriteRecord,
+        old: &PhysicalLine,
+        new: PhysicalLine,
+        config: &PcmConfig,
+        options: &SimulationOptions,
+        tracking: Tracking,
+    ) {
+        let outcome = differential_write(old, &new, &config.energy);
         let disturbance = if options.sample_disturbance {
-            evaluate_disturbance(&old, &new, &config.disturbance, &mut self.rng)
+            evaluate_disturbance(old, &new, &config.disturbance, &mut self.rng)
         } else {
             wlcrc_pcm::disturb::DisturbanceOutcome::default()
         };
@@ -460,10 +463,10 @@ impl BankLane {
         &mut self,
         codec: &dyn LineCodec,
         records: &[&WriteRecord],
-        energy: &wlcrc_pcm::energy::EnergyModel,
         config: &PcmConfig,
         options: &SimulationOptions,
     ) {
+        let energy = &config.energy;
         let initial = codec.initial_line();
         let mut seen: std::collections::HashSet<u64> =
             std::collections::HashSet::with_capacity(records.len().min(64));
@@ -497,17 +500,7 @@ impl BankLane {
                 run.iter().zip(&olds).map(|(r, old)| (&r.new, old)).collect();
             let news = codec.encode_batch(&new_jobs, energy);
             for ((record, old), new) in run.iter().zip(&olds).zip(news) {
-                let outcome = differential_write(old, &new, energy);
-                let disturbance = if options.sample_disturbance {
-                    evaluate_disturbance(old, &new, &config.disturbance, &mut self.rng)
-                } else {
-                    wlcrc_pcm::disturb::DisturbanceOutcome::default()
-                };
-                let encoded = new.aux_cells() > 0 || codec.encoded_cells() == new.len();
-                let integrity_ok =
-                    if options.verify_integrity { codec.decode(&new) == record.new } else { true };
-                self.stats.record(outcome, disturbance, encoded, integrity_ok);
-                self.stored.insert(record.address, new);
+                self.account(codec, record, old, new, config, options, Tracking::Stored);
             }
             start = end;
         }

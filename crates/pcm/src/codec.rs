@@ -3,9 +3,10 @@
 //! auxiliary information).
 
 use crate::energy::EnergyModel;
+use crate::kernel::{self, TransitionTable};
 use crate::line::MemoryLine;
 use crate::mapping::SymbolMapping;
-use crate::physical::{CellClass, PhysicalLine};
+use crate::physical::PhysicalLine;
 use crate::LINE_CELLS;
 use std::fmt;
 
@@ -136,39 +137,23 @@ impl LineCodec for RawCodec {
         LINE_CELLS
     }
 
-    fn encode(&self, data: &MemoryLine, old: &PhysicalLine, _energy: &EnergyModel) -> PhysicalLine {
+    fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
         assert_eq!(old.len(), self.encoded_cells());
         let mut out = PhysicalLine::all_reset(LINE_CELLS);
-        for cell in 0..LINE_CELLS {
-            out.set_state(cell, self.mapping.state_of(data.symbol(cell)));
-            out.set_class(cell, CellClass::Data);
-        }
+        kernel::store_mapped(data, &TransitionTable::new(&self.mapping, energy), &mut out);
         out
     }
 
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
         assert_eq!(stored.len(), self.encoded_cells());
-        let mut line = MemoryLine::new();
-        for cell in 0..LINE_CELLS {
-            line.set_symbol(cell, self.mapping.symbol_of(stored.state(cell)));
-        }
-        line
+        kernel::load_mapped(stored, &self.mapping)
     }
-}
-
-/// Encodes a full [`MemoryLine`] with a fixed symbol mapping, returning only
-/// the 256 data-cell states. Shared helper used by several schemes.
-pub fn map_line(data: &MemoryLine, mapping: &SymbolMapping) -> PhysicalLine {
-    let mut out = PhysicalLine::all_reset(LINE_CELLS);
-    for cell in 0..LINE_CELLS {
-        out.set_state(cell, mapping.state_of(data.symbol(cell)));
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::CellClass;
     use crate::state::CellState;
 
     #[test]
@@ -212,8 +197,11 @@ mod tests {
         let e = EnergyModel::paper_default();
         let data = MemoryLine::from_words([0x0123_4567_89AB_CDEF; 8]);
         let enc = codec.encode(&data, &codec.initial_line(), &e);
-        let mapped = map_line(&data, &SymbolMapping::default_mapping());
-        assert_eq!(enc.states(), mapped.states());
+        let mapping = SymbolMapping::default_mapping();
+        for cell in 0..LINE_CELLS {
+            assert_eq!(enc.state(cell), mapping.state_of(data.symbol(cell)), "cell {cell}");
+            assert_eq!(enc.class(cell), CellClass::Data);
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! in the minimum-resistance state `S2` is immune; cells in `S1`, `S3` and
 //! `S4` are disturbed with the per-state rates of Table II (20 nm node).
 
-use crate::physical::PhysicalLine;
+use crate::kernel::{self, PLANE_WORDS};
+use crate::physical::{CellClass, PhysicalLine};
 use crate::state::CellState;
-use crate::write::changed_cell_indices;
+use crate::LINE_CELLS;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
@@ -96,10 +97,23 @@ impl AddAssign for DisturbanceOutcome {
 /// Every cell that changes is programmed (and therefore RESET at least once);
 /// each of its immediate neighbours (index ± 1 within the line) that is *idle*
 /// in this write may be disturbed with the per-state probability of its stored
-/// state. An idle cell adjacent to two written cells is exposed twice.
+/// state. `S2` neighbours are immune and are skipped.
 ///
 /// The function returns both a Monte-Carlo sample (using `rng`) and the exact
 /// expected value, so callers can choose either statistic.
+///
+/// # Draw order
+///
+/// `rng` is drawn once per (written cell, idle non-`S2` neighbour) pair, in
+/// ascending order of the written cell, its left neighbour before its right.
+/// An idle cell between two written cells is therefore exposed, and drawn
+/// for, twice: once per aggressor. The expected errors are summed in the same
+/// order. This order is part of the simulated results: changing it changes
+/// every sampled count and needs a `SIMULATOR_VERSION_SALT` bump.
+///
+/// The first 256 cells are scanned on the lines' cached plane views: only the
+/// written cells with an idle, disturbable neighbour are visited, found with
+/// `trailing_zeros` over word masks, and nothing is allocated.
 ///
 /// # Panics
 ///
@@ -111,71 +125,64 @@ pub fn evaluate_disturbance<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> DisturbanceOutcome {
     assert_eq!(old.len(), new.len());
-    let written = changed_cell_indices(old, new);
-    let mut is_written = vec![false; new.len()];
-    for &i in &written {
-        is_written[i] = true;
+    let len = new.len();
+    let (old_planes, new_planes) = (old.state_planes(), new.state_planes());
+    let cells = kernel::prefix_mask(len);
+    let mut written = [0u64; PLANE_WORDS];
+    // Idle cells whose stored state can be disturbed (anything but S2).
+    let mut victims = [0u64; PLANE_WORDS];
+    for w in 0..PLANE_WORDS {
+        let (n0, n1) = (new_planes.plane0()[w], new_planes.plane1()[w]);
+        written[w] = (old_planes.plane0()[w] ^ n0) | (old_planes.plane1()[w] ^ n1);
+        victims[w] = cells[w] & !written[w] & !(n0 & !n1);
     }
-
+    let is_victim =
+        |cell: usize| old.state(cell) == new.state(cell) && new.state(cell).is_disturbable();
     let mut outcome = DisturbanceOutcome::default();
-    for &w in &written {
-        let neighbours = [w.checked_sub(1), if w + 1 < new.len() { Some(w + 1) } else { None }];
-        for n in neighbours.into_iter().flatten() {
-            if is_written[n] {
-                continue; // a written cell is re-programmed, not idle
+    let mut expose = |cell: usize| {
+        let p = model.rate(new.state(cell));
+        let hit = usize::from(rng.gen::<f64>() < p);
+        if new.class(cell) == CellClass::Aux {
+            outcome.expected_aux_errors += p;
+            outcome.aux_errors += hit;
+        } else {
+            outcome.expected_data_errors += p;
+            outcome.data_errors += hit;
+        }
+    };
+    // The first cell past the plane view is the right neighbour of cell 255.
+    let beyond = u64::from(len > LINE_CELLS && is_victim(LINE_CELLS));
+    for w in 0..PLANE_WORDS {
+        let below = if w > 0 { victims[w - 1] >> 63 } else { 0 };
+        let above = if w + 1 < PLANE_WORDS { victims[w + 1] & 1 } else { beyond };
+        // Bit c: cell c's left (right) neighbour is a victim.
+        let left = (victims[w] << 1) | below;
+        let right = (victims[w] >> 1) | (above << 63);
+        let mut aggressors = written[w] & (left | right);
+        while aggressors != 0 {
+            let b = aggressors.trailing_zeros();
+            let cell = w * 64 + b as usize;
+            if (left >> b) & 1 == 1 {
+                expose(cell - 1);
             }
-            let state = new.state(n); // idle => stored state unchanged by this write
-            if !state.is_disturbable() {
-                continue;
+            if (right >> b) & 1 == 1 {
+                expose(cell + 1);
             }
-            let p = model.rate(state);
-            let is_aux = new.class(n) == crate::physical::CellClass::Aux;
-            if is_aux {
-                outcome.expected_aux_errors += p;
-            } else {
-                outcome.expected_data_errors += p;
-            }
-            if rng.gen::<f64>() < p {
-                if is_aux {
-                    outcome.aux_errors += 1;
-                } else {
-                    outcome.data_errors += 1;
-                }
-            }
+            aggressors &= aggressors - 1;
+        }
+    }
+    for cell in LINE_CELLS..len {
+        if old.state(cell) == new.state(cell) {
+            continue;
+        }
+        if is_victim(cell - 1) {
+            expose(cell - 1);
+        }
+        if cell + 1 < len && is_victim(cell + 1) {
+            expose(cell + 1);
         }
     }
     outcome
-}
-
-/// Computes only the expected number of disturbance errors (no sampling).
-///
-/// # Panics
-///
-/// Panics if the two lines have a different number of cells.
-pub fn expected_disturbance(
-    old: &PhysicalLine,
-    new: &PhysicalLine,
-    model: &DisturbanceModel,
-) -> f64 {
-    // A tiny deterministic RNG would still sample; instead reuse the main
-    // routine with a counting RNG is unnecessary — recompute directly.
-    assert_eq!(old.len(), new.len());
-    let written = changed_cell_indices(old, new);
-    let mut is_written = vec![false; new.len()];
-    for &i in &written {
-        is_written[i] = true;
-    }
-    let mut expected = 0.0;
-    for &w in &written {
-        let neighbours = [w.checked_sub(1), if w + 1 < new.len() { Some(w + 1) } else { None }];
-        for n in neighbours.into_iter().flatten() {
-            if is_written[n] {
-                continue;
-            }
-            expected += model.rate(new.state(n));
-        }
-    }
-    expected
 }
 
 #[cfg(test)]
@@ -203,7 +210,8 @@ mod tests {
         old.set_state(2, CellState::S2);
         let mut new = old.clone();
         new.set_state(1, CellState::S4); // write the middle cell
-        let expected = expected_disturbance(&old, &new, &model);
+        let mut rng = StdRng::seed_from_u64(1);
+        let expected = evaluate_disturbance(&old, &new, &model, &mut rng).expected_total_errors();
         assert_eq!(expected, 0.0);
     }
 
@@ -215,7 +223,8 @@ mod tests {
         old.set_state(2, CellState::S1);
         let mut new = old.clone();
         new.set_state(1, CellState::S2);
-        let expected = expected_disturbance(&old, &new, &model);
+        let mut rng = StdRng::seed_from_u64(1);
+        let expected = evaluate_disturbance(&old, &new, &model, &mut rng).expected_total_errors();
         assert!((expected - (0.276 + 0.123)).abs() < 1e-12);
     }
 
@@ -228,7 +237,8 @@ mod tests {
         new.set_state(1, CellState::S4);
         new.set_state(2, CellState::S4);
         // Every cell is written; nothing is idle.
-        assert_eq!(expected_disturbance(&old, &new, &model), 0.0);
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(evaluate_disturbance(&old, &new, &model, &mut rng).expected_total_errors(), 0.0);
     }
 
     #[test]
@@ -275,6 +285,56 @@ mod tests {
             assert!(out.expected_aux_errors > 0.0);
         }
         assert!(saw_aux, "with 27.6% rate over 200 trials an aux error should occur");
+    }
+
+    /// Counts its draws; draw number `hit_at` returns 0.0, below every
+    /// positive rate, and every other draw the largest value below 1.0.
+    struct ScriptedRng {
+        draws: usize,
+        hit_at: usize,
+    }
+
+    impl rand::RngCore for ScriptedRng {
+        fn next_u64(&mut self) -> u64 {
+            let draw = self.draws;
+            self.draws += 1;
+            if draw == self.hit_at {
+                0
+            } else {
+                u64::MAX
+            }
+        }
+    }
+
+    #[test]
+    fn draws_follow_aggressors_left_neighbour_first() {
+        // Cells: idle S3 data, written, idle S1 aux, written, idle S4 data,
+        // idle S2 data (immune, never drawn for).
+        let model = DisturbanceModel::paper_default();
+        let mut old = PhysicalLine::from_states(vec![
+            CellState::S3,
+            CellState::S1,
+            CellState::S1,
+            CellState::S1,
+            CellState::S4,
+            CellState::S2,
+        ]);
+        old.set_class(2, CellClass::Aux);
+        let mut new = old.clone();
+        new.set_state(1, CellState::S2);
+        new.set_state(3, CellState::S3);
+        // One draw per (aggressor, idle neighbour) pair: cell 1 exposes
+        // cells 0 then 2, cell 3 exposes cells 2 then 4, so the idle aux
+        // cell between the two writes is drawn for twice.
+        let victims_are_aux = [false, true, true, false];
+        for (hit_at, &aux) in victims_are_aux.iter().enumerate() {
+            let mut rng = ScriptedRng { draws: 0, hit_at };
+            let out = evaluate_disturbance(&old, &new, &model, &mut rng);
+            assert_eq!(rng.draws, 4, "one draw per exposure");
+            assert_eq!((out.data_errors, out.aux_errors), if aux { (0, 1) } else { (1, 0) });
+            assert_eq!(out.expected_data_errors.to_bits(), (0.276f64 + 0.152).to_bits());
+            assert_eq!(out.expected_aux_errors.to_bits(), (0.123f64 + 0.123).to_bits());
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use crate::energy::EnergyModel;
 use crate::line::MemoryLine;
 use crate::mapping::SymbolMapping;
-use crate::physical::PhysicalLine;
+use crate::physical::{CellClass, PhysicalLine};
 use crate::state::{CellState, Symbol};
 use crate::{LINE_CELLS, LINE_WORDS};
 use std::ops::Range;
@@ -62,6 +62,42 @@ fn spread_bits(mut x: u64) -> u64 {
     x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
     x = (x | (x << 2)) & 0x3333_3333_3333_3333;
     (x | (x << 1)) & 0x5555_5555_5555_5555
+}
+
+/// Gathers the low bit of each byte of `x` into the low byte of the result
+/// (byte `i` lands on bit `i`). The multiply shifts byte `i`'s low bit to
+/// bit `56 + i`; every partial product lands on a bit of its own, so
+/// nothing carries.
+#[inline]
+fn pack_byte_lsbs(x: u64) -> u64 {
+    (x & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// Packs bits 0 and 1 of `byte(cell)` for the first 256 `cells` into two
+/// plane bitmaps, eight cells per step: the eight bytes form one word,
+/// whose low and high bits [`pack_byte_lsbs`] gathers.
+fn pack_planes<T: Copy>(
+    cells: &[T],
+    byte: impl Fn(T) -> u8,
+) -> ([u64; PLANE_WORDS], [u64; PLANE_WORDS]) {
+    let cells = &cells[..cells.len().min(LINE_CELLS)];
+    let mut planes = ([0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
+    let groups = cells.chunks_exact(8);
+    let rest = groups.remainder();
+    for (g, group) in groups.enumerate() {
+        let group: &[T; 8] = group.try_into().expect("chunks_exact yields eight cells");
+        let bytes = u64::from_le_bytes(group.map(&byte));
+        let (w, shift) = (g / 8, 8 * (g % 8));
+        planes.0[w] |= pack_byte_lsbs(bytes) << shift;
+        planes.1[w] |= pack_byte_lsbs(bytes >> 1) << shift;
+    }
+    let base = cells.len() - rest.len();
+    for (i, &cell) in rest.iter().enumerate() {
+        let (c, value) = (base + i, u64::from(byte(cell)));
+        planes.0[c / 64] |= (value & 1) << (c % 64);
+        planes.1[c / 64] |= ((value >> 1) & 1) << (c % 64);
+    }
+    planes
 }
 
 /// The 2-bit symbols of a [`MemoryLine`], de-interleaved into two bit planes.
@@ -165,23 +201,7 @@ impl StatePlanes {
     /// The view is a pure function of the stored states, so it is always
     /// consistent with [`PhysicalLine::state`].
     pub fn new(line: &PhysicalLine) -> StatePlanes {
-        let mut plane0 = [0u64; PLANE_WORDS];
-        let mut plane1 = [0u64; PLANE_WORDS];
-        let states = line.states();
-        let states = &states[..states.len().min(LINE_CELLS)];
-        for (w, chunk) in states.chunks(64).enumerate() {
-            // Accumulate each 64-cell word in registers; the per-cell
-            // read-modify-write of the naive loop is what made this hot.
-            let mut p0 = 0u64;
-            let mut p1 = 0u64;
-            for (b, &state) in chunk.iter().enumerate() {
-                let idx = state.index() as u64;
-                p0 |= (idx & 1) << b;
-                p1 |= (idx >> 1) << b;
-            }
-            plane0[w] = p0;
-            plane1[w] = p1;
-        }
+        let (plane0, plane1) = pack_planes(line.states(), |state| state.index() as u8);
         StatePlanes { plane0, plane1 }
     }
 
@@ -284,19 +304,13 @@ impl TransitionTable {
         let select = |bits: u8| -> [u64; 4] {
             core::array::from_fn(|v| 0u64.wrapping_sub(u64::from(bits >> v & 1)))
         };
-        let write_int =
-            if write_pj.iter().all(|&e| e.fract() == 0.0 && (0.0..1048576.0).contains(&e)) {
-                Some(core::array::from_fn(|i| write_pj[i] as u64))
-            } else {
-                None
-            };
         TransitionTable {
             write_pj,
             target_lo,
             target_hi,
             t0_select: select(target_lo),
             t1_select: select(target_hi),
-            write_int,
+            write_int: integer_energies(&write_pj),
             states,
         }
     }
@@ -356,6 +370,32 @@ impl TransitionTable {
             | (m[3] & self.t1_select[3]);
         (t0, t1)
     }
+}
+
+/// `write_pj` as exact integers when every entry is an integer below 2^20
+/// (true for the paper's Table II and all Figure 14 configurations).
+/// Popcount-weighted sums of such energies stay integers far below 2^53, so
+/// their f64 conversion equals the sequential f64 sum bit for bit.
+pub(crate) fn integer_energies(write_pj: &[f64; 4]) -> Option<[u64; 4]> {
+    write_pj
+        .iter()
+        .all(|&e| e.fract() == 0.0 && (0.0..1048576.0).contains(&e))
+        .then(|| core::array::from_fn(|i| write_pj[i] as u64))
+}
+
+/// Plane-word masks of the first `cells` cells (all 256 when `cells` is
+/// larger): the cells of a shorter line, without the zero padding.
+pub(crate) fn prefix_mask(cells: usize) -> [u64; PLANE_WORDS] {
+    core::array::from_fn(|w| match cells.saturating_sub(w * 64) {
+        n if n >= 64 => u64::MAX,
+        n => (1u64 << n) - 1,
+    })
+}
+
+/// The auxiliary cells among the first 256 cells of `line`, one bit per cell
+/// in plane layout.
+pub(crate) fn aux_mask(line: &PhysicalLine) -> [u64; PLANE_WORDS] {
+    pack_planes(line.classes(), |class| u8::from(class == CellClass::Aux)).0
 }
 
 /// Iterates over the (plane-word index, in-word cell mask) pairs covering
@@ -1068,6 +1108,33 @@ pub fn symbol_planes_from_states(
     (plane0, plane1)
 }
 
+/// Stores the 256 symbols of `data` into the first 256 cells of `out`
+/// through the fixed assignment of `table`: the raw-line store of the
+/// Baseline codec and of the compression-gated codecs' fallback. The target
+/// planes are assembled word by word and scattered once, which also installs
+/// `out`'s plane cache for the next write against it.
+///
+/// # Panics
+///
+/// Panics if `out` has fewer than 256 cells.
+pub fn store_mapped(data: &MemoryLine, table: &TransitionTable, out: &mut PhysicalLine) {
+    let symbols = SymbolPlanes::new(data);
+    let mut plane0 = [0u64; PLANE_WORDS];
+    let mut plane1 = [0u64; PLANE_WORDS];
+    for w in 0..PLANE_WORDS {
+        (plane0[w], plane1[w]) = table.target_planes(&symbols, w);
+    }
+    write_states_from_planes(out, LINE_CELLS, &plane0, &plane1);
+}
+
+/// Reads the first 256 cells of `stored` back through the inverse of
+/// `mapping`: the load matching [`store_mapped`].
+pub fn load_mapped(stored: &PhysicalLine, mapping: &SymbolMapping) -> MemoryLine {
+    let (plane0, plane1) =
+        symbol_planes_from_states(&stored.state_planes(), mapping.symbols_per_state());
+    line_from_planes(&plane0, &plane1)
+}
+
 /// Shared driver for batched encodes: extracts each job's symbol and stored
 /// plane views once and hands them to `encode_one` in order. The per-codec
 /// `encode_batch` overrides build their transition tables a single time and
@@ -1145,6 +1212,30 @@ mod tests {
             let planes = StatePlanes::new(&stored);
             for cell in 0..LINE_CELLS {
                 assert_eq!(planes.state(cell), stored.state(cell), "cell {cell}");
+            }
+        }
+    }
+
+    #[test]
+    fn state_planes_and_aux_mask_cover_every_line_length() {
+        let mut rng = StdRng::seed_from_u64(15);
+        for len in 0..=300 {
+            let mut line = random_stored(&mut rng);
+            for _ in LINE_CELLS..len {
+                line.push(CellState::from_index(rng.gen_range(0..4)), CellClass::Data);
+            }
+            let states = line.states()[..len].to_vec();
+            let classes: Vec<CellClass> = (0..len)
+                .map(|_| if rng.gen_range(0..3) == 0 { CellClass::Aux } else { CellClass::Data })
+                .collect();
+            let line = PhysicalLine::from_parts(states, classes);
+            let (planes, aux) = (StatePlanes::new(&line), aux_mask(&line));
+            for cell in 0..LINE_CELLS {
+                let (w, b) = (cell / 64, cell % 64);
+                let state = line.states().get(cell).copied().unwrap_or(CellState::S1);
+                assert_eq!(planes.state(cell), state, "len {len} cell {cell}");
+                let is_aux = line.classes().get(cell) == Some(&CellClass::Aux);
+                assert_eq!((aux[w] >> b) & 1 == 1, is_aux, "len {len} cell {cell}");
             }
         }
     }

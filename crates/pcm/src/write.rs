@@ -1,7 +1,10 @@
 //! Differential write: only cells whose state changes are programmed.
 
 use crate::energy::EnergyModel;
+use crate::kernel::{self, PLANE_WORDS};
 use crate::physical::{CellClass, PhysicalLine};
+use crate::state::CellState;
+use crate::LINE_CELLS;
 use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
@@ -52,6 +55,14 @@ impl AddAssign for WriteOutcome {
 /// its target state. The data/aux split follows the classification carried by
 /// the *new* encoded line.
 ///
+/// The first 256 cells are compared on the lines' cached [`StatePlanes`]
+/// views: programmed cells are counted per (class, target state) with
+/// popcounts and weighted by the integer energy table, which equals the
+/// cell-by-cell f64 sum bit for bit (see [`kernel`]). An energy table with
+/// non-integer entries is summed cell by cell in ascending order instead.
+///
+/// [`StatePlanes`]: crate::kernel::StatePlanes
+///
 /// # Panics
 ///
 /// Panics if the two lines have a different number of cells (they must come
@@ -62,51 +73,62 @@ pub fn differential_write(
     energy: &EnergyModel,
 ) -> WriteOutcome {
     assert_eq!(old.len(), new.len(), "differential write requires lines of identical cell count");
+    let write_pj = CellState::ALL.map(|state| energy.write_energy_pj(state));
+    let (old_planes, new_planes) = (old.state_planes(), new.state_planes());
+    let changed: [u64; PLANE_WORDS] = core::array::from_fn(|w| {
+        (old_planes.plane0()[w] ^ new_planes.plane0()[w])
+            | (old_planes.plane1()[w] ^ new_planes.plane1()[w])
+    });
+    // Cells past the plane view (auxiliary tails), in ascending order.
+    let tail = (LINE_CELLS..new.len()).filter(|&i| old.state(i) != new.state(i));
     let mut outcome = WriteOutcome::default();
-    for (idx, new_state, class) in new.iter() {
-        let old_state = old.state(idx);
-        if old_state == new_state {
-            continue;
-        }
-        let e = energy.write_energy_pj(new_state);
-        match class {
-            CellClass::Data => {
-                outcome.data_energy_pj += e;
-                outcome.data_cells_updated += 1;
+    let Some(weights) = kernel::integer_energies(&write_pj) else {
+        let mut program = |cell: usize| {
+            let e = write_pj[new.state(cell).index()];
+            match new.class(cell) {
+                CellClass::Data => {
+                    outcome.data_energy_pj += e;
+                    outcome.data_cells_updated += 1;
+                }
+                CellClass::Aux => {
+                    outcome.aux_energy_pj += e;
+                    outcome.aux_cells_updated += 1;
+                }
             }
-            CellClass::Aux => {
-                outcome.aux_energy_pj += e;
-                outcome.aux_cells_updated += 1;
+        };
+        for (w, &word) in changed.iter().enumerate() {
+            let mut cells = word;
+            while cells != 0 {
+                program(w * 64 + cells.trailing_zeros() as usize);
+                cells &= cells - 1;
+            }
+        }
+        tail.for_each(program);
+        return outcome;
+    };
+    // Programmed cells per (class, target state); class 0 is data, 1 aux.
+    let aux = kernel::aux_mask(new);
+    let mut counts = [[0u64; 4]; 2];
+    for w in 0..PLANE_WORDS {
+        let (n0, n1) = (new_planes.plane0()[w], new_planes.plane1()[w]);
+        let targets = [!n1 & !n0, !n1 & n0, n1 & !n0, n1 & n0];
+        for (class, cells) in [changed[w] & !aux[w], changed[w] & aux[w]].into_iter().enumerate() {
+            for (count, target) in counts[class].iter_mut().zip(targets) {
+                *count += u64::from((cells & target).count_ones());
             }
         }
     }
+    for cell in tail {
+        counts[usize::from(new.class(cell) == CellClass::Aux)][new.state(cell).index()] += 1;
+    }
+    let energy_of = |counts: &[u64; 4]| -> f64 {
+        counts.iter().zip(weights).map(|(&count, weight)| count * weight).sum::<u64>() as f64
+    };
+    outcome.data_energy_pj = energy_of(&counts[0]);
+    outcome.aux_energy_pj = energy_of(&counts[1]);
+    outcome.data_cells_updated = counts[0].iter().sum::<u64>() as usize;
+    outcome.aux_cells_updated = counts[1].iter().sum::<u64>() as usize;
     outcome
-}
-
-/// Returns the indices of the cells that a differential write would program.
-///
-/// # Panics
-///
-/// Panics if the two lines have a different number of cells.
-pub fn changed_cell_indices(old: &PhysicalLine, new: &PhysicalLine) -> Vec<usize> {
-    assert_eq!(old.len(), new.len());
-    (0..new.len()).filter(|&i| old.state(i) != new.state(i)).collect()
-}
-
-/// Computes only the total differential-write energy of writing `new` over
-/// `old`, without the data/aux breakdown. This is the inner loop of every
-/// encoder's candidate-selection cost function, so it is kept allocation-free.
-///
-/// # Panics
-///
-/// Panics if the two lines have a different number of cells.
-pub fn write_cost_pj(old: &PhysicalLine, new: &PhysicalLine, energy: &EnergyModel) -> f64 {
-    assert_eq!(old.len(), new.len());
-    let mut cost = 0.0;
-    for i in 0..new.len() {
-        cost += energy.transition_energy_pj(old.state(i), new.state(i));
-    }
-    cost
 }
 
 #[cfg(test)]
@@ -125,7 +147,6 @@ mod tests {
         let out = differential_write(&a, &a, &e);
         assert_eq!(out.total_energy_pj(), 0.0);
         assert_eq!(out.total_cells_updated(), 0);
-        assert!(changed_cell_indices(&a, &a).is_empty());
     }
 
     #[test]
@@ -136,7 +157,7 @@ mod tests {
         let out = differential_write(&old, &new, &e);
         assert_eq!(out.data_cells_updated, 1);
         assert_eq!(out.total_energy_pj(), 36.0 + 547.0);
-        assert_eq!(changed_cell_indices(&old, &new), vec![0]);
+        assert_eq!(out.aux_cells_updated, 0);
     }
 
     #[test]
@@ -160,7 +181,9 @@ mod tests {
         let old = line(&[CellState::S1, CellState::S2, CellState::S3, CellState::S4]);
         let new = line(&[CellState::S4, CellState::S2, CellState::S1, CellState::S2]);
         let out = differential_write(&old, &new, &e);
-        assert!((write_cost_pj(&old, &new, &e) - out.total_energy_pj()).abs() < 1e-9);
+        let per_cell: f64 =
+            (0..new.len()).map(|i| e.transition_energy_pj(old.state(i), new.state(i))).sum();
+        assert!((per_cell - out.total_energy_pj()).abs() < 1e-9);
     }
 
     #[test]

@@ -1,37 +1,38 @@
-//! Allocation regression test for the encode hot path.
+//! Allocation regression test for the write hot path.
 //!
 //! The bit-parallel encoders keep every piece of per-write scratch (plane
 //! views, transition tables, candidate costs, choice masks, packed auxiliary
 //! bits) in fixed-size stack storage. The only heap allocations a steady-state
 //! `encode()` may perform are the two `Vec`s (states + classes) backing the
-//! returned `PhysicalLine` — this test counts allocations through a wrapping
-//! global allocator and pins exactly that.
+//! returned `PhysicalLine`; the accounting after it (differential write,
+//! disturbance sampling) and the raw-line decodes allocate nothing. This test
+//! counts allocations through a wrapping global allocator and pins exactly
+//! that.
 //!
-//! The allocation counter is process-global, so every `#[test]` below
-//! serialises on [`SERIAL`] — concurrent tests would otherwise inflate each
-//! other's counts.
+//! The counter is per thread: the harness runs tests, and allocates for its
+//! own bookkeeping, on other threads, and none of that may leak into a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Serialises the measuring tests; the harness runs tests on concurrent
-/// threads and the counter cannot distinguish allocators.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialised() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialised, so
+    /// reading it never allocates or registers a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 // SAFETY: delegates directly to the system allocator; the counter update has
 // no safety implications.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -40,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -48,10 +49,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations the current thread makes while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+    (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
 /// The workload shared by the measuring tests below.
@@ -83,7 +85,6 @@ fn encode_allocates_only_the_returned_line() {
     use wlcrc_repro::pcm::prelude::EnergyModel;
     use wlcrc_repro::wlcrc::WlcCosetCodec;
 
-    let _guard = serialised();
     let energy = EnergyModel::paper_default();
     // Mixed content: WLC-compressible words so WLCRC takes its encoded path,
     // and varied values so candidate searches do real work.
@@ -130,7 +131,6 @@ fn din_encode_allocation_profile_is_pinned() {
     use wlcrc_repro::pcm::codec::LineCodec;
     use wlcrc_repro::pcm::prelude::EnergyModel;
 
-    let _guard = serialised();
     let energy = EnergyModel::paper_default();
     let codec = DinCodec::new();
     let lines = workload();
@@ -181,7 +181,6 @@ fn batched_encode_allocates_only_the_returned_lines() {
     use wlcrc_repro::pcm::line::MemoryLine;
     use wlcrc_repro::pcm::prelude::{EnergyModel, PhysicalLine};
 
-    let _guard = serialised();
     let energy = EnergyModel::paper_default();
     let lines = workload();
     let codecs: Vec<(Box<dyn LineCodec>, &str)> = vec![
@@ -229,7 +228,6 @@ fn decode_stays_allocation_lean() {
     use wlcrc_repro::pcm::line::MemoryLine;
     use wlcrc_repro::pcm::prelude::EnergyModel;
 
-    let _guard = serialised();
     let energy = EnergyModel::paper_default();
     let data = MemoryLine::from_words([0x0123_4567_89AB_CDEF; 8]);
     for codec in [
@@ -241,5 +239,105 @@ fn decode_stays_allocation_lean() {
         let (allocs, decoded) = allocations_during(|| codec.decode(&stored));
         assert_eq!(decoded, data);
         assert!(allocs <= 1, "decode of {} allocated {allocs} times", codec.name());
+    }
+}
+
+/// Uniformly random lines: no WLC-compressible word, and too dense for COC,
+/// so the compression-gated codecs store them raw.
+fn random_lines(seed: u64, count: usize) -> Vec<wlcrc_repro::pcm::line::MemoryLine> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use wlcrc_repro::pcm::line::MemoryLine;
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count).map(|_| MemoryLine::from_words(std::array::from_fn(|_| rng.gen()))).collect()
+}
+
+/// A copy of `line` without its cached plane view.
+fn cold_copy(
+    line: &wlcrc_repro::pcm::prelude::PhysicalLine,
+) -> wlcrc_repro::pcm::prelude::PhysicalLine {
+    wlcrc_repro::pcm::prelude::PhysicalLine::from_parts(
+        line.states().to_vec(),
+        line.classes().to_vec(),
+    )
+}
+
+#[test]
+fn accounting_tail_allocates_nothing() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use wlcrc_repro::coset::FnwCodec;
+    use wlcrc_repro::pcm::codec::{LineCodec, RawCodec};
+    use wlcrc_repro::pcm::prelude::{DisturbanceModel, EnergyModel};
+    use wlcrc_repro::wlcrc::{CocCosetCodec, WlcCosetCodec};
+    use wlcrc_repro::{differential_write, evaluate_disturbance};
+
+    let energy = EnergyModel::paper_default();
+    let model = DisturbanceModel::paper_default();
+    let mut rng = StdRng::seed_from_u64(5);
+    // Biased lines take the encoded paths, random ones the raw fallbacks.
+    let mut lines = workload();
+    lines.extend(random_lines(6, 8));
+    // 256-cell lines (Baseline), auxiliary tails past the plane view (FNW),
+    // and auxiliary cells inside it (WLCRC-16, COC+4cosets).
+    let codecs: Vec<Box<dyn LineCodec>> = vec![
+        Box::new(RawCodec::new()),
+        Box::new(FnwCodec::paper_default()),
+        Box::new(WlcCosetCodec::wlcrc16()),
+        Box::new(CocCosetCodec::new()),
+    ];
+    for codec in &codecs {
+        let name = codec.name();
+        let mut old = codec.initial_line();
+        for line in &lines {
+            let new = codec.encode(line, &old, &energy);
+            // Cold plane caches: each function builds the views itself.
+            let (cold_old, cold_new) = (cold_copy(&old), cold_copy(&new));
+            let (allocs, _) =
+                allocations_during(|| differential_write(&cold_old, &cold_new, &energy));
+            assert_eq!(allocs, 0, "{name}: differential_write (cold) allocated {allocs} times");
+            let (cold_old, cold_new) = (cold_copy(&old), cold_copy(&new));
+            let (allocs, _) =
+                allocations_during(|| evaluate_disturbance(&cold_old, &cold_new, &model, &mut rng));
+            assert_eq!(allocs, 0, "{name}: evaluate_disturbance (cold) allocated {allocs} times");
+            // Warm plane caches, as the simulator's lanes see them.
+            let _ = (old.state_planes(), new.state_planes());
+            let (allocs, _) = allocations_during(|| {
+                let outcome = differential_write(&old, &new, &energy);
+                (outcome, evaluate_disturbance(&old, &new, &model, &mut rng))
+            });
+            assert_eq!(allocs, 0, "{name}: warm accounting allocated {allocs} times");
+            old = new;
+        }
+    }
+}
+
+#[test]
+fn raw_line_decodes_allocate_nothing() {
+    use wlcrc_repro::pcm::codec::{LineCodec, RawCodec};
+    use wlcrc_repro::pcm::prelude::EnergyModel;
+    use wlcrc_repro::wlcrc::{CocCosetCodec, WlcCosetCodec};
+
+    let energy = EnergyModel::paper_default();
+    let codecs: Vec<Box<dyn LineCodec>> = vec![
+        Box::new(RawCodec::new()),
+        Box::new(WlcCosetCodec::wlc_four_cosets(32)),
+        Box::new(WlcCosetCodec::wlcrc16()),
+        Box::new(CocCosetCodec::new()),
+    ];
+    for codec in &codecs {
+        let name = codec.name();
+        for data in random_lines(7, 8) {
+            let stored = codec.encode(&data, &codec.initial_line(), &energy);
+            // A raw line carries no auxiliary cell but the format flag.
+            assert!(stored.aux_cells() <= 1, "{name}: random data must be stored raw");
+            let cold = cold_copy(&stored);
+            let (allocs, decoded) = allocations_during(|| codec.decode(&cold));
+            assert_eq!(decoded, data);
+            assert_eq!(allocs, 0, "{name}: raw decode (cold) allocated {allocs} times");
+            let (allocs, decoded) = allocations_during(|| codec.decode(&stored));
+            assert_eq!(decoded, data);
+            assert_eq!(allocs, 0, "{name}: raw decode (warm) allocated {allocs} times");
+        }
     }
 }

@@ -2,9 +2,14 @@
 //! kernel: every optimised `encode()` must be byte-identical to its retained
 //! scalar reference (`encode_scalar`), for all schemes × content classes ×
 //! stored states × energy configurations, and the packed `BitBuf` streams
-//! must round-trip exactly like the `Vec<bool>` streams they replaced.
+//! must round-trip exactly like the `Vec<bool>` streams they replaced. The
+//! plane-based accounting tail (`differential_write`,
+//! `evaluate_disturbance`) and the fixed-mapping store/load are checked
+//! against the cell-by-cell loops they replaced, kept here as oracles.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use wlcrc_repro::compress::{Bdi, Coc, Fpc};
 use wlcrc_repro::coset::{
     DinCodec, FlipMinCodec, FnwCodec, Granularity, NCosetsCodec, RestrictedCosetCodec,
@@ -12,13 +17,15 @@ use wlcrc_repro::coset::{
 use wlcrc_repro::ecc::BitBuf;
 use wlcrc_repro::pcm::codec::LineCodec;
 use wlcrc_repro::pcm::kernel::{
-    block_cost, block_updated_cells, bucket_counts, StatePlanes, SymbolPlanes, TransitionTable,
+    self, block_cost, block_updated_cells, bucket_counts, StatePlanes, SymbolPlanes,
+    TransitionTable,
 };
 use wlcrc_repro::pcm::line::MemoryLine;
 use wlcrc_repro::pcm::mapping::SymbolMapping;
 use wlcrc_repro::pcm::prelude::*;
 use wlcrc_repro::wlcrc::schemes::standard_schemes;
 use wlcrc_repro::wlcrc::{CocCosetCodec, MultiObjectiveConfig, WlcCosetCodec};
+use wlcrc_repro::{differential_write, evaluate_disturbance};
 
 fn arb_line() -> impl Strategy<Value = MemoryLine> {
     prop::array::uniform8(any::<u64>()).prop_map(MemoryLine::from_words)
@@ -62,6 +69,119 @@ fn arb_din_line() -> impl Strategy<Value = MemoryLine> {
 fn arb_energy() -> impl Strategy<Value = EnergyModel> {
     prop::sample::select(vec![0usize, 1, 2, 3])
         .prop_map(|i| EnergyModel::figure14_configurations()[i].clone())
+}
+
+/// The four Figure 14 energy models plus one with non-integer energies,
+/// which takes `differential_write`'s cell-by-cell fallback.
+fn arb_accounting_energy() -> impl Strategy<Value = EnergyModel> {
+    prop::sample::select(vec![0usize, 1, 2, 3, 4]).prop_map(|i| match i {
+        4 => EnergyModel::new(36.5, [0.1, 20.3, 307.7, 547.25]),
+        _ => EnergyModel::figure14_configurations()[i].clone(),
+    })
+}
+
+/// The paper's disturbance rates, or distinct rates with a non-zero `S2`
+/// rate (an idle `S2` cell must still be skipped, not drawn for).
+fn arb_disturbance() -> impl Strategy<Value = DisturbanceModel> {
+    any::<bool>().prop_map(|custom| match custom {
+        true => DisturbanceModel::new([0.3, 0.05, 0.7, 0.01]),
+        false => DisturbanceModel::paper_default(),
+    })
+}
+
+/// An (old, new) pair of 1–255, exactly 256 or 257–320 cells. About a
+/// quarter of the cells are auxiliary, inside the first 256 cells as well as
+/// past them; `rewrite` (0–4) sets how many cells the new line rewrites,
+/// from none to all. `warm` picks which lines enter with a cached plane view.
+fn arb_line_pair() -> impl Strategy<Value = (PhysicalLine, PhysicalLine)> {
+    let cell = (0usize..4, 0usize..4, 0u8..4, 0u8..4);
+    ((0u8..3, 1usize..256, 257usize..321), prop::collection::vec(cell, 320..321), 0u8..5, 0u8..4)
+        .prop_map(|((band, short, long), cells, rewrite, warm)| {
+            let len = [short, 256, long][usize::from(band)];
+            let mut old_states = Vec::with_capacity(len);
+            let mut new_states = Vec::with_capacity(len);
+            let mut classes = Vec::with_capacity(len);
+            for &(old, new, roll, class) in &cells[..len] {
+                old_states.push(CellState::from_index(old));
+                new_states.push(CellState::from_index(if roll < rewrite { new } else { old }));
+                classes.push(if class == 0 { CellClass::Aux } else { CellClass::Data });
+            }
+            let old = PhysicalLine::from_parts(old_states, classes.clone());
+            let new = PhysicalLine::from_parts(new_states, classes);
+            if warm & 1 == 1 {
+                let _ = old.state_planes();
+            }
+            if warm & 2 == 2 {
+                let _ = new.state_planes();
+            }
+            (old, new)
+        })
+}
+
+/// Scalar oracle of `differential_write`: one cell at a time, in ascending
+/// order.
+fn differential_write_scalar(
+    old: &PhysicalLine,
+    new: &PhysicalLine,
+    energy: &EnergyModel,
+) -> WriteOutcome {
+    let mut outcome = WriteOutcome::default();
+    for (idx, new_state, class) in new.iter() {
+        if old.state(idx) == new_state {
+            continue;
+        }
+        let e = energy.write_energy_pj(new_state);
+        match class {
+            CellClass::Data => {
+                outcome.data_energy_pj += e;
+                outcome.data_cells_updated += 1;
+            }
+            CellClass::Aux => {
+                outcome.aux_energy_pj += e;
+                outcome.aux_cells_updated += 1;
+            }
+        }
+    }
+    outcome
+}
+
+/// Scalar oracle of `evaluate_disturbance`: collects the written cells,
+/// then walks each one's neighbours, left before right.
+fn evaluate_disturbance_scalar<R: Rng + ?Sized>(
+    old: &PhysicalLine,
+    new: &PhysicalLine,
+    model: &DisturbanceModel,
+    rng: &mut R,
+) -> DisturbanceOutcome {
+    let written: Vec<usize> = (0..new.len()).filter(|&i| old.state(i) != new.state(i)).collect();
+    let mut is_written = vec![false; new.len()];
+    for &i in &written {
+        is_written[i] = true;
+    }
+    let mut outcome = DisturbanceOutcome::default();
+    for &w in &written {
+        let neighbours = [w.checked_sub(1), if w + 1 < new.len() { Some(w + 1) } else { None }];
+        for n in neighbours.into_iter().flatten() {
+            if is_written[n] || !new.state(n).is_disturbable() {
+                continue;
+            }
+            let p = model.rate(new.state(n));
+            let is_aux = new.class(n) == CellClass::Aux;
+            if is_aux {
+                outcome.expected_aux_errors += p;
+            } else {
+                outcome.expected_data_errors += p;
+            }
+            if rng.gen::<f64>() < p {
+                if is_aux {
+                    outcome.aux_errors += 1;
+                } else {
+                    outcome.data_errors += 1;
+                }
+            }
+        }
+    }
+    outcome
 }
 
 /// Encodes `seed_data` then `data` with both paths, asserting byte equality
@@ -285,5 +405,63 @@ proptest! {
         prop_assert_eq!(buf.count_ones(), bools.iter().filter(|b| **b).count());
         let collected: BitBuf = bools.iter().copied().collect();
         prop_assert_eq!(collected, buf);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn differential_write_matches_scalar_oracle(pair in arb_line_pair(),
+                                                energy in arb_accounting_energy()) {
+        let (old, new) = pair;
+        let fast = differential_write(&old, &new, &energy);
+        let slow = differential_write_scalar(&old, &new, &energy);
+        prop_assert_eq!(fast.data_energy_pj.to_bits(), slow.data_energy_pj.to_bits());
+        prop_assert_eq!(fast.aux_energy_pj.to_bits(), slow.aux_energy_pj.to_bits());
+        prop_assert_eq!(fast.data_cells_updated, slow.data_cells_updated);
+        prop_assert_eq!(fast.aux_cells_updated, slow.aux_cells_updated);
+    }
+
+    #[test]
+    fn evaluate_disturbance_matches_scalar_oracle(pair in arb_line_pair(),
+                                                  model in arb_disturbance(),
+                                                  seed in any::<u64>()) {
+        let (old, new) = pair;
+        let (mut fast_rng, mut slow_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let fast = evaluate_disturbance(&old, &new, &model, &mut fast_rng);
+        let slow = evaluate_disturbance_scalar(&old, &new, &model, &mut slow_rng);
+        prop_assert_eq!(fast.data_errors, slow.data_errors);
+        prop_assert_eq!(fast.aux_errors, slow.aux_errors);
+        prop_assert_eq!(fast.expected_data_errors.to_bits(), slow.expected_data_errors.to_bits());
+        prop_assert_eq!(fast.expected_aux_errors.to_bits(), slow.expected_aux_errors.to_bits());
+        // Same number of draws: the streams stay in step.
+        prop_assert_eq!(fast_rng.next_u64(), slow_rng.next_u64());
+    }
+
+    #[test]
+    fn mapped_store_and_load_match_per_cell_loops(data in arb_line(),
+                                                  stored in prop::collection::vec(0usize..4, 258..259),
+                                                  extra in 0usize..3,
+                                                  energy in arb_energy()) {
+        let cells = LINE_CELLS + extra;
+        let stored = PhysicalLine::from_states(
+            stored[..cells].iter().map(|&i| CellState::from_index(i)).collect(),
+        );
+        for mapping in SymbolMapping::all_mappings() {
+            let mut out = PhysicalLine::all_reset(cells);
+            kernel::store_mapped(&data, &TransitionTable::new(&mapping, &energy), &mut out);
+            let mut expect = PhysicalLine::all_reset(cells);
+            for cell in 0..LINE_CELLS {
+                expect.set_state(cell, mapping.state_of(data.symbol(cell)));
+            }
+            prop_assert_eq!(&out, &expect, "store through {:?}", mapping);
+            prop_assert_eq!(out.state_planes(), StatePlanes::new(&out), "installed plane cache");
+            let mut expect = MemoryLine::ZERO;
+            for cell in 0..LINE_CELLS {
+                expect.set_symbol(cell, mapping.symbol_of(stored.state(cell)));
+            }
+            prop_assert_eq!(kernel::load_mapped(&stored, &mapping), expect, "load through {:?}", mapping);
+        }
     }
 }

@@ -8,28 +8,30 @@
 //! way the engine instruments its hot paths — the instrumented loop must
 //! allocate precisely what the uninstrumented encode itself allocates.
 //!
-//! The allocation counter is process-global, so the measuring tests
-//! serialise on [`SERIAL`].
+//! The counter is per thread: the harness runs tests, and allocates for its
+//! own bookkeeping, on other threads, and none of that may leak into a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialised() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialised, so
+    /// reading it never allocates or registers a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 // SAFETY: delegates directly to the system allocator; the counter update has
 // no safety implications.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -38,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -46,10 +48,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations the current thread makes while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+    (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
 /// The tests below only hold with tracing off; under an externally set
@@ -63,7 +66,6 @@ fn disabled_obs_layer_allocates_nothing() {
     if tracing_is_externally_enabled() {
         return;
     }
-    let _guard = serialised();
     // Metric handles are created (and leaked, once) up front, the way the
     // engine and store hold them in LazyLock statics.
     let counter = wlcrc_repro::obs::registry().counter("wlcrc_test_obs_overhead_total");
@@ -97,7 +99,6 @@ fn instrumented_encode_loop_allocates_exactly_the_encode() {
     if tracing_is_externally_enabled() {
         return;
     }
-    let _guard = serialised();
     let energy = EnergyModel::paper_default();
     let codec = WlcCosetCodec::wlcrc16();
     let lines: Vec<MemoryLine> = (0..16)
