@@ -12,7 +12,7 @@
 //! `encode-scalar` row drives the retained scalar reference path
 //! (`encode_scalar`) so the kernel speedup is visible directly in the bench
 //! output; `cargo run --release --bin perfsnap` records the same comparison
-//! (including a verbatim pre-PR restricted encoder) into `BENCH_codec.json`.
+//! into `BENCH_codec.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wlcrc::schemes::standard_schemes;

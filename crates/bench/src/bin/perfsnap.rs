@@ -58,152 +58,6 @@ use rand::{Rng, SeedableRng};
 /// A scalar-oracle encode closure (`encode_scalar` of a concrete codec).
 type ScalarEncode = Box<dyn Fn(&MemoryLine, &PhysicalLine, &EnergyModel) -> PhysicalLine>;
 
-/// The restricted coset encoder exactly as it existed before the kernel PR:
-/// both groups re-evaluate the shared C1 block costs, and every refinement
-/// trial re-sums the full auxiliary bit vector through heap-allocated
-/// `Vec<bool>` scratch. Kept here verbatim (over the public scalar cost
-/// routines) so the snapshot's restricted speedup is measured against the
-/// true pre-PR scalar path, not against the modernised shared-logic oracle.
-mod legacy_restricted {
-    use wlcrc_coset::candidate::{c1, c2, c3, CosetCandidate};
-    use wlcrc_coset::cost::{block_cost, write_block};
-    use wlcrc_coset::Granularity;
-    use wlcrc_pcm::energy::EnergyModel;
-    use wlcrc_pcm::line::MemoryLine;
-    use wlcrc_pcm::mapping::SymbolMapping;
-    use wlcrc_pcm::physical::{CellClass, PhysicalLine};
-    use wlcrc_pcm::state::Symbol;
-    use wlcrc_pcm::LINE_CELLS;
-
-    pub struct LegacyRestricted {
-        granularity: Granularity,
-        base: CosetCandidate,
-        alt_a: CosetCandidate,
-        alt_b: CosetCandidate,
-        aux_mapping: SymbolMapping,
-    }
-
-    impl LegacyRestricted {
-        pub fn new(granularity: Granularity) -> LegacyRestricted {
-            LegacyRestricted {
-                granularity,
-                base: c1(),
-                alt_a: c2(),
-                alt_b: c3(),
-                aux_mapping: SymbolMapping::default_mapping(),
-            }
-        }
-
-        fn aux_bits(&self) -> usize {
-            1 + self.granularity.blocks_per_line()
-        }
-
-        fn aux_cells(&self) -> usize {
-            self.aux_bits().div_ceil(2)
-        }
-
-        pub fn encoded_cells(&self) -> usize {
-            LINE_CELLS + self.aux_cells()
-        }
-
-        fn group_candidates(&self, group_b: bool) -> (&CosetCandidate, &CosetCandidate) {
-            if group_b {
-                (&self.base, &self.alt_b)
-            } else {
-                (&self.base, &self.alt_a)
-            }
-        }
-
-        fn write_aux_bits(&self, out: &mut PhysicalLine, bits: &[bool]) {
-            for (i, pair) in bits.chunks(2).enumerate() {
-                let msb = pair.first().copied().unwrap_or(false);
-                let lsb = pair.get(1).copied().unwrap_or(false);
-                let symbol = Symbol::from_bits(msb, lsb);
-                out.set_state(LINE_CELLS + i, self.aux_mapping.state_of(symbol));
-            }
-        }
-
-        fn aux_cost(&self, old: &PhysicalLine, bits: &[bool], energy: &EnergyModel) -> f64 {
-            let mut cost = 0.0;
-            for (i, pair) in bits.chunks(2).enumerate() {
-                let msb = pair.first().copied().unwrap_or(false);
-                let lsb = pair.get(1).copied().unwrap_or(false);
-                let target = self.aux_mapping.state_of(Symbol::from_bits(msb, lsb));
-                cost += energy.transition_energy_pj(old.state(LINE_CELLS + i), target);
-            }
-            cost
-        }
-
-        pub fn encode(
-            &self,
-            data: &MemoryLine,
-            old: &PhysicalLine,
-            energy: &EnergyModel,
-        ) -> PhysicalLine {
-            assert_eq!(old.len(), self.encoded_cells());
-            let blocks = self.granularity.blocks_per_line();
-            let mut group_cost = [0.0f64; 2];
-            let mut group_choice = [vec![false; blocks], vec![false; blocks]];
-            for (g, choices) in group_choice.iter_mut().enumerate() {
-                let (base, alt) = self.group_candidates(g == 1);
-                for (block, choice) in choices.iter_mut().enumerate() {
-                    let cells = self.granularity.block_cells(block);
-                    let cost_base = block_cost(data, old, cells.clone(), base, energy);
-                    let cost_alt = block_cost(data, old, cells, alt, energy);
-                    if cost_alt < cost_base {
-                        *choice = true;
-                        group_cost[g] += cost_alt;
-                    } else {
-                        group_cost[g] += cost_base;
-                    }
-                }
-                let mut aux_bits = Vec::with_capacity(self.aux_bits());
-                aux_bits.push(g == 1);
-                aux_bits.extend(choices.iter().copied());
-                group_cost[g] += self.aux_cost(old, &aux_bits, energy);
-            }
-            let group_b = group_cost[1] < group_cost[0];
-            let mut choices = group_choice[usize::from(group_b)].clone();
-            let (base, alt) = self.group_candidates(group_b);
-            for block in 0..blocks {
-                let cells = self.granularity.block_cells(block);
-                let cost_base = block_cost(data, old, cells.clone(), base, energy);
-                let cost_alt = block_cost(data, old, cells, alt, energy);
-                let mut best_flag = choices[block];
-                let mut best_total = f64::INFINITY;
-                for flag in [false, true] {
-                    let mut trial_bits = Vec::with_capacity(self.aux_bits());
-                    trial_bits.push(group_b);
-                    let mut trial_choices = choices.clone();
-                    trial_choices[block] = flag;
-                    trial_bits.extend(trial_choices.iter().copied());
-                    let total = if flag { cost_alt } else { cost_base }
-                        + self.aux_cost(old, &trial_bits, energy);
-                    if total < best_total {
-                        best_total = total;
-                        best_flag = flag;
-                    }
-                }
-                choices[block] = best_flag;
-            }
-            let mut out = PhysicalLine::all_reset(self.encoded_cells());
-            for cell in LINE_CELLS..self.encoded_cells() {
-                out.set_class(cell, CellClass::Aux);
-            }
-            for (block, &choice) in choices.iter().enumerate().take(blocks) {
-                let cells = self.granularity.block_cells(block);
-                let candidate = if choice { alt } else { base };
-                write_block(data, &mut out, cells, candidate);
-            }
-            let mut aux_bits = Vec::with_capacity(self.aux_bits());
-            aux_bits.push(group_b);
-            aux_bits.extend(choices.iter().copied());
-            self.write_aux_bits(&mut out, &aux_bits);
-            out
-        }
-    }
-}
-
 /// One codec measured by the snapshot.
 struct Target {
     name: &'static str,
@@ -215,7 +69,6 @@ struct Target {
 struct CodecRow {
     name: String,
     encode_wps: f64,
-    /// `NAN` for rows without a decode measurement (the `@wlc` corpus rows).
     decode_rps: f64,
     scalar_wps: Option<f64>,
     speedup: Option<f64>,
@@ -268,31 +121,14 @@ fn targets() -> Vec<Target> {
         codec: Box::new(three),
         scalar: Some(Box::new(move |d, o, e| three_scalar.encode_scalar(d, o, e))),
     });
-    // For the restricted codec the shared-logic oracle already benefits from
-    // this PR's precomputed block costs and incremental refinement, so the
-    // snapshot measures the verbatim pre-PR implementation instead.
     let restricted = RestrictedCosetCodec::new(g16);
-    let restricted_legacy = legacy_restricted::LegacyRestricted::new(g16);
+    let restricted_scalar = RestrictedCosetCodec::new(g16);
     out.push(Target {
         name: "3-r-cosets-16",
         codec: Box::new(restricted),
-        scalar: Some(Box::new(move |d, o, e| restricted_legacy.encode(d, o, e))),
+        scalar: Some(Box::new(move |d, o, e| restricted_scalar.encode_scalar(d, o, e))),
     });
     out
-}
-
-/// The legacy (pre-PR) restricted encoder must agree byte-for-byte with the
-/// kernel path; checked once on real content before anything is timed.
-fn verify_legacy_restricted(lines: &[MemoryLine], energy: &EnergyModel) {
-    let kernel = RestrictedCosetCodec::new(Granularity::new(16));
-    let legacy = legacy_restricted::LegacyRestricted::new(Granularity::new(16));
-    let mut old = kernel.initial_line();
-    for line in lines.iter().take(64) {
-        let a = kernel.encode(line, &old, energy);
-        let b = legacy.encode(line, &old, energy);
-        assert_eq!(a, b, "legacy restricted encoder diverged from the kernel path");
-        old = a;
-    }
 }
 
 /// A deterministic mix of biased, compressible and random lines — shared
@@ -342,6 +178,22 @@ where
     let secs = start.elapsed().as_secs_f64();
     std::hint::black_box(&old);
     iters as f64 / secs
+}
+
+/// Each line of `lines` encoded over the encoding of its predecessor.
+fn chained_encodes(
+    codec: &dyn LineCodec,
+    lines: &[MemoryLine],
+    energy: &EnergyModel,
+) -> Vec<PhysicalLine> {
+    let mut old = codec.initial_line();
+    lines
+        .iter()
+        .map(|l| {
+            old = codec.encode(l, &old, energy);
+            old.clone()
+        })
+        .collect()
 }
 
 /// Times `iters` decodes over pre-encoded content, returning reads/sec.
@@ -485,16 +337,7 @@ fn measure_codec_suite(
         let codec = target.codec.as_ref();
         let encode_wps =
             measure_encode(lines, codec.initial_line(), iters, |d, o| codec.encode(d, o, energy));
-        let stored: Vec<PhysicalLine> = {
-            let mut old = codec.initial_line();
-            lines
-                .iter()
-                .map(|l| {
-                    old = codec.encode(l, &old, energy);
-                    old.clone()
-                })
-                .collect()
-        };
+        let stored = chained_encodes(codec, lines, energy);
         let decode_rps = measure_decode(codec, &stored, iters);
         let scalar_wps = target.scalar.as_ref().map(|scalar| {
             measure_encode(lines, codec.initial_line(), iters, |d, o| scalar(d, o, energy))
@@ -547,18 +390,20 @@ fn measure_codec_suite(
         let encode_wps = measure_encode(wlc_lines, codec.initial_line(), iters, |d, o| {
             codec.encode(d, o, energy)
         });
+        let stored = chained_encodes(codec, wlc_lines, energy);
+        let decode_rps = measure_decode(codec, &stored, iters);
         let scalar_wps =
             measure_encode(wlc_lines, codec.initial_line(), iters, |d, o| scalar(d, o, energy));
         let speedup = encode_wps / scalar_wps;
         if print {
             println!(
-                "  {name:<14} encode {encode_wps:>12.0} w/s   scalar {scalar_wps:>12.0} w/s   kernel speedup {speedup:.2}x"
+                "  {name:<14} encode {encode_wps:>12.0} w/s   decode {decode_rps:>12.0} r/s   scalar {scalar_wps:>12.0} w/s   kernel speedup {speedup:.2}x"
             );
         }
         rows.push(CodecRow {
             name: name.to_string(),
             encode_wps,
-            decode_rps: f64::NAN,
+            decode_rps,
             scalar_wps: Some(scalar_wps),
             speedup: Some(speedup),
         });
@@ -651,9 +496,7 @@ fn run_check(
         let round = measure_codec_suite(lines, wlc_lines, energy, iters, false);
         for (b, r) in best.iter_mut().zip(round) {
             b.encode_wps = b.encode_wps.max(r.encode_wps);
-            if b.decode_rps.is_finite() && r.decode_rps.is_finite() {
-                b.decode_rps = b.decode_rps.max(r.decode_rps);
-            }
+            b.decode_rps = b.decode_rps.max(r.decode_rps);
         }
     }
     let verdict = |name: &str, metric: &str, current: f64, recorded: f64| -> bool {
@@ -675,9 +518,7 @@ fn run_check(
         };
         ok &= verdict(&base.name, "encode", current.encode_wps, base.encode_wps);
         if let Some(dec) = base.decode_rps {
-            if current.decode_rps.is_finite() {
-                ok &= verdict(&base.name, "decode", current.decode_rps, dec);
-            }
+            ok &= verdict(&base.name, "decode", current.decode_rps, dec);
         }
     }
     // Serve gate: best-of-3 requests/sec (higher is better) and p99 batch
@@ -735,7 +576,6 @@ fn main() {
 
     let energy = EnergyModel::paper_default();
     let lines = workload_lines(256, seed);
-    verify_legacy_restricted(&lines, &energy);
     let wlc_lines = wlc_compressible_lines(256, seed.wrapping_add(1));
 
     if check {
@@ -924,12 +764,9 @@ fn main() {
     entry.push_str("    \"codecs\": [\n");
     for (i, row) in codec_rows.iter().enumerate() {
         let mut line = format!(
-            "      {{\"name\": \"{}\", \"encode_writes_per_sec\": {:.0}",
-            row.name, row.encode_wps
+            "      {{\"name\": \"{}\", \"encode_writes_per_sec\": {:.0}, \"decode_reads_per_sec\": {:.0}",
+            row.name, row.encode_wps, row.decode_rps
         );
-        if row.decode_rps.is_finite() {
-            line.push_str(&format!(", \"decode_reads_per_sec\": {:.0}", row.decode_rps));
-        }
         if let (Some(s), Some(x)) = (row.scalar_wps, row.speedup) {
             line.push_str(&format!(
                 ", \"scalar_encode_writes_per_sec\": {s:.0}, \"kernel_speedup\": {x:.2}"

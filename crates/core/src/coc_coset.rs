@@ -21,12 +21,15 @@ use wlcrc_coset::candidate::{CandidateSet, CosetCandidate};
 use wlcrc_ecc::BitBuf;
 use wlcrc_pcm::codec::LineCodec;
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_pcm::kernel::{self, TransitionTable};
-use wlcrc_pcm::line::MemoryLine;
+use wlcrc_pcm::kernel::{self, TransitionTable, PLANE_WORDS};
+use wlcrc_pcm::line::{word as wordutil, MemoryLine};
 use wlcrc_pcm::mapping::SymbolMapping;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
 use wlcrc_pcm::state::CellState;
-use wlcrc_pcm::LINE_CELLS;
+use wlcrc_pcm::{LINE_CELLS, LINE_WORDS};
+
+/// Most payload blocks of an encoded format (28 16-bit blocks).
+const MAX_BLOCKS: usize = 28;
 
 /// The two encoded formats (besides the raw fallback).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,84 +88,145 @@ impl CocCosetCodec {
         }
     }
 
-    fn choose_format(&self, line: &MemoryLine) -> Format {
-        let packed = Coc::repack(line);
-        if packed.len() <= 448 {
+    fn flag_cell(&self) -> usize {
+        LINE_CELLS
+    }
+
+    /// A fresh encoded line in `format`, with the format flag set.
+    fn new_line(&self, old: &PhysicalLine, format: Format) -> PhysicalLine {
+        assert_eq!(old.len(), self.encoded_cells());
+        let mut out = PhysicalLine::all_reset(self.encoded_cells());
+        out.set_class(self.flag_cell(), CellClass::Aux);
+        out.set_state(self.flag_cell(), format.flag_state());
+        out
+    }
+
+    /// Repacks `data` once: the format its packed length allows and the
+    /// packed payload as a zero-padded memory line (bit `i` of the repacked
+    /// stream becomes line bit `i`).
+    fn repack(data: &MemoryLine) -> (Format, MemoryLine) {
+        let packed = Coc::repack(data);
+        let format = if packed.len() <= 448 {
             Format::Fine16
         } else if packed.len() <= 480 {
             Format::Coarse32
         } else {
             Format::Raw
-        }
-    }
-
-    fn flag_cell(&self) -> usize {
-        LINE_CELLS
-    }
-
-    /// The packed COC payload as a zero-padded memory line: bit `i` of the
-    /// repacked stream becomes line bit `i`, so cell `c` of the payload
-    /// region holds the symbol the old `Vec<Symbol>` materialisation built.
-    fn payload_line(&self, line: &MemoryLine) -> MemoryLine {
-        let packed = Coc::repack(line);
+        };
         let mut payload = MemoryLine::ZERO;
-        for (i, &w) in packed.words().iter().enumerate() {
+        for (i, &w) in packed.words().iter().enumerate().take(LINE_WORDS) {
             payload.set_word(i, w);
         }
-        payload
+        (format, payload)
     }
 
-    /// Shared encode body; `use_kernel` switches the per-block candidate
-    /// costs between the bit-parallel kernel (with branch-and-bound) and the
-    /// scalar per-cell loop.
-    fn encode_impl(
+    fn candidate_tables(&self, energy: &EnergyModel) -> [TransitionTable; 4] {
+        let mut tables = [TransitionTable::placeholder(); 4];
+        for (table, candidate) in tables.iter_mut().zip(&self.candidates) {
+            *table = TransitionTable::new(&candidate.mapping(), energy);
+        }
+        tables
+    }
+
+    /// Stores a line that does not compress enough unencoded through
+    /// `plain`, the fixed mapping's table.
+    fn encode_raw(
+        &self,
+        data: &MemoryLine,
+        old: &PhysicalLine,
+        plain: &TransitionTable,
+    ) -> PhysicalLine {
+        let mut out = self.new_line(old, Format::Raw);
+        kernel::store_mapped(data, plain, &mut out);
+        out
+    }
+
+    /// Encodes a repacked `payload` in an encoded `format` on the kernel:
+    /// one fused sweep picks every payload block's candidate (the first
+    /// strict minimum of its data cost; selectors are not priced), and the
+    /// payload and selector cells are written as planes in one pass, which
+    /// also installs the result's plane cache.
+    fn encode_payload(
+        &self,
+        format: Format,
+        payload: &MemoryLine,
+        old: &PhysicalLine,
+        tables: &[TransitionTable; 4],
+    ) -> PhysicalLine {
+        let mut out = self.new_line(old, format);
+        let (blocks, block_cells) = (format.blocks(), format.block_cells());
+        let planes = payload.symbol_planes();
+        let stored = old.state_planes();
+        let mut winners = [0u8; MAX_BLOCKS];
+        let mut out0 = [0u64; PLANE_WORDS];
+        let mut out1 = [0u64; PLANE_WORDS];
+        let candidates = &tables[..self.candidates.len()];
+        if candidates.iter().all(|t| t.integer_write_pj().is_some()) {
+            kernel::select_blocks_uniform_int(
+                &planes,
+                &stored,
+                block_cells,
+                blocks,
+                candidates,
+                &[[0; 8]; MAX_BLOCKS],
+                &mut winners,
+                &mut out0,
+                &mut out1,
+            );
+        } else {
+            kernel::select_blocks_uniform(
+                &planes,
+                &stored,
+                block_cells,
+                blocks,
+                candidates,
+                &[[0.0; 8]; MAX_BLOCKS],
+                &mut winners,
+                &mut out0,
+                &mut out1,
+            );
+        }
+        // Selector cells occupy the freed space after the payload region;
+        // any remaining freed cells stay in the RESET state. All count as
+        // aux.
+        for (block, &winner) in winners.iter().enumerate().take(blocks) {
+            let cell = format.payload_cells() + block;
+            out0[cell / 64] |= u64::from(winner & 1) << (cell % 64);
+            out1[cell / 64] |= u64::from(winner >> 1) << (cell % 64);
+        }
+        kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
+        for cell in format.payload_cells()..LINE_CELLS {
+            out.set_class(cell, CellClass::Aux);
+        }
+        out
+    }
+
+    /// The scalar reference encoder (per-cell candidate costs and writes);
+    /// kept callable for the equivalence tests and the perf snapshot.
+    #[doc(hidden)]
+    pub fn encode_scalar(
         &self,
         data: &MemoryLine,
         old: &PhysicalLine,
         energy: &EnergyModel,
-        use_kernel: bool,
     ) -> PhysicalLine {
-        assert_eq!(old.len(), self.encoded_cells());
-        let format = self.choose_format(data);
-        let mut out = PhysicalLine::all_reset(self.encoded_cells());
-        out.set_class(self.flag_cell(), CellClass::Aux);
-        out.set_state(self.flag_cell(), format.flag_state());
-
+        let (format, payload) = Self::repack(data);
         if format == Format::Raw {
-            kernel::store_mapped(data, &TransitionTable::new(&self.mapping, energy), &mut out);
-            return out;
+            return self.encode_raw(data, old, &TransitionTable::new(&self.mapping, energy));
         }
-
-        let payload = self.payload_line(data);
+        let mut out = self.new_line(old, format);
         let blocks = format.blocks();
         let block_cells = format.block_cells();
-        let kernel_ctx = use_kernel.then(|| {
-            let mut tables = [TransitionTable::placeholder(); 4];
-            for (table, candidate) in tables.iter_mut().zip(&self.candidates) {
-                *table = TransitionTable::new(&candidate.mapping(), energy);
-            }
-            (payload.symbol_planes(), old.state_planes(), tables)
-        });
         for block in 0..blocks {
             let range = block * block_cells..(block + 1) * block_cells;
             let mut best = 0usize;
             let mut best_cost = f64::INFINITY;
             for (idx, candidate) in self.candidates.iter().enumerate() {
-                let cost = match &kernel_ctx {
-                    Some((planes, stored, tables)) => {
-                        // Blocks are at most 16 cells here, so a plain
-                        // evaluation beats branch-and-bound's per-word check.
-                        kernel::block_cost(planes, stored, range.clone(), &tables[idx])
-                    }
-                    None => {
-                        let mut cost = 0.0;
-                        for cell in range.clone() {
-                            let target = candidate.state_of(payload.symbol(cell));
-                            cost += energy.transition_energy_pj(old.state(cell), target);
-                        }
-                        cost
-                    }
-                };
+                let mut cost = 0.0;
+                for cell in range.clone() {
+                    let target = candidate.state_of(payload.symbol(cell));
+                    cost += energy.transition_energy_pj(old.state(cell), target);
+                }
                 if cost < best_cost {
                     best_cost = cost;
                     best = idx;
@@ -183,45 +247,20 @@ impl CocCosetCodec {
         out
     }
 
-    /// The scalar reference encoder (per-cell candidate costs); kept callable
-    /// for the equivalence tests and the perf snapshot.
-    #[doc(hidden)]
-    pub fn encode_scalar(
-        &self,
-        data: &MemoryLine,
-        old: &PhysicalLine,
-        energy: &EnergyModel,
-    ) -> PhysicalLine {
-        self.encode_impl(data, old, energy, false)
-    }
-}
-
-impl Default for CocCosetCodec {
-    fn default() -> CocCosetCodec {
-        CocCosetCodec::new()
-    }
-}
-
-impl LineCodec for CocCosetCodec {
-    fn name(&self) -> &str {
-        "COC+4cosets"
-    }
-
-    fn encoded_cells(&self) -> usize {
-        LINE_CELLS + 1
-    }
-
-    fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
-        self.encode_impl(data, old, energy, true)
-    }
-
-    fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
-        assert_eq!(stored.len(), self.encoded_cells());
-        let format = match stored.state(self.flag_cell()) {
+    fn format_of(&self, stored: &PhysicalLine) -> Format {
+        match stored.state(self.flag_cell()) {
             CellState::S1 => Format::Fine16,
             CellState::S3 => Format::Coarse32,
             _ => Format::Raw,
-        };
+        }
+    }
+
+    /// The scalar reference decoder (per-cell reads into a bit stream, then
+    /// a per-bit unpack); kept callable for the equivalence tests.
+    #[doc(hidden)]
+    pub fn decode_scalar(&self, stored: &PhysicalLine) -> MemoryLine {
+        assert_eq!(stored.len(), self.encoded_cells());
+        let format = self.format_of(stored);
         if format == Format::Raw {
             return kernel::load_mapped(stored, &self.mapping);
         }
@@ -242,6 +281,113 @@ impl LineCodec for CocCosetCodec {
         }
         unpack_coc(&BitBuf::from_words(words, payload_bits))
     }
+}
+
+impl Default for CocCosetCodec {
+    fn default() -> CocCosetCodec {
+        CocCosetCodec::new()
+    }
+}
+
+impl LineCodec for CocCosetCodec {
+    fn name(&self) -> &str {
+        "COC+4cosets"
+    }
+
+    fn encoded_cells(&self) -> usize {
+        LINE_CELLS + 1
+    }
+
+    fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
+        let (format, payload) = Self::repack(data);
+        if format == Format::Raw {
+            return self.encode_raw(data, old, &TransitionTable::new(&self.mapping, energy));
+        }
+        self.encode_payload(format, &payload, old, &self.candidate_tables(energy))
+    }
+
+    /// Builds the transition tables once per batch. The candidates price the
+    /// repacked payload, not the data line, so the jobs skip the data-plane
+    /// extraction of `kernel::encode_batch`.
+    fn encode_batch(
+        &self,
+        jobs: &[(&MemoryLine, &PhysicalLine)],
+        energy: &EnergyModel,
+    ) -> Vec<PhysicalLine> {
+        let (tables, plain) =
+            (self.candidate_tables(energy), TransitionTable::new(&self.mapping, energy));
+        let encode = |&(data, old): &(&MemoryLine, &PhysicalLine)| {
+            let (format, payload) = Self::repack(data);
+            if format == Format::Raw {
+                self.encode_raw(data, old, &plain)
+            } else {
+                self.encode_payload(format, &payload, old, &tables)
+            }
+        };
+        jobs.iter().map(encode).collect()
+    }
+
+    /// Decodes on bit planes: every candidate's inverse mapping is applied
+    /// to the whole line at once, each payload block takes the planes of the
+    /// candidate its selector cell names, and the payload is unpacked a word
+    /// at a time.
+    fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
+        assert_eq!(stored.len(), self.encoded_cells());
+        let format = self.format_of(stored);
+        if format == Format::Raw {
+            return kernel::load_mapped(stored, &self.mapping);
+        }
+        let states = stored.state_planes();
+        let mut inverses = [([0u64; PLANE_WORDS], [0u64; PLANE_WORDS]); 4];
+        for (slot, candidate) in inverses.iter_mut().zip(&self.candidates) {
+            *slot =
+                kernel::symbol_planes_from_states(&states, candidate.mapping().symbols_per_state());
+        }
+        let block_cells = format.block_cells();
+        let block_mask = (1u64 << block_cells) - 1;
+        let mut p0 = [0u64; PLANE_WORDS];
+        let mut p1 = [0u64; PLANE_WORDS];
+        for block in 0..format.blocks() {
+            let selector = states.state(format.payload_cells() + block).index();
+            let (c0, c1) = &inverses[selector.min(self.candidates.len() - 1)];
+            let (w, mask) = (block * block_cells / 64, block_mask << (block * block_cells % 64));
+            p0[w] |= c0[w] & mask;
+            p1[w] |= c1[w] & mask;
+        }
+        unpack_payload(kernel::line_from_planes(&p0, &p1).words())
+    }
+}
+
+/// Reads `len` (at most 64) bits starting at bit `pos` of a zero-padded
+/// 512-bit stream; bits past the end read as zero.
+fn stream_bits(words: &[u64; LINE_WORDS], pos: usize, len: usize) -> u64 {
+    let (w, offset) = (pos / 64, pos % 64);
+    let lo = words.get(w).map_or(0, |&word| word >> offset);
+    let hi = match (offset, words.get(w + 1)) {
+        (1.., Some(&word)) => word << (64 - offset),
+        _ => 0,
+    };
+    let value = lo | hi;
+    if len == 64 {
+        value
+    } else {
+        value & ((1u64 << len) - 1)
+    }
+}
+
+/// Word-level [`unpack_coc`] of a payload held as line words: a 4-bit
+/// kept-byte count per word followed by the kept bytes, with the dropped
+/// bytes rebuilt by sign extension.
+fn unpack_payload(words: &[u64; LINE_WORDS]) -> MemoryLine {
+    let mut line = MemoryLine::ZERO;
+    let mut pos = 0usize;
+    for word in 0..LINE_WORDS {
+        let keep = (stream_bits(words, pos, 4) as usize).clamp(1, 8);
+        let value = stream_bits(words, pos + 4, 8 * keep);
+        pos += 4 + 8 * keep;
+        line.set_word(word, wordutil::sign_extend_from(value, 8 * keep - 1));
+    }
+    line
 }
 
 /// Parses the byte-truncation packing produced by [`Coc::repack`] back into a

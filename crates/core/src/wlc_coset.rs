@@ -5,7 +5,7 @@ use crate::layout::WordLayout;
 use wlcrc_coset::candidate::{c1, c2, c3, CandidateSet, CosetCandidate};
 use wlcrc_pcm::codec::LineCodec;
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_pcm::kernel::{self, StatePlanes, SymbolPlanes, TransitionTable};
+use wlcrc_pcm::kernel::{self, StatePlanes, SymbolPlanes, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::{word as wordutil, MemoryLine};
 use wlcrc_pcm::mapping::SymbolMapping;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
@@ -16,13 +16,23 @@ use wlcrc_pcm::{LINE_CELLS, LINE_WORDS, WORD_CELLS};
 const MAX_WORD_BLOCKS: usize = 8;
 /// Most candidates a WLC-integrated codec can hold (unrestricted 4cosets).
 const MAX_WORD_CANDIDATES: usize = 4;
+/// Most auxiliary cells a word can have (16 reclaimed bits, unrestricted
+/// 8-bit granularity).
+const MAX_AUX_CELLS: usize = 8;
 
-/// Per-encode kernel context: the plane views of the data and stored line
-/// plus one transition table per candidate, built once per write.
-struct KernelCtx {
-    planes: SymbolPlanes,
-    stored: StatePlanes,
-    tables: [TransitionTable; MAX_WORD_CANDIDATES],
+/// `(differential-write cost, updated cells)` of every data block of one
+/// word under every candidate, indexed `[candidate][block]`.
+type BlockCosts = [[(f64, usize); MAX_WORD_BLOCKS]; MAX_WORD_CANDIDATES];
+
+/// The transition tables of an encode, built once per write or once per
+/// batch.
+struct Tables {
+    candidates: [TransitionTable; MAX_WORD_CANDIDATES],
+    /// The auxiliary region's mapping.
+    aux: TransitionTable,
+    /// `aux`'s transition cost by old state index and symbol value: the
+    /// rows of each word's aux-cell cost table.
+    aux_rows: [[f64; 4]; 4],
 }
 
 /// How coset candidates may be combined within a 64-bit word.
@@ -242,54 +252,40 @@ impl WlcCosetCodec {
         (aux_bits, pass_through)
     }
 
-    /// Packs the per-word encoding decision into the reclaimed bits.
-    ///
-    /// Restricted (granularity < 64): the top reclaimed bit (word bit 63) is
-    /// the group bit and block `j` occupies the bit just below the top,
-    /// downwards. Restricted at 64-bit granularity and unrestricted codecs
-    /// store plain candidate indices, two bits per block, from the top down.
-    fn pack_aux_bits(&self, group_b: bool, choices: &[usize]) -> u64 {
-        let r = self.layout.reclaimed_bits;
-        let mut bits = 0u64;
-        if self.restricted && self.layout.granularity_bits < 64 {
-            bits |= u64::from(group_b) << (r - 1);
-            for (j, &choice) in choices.iter().enumerate() {
-                bits |= u64::from(choice != 0) << (r - 2 - j);
-            }
-        } else {
-            for (j, &choice) in choices.iter().enumerate() {
-                bits |= ((choice as u64 >> 1) & 1) << (r - 1 - 2 * j);
-                bits |= (choice as u64 & 1) << (r - 2 - 2 * j);
-            }
-        }
-        bits
+    /// `true` when every block picks within one group, `{C1, C2}` or
+    /// `{C1, C3}`, recorded by a group bit: restricted codecs below 64-bit
+    /// granularity. The others record plain candidate indices.
+    fn grouped(&self) -> bool {
+        self.restricted && self.layout.granularity_bits < 64
     }
 
-    /// Inverse of [`Self::pack_aux_bits`]: recovers the per-block candidate
-    /// indices for decoding (only the first `layout.blocks()` entries are
-    /// meaningful).
-    fn unpack_candidates(&self, aux_bits: u64) -> [usize; MAX_WORD_BLOCKS] {
+    /// The group bit among the reclaimed bits: the top one (word bit 63).
+    fn group_bit(&self) -> u64 {
+        1 << (self.layout.reclaimed_bits - 1)
+    }
+
+    /// Where block `block`'s choice sits among the reclaimed bits, as
+    /// `(shift, width)`. Grouped codecs give block `j` the bit just below the
+    /// group bit, downwards; the others store two-bit candidate indices from
+    /// the top down.
+    fn choice_field(&self, block: usize) -> (usize, usize) {
         let r = self.layout.reclaimed_bits;
-        let blocks = self.layout.blocks();
-        let mut out = [0usize; MAX_WORD_BLOCKS];
-        if self.restricted && self.layout.granularity_bits < 64 {
-            let group_b = (aux_bits >> (r - 1)) & 1 == 1;
-            for (j, slot) in out.iter_mut().enumerate().take(blocks) {
-                let picked_alt = (aux_bits >> (r - 2 - j)) & 1 == 1;
-                *slot = if !picked_alt {
-                    0 // C1
-                } else if group_b {
-                    2 // C3
-                } else {
-                    1 // C2
-                };
-            }
+        if self.grouped() {
+            (r - 2 - block, 1)
         } else {
-            for (j, slot) in out.iter_mut().enumerate().take(blocks) {
-                let hi = (aux_bits >> (r - 1 - 2 * j)) & 1;
-                let lo = (aux_bits >> (r - 2 - 2 * j)) & 1;
-                *slot = (((hi << 1) | lo) as usize).min(self.candidates.len() - 1);
-            }
+            (r - 2 - 2 * block, 2)
+        }
+    }
+
+    /// Recovers the per-block candidate indices from the reclaimed bits for
+    /// decoding (only the first `layout.blocks()` entries are meaningful).
+    fn unpack_candidates(&self, aux_bits: u64) -> [usize; MAX_WORD_BLOCKS] {
+        let group_b = self.grouped() && aux_bits & self.group_bit() != 0;
+        let mut out = [0usize; MAX_WORD_BLOCKS];
+        for (j, slot) in out.iter_mut().enumerate().take(self.layout.blocks()) {
+            let (shift, width) = self.choice_field(j);
+            let choice = ((aux_bits >> shift) & ((1 << width) - 1)) as usize;
+            *slot = self.resolve_candidate_index(group_b, choice).min(self.candidates.len() - 1);
         }
         out
     }
@@ -323,24 +319,10 @@ impl WlcCosetCodec {
         cost
     }
 
-    /// Candidate resolved from a restricted (group, per-block) choice or an
-    /// unrestricted selector index.
-    fn resolve_candidate(&self, group_b: bool, choice: usize) -> &CosetCandidate {
-        if self.restricted && self.layout.granularity_bits < 64 {
-            match (choice, group_b) {
-                (0, _) => &self.candidates[0],
-                (_, false) => &self.candidates[1],
-                (_, true) => &self.candidates[2],
-            }
-        } else {
-            &self.candidates[choice]
-        }
-    }
-
-    /// Candidate index (into `self.candidates`) of a restricted
-    /// (group, per-block) choice or an unrestricted selector index.
+    /// Candidate index (into `self.candidates`) of a grouped (group,
+    /// per-block) choice or a plain selector index.
     fn resolve_candidate_index(&self, group_b: bool, choice: usize) -> usize {
-        if self.restricted && self.layout.granularity_bits < 64 {
+        if self.grouped() {
             match (choice, group_b) {
                 (0, _) => 0,
                 (_, false) => 1,
@@ -351,7 +333,19 @@ impl WlcCosetCodec {
         }
     }
 
-    /// Encodes one word of a compressible line.
+    /// The bits of word `word`'s auxiliary region (its cells from
+    /// `full_data_cells` on) for the reclaimed-bit assignment `aux_bits`:
+    /// bits `2k` and `2k + 1` are the low and high bit of the region's cell
+    /// `k`. The pass-through data bit, if any, is bit 0.
+    fn aux_field(&self, data: &MemoryLine, word: usize, aux_bits: u64) -> u64 {
+        let first = 2 * self.layout.full_data_cells();
+        let pass_through = self.layout.data_bits() - first;
+        ((data.word(word) >> first) & ((1 << pass_through) - 1)) | (aux_bits << pass_through)
+    }
+
+    /// Chooses a word's group and per-block candidates from the candidates'
+    /// block costs; `aux_cost` prices an assignment of the reclaimed bits.
+    /// Returns the group, the per-block choices and their reclaimed bits.
     ///
     /// Candidate selection follows Algorithm 1 (data-block cost first), then
     /// accounts for the auxiliary-region write cost: the group is chosen on
@@ -360,83 +354,35 @@ impl WlcCosetCodec {
     /// auxiliary-cell writes than it saves in the data block. This is what
     /// keeps the auxiliary part in the low-energy states, as the paper notes
     /// in Section IX-A.
-    ///
-    /// Every candidate's (cost, updated-cells) pair is evaluated once per
-    /// block up front — through the bit-parallel kernel when `kernel_ctx` is
-    /// given, through the scalar [`Self::block_cost`] otherwise — and the
-    /// selection then works purely on those stack-resident tables, so a word
-    /// is encoded without any heap allocation.
-    fn encode_word(
+    fn choose(
         &self,
-        data: &MemoryLine,
-        old: &PhysicalLine,
-        out: &mut PhysicalLine,
-        word: usize,
-        energy: &EnergyModel,
-        kernel_ctx: Option<&KernelCtx>,
-    ) {
+        costs: &BlockCosts,
+        aux_cost: impl Fn(u64) -> f64,
+    ) -> (bool, [usize; MAX_WORD_BLOCKS], u64) {
         let blocks = self.layout.blocks();
         debug_assert!(blocks <= MAX_WORD_BLOCKS);
         let ncand = self.candidates.len();
-        let mut cost = [[0.0f64; MAX_WORD_BLOCKS]; MAX_WORD_CANDIDATES];
-        let mut updated = [[0usize; MAX_WORD_BLOCKS]; MAX_WORD_CANDIDATES];
-        for (idx, candidate) in self.candidates.iter().enumerate() {
-            match kernel_ctx {
-                Some(ctx) => {
-                    // All of a word's blocks share one plane-word region, so
-                    // the candidate's target planes are computed once.
-                    let mut row = [(0.0f64, 0usize); MAX_WORD_BLOCKS];
-                    let n = kernel::word_block_costs_updated(
-                        &ctx.planes,
-                        &ctx.stored,
-                        &ctx.tables[idx],
-                        word * WORD_CELLS,
-                        self.layout.full_data_cells(),
-                        self.layout.granularity_bits / 2,
-                        &mut row,
-                    );
-                    debug_assert_eq!(n, blocks);
-                    for (j, &(c, u)) in row.iter().enumerate().take(blocks) {
-                        cost[idx][j] = c;
-                        updated[idx][j] = u;
-                    }
-                }
-                None => {
-                    for j in 0..blocks {
-                        let cells = self.layout.block_cells(j);
-                        let (c, u) = self.block_cost(data, old, word, cells, candidate, energy);
-                        cost[idx][j] = c;
-                        updated[idx][j] = u;
-                    }
-                }
-            }
-        }
-
-        let (group_b, mut choices) = if self.restricted && self.layout.granularity_bits < 64 {
+        let (group_b, mut choices, mut bits) = if self.grouped() {
             // Algorithm 1: evaluate both groups, pick the cheaper. Group 0's
             // alternative is C2 (candidate 1), group 1's is C3 (candidate 2).
             let mut totals = [0.0f64; 2];
             let mut updates = [0usize; 2];
             let mut per_group_choices = [[0usize; MAX_WORD_BLOCKS]; 2];
+            let mut per_group_bits = [0, self.group_bit()];
             for g in 0..2 {
                 let alt = 1 + g;
                 for j in 0..blocks {
-                    if cost[alt][j] < cost[0][j] {
+                    let pick = if costs[alt][j].0 < costs[0][j].0 {
                         per_group_choices[g][j] = 1;
-                        totals[g] += cost[alt][j];
-                        updates[g] += updated[alt][j];
+                        per_group_bits[g] |= 1 << self.choice_field(j).0;
+                        costs[alt][j]
                     } else {
-                        totals[g] += cost[0][j];
-                        updates[g] += updated[0][j];
-                    }
+                        costs[0][j]
+                    };
+                    totals[g] += pick.0;
+                    updates[g] += pick.1;
                 }
-                totals[g] += self.aux_region_cost(
-                    data,
-                    old,
-                    word,
-                    self.pack_aux_bits(g == 1, &per_group_choices[g][..blocks]),
-                    energy,
-                );
+                totals[g] += aux_cost(per_group_bits[g]);
             }
             let mut pick_b = totals[1] < totals[0];
             if let Some(mo) = self.multi_objective {
@@ -445,101 +391,165 @@ impl WlcCosetCodec {
                     pick_b = updates[1] < updates[0];
                 }
             }
-            (pick_b, per_group_choices[usize::from(pick_b)])
+            let g = usize::from(pick_b);
+            (pick_b, per_group_choices[g], per_group_bits[g])
         } else {
-            // Unrestricted (or 64-bit restricted, which degenerates to
-            // unrestricted 3cosets): best candidate per block by data cost.
+            // Plain selectors (unrestricted, or 64-bit restricted, which
+            // degenerates to unrestricted 3cosets): best candidate per block
+            // by data cost.
             let mut choices = [0usize; MAX_WORD_BLOCKS];
+            let mut bits = 0u64;
             for (j, choice) in choices.iter_mut().enumerate().take(blocks) {
                 let mut best = 0usize;
                 let mut best_cost = f64::INFINITY;
-                for (idx, per_block) in cost.iter().enumerate().take(ncand) {
-                    if per_block[j] < best_cost {
-                        best_cost = per_block[j];
+                for (idx, per_block) in costs.iter().enumerate().take(ncand) {
+                    if per_block[j].0 < best_cost {
+                        best_cost = per_block[j].0;
                         best = idx;
                     }
                 }
                 *choice = best;
+                bits |= (best as u64) << self.choice_field(j).0;
             }
-            (false, choices)
+            (false, choices, bits)
         };
 
         // Refinement: revisit each block and keep/alter its candidate when the
         // auxiliary-cell cost of recording the switch outweighs the data
-        // saving (or vice versa).
-        let candidate_options =
-            if self.restricted && self.layout.granularity_bits < 64 { 2 } else { ncand };
+        // saving (or vice versa). A trial differs from the current bits only
+        // in the block's own field.
+        let candidate_options = if self.grouped() { 2 } else { ncand };
         for j in 0..blocks {
+            let (shift, width) = self.choice_field(j);
+            let rest = bits & !(((1u64 << width) - 1) << shift);
             let mut best_choice = choices[j];
             let mut best_total = f64::INFINITY;
             for option in 0..candidate_options {
-                let mut trial = choices;
-                trial[j] = option;
-                let data_cost = cost[self.resolve_candidate_index(group_b, option)][j];
-                let aux_cost = self.aux_region_cost(
-                    data,
-                    old,
-                    word,
-                    self.pack_aux_bits(group_b, &trial[..blocks]),
-                    energy,
-                );
-                let total = data_cost + aux_cost;
+                let data_cost = costs[self.resolve_candidate_index(group_b, option)][j].0;
+                let total = data_cost + aux_cost(rest | ((option as u64) << shift));
                 if total < best_total {
                     best_total = total;
                     best_choice = option;
                 }
             }
             choices[j] = best_choice;
+            bits = rest | ((best_choice as u64) << shift);
         }
-
-        // Write the encoded data blocks.
-        for (j, &choice) in choices.iter().enumerate().take(blocks) {
-            let candidate = self.resolve_candidate(group_b, choice);
-            for cell in self.layout.block_cells(j) {
-                let global = Self::global_cell(word, cell);
-                out.set_state(global, candidate.state_of(data.symbol(global)));
-            }
-        }
-        let aux_bits = self.pack_aux_bits(group_b, &choices[..blocks]);
-        self.write_aux_region(out, data, word, aux_bits);
+        (group_b, choices, bits)
     }
 
-    /// Shared encode body; `use_kernel` switches the per-block candidate
-    /// costs between the bit-parallel kernel and the scalar
-    /// [`Self::block_cost`]. Selection logic is shared, so both sides produce
-    /// byte-identical lines (exactly so for integer-valued energies).
-    fn encode_impl(
-        &self,
-        data: &MemoryLine,
-        old: &PhysicalLine,
-        energy: &EnergyModel,
-        use_kernel: bool,
-    ) -> PhysicalLine {
+    /// A fresh encoded line with the format flag set to `flag`.
+    fn new_line(&self, old: &PhysicalLine, flag: CellState) -> PhysicalLine {
         assert_eq!(old.len(), self.encoded_cells());
         let mut out = PhysicalLine::all_reset(self.encoded_cells());
         out.set_class(self.flag_cell(), CellClass::Aux);
-        if self.is_compressible(data) {
-            out.set_state(self.flag_cell(), CellState::S1);
-            let kernel_ctx = use_kernel.then(|| {
-                let mut tables = [TransitionTable::placeholder(); MAX_WORD_CANDIDATES];
-                for (table, candidate) in tables.iter_mut().zip(&self.candidates) {
-                    *table = TransitionTable::new(&candidate.mapping(), energy);
-                }
-                KernelCtx { planes: data.symbol_planes(), stored: old.state_planes(), tables }
-            });
-            for word in 0..LINE_WORDS {
-                self.encode_word(data, old, &mut out, word, energy, kernel_ctx.as_ref());
+        out.set_state(self.flag_cell(), flag);
+        out
+    }
+
+    /// Stores an incompressible line unencoded through the default mapping
+    /// (`raw` is its table).
+    fn encode_raw(
+        &self,
+        data: &MemoryLine,
+        old: &PhysicalLine,
+        raw: &TransitionTable,
+    ) -> PhysicalLine {
+        let mut out = self.new_line(old, CellState::S2);
+        kernel::store_mapped(data, raw, &mut out);
+        out
+    }
+
+    /// Encodes a compressible line on the kernel. Each plane word holds two
+    /// data words: one word-pair sweep per candidate prices every block of
+    /// both, each aux cell's cost per symbol comes from a per-word table, and
+    /// the winners' target planes and the aux states are merged into one
+    /// plane-assembled write (which also installs the result's plane cache).
+    fn encode_compressed(
+        &self,
+        data: &MemoryLine,
+        old: &PhysicalLine,
+        planes: &SymbolPlanes,
+        stored: &StatePlanes,
+        tables: &Tables,
+    ) -> PhysicalLine {
+        let mut out = self.new_line(old, CellState::S1);
+        let layout = self.layout;
+        let (fdc, blocks) = (layout.full_data_cells(), layout.blocks());
+        let aux_cells = WORD_CELLS - fdc;
+        let mut out0 = [0u64; PLANE_WORDS];
+        let mut out1 = [0u64; PLANE_WORDS];
+        for pw in 0..PLANE_WORDS {
+            let mut pair = [[[(0.0f64, 0usize); MAX_WORD_BLOCKS]; MAX_WORD_CANDIDATES]; 2];
+            let mut targets = [(0u64, 0u64); MAX_WORD_CANDIDATES];
+            let [low, high] = &mut pair;
+            for (idx, target) in targets.iter_mut().enumerate().take(self.candidates.len()) {
+                *target = kernel::word_pair_block_costs(
+                    planes,
+                    stored,
+                    &tables.candidates[idx],
+                    pw,
+                    fdc,
+                    layout.granularity_bits / 2,
+                    &mut low[idx],
+                    &mut high[idx],
+                );
             }
-        } else {
-            out.set_state(self.flag_cell(), CellState::S2);
-            let raw = TransitionTable::new(&SymbolMapping::default_mapping(), energy);
-            kernel::store_mapped(data, &raw, &mut out);
+            for (half, costs) in pair.iter().enumerate() {
+                let word = 2 * pw + half;
+                let base = WORD_CELLS * half;
+                let aux_old = &old.states()[word * WORD_CELLS + fdc..(word + 1) * WORD_CELLS];
+                let mut aux_table = [[0.0f64; 4]; MAX_AUX_CELLS];
+                for (row, &state) in aux_table.iter_mut().zip(aux_old) {
+                    *row = tables.aux_rows[state.index()];
+                }
+                let (group_b, choices, aux_bits) = self.choose(costs, |aux_bits| {
+                    let field = self.aux_field(data, word, aux_bits);
+                    let mut cost = 0.0;
+                    for (k, row) in aux_table.iter().enumerate().take(aux_cells) {
+                        cost += row[((field >> (2 * k)) & 3) as usize];
+                    }
+                    cost
+                });
+                for (j, &choice) in choices.iter().enumerate().take(blocks) {
+                    let (t0, t1) = targets[self.resolve_candidate_index(group_b, choice)];
+                    let cells = layout.block_cells(j);
+                    let mask = ((1u64 << cells.len()) - 1) << (base + cells.start);
+                    out0[pw] |= t0 & mask;
+                    out1[pw] |= t1 & mask;
+                }
+                let field = self.aux_field(data, word, aux_bits);
+                for k in 0..aux_cells {
+                    let symbol = Symbol::new(((field >> (2 * k)) & 3) as u8);
+                    let state = tables.aux.state_of(symbol).index() as u64;
+                    let bit = base + fdc + k;
+                    out0[pw] |= (state & 1) << bit;
+                    out1[pw] |= (state >> 1) << bit;
+                }
+            }
+        }
+        kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
+        for word in 0..LINE_WORDS {
+            for cell in fdc..WORD_CELLS {
+                out.set_class(Self::global_cell(word, cell), CellClass::Aux);
+            }
         }
         out
     }
 
-    /// The scalar reference encoder (per-cell block costs); kept callable for
-    /// the equivalence tests and the perf snapshot.
+    fn tables(&self, energy: &EnergyModel) -> Tables {
+        let mut candidates = [TransitionTable::placeholder(); MAX_WORD_CANDIDATES];
+        for (table, candidate) in candidates.iter_mut().zip(&self.candidates) {
+            *table = TransitionTable::new(&candidate.mapping(), energy);
+        }
+        let aux = TransitionTable::new(&self.aux_mapping, energy);
+        let aux_rows = CellState::ALL.map(|old| Symbol::ALL.map(|symbol| aux.cost_pj(old, symbol)));
+        Tables { candidates, aux, aux_rows }
+    }
+
+    /// The scalar reference encoder: per-cell block and aux-region costs and
+    /// per-cell writes, with the selection logic shared with the kernel
+    /// path. Kept callable for the equivalence tests and the perf snapshot.
     #[doc(hidden)]
     pub fn encode_scalar(
         &self,
@@ -547,7 +557,46 @@ impl WlcCosetCodec {
         old: &PhysicalLine,
         energy: &EnergyModel,
     ) -> PhysicalLine {
-        self.encode_impl(data, old, energy, false)
+        if !self.is_compressible(data) {
+            let raw = TransitionTable::new(&SymbolMapping::default_mapping(), energy);
+            return self.encode_raw(data, old, &raw);
+        }
+        let mut out = self.new_line(old, CellState::S1);
+        for word in 0..LINE_WORDS {
+            let mut costs = [[(0.0f64, 0usize); MAX_WORD_BLOCKS]; MAX_WORD_CANDIDATES];
+            for (row, candidate) in costs.iter_mut().zip(&self.candidates) {
+                for (j, slot) in row.iter_mut().enumerate().take(self.layout.blocks()) {
+                    let cells = self.layout.block_cells(j);
+                    *slot = self.block_cost(data, old, word, cells, candidate, energy);
+                }
+            }
+            let (group_b, choices, aux_bits) = self
+                .choose(&costs, |aux_bits| self.aux_region_cost(data, old, word, aux_bits, energy));
+            for (j, &choice) in choices.iter().enumerate().take(self.layout.blocks()) {
+                let candidate = &self.candidates[self.resolve_candidate_index(group_b, choice)];
+                for cell in self.layout.block_cells(j) {
+                    let global = Self::global_cell(word, cell);
+                    out.set_state(global, candidate.state_of(data.symbol(global)));
+                }
+            }
+            self.write_aux_region(&mut out, data, word, aux_bits);
+        }
+        out
+    }
+
+    /// The scalar reference decoder (per-cell reads); kept callable for the
+    /// equivalence tests.
+    #[doc(hidden)]
+    pub fn decode_scalar(&self, stored: &PhysicalLine) -> MemoryLine {
+        assert_eq!(stored.len(), self.encoded_cells());
+        if stored.state(self.flag_cell()) != CellState::S1 {
+            return kernel::load_mapped(stored, &SymbolMapping::default_mapping());
+        }
+        let mut words = [0u64; LINE_WORDS];
+        for (word, slot) in words.iter_mut().enumerate() {
+            *slot = self.decode_word(stored, word);
+        }
+        MemoryLine::from_words(words)
     }
 
     fn decode_word(&self, stored: &PhysicalLine, word: usize) -> u64 {
@@ -582,18 +631,64 @@ impl LineCodec for WlcCosetCodec {
     }
 
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
-        self.encode_impl(data, old, energy, true)
+        if !self.is_compressible(data) {
+            let raw = TransitionTable::new(&SymbolMapping::default_mapping(), energy);
+            return self.encode_raw(data, old, &raw);
+        }
+        let tables = self.tables(energy);
+        self.encode_compressed(data, old, &data.symbol_planes(), &old.state_planes(), &tables)
     }
 
+    fn encode_batch(
+        &self,
+        jobs: &[(&MemoryLine, &PhysicalLine)],
+        energy: &EnergyModel,
+    ) -> Vec<PhysicalLine> {
+        let tables = self.tables(energy);
+        let raw = TransitionTable::new(&SymbolMapping::default_mapping(), energy);
+        kernel::encode_batch(jobs, |planes, stored, data, old| {
+            if self.is_compressible(data) {
+                self.encode_compressed(data, old, planes, stored, &tables)
+            } else {
+                self.encode_raw(data, old, &raw)
+            }
+        })
+    }
+
+    /// Decodes on bit planes: every candidate's inverse mapping is applied
+    /// to the whole line at once, each block takes the planes of the
+    /// candidate its selector bits name, and the aux mapping's planes supply
+    /// the auxiliary region (selector bits and pass-through bit).
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
         assert_eq!(stored.len(), self.encoded_cells());
         if stored.state(self.flag_cell()) != CellState::S1 {
             return kernel::load_mapped(stored, &SymbolMapping::default_mapping());
         }
-        let mut words = [0u64; LINE_WORDS];
-        for (word, slot) in words.iter_mut().enumerate() {
-            *slot = self.decode_word(stored, word);
+        let states = stored.state_planes();
+        let (mut p0, mut p1) =
+            kernel::symbol_planes_from_states(&states, self.aux_mapping.symbols_per_state());
+        let aux = kernel::line_from_planes(&p0, &p1);
+        let mut inverses = [([0u64; PLANE_WORDS], [0u64; PLANE_WORDS]); MAX_WORD_CANDIDATES];
+        for (slot, candidate) in inverses.iter_mut().zip(&self.candidates) {
+            *slot =
+                kernel::symbol_planes_from_states(&states, candidate.mapping().symbols_per_state());
         }
+        let data_bits = self.layout.data_bits();
+        for word in 0..LINE_WORDS {
+            let (pw, base) = (word / 2, WORD_CELLS * (word % 2));
+            let candidates = self.unpack_candidates(aux.word(word) >> data_bits);
+            for (j, &idx) in candidates.iter().enumerate().take(self.layout.blocks()) {
+                let cells = self.layout.block_cells(j);
+                let mask = ((1u64 << cells.len()) - 1) << (base + cells.start);
+                let (c0, c1) = &inverses[idx];
+                p0[pw] = (p0[pw] & !mask) | (c0[pw] & mask);
+                p1[pw] = (p1[pw] & !mask) | (c1[pw] & mask);
+            }
+        }
+        // Rebuild the reclaimed MSBs by sign extension from the top kept bit.
+        let words = kernel::line_from_planes(&p0, &p1)
+            .words()
+            .map(|w| wordutil::sign_extend_from(w, data_bits - 1));
         MemoryLine::from_words(words)
     }
 }

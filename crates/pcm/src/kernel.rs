@@ -21,6 +21,10 @@
 //!   AND/OR/XOR operations, isolate the cells whose state would change, and
 //!   reduce each target-state bucket with one `popcount` — a few dozen word
 //!   operations per 64 cells instead of hundreds of scalar steps.
+//! * Sweeps over sub-word blocks ([`select_blocks_uniform`],
+//!   [`word_pair_block_costs`]) count every block of a plane word at once:
+//!   a lane-wise partial popcount, the SWAR popcount stopped at the block
+//!   width, leaves each block's count in its own lane.
 //!
 //! The kernel is numerically exact with respect to the scalar path whenever
 //! the energy table holds integer-valued picojoule costs (as the paper's
@@ -71,6 +75,16 @@ fn spread_bits(mut x: u64) -> u64 {
 #[inline]
 fn pack_byte_lsbs(x: u64) -> u64 {
     (x & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// Inverse of [`pack_byte_lsbs`]: spreads the low byte of `x` onto the low
+/// bits of eight bytes (bit `i` lands on bit `8i`). The multiply copies the
+/// byte into every byte without carries, the mask keeps bit `i` of byte `i`,
+/// and adding `0x7F` per byte carries any kept bit into that byte's top bit.
+#[inline]
+fn spread_byte_lsbs(x: u64) -> u64 {
+    let kept = (x & 0xFF).wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
+    ((kept + 0x7F7F_7F7F_7F7F_7F7F) >> 7) & 0x0101_0101_0101_0101
 }
 
 /// Packs bits 0 and 1 of `byte(cell)` for the first 256 `cells` into two
@@ -412,7 +426,98 @@ fn plane_words(cells: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
     })
 }
 
-/// Cost and updated-cell count of one plane word under `mask`.
+/// The changed cells of a plane word split by target state: bucket `s`
+/// holds the changed cells whose target is state `S(s+1)`. The
+/// differential-write cost of a changed cell only depends on its target
+/// state (RESET + SET-to-target).
+#[inline]
+fn buckets(changed: u64, t0: u64, t1: u64) -> [u64; 4] {
+    [changed & !t1 & !t0, changed & !t1 & t0, changed & t1 & !t0, changed & t1 & t0]
+}
+
+/// The energy of `counts[s]` changed cells per target state `S(s+1)`.
+#[inline]
+fn bucket_cost(counts: [u64; 4], table: &TransitionTable) -> f64 {
+    match table.write_int {
+        // Integer energies: the u64 total is the same integer the f64 dot
+        // product produces (all terms far below 2^53), minus the four
+        // int→float conversions.
+        Some(wi) => {
+            (counts[0] * wi[0] + counts[1] * wi[1] + counts[2] * wi[2] + counts[3] * wi[3]) as f64
+        }
+        None => {
+            counts[0] as f64 * table.write_pj[0]
+                + counts[1] as f64 * table.write_pj[1]
+                + counts[2] as f64 * table.write_pj[2]
+                + counts[3] as f64 * table.write_pj[3]
+        }
+    }
+}
+
+/// Lane-wise partial popcount: lane `i` of the result (bits
+/// `i * width..(i + 1) * width`) holds the number of set bits of `x` in the
+/// same lane. These are the first steps of the SWAR popcount, stopped at the
+/// lane width, so one call counts every `width`-cell block of a plane word
+/// at once instead of one `count_ones` per block (release builds target
+/// baseline x86-64, where `count_ones` is itself a full SWAR sequence).
+///
+/// `width` must be a power of two below 64.
+#[inline]
+fn lane_popcounts(mut x: u64, width: usize) -> u64 {
+    debug_assert!(width.is_power_of_two() && width < 64);
+    if width >= 2 {
+        x -= (x >> 1) & 0x5555_5555_5555_5555;
+    }
+    if width >= 4 {
+        x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
+    }
+    if width >= 8 {
+        x = (x + (x >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    }
+    if width >= 16 {
+        x = (x + (x >> 8)) & 0x00FF_00FF_00FF_00FF;
+    }
+    if width >= 32 {
+        x = (x + (x >> 16)) & 0x0000_FFFF_0000_FFFF;
+    }
+    x
+}
+
+/// The per-block bucket counts of one plane word for one candidate: lane
+/// `i` of `lanes[s]` counts the changed cells of block `i` (cells
+/// `i * width..(i + 1) * width` of the word) whose target state is
+/// `S(s+1)`.
+#[derive(Clone, Copy)]
+struct LaneCounts {
+    lanes: [u64; 4],
+    lane_mask: u64,
+}
+
+impl LaneCounts {
+    #[inline]
+    fn new(changed: u64, t0: u64, t1: u64, width: usize) -> LaneCounts {
+        LaneCounts {
+            lanes: buckets(changed, t0, t1).map(|bucket| lane_popcounts(bucket, width)),
+            lane_mask: (1u64 << width) - 1,
+        }
+    }
+
+    /// The four bucket counts of the block whose lane starts at bit `shift`.
+    #[inline]
+    fn counts(&self, shift: usize) -> [u64; 4] {
+        self.lanes.map(|lane| (lane >> shift) & self.lane_mask)
+    }
+
+    /// [`bucket_cost`] of the block whose lane starts at bit `shift`, on
+    /// integer weights.
+    #[inline]
+    fn cost_int(&self, shift: usize, weights: &[u64; 4]) -> u64 {
+        let c = self.counts(shift);
+        c[0] * weights[0] + c[1] * weights[1] + c[2] * weights[2] + c[3] * weights[3]
+    }
+}
+
+/// Cost of one plane word under `mask`.
 #[inline]
 fn word_cost(
     data: &SymbolPlanes,
@@ -420,37 +525,14 @@ fn word_cost(
     table: &TransitionTable,
     word: usize,
     mask: u64,
-) -> (f64, u32) {
+) -> f64 {
     let (t0, t1) = table.target_planes(data, word);
     let changed = ((t0 ^ old.plane0[word]) | (t1 ^ old.plane1[word])) & mask;
     if changed == 0 {
-        return (0.0, 0);
+        return 0.0;
     }
-    // Bucket the changed cells by target state: four popcounts replace up to
-    // 64 scalar lookups. The differential-write cost of a changed cell only
-    // depends on its target state (RESET + SET-to-target).
-    let c1 = (changed & !t1 & !t0).count_ones();
-    let c2 = (changed & !t1 & t0).count_ones();
-    let c3 = (changed & t1 & !t0).count_ones();
-    let c4 = (changed & t1 & t0).count_ones();
-    let cost = match table.write_int {
-        // Integer energies: the u64 total is the same integer the f64 dot
-        // product produces (all terms far below 2^53), minus the four
-        // int→float conversions.
-        Some(wi) => {
-            (u64::from(c1) * wi[0]
-                + u64::from(c2) * wi[1]
-                + u64::from(c3) * wi[2]
-                + u64::from(c4) * wi[3]) as f64
-        }
-        None => {
-            f64::from(c1) * table.write_pj[0]
-                + f64::from(c2) * table.write_pj[1]
-                + f64::from(c3) * table.write_pj[2]
-                + f64::from(c4) * table.write_pj[3]
-        }
-    };
-    (cost, changed.count_ones())
+    // Four popcounts replace up to 64 scalar lookups.
+    bucket_cost(buckets(changed, t0, t1).map(|bucket| u64::from(bucket.count_ones())), table)
 }
 
 /// Bit-parallel equivalent of `wlcrc_coset::cost::block_cost`: the
@@ -471,17 +553,16 @@ pub fn block_cost(
         for (w, mask) in plane_words(cells) {
             let (t0, t1) = table.target_planes(data, w);
             let changed = ((t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w])) & mask;
-            counts[0] += u64::from((changed & !t1 & !t0).count_ones());
-            counts[1] += u64::from((changed & !t1 & t0).count_ones());
-            counts[2] += u64::from((changed & t1 & !t0).count_ones());
-            counts[3] += u64::from((changed & t1 & t0).count_ones());
+            for (count, bucket) in counts.iter_mut().zip(buckets(changed, t0, t1)) {
+                *count += u64::from(bucket.count_ones());
+            }
         }
         return (counts[0] * wi[0] + counts[1] * wi[1] + counts[2] * wi[2] + counts[3] * wi[3])
             as f64;
     }
     let mut cost = 0.0;
     for (w, mask) in plane_words(cells) {
-        cost += word_cost(data, old, table, w, mask).0;
+        cost += word_cost(data, old, table, w, mask);
     }
     cost
 }
@@ -506,7 +587,7 @@ pub fn block_cost_bounded(
         return None;
     }
     for (w, mask) in plane_words(cells) {
-        cost += word_cost(data, old, table, w, mask).0;
+        cost += word_cost(data, old, table, w, mask);
         if cost >= bound {
             return None;
         }
@@ -569,36 +650,15 @@ pub fn block_costs_uniform_with_targets(
     }
     assert!(64 % cells_per_block == 0, "blocks must tile plane words");
     let blocks_per_word = 64 / cells_per_block;
-    let block_mask = (1u64 << cells_per_block) - 1;
     let out = &mut out[..blocks];
     for (w, chunk) in out.chunks_mut(blocks_per_word).enumerate() {
         let (t0, t1) = table.target_planes(data, w);
         targets.0[w] = t0;
         targets.1[w] = t1;
         let changed = (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]);
-        let buckets =
-            [changed & !t1 & !t0, changed & !t1 & t0, changed & t1 & !t0, changed & t1 & t0];
-        if let Some(wi) = table.write_int {
-            for (b, slot) in chunk.iter_mut().enumerate() {
-                let shift = b * cells_per_block;
-                let total = u64::from(((buckets[0] >> shift) & block_mask).count_ones()) * wi[0]
-                    + u64::from(((buckets[1] >> shift) & block_mask).count_ones()) * wi[1]
-                    + u64::from(((buckets[2] >> shift) & block_mask).count_ones()) * wi[2]
-                    + u64::from(((buckets[3] >> shift) & block_mask).count_ones()) * wi[3];
-                *slot = total as f64;
-            }
-        } else {
-            for (b, slot) in chunk.iter_mut().enumerate() {
-                let shift = b * cells_per_block;
-                *slot = f64::from(((buckets[0] >> shift) & block_mask).count_ones())
-                    * table.write_pj[0]
-                    + f64::from(((buckets[1] >> shift) & block_mask).count_ones())
-                        * table.write_pj[1]
-                    + f64::from(((buckets[2] >> shift) & block_mask).count_ones())
-                        * table.write_pj[2]
-                    + f64::from(((buckets[3] >> shift) & block_mask).count_ones())
-                        * table.write_pj[3];
-            }
+        let lanes = LaneCounts::new(changed, t0, t1, cells_per_block);
+        for (b, slot) in chunk.iter_mut().enumerate() {
+            *slot = bucket_cost(lanes.counts(b * cells_per_block), table);
         }
     }
 }
@@ -637,16 +697,16 @@ pub fn select_blocks_uniform(
     let blocks_per_word = 64 / cells_per_block;
     let block_mask = (1u64 << cells_per_block) - 1;
     let winners = &mut winners[..blocks];
+    let no_counts = LaneCounts { lanes: [0; 4], lane_mask: 0 };
     for (w, chunk) in winners.chunks_mut(blocks_per_word).enumerate() {
-        // Per-candidate word state: target planes and changed-cell buckets.
+        // Per-candidate word state: target planes and per-block bucket counts.
         let mut planes = [(0u64, 0u64); 8];
-        let mut buckets = [[0u64; 4]; 8];
+        let mut lanes = [no_counts; 8];
         for (idx, table) in tables.iter().enumerate() {
             let (t0, t1) = table.target_planes(data, w);
             planes[idx] = (t0, t1);
             let changed = (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]);
-            buckets[idx] =
-                [changed & !t1 & !t0, changed & !t1 & t0, changed & t1 & !t0, changed & t1 & t0];
+            lanes[idx] = LaneCounts::new(changed, t0, t1, cells_per_block);
         }
         for (b, slot) in chunk.iter_mut().enumerate() {
             let block = w * blocks_per_word + b;
@@ -655,26 +715,7 @@ pub fn select_blocks_uniform(
             let mut best = 0usize;
             let mut best_cost = f64::INFINITY;
             for (idx, table) in tables.iter().enumerate() {
-                let bu = &buckets[idx];
-                let data_cost = match table.write_int {
-                    Some(wi) => {
-                        (u64::from(((bu[0] >> shift) & block_mask).count_ones()) * wi[0]
-                            + u64::from(((bu[1] >> shift) & block_mask).count_ones()) * wi[1]
-                            + u64::from(((bu[2] >> shift) & block_mask).count_ones()) * wi[2]
-                            + u64::from(((bu[3] >> shift) & block_mask).count_ones()) * wi[3])
-                            as f64
-                    }
-                    None => {
-                        f64::from(((bu[0] >> shift) & block_mask).count_ones()) * table.write_pj[0]
-                            + f64::from(((bu[1] >> shift) & block_mask).count_ones())
-                                * table.write_pj[1]
-                            + f64::from(((bu[2] >> shift) & block_mask).count_ones())
-                                * table.write_pj[2]
-                            + f64::from(((bu[3] >> shift) & block_mask).count_ones())
-                                * table.write_pj[3]
-                    }
-                };
-                let cost = data_cost + selector[idx];
+                let cost = bucket_cost(lanes[idx].counts(shift), table) + selector[idx];
                 if cost < best_cost {
                     best_cost = cost;
                     best = idx;
@@ -843,16 +884,13 @@ fn select_int_core<const N: usize>(
         winners.chunks_mut(blocks_per_word).enumerate().zip(selector_costs.chunks(blocks_per_word))
     {
         let mut planes = [(0u64, 0u64); N];
-        let mut buckets = [[0u64; 4]; N];
-        let mut any_changed = 0u64;
+        let mut changed = [0u64; N];
         for idx in 0..N {
             let (t0, t1) = tables[idx].target_planes(data, w);
             planes[idx] = (t0, t1);
-            let changed = (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]);
-            any_changed |= changed;
-            buckets[idx] =
-                [changed & !t1 & !t0, changed & !t1 & t0, changed & t1 & !t0, changed & t1 & t0];
+            changed[idx] = (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]);
         }
+        let any_changed = changed.iter().fold(0, |any, &c| any | c);
         if any_changed == 0 {
             // Differential-write fast path: no candidate reprograms any cell
             // of this word (a rewrite of identical content), so every block's
@@ -873,18 +911,15 @@ fn select_int_core<const N: usize>(
             }
             continue;
         }
+        let lanes: [LaneCounts; N] = core::array::from_fn(|idx| {
+            LaneCounts::new(changed[idx], planes[idx].0, planes[idx].1, cells_per_block)
+        });
         for ((b, slot), selector) in chunk.iter_mut().enumerate().zip(sel_rows) {
             let shift = b * cells_per_block;
             let mut best = 0usize;
             let mut best_cost = u64::MAX;
             for idx in 0..N {
-                let bu = &buckets[idx];
-                let wi = &weights[idx];
-                let cost = u64::from(((bu[0] >> shift) & block_mask).count_ones()) * wi[0]
-                    + u64::from(((bu[1] >> shift) & block_mask).count_ones()) * wi[1]
-                    + u64::from(((bu[2] >> shift) & block_mask).count_ones()) * wi[2]
-                    + u64::from(((bu[3] >> shift) & block_mask).count_ones()) * wi[3]
-                    + selector[idx];
+                let cost = lanes[idx].cost_int(shift, &weights[idx]) + selector[idx];
                 if cost < best_cost {
                     best_cost = cost;
                     best = idx;
@@ -912,71 +947,71 @@ pub fn write_states_from_planes(
     plane1: &[u64; PLANE_WORDS],
 ) {
     debug_assert!(cells <= LINE_CELLS);
-    let states = out.states_mut();
-    for (w, chunk) in states[..cells].chunks_mut(64).enumerate() {
-        let (p0, p1) = (plane0[w], plane1[w]);
-        for (b, slot) in chunk.iter_mut().enumerate() {
-            let idx = (((p1 >> b) & 1) << 1) | ((p0 >> b) & 1);
-            *slot = CellState::ALL[(idx & 3) as usize];
+    let mut groups = out.states_mut()[..cells].chunks_exact_mut(8);
+    for (g, group) in (&mut groups).enumerate() {
+        // Eight cells per step: their state indices as the low two bits of
+        // eight bytes, the inverse of `pack_planes`.
+        let (w, shift) = (g / 8, 8 * (g % 8));
+        let indices =
+            spread_byte_lsbs(plane0[w] >> shift) | (spread_byte_lsbs(plane1[w] >> shift) << 1);
+        for (k, slot) in group.iter_mut().enumerate() {
+            *slot = CellState::from_index(((indices >> (8 * k)) & 3) as usize);
         }
+    }
+    let rest = groups.into_remainder();
+    for (c, slot) in (cells - rest.len()..).zip(rest) {
+        let (w, b) = (c / 64, c % 64);
+        *slot = CellState::from_index(
+            ((((plane1[w] >> b) & 1) << 1) | ((plane0[w] >> b) & 1)) as usize,
+        );
     }
     if cells == LINE_CELLS && out.len() >= LINE_CELLS {
         out.install_state_planes(StatePlanes { plane0: *plane0, plane1: *plane1 });
     }
 }
 
-/// Costs and updated-cell counts of the data blocks of one region that fits
-/// inside a single plane word: `data_cells` leading cells starting at
-/// `base_cell`, tiled by `cells_per_block` (the final block may be shorter).
-/// Writes `(cost, updated)` per block into `out` and returns the block count.
+/// The WLC word-pair sweep: per-block `(cost, updated cells)` of one
+/// candidate over plane word `word`, which holds two 32-cell data words.
+/// Each data word keeps its coset-encoded blocks in its first `data_cells`
+/// cells, tiled by `cells_per_block` (the final block may be shorter); block
+/// `j` of the low word (cells `0..32`) goes to `low[j]`, of the high word
+/// (cells `32..64`) to `high[j]`. Returns the candidate's target planes
+/// `(plane0, plane1)` of the word, from which the caller merges the winning
+/// blocks.
 ///
-/// This is the WLC-integrated layout: a 64-bit data word occupies 32 cells,
-/// of which the first `data_cells` hold coset-encoded blocks. The
-/// target-plane and changed-mask computation is shared by every block of the
-/// region, leaving four masked popcounts per block.
+/// Every block starts on a lane boundary of width `cells_per_block`, so one
+/// lane-wise popcount per target-state bucket counts all blocks of both
+/// words; the cells past `data_cells` are masked out first.
 ///
 /// # Panics
 ///
-/// Panics if the region crosses a plane-word boundary or `out` is too short.
-pub fn word_block_costs_updated(
+/// Panics if `cells_per_block` is not 4, 8, 16 or 32, `data_cells` exceeds
+/// 32, or `low` or `high` is shorter than the block count.
+#[allow(clippy::too_many_arguments)]
+pub fn word_pair_block_costs(
     data: &SymbolPlanes,
     old: &StatePlanes,
     table: &TransitionTable,
-    base_cell: usize,
+    word: usize,
     data_cells: usize,
     cells_per_block: usize,
-    out: &mut [(f64, usize)],
-) -> usize {
+    low: &mut [(f64, usize)],
+    high: &mut [(f64, usize)],
+) -> (u64, u64) {
+    assert!(matches!(cells_per_block, 4 | 8 | 16 | 32), "blocks must start on lane boundaries");
+    assert!(data_cells <= 32, "a data word holds 32 cells");
     let blocks = data_cells.div_ceil(cells_per_block);
-    assert!(out.len() >= blocks, "output slice too short");
-    let w = base_cell / 64;
-    let offset = base_cell % 64;
-    assert!(offset + data_cells <= 64, "region crosses a plane-word boundary");
-    let (t0, t1) = table.target_planes(data, w);
-    let changed = (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]);
-    let buckets = [changed & !t1 & !t0, changed & !t1 & t0, changed & t1 & !t0, changed & t1 & t0];
-    for (j, slot) in out.iter_mut().enumerate().take(blocks) {
-        let start = j * cells_per_block;
-        let end = (start + cells_per_block).min(data_cells);
-        let width = end - start;
-        let mask = (if width == 64 { u64::MAX } else { (1u64 << width) - 1 }) << (offset + start);
-        let cost = match table.write_int {
-            Some(wi) => {
-                (u64::from((buckets[0] & mask).count_ones()) * wi[0]
-                    + u64::from((buckets[1] & mask).count_ones()) * wi[1]
-                    + u64::from((buckets[2] & mask).count_ones()) * wi[2]
-                    + u64::from((buckets[3] & mask).count_ones()) * wi[3]) as f64
-            }
-            None => {
-                f64::from((buckets[0] & mask).count_ones()) * table.write_pj[0]
-                    + f64::from((buckets[1] & mask).count_ones()) * table.write_pj[1]
-                    + f64::from((buckets[2] & mask).count_ones()) * table.write_pj[2]
-                    + f64::from((buckets[3] & mask).count_ones()) * table.write_pj[3]
-            }
-        };
-        *slot = (cost, (changed & mask).count_ones() as usize);
+    let half = (1u64 << data_cells) - 1;
+    let (t0, t1) = table.target_planes(data, word);
+    let changed = ((t0 ^ old.plane0[word]) | (t1 ^ old.plane1[word])) & (half | (half << 32));
+    let lanes = LaneCounts::new(changed, t0, t1, cells_per_block);
+    for (base, out) in [(0, low), (32, high)] {
+        for (j, slot) in out[..blocks].iter_mut().enumerate() {
+            let counts = lanes.counts(base + j * cells_per_block);
+            *slot = (bucket_cost(counts, table), counts.iter().sum::<u64>() as usize);
+        }
     }
-    blocks
+    (t0, t1)
 }
 
 /// Bit-parallel equivalent of `wlcrc_coset::cost::block_updated_cells`: the
@@ -993,24 +1028,6 @@ pub fn block_updated_cells(
         updated += (((t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w])) & mask).count_ones();
     }
     updated as usize
-}
-
-/// Cost and updated-cell count in one pass (the WLC-integrated codecs need
-/// both for the multi-objective policy).
-pub fn block_cost_updated(
-    data: &SymbolPlanes,
-    old: &StatePlanes,
-    cells: Range<usize>,
-    table: &TransitionTable,
-) -> (f64, usize) {
-    let mut cost = 0.0;
-    let mut updated = 0u32;
-    for (w, mask) in plane_words(cells) {
-        let (c, u) = word_cost(data, old, table, w, mask);
-        cost += c;
-        updated += u;
-    }
-    (cost, updated as usize)
 }
 
 /// Classifies the cells of `cells` into the sixteen `(old state × symbol)`
@@ -1047,17 +1064,6 @@ pub fn write_block(
     for cell in cells {
         out.set_state(cell, table.state_of(data.symbol(cell)));
     }
-}
-
-/// Builds the symbol planes of a packed little-endian bit buffer occupying
-/// the first `words.len() * 64` bits of a line (zero-padded); used by the
-/// COC payload path, whose repacked stream is not a [`MemoryLine`].
-pub fn planes_of_words(words: &[u64]) -> SymbolPlanes {
-    let mut line = MemoryLine::ZERO;
-    for (i, &w) in words.iter().take(LINE_WORDS).enumerate() {
-        line.set_word(i, w);
-    }
-    SymbolPlanes::new(&line)
 }
 
 /// Re-interleaves a pair of bit planes back into a [`MemoryLine`]: cell `c`
@@ -1314,9 +1320,6 @@ mod tests {
             let expect =
                 cells.clone().filter(|&c| old.state(c) != mapping.state_of(data.symbol(c))).count();
             assert_eq!(block_updated_cells(&dp, &op, cells.clone(), &table), expect);
-            let (cost, updated) = block_cost_updated(&dp, &op, cells.clone(), &table);
-            assert_eq!(updated, expect);
-            assert_eq!(cost, block_cost(&dp, &op, cells, &table));
         }
     }
 
@@ -1342,6 +1345,161 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn plane_writes_cover_every_cell_count() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for cells in 0..=LINE_CELLS {
+            let p0: [u64; PLANE_WORDS] = core::array::from_fn(|_| rng.gen());
+            let p1: [u64; PLANE_WORDS] = core::array::from_fn(|_| rng.gen());
+            let mut out = random_stored(&mut rng);
+            let before = out.clone();
+            write_states_from_planes(&mut out, cells, &p0, &p1);
+            for cell in 0..LINE_CELLS {
+                let expect = if cell < cells {
+                    let (w, b) = (cell / 64, cell % 64);
+                    CellState::from_index((((p1[w] >> b) & 1) << 1 | ((p0[w] >> b) & 1)) as usize)
+                } else {
+                    before.state(cell)
+                };
+                assert_eq!(out.state(cell), expect, "cells {cells} cell {cell}");
+            }
+            assert_eq!(out.state_planes(), StatePlanes::new(&out), "cells {cells}");
+        }
+    }
+
+    #[test]
+    fn spread_byte_lsbs_inverts_pack_byte_lsbs() {
+        for byte in 0..=255u64 {
+            let spread = spread_byte_lsbs(byte | 0xAB00);
+            assert_eq!(spread & !0x0101_0101_0101_0101, 0, "byte {byte}");
+            assert_eq!(pack_byte_lsbs(spread), byte);
+        }
+    }
+
+    #[test]
+    fn lane_popcounts_count_every_lane() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for _ in 0..200 {
+            let x: u64 = rng.gen::<u64>() & rng.gen::<u64>();
+            for width in [1usize, 2, 4, 8, 16, 32] {
+                let lanes = lane_popcounts(x, width);
+                for lane in 0..64 / width {
+                    let mask = u64::MAX >> (64 - width);
+                    let expect = u64::from(((x >> (lane * width)) & mask).count_ones());
+                    assert_eq!((lanes >> (lane * width)) & mask, expect, "width {width}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_pair_sweep_matches_per_block_cost() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let energies = [EnergyModel::paper_default(), EnergyModel::new(1.3, [0.7, 2.9, 4.1, 5.3])];
+        for energy in &energies {
+            let table = TransitionTable::new(&SymbolMapping::all_mappings()[9], energy);
+            let data = random_line(&mut rng);
+            let old = random_stored(&mut rng);
+            let (dp, op) = (SymbolPlanes::new(&data), StatePlanes::new(&old));
+            for cells_per_block in [4usize, 8, 16, 32] {
+                for data_cells in [24usize, 28, 29, 30, 31, 32] {
+                    for word in 0..PLANE_WORDS {
+                        let mut out = [[(f64::NAN, usize::MAX); 8]; 2];
+                        let [low, high] = &mut out;
+                        let targets = word_pair_block_costs(
+                            &dp,
+                            &op,
+                            &table,
+                            word,
+                            data_cells,
+                            cells_per_block,
+                            low,
+                            high,
+                        );
+                        assert_eq!(targets, table.target_planes(&dp, word));
+                        for (half, row) in out.iter().enumerate() {
+                            let base = 64 * word + 32 * half;
+                            for (j, &got) in
+                                row.iter().enumerate().take(data_cells.div_ceil(cells_per_block))
+                            {
+                                let start = base + j * cells_per_block;
+                                let cells = start..(start + cells_per_block).min(base + data_cells);
+                                let expect = (
+                                    block_cost(&dp, &op, cells.clone(), &table),
+                                    block_updated_cells(&dp, &op, cells, &table),
+                                );
+                                assert_eq!(got, expect, "cpb {cells_per_block} dc {data_cells}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_selection_is_the_first_strict_minimum_per_block() {
+        let mut rng = StdRng::seed_from_u64(18);
+        let energy = EnergyModel::paper_default();
+        let tables: Vec<TransitionTable> = SymbolMapping::all_mappings()[..5]
+            .iter()
+            .map(|mapping| TransitionTable::new(mapping, &energy))
+            .collect();
+        for cells_per_block in [1usize, 2, 4, 8, 16, 32] {
+            let data = random_line(&mut rng);
+            let old = random_stored(&mut rng);
+            let (dp, op) = (SymbolPlanes::new(&data), StatePlanes::new(&old));
+            let blocks = LINE_CELLS / cells_per_block - 1;
+            let selector_int: Vec<[u64; 8]> =
+                (0..blocks).map(|_| core::array::from_fn(|_| rng.gen_range(0..300))).collect();
+            let selector: Vec<[f64; 8]> =
+                selector_int.iter().map(|row| row.map(|c| c as f64)).collect();
+            let mut expect = (vec![0u8; blocks], [0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
+            for (b, winner) in expect.0.iter_mut().enumerate() {
+                let cells = b * cells_per_block..(b + 1) * cells_per_block;
+                let mut best = (0, f64::INFINITY);
+                for (idx, table) in tables.iter().enumerate() {
+                    let cost = block_cost(&dp, &op, cells.clone(), table) + selector[b][idx];
+                    if cost < best.1 {
+                        best = (idx, cost);
+                    }
+                }
+                *winner = best.0 as u8;
+                for cell in cells {
+                    let state = tables[best.0].state_of(data.symbol(cell)).index() as u64;
+                    expect.1[cell / 64] |= (state & 1) << (cell % 64);
+                    expect.2[cell / 64] |= (state >> 1) << (cell % 64);
+                }
+            }
+            let mut got = (vec![0u8; blocks], [0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
+            select_blocks_uniform(
+                &dp,
+                &op,
+                cells_per_block,
+                blocks,
+                &tables,
+                &selector,
+                &mut got.0,
+                &mut got.1,
+                &mut got.2,
+            );
+            assert_eq!(got, expect, "f64, cpb {cells_per_block}");
+            let mut got = (vec![0u8; blocks], [0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
+            select_blocks_uniform_int(
+                &dp,
+                &op,
+                cells_per_block,
+                blocks,
+                &tables,
+                &selector_int,
+                &mut got.0,
+                &mut got.1,
+                &mut got.2,
+            );
+            assert_eq!(got, expect, "int, cpb {cells_per_block}");
         }
     }
 
@@ -1429,16 +1587,5 @@ mod tests {
             old_line.clone()
         });
         assert_eq!(out.len(), 4);
-    }
-
-    #[test]
-    fn planes_of_words_places_bits_like_a_line_prefix() {
-        let words = [0x0123_4567_89AB_CDEFu64, u64::MAX, 0, 42];
-        let planes = planes_of_words(&words);
-        let mut line = MemoryLine::ZERO;
-        for (i, &w) in words.iter().enumerate() {
-            line.set_word(i, w);
-        }
-        assert_eq!(planes, SymbolPlanes::new(&line));
     }
 }

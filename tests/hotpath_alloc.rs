@@ -4,10 +4,11 @@
 //! views, transition tables, candidate costs, choice masks, packed auxiliary
 //! bits) in fixed-size stack storage. The only heap allocations a steady-state
 //! `encode()` may perform are the two `Vec`s (states + classes) backing the
-//! returned `PhysicalLine`; the accounting after it (differential write,
-//! disturbance sampling) and the raw-line decodes allocate nothing. This test
-//! counts allocations through a wrapping global allocator and pins exactly
-//! that.
+//! returned `PhysicalLine`, plus COC+4cosets' repacked bit stream; the
+//! accounting after it (differential write, disturbance sampling), the
+//! raw-line decodes and the compression-gated codecs' plane decodes allocate
+//! nothing. This test counts allocations through a wrapping global allocator
+//! and pins exactly that.
 //!
 //! The counter is per thread: the harness runs tests, and allocates for its
 //! own bookkeeping, on other threads, and none of that may leak into a count.
@@ -83,32 +84,35 @@ fn encode_allocates_only_the_returned_line() {
     use wlcrc_repro::pcm::codec::LineCodec;
     use wlcrc_repro::pcm::line::MemoryLine;
     use wlcrc_repro::pcm::prelude::EnergyModel;
-    use wlcrc_repro::wlcrc::WlcCosetCodec;
+    use wlcrc_repro::wlcrc::{CocCosetCodec, WlcCosetCodec};
 
     let energy = EnergyModel::paper_default();
     // Mixed content: WLC-compressible words so WLCRC takes its encoded path,
     // and varied values so candidate searches do real work.
     let lines: Vec<MemoryLine> = workload();
 
-    let codecs: Vec<(Box<dyn LineCodec>, &str)> = vec![
-        (Box::new(NCosetsCodec::three_cosets(Granularity::new(16))), "3cosets-16"),
-        (Box::new(NCosetsCodec::six_cosets(Granularity::new(512))), "6cosets-512"),
-        (Box::new(RestrictedCosetCodec::new(Granularity::new(16))), "3-r-cosets-16"),
-        (Box::new(FnwCodec::paper_default()), "FNW"),
-        (Box::new(FlipMinCodec::new()), "FlipMin"),
-        (Box::new(WlcCosetCodec::wlcrc16()), "WLCRC-16"),
-        (Box::new(WlcCosetCodec::wlc_four_cosets(32)), "WLC+4cosets"),
+    // Each codec with its allocations per encode: the returned
+    // PhysicalLine's cells and classes vectors, plus, for COC+4cosets, the
+    // bit stream of its single `Coc::repack`.
+    let codecs: Vec<(Box<dyn LineCodec>, &str, u64)> = vec![
+        (Box::new(NCosetsCodec::three_cosets(Granularity::new(16))), "3cosets-16", 2),
+        (Box::new(NCosetsCodec::six_cosets(Granularity::new(512))), "6cosets-512", 2),
+        (Box::new(RestrictedCosetCodec::new(Granularity::new(16))), "3-r-cosets-16", 2),
+        (Box::new(FnwCodec::paper_default()), "FNW", 2),
+        (Box::new(FlipMinCodec::new()), "FlipMin", 2),
+        (Box::new(WlcCosetCodec::wlcrc16()), "WLCRC-16", 2),
+        (Box::new(WlcCosetCodec::wlc_four_cosets(32)), "WLC+4cosets", 2),
+        (Box::new(CocCosetCodec::new()), "COC+4cosets", 3),
     ];
 
-    for (codec, name) in &codecs {
+    for (codec, name, per_encode) in &codecs {
         // Warm up: first writes may lazily initialise internals.
         let mut old = codec.initial_line();
         for line in &lines {
             old = codec.encode(line, &old, &energy);
         }
-        // Steady state: each encode must allocate exactly twice — the cells
-        // and classes vectors of the returned PhysicalLine. (Dropping the
-        // previous `old` is a deallocation and is not counted.)
+        // Steady state: each encode allocates exactly `per_encode` times.
+        // (Dropping the previous `old` is a deallocation and is not counted.)
         const WRITES: u64 = 32;
         let (allocs, _) = allocations_during(|| {
             for i in 0..WRITES as usize {
@@ -118,9 +122,9 @@ fn encode_allocates_only_the_returned_line() {
         });
         assert_eq!(
             allocs,
-            2 * WRITES,
-            "{name}: expected exactly 2 allocations per encode (the returned \
-             PhysicalLine), got {allocs} over {WRITES} writes"
+            per_encode * WRITES,
+            "{name}: expected exactly {per_encode} allocations per encode, got {allocs} over \
+             {WRITES} writes"
         );
     }
 }
@@ -338,6 +342,36 @@ fn raw_line_decodes_allocate_nothing() {
             let (allocs, decoded) = allocations_during(|| codec.decode(&stored));
             assert_eq!(decoded, data);
             assert_eq!(allocs, 0, "{name}: raw decode (warm) allocated {allocs} times");
+        }
+    }
+}
+
+#[test]
+fn compression_gated_decodes_allocate_nothing() {
+    use wlcrc_repro::pcm::codec::LineCodec;
+    use wlcrc_repro::pcm::prelude::{CellState, EnergyModel};
+    use wlcrc_repro::wlcrc::{CocCosetCodec, WlcCosetCodec};
+
+    let energy = EnergyModel::paper_default();
+    let codecs: Vec<Box<dyn LineCodec>> = vec![
+        Box::new(WlcCosetCodec::wlcrc16()),
+        Box::new(WlcCosetCodec::wlc_four_cosets(32)),
+        Box::new(CocCosetCodec::new()),
+    ];
+    for codec in &codecs {
+        let name = codec.name();
+        let mut stored = codec.initial_line();
+        for data in workload() {
+            stored = codec.encode(&data, &stored, &energy);
+            // The workload is compressible: every line takes an encoded format.
+            assert_ne!(stored.state(256), CellState::S2, "{name}: stored raw");
+            let cold = cold_copy(&stored);
+            let (allocs, decoded) = allocations_during(|| codec.decode(&cold));
+            assert_eq!(decoded, data);
+            assert_eq!(allocs, 0, "{name}: decode (cold) allocated {allocs} times");
+            let (allocs, decoded) = allocations_during(|| codec.decode(&stored));
+            assert_eq!(decoded, data);
+            assert_eq!(allocs, 0, "{name}: decode (warm) allocated {allocs} times");
         }
     }
 }
