@@ -1,8 +1,8 @@
-//! Criterion bench for the streaming trace pipeline: the same grid run
-//! materialised vs streamed (same results, different peak memory), and
-//! streamed at 1, 2 and 4 intra-trace (per-bank) shards so future PRs can
-//! track the bank-sharding speedup (BENCH_*.json). On a single-core runner
-//! the shard points collapse to the replay overhead, which should stay small.
+//! Criterion bench for intra-trace (per-bank) sharding: one grid cell run at
+//! 1, 2 and 4 shards, each replaying the cell's shared trace, so future PRs
+//! can track the bank-sharding speedup (BENCH_*.json). On a single-core
+//! runner the shard points collapse to the replay overhead, which should
+//! stay small.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wlcrc::schemes::standard_factories;
@@ -11,7 +11,7 @@ use wlcrc_trace::Benchmark;
 
 /// One WLCRC-16 cell over one big workload: the shape intra-trace sharding
 /// exists for (a grid too small to fill the pool by cells alone).
-fn plan(lines: usize, shards: usize, materialise: bool) -> ExperimentPlan {
+fn plan(lines: usize, shards: usize) -> ExperimentPlan {
     let wlcrc16 = standard_factories().remove(7);
     // Store-less: a warm cache would measure file reads, not simulation.
     ExperimentPlan::new()
@@ -20,7 +20,6 @@ fn plan(lines: usize, shards: usize, materialise: bool) -> ExperimentPlan {
         .lines_per_workload(lines)
         .threads(4)
         .intra_trace_shards(shards)
-        .materialise_traces(materialise)
         .workload(Benchmark::Gcc.profile())
         .scheme_factory(wlcrc16.0.label(), wlcrc16.1)
 }
@@ -30,12 +29,9 @@ fn stream_throughput(c: &mut Criterion) {
     group.sample_size(10);
     for shards in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
-            b.iter(|| plan(std::hint::black_box(400), shards, false).run())
+            b.iter(|| plan(std::hint::black_box(400), shards).run())
         });
     }
-    group.bench_function("materialised", |b| {
-        b.iter(|| plan(std::hint::black_box(400), 1, true).run())
-    });
     group.finish();
 }
 

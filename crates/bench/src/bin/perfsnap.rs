@@ -1,6 +1,6 @@
 //! `perfsnap` — the repository's performance-trajectory snapshot.
 //!
-//! Runs the codec, plan and stream throughput suites on deterministic
+//! Runs the codec, plan and store throughput suites on deterministic
 //! workloads and **appends** one JSON entry (git revision, wall clock,
 //! writes/sec per scheme, kernel-vs-scalar speedups, and the persistent
 //! result store's cold-vs-warm plan wall clocks) to `BENCH_codec.json`,
@@ -44,6 +44,7 @@ use wlcrc_coset::{
     DinCodec, FlipMinCodec, FnwCodec, Granularity, NCosetsCodec, RestrictedCosetCodec,
 };
 use wlcrc_memsim::{ExperimentPlan, SimulationOptions};
+use wlcrc_obs::check::{parse_json, Json};
 use wlcrc_pcm::codec::LineCodec;
 use wlcrc_pcm::config::PcmConfig;
 use wlcrc_pcm::energy::EnergyModel;
@@ -418,57 +419,41 @@ struct BaselineRow {
     decode_rps: Option<f64>,
 }
 
-/// Extracts a quoted string field from a single JSON row.
-fn field_str(row: &str, key: &str) -> Option<String> {
-    let start = row.find(key)? + key.len();
-    let rest = &row[start..];
-    Some(rest[..rest.find('"')?].to_string())
+/// The **last** entry of the trajectory file (the JSON array
+/// `append_entry` maintains), or `Json::Null` when the file is missing or
+/// does not parse.
+fn last_entry(path: &str) -> Json {
+    let parsed = std::fs::read_to_string(path).ok().and_then(|text| parse_json(&text).ok());
+    match parsed {
+        Some(Json::Arr(mut entries)) => entries.pop().unwrap_or(Json::Null),
+        _ => Json::Null,
+    }
 }
 
-/// Extracts a numeric field from a single JSON row.
-fn field_num(row: &str, key: &str) -> Option<f64> {
-    let start = row.find(key)? + key.len();
-    let rest = &row[start..];
-    let end =
-        rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-')).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parses the codec rows of the **last** entry in the trajectory file. The
-/// file is the plain pretty-printed array `append_entry` maintains (one codec
-/// row per line), so a line scan of the final `"codecs": [` block suffices —
-/// no JSON parser, no new dependency.
-fn parse_last_entry_codecs(path: &str) -> Option<Vec<BaselineRow>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let start = text.rfind("\"codecs\": [")?;
-    let block = &text[start..];
-    let block = &block[..block.find(']')?];
-    let mut rows = Vec::new();
-    for row in block.lines() {
-        let Some(name) = field_str(row, "\"name\": \"") else { continue };
-        let Some(encode_wps) = field_num(row, "\"encode_writes_per_sec\": ") else { continue };
-        let decode_rps = field_num(row, "\"decode_reads_per_sec\": ");
-        rows.push(BaselineRow { name, encode_wps, decode_rps });
-    }
-    if rows.is_empty() {
-        None
-    } else {
-        Some(rows)
-    }
+/// The codec rows of a trajectory entry that record an encode throughput.
+fn entry_codecs(entry: &Json) -> Option<Vec<BaselineRow>> {
+    let Some(Json::Arr(rows)) = entry.get("codecs") else { return None };
+    let rows: Vec<BaselineRow> = rows
+        .iter()
+        .filter_map(|row| {
+            Some(BaselineRow {
+                name: row.get("name")?.as_str()?.to_string(),
+                encode_wps: row.get("encode_writes_per_sec")?.as_f64()?,
+                decode_rps: row.get("decode_reads_per_sec").and_then(Json::as_f64),
+            })
+        })
+        .collect();
+    (!rows.is_empty()).then_some(rows)
 }
 
 /// Fractional regression that fails the `--check` gate (15%).
 const CHECK_REGRESSION_LIMIT: f64 = 0.15;
 
-/// Parses the serve row of the **last** entry in the trajectory file:
-/// (requests/sec, p99 batch latency ms). Same line-scan approach as the
-/// codec rows — the file is the plain array `append_entry` maintains.
-fn parse_last_entry_serve(path: &str) -> Option<(f64, f64)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let start = text.rfind("\"serve\": {")?;
-    let row = &text[start..];
-    let row = &row[..row.find('}')?];
-    Some((field_num(row, "\"requests_per_sec\": ")?, field_num(row, "\"p99_batch_ms\": ")?))
+/// The serve row of a trajectory entry: (requests/sec, p99 batch latency
+/// ms).
+fn entry_serve(entry: &Json) -> Option<(f64, f64)> {
+    let serve = entry.get("serve")?;
+    Some((serve.get("requests_per_sec")?.as_f64()?, serve.get("p99_batch_ms")?.as_f64()?))
 }
 
 /// The `--check` perf gate: measures the codec suite best-of-3 and compares
@@ -484,7 +469,8 @@ fn run_check(
     serve_batches: usize,
     seed: u64,
 ) -> bool {
-    let Some(baseline) = parse_last_entry_codecs(baseline_path) else {
+    let entry = last_entry(baseline_path);
+    let Some(baseline) = entry_codecs(&entry) else {
         eprintln!("perfsnap --check: no codec rows found in {baseline_path}");
         return false;
     };
@@ -524,7 +510,7 @@ fn run_check(
     // Serve gate: best-of-3 requests/sec (higher is better) and p99 batch
     // latency (lower is better) against the recorded serve row. Older
     // trajectory files without a serve row simply skip the gate.
-    if let Some((base_rps, base_p99)) = parse_last_entry_serve(baseline_path) {
+    if let Some((base_rps, base_p99)) = entry_serve(&entry) {
         let mut best_rps = 0.0f64;
         let mut best_p99 = f64::INFINITY;
         for _ in 0..3 {
@@ -647,8 +633,7 @@ fn main() {
         batched_rows.push((*name, wps));
     }
 
-    // Plan + stream suites: the full scheme registry over two workloads,
-    // streamed (the default pipeline) and materialised.
+    // Plan suite: the full scheme registry over two workloads.
     println!("perfsnap: plan suite ({plan_lines} lines x 2 workloads x 8 schemes)");
     let build_plan = || {
         // Explicitly store-less: the baseline numbers must not depend on a
@@ -667,19 +652,9 @@ fn main() {
     let streamed_start = Instant::now();
     let streamed = build_plan().run();
     let streamed_ms = streamed_start.elapsed().as_secs_f64() * 1e3;
-    let materialised_start = Instant::now();
-    let materialised = build_plan().materialise_traces(true).run();
-    let materialised_ms = materialised_start.elapsed().as_secs_f64() * 1e3;
     let grid_writes: u64 = streamed.cells.iter().map(|s| s.writes).sum();
-    assert_eq!(
-        grid_writes,
-        materialised.cells.iter().map(|s| s.writes).sum::<u64>(),
-        "streamed and materialised runs must process the same writes"
-    );
     let stream_wps = grid_writes as f64 / (streamed_ms / 1e3);
-    println!(
-        "  streamed {streamed_ms:.0} ms ({stream_wps:.0} w/s)   materialised {materialised_ms:.0} ms"
-    );
+    println!("  plan {streamed_ms:.0} ms ({stream_wps:.0} w/s)");
 
     // Store suite: the same grid with the persistent result store disabled
     // (the streamed number above), cold (every cell misses and is written
@@ -792,7 +767,7 @@ fn main() {
     }
     entry.push_str("    ],\n");
     entry.push_str(&format!(
-        "    \"plan\": {{\"schemes\": 8, \"workloads\": 2, \"lines\": {plan_lines}, \"writes\": {grid_writes}, \"streamed_wall_ms\": {streamed_ms:.1}, \"materialised_wall_ms\": {materialised_ms:.1}, \"streamed_writes_per_sec\": {stream_wps:.0}}},\n"
+        "    \"plan\": {{\"schemes\": 8, \"workloads\": 2, \"lines\": {plan_lines}, \"writes\": {grid_writes}, \"streamed_wall_ms\": {streamed_ms:.1}, \"streamed_writes_per_sec\": {stream_wps:.0}}},\n"
     ));
     entry.push_str(&format!(
         "    \"store\": {{\"disabled_wall_ms\": {streamed_ms:.1}, \"cold_wall_ms\": {store_cold_ms:.1}, \"warm_wall_ms\": {store_warm_ms:.1}, \"warm_speedup\": {warm_speedup:.1}, \"plan_hit_wall_ms\": {store_plan_hit_ms:.2}, \"plan_hit_speedup\": {plan_hit_speedup:.1}}},\n"

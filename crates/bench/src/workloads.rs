@@ -2,10 +2,10 @@
 //!
 //! Experiments prefer the *streaming* helpers ([`biased_sources`],
 //! [`random_source`]): they plug straight into
-//! [`ExperimentPlan::sources`](wlcrc_memsim::ExperimentPlan::sources) and
-//! generate records lazily, so peak memory stays O(working-set) regardless
-//! of `lines`. The materialising variants remain for callers that need to
-//! inspect a whole trace at once.
+//! [`ExperimentPlan::sources`](wlcrc_memsim::ExperimentPlan::sources), which
+//! builds each trace once per run, and a `Simulator` fed one directly
+//! generates records lazily. The materialising variants remain for callers
+//! that need to inspect a whole trace at once.
 
 use std::sync::Arc;
 use wlcrc_memsim::TraceSourceFactory;

@@ -15,8 +15,8 @@
 //!   codecs can share a name (e.g. `RawCodec::with_mapping`);
 //! * the **workload identity**: the full self-describing profile (plus the
 //!   derived stream seed and scaled trace length the engine will actually
-//!   use), or a materialised trace's content digest. Opaque stream factories
-//!   have no identity and bypass the cache;
+//!   generate), or the content digest of a trace the plan was given. Opaque
+//!   stream factories have no identity and bypass the cache;
 //! * the **configuration**: the entire `PcmConfig` (energy model,
 //!   disturbance model, line/bank geometry) plus its index on the plan's
 //!   config axis — the index feeds the cell's disturbance-sampling seed, so
@@ -25,9 +25,9 @@
 //!   disturbance seed;
 //! * the **simulation options**: integrity verification and isolated mode.
 //!
-//! Worker count, intra-trace shard count and materialisation mode are
-//! deliberately *absent*: the engine guarantees results are byte-identical
-//! across all of them, so they must not fragment the cache.
+//! Worker count and intra-trace shard count are deliberately *absent*: the
+//! engine guarantees results are byte-identical across both, so they must
+//! not fragment the cache.
 //!
 //! # Plan-level keys
 //!
@@ -37,7 +37,7 @@
 //! every cell key in that config. A plan key therefore changes exactly when
 //! some cell key changes — salt bumps, codec edits, workload or config
 //! changes all propagate through the cell fingerprints — while inheriting
-//! the same worker/shard/materialise independence. A fully warm rerun is
+//! the same worker/shard independence. A fully warm rerun is
 //! then **one** store read per config instead of N cell reads plus a merge;
 //! a config with any uncacheable (opaque-stream) cell has no plan key.
 
@@ -67,8 +67,8 @@ pub const STORE_SALT_ENV: &str = "WLCRC_STORE_SALT";
 /// The workload half of a cell key: what the cell will actually replay.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadIdentity {
-    /// A profile workload the engine streams: the full profile, the exact
-    /// stream seed and the scaled record count.
+    /// A profile workload the engine generates a trace from: the full
+    /// profile, the exact stream seed and the scaled record count.
     Profile {
         /// The profile's self-describing identity value.
         profile: Value,
@@ -77,7 +77,8 @@ pub enum WorkloadIdentity {
         /// The scaled number of records the stream yields.
         scaled_lines: u64,
     },
-    /// A materialised trace replayed verbatim, identified by content digest.
+    /// A caller-provided trace replayed verbatim, identified by content
+    /// digest.
     Trace {
         /// The trace's workload name.
         name: String,

@@ -6,22 +6,30 @@
 //! this workspace) is exactly this shape: a large set of mutually independent
 //! simulations followed by a deterministic merge.
 //!
-//! # Streaming pipeline
+//! # One cell pipeline
 //!
-//! Workloads are consumed as [`TraceSource`] streams: profile workloads are
-//! generated lazily (O(working-set) memory, never O(trace-length)), and
-//! custom bounded-memory streams plug in through
-//! [`ExperimentPlan::source`]. The historical materialise-then-run pipeline
-//! survives as an opt-in ([`ExperimentPlan::materialise_traces`], or the
-//! `WLCRC_MATERIALISE` environment variable) and produces byte-identical
-//! results — the CI smoke step diffs the two modes.
+//! [`ExperimentPlan::run_grid`] and [`ExperimentPlan::run_grid_claimed`] are
+//! thin wrappers over one pipeline. A preamble resolves the store, derives
+//! the cell keys and probes the plan-level cache. Then a pool of workers
+//! takes each remaining cell through the same steps: serve it from the
+//! store; otherwise claim it (claimed runs with a writable store only),
+//! simulate its intra-trace shards, save it and release the claim. Finally
+//! the cells merge in grid order.
+//!
+//! Each (workload, seed) trace is built once per run, on first use, and
+//! every scheme and shard that needs it replays the same [`Trace`]:
+//! profile workloads through a [`TraceStream`], custom streams through
+//! their [`ExperimentPlan::source`] factory. Workloads added with
+//! [`ExperimentPlan::trace`] are used as given. A run therefore holds its
+//! traces in memory; [`Simulator::run`] and
+//! [`SimulatorSession`](crate::simulator::SimulatorSession) still stream.
 //!
 //! # Intra-trace (per-bank) sharding
 //!
 //! Besides sharding the grid across cells, the engine shards *within* each
 //! trace: records partition by [`MemoryOrganization::bank_index`] (writes to
 //! different banks are independent in the cost model), each bank-partition
-//! shard replays the stream and simulates only the banks with
+//! shard replays the cell's trace and simulates only the banks with
 //! `bank % shards == shard`, and the per-bank statistics merge in ascending
 //! bank order. The shard count comes from
 //! [`ExperimentPlan::intra_trace_shards`], the `WLCRC_INTRA_SHARDS`
@@ -39,10 +47,10 @@
 //! identity (simulator version salt, scheme label + behavioral codec
 //! fingerprint, workload identity, config + geometry, seeds, simulation
 //! options; see [`crate::cache`]) is hashed into the entry address, hits
-//! skip simulation entirely, and misses are written back atomically after
-//! the merge. `WLCRC_STORE_READONLY` serves hits without writing. Results
-//! are **byte-identical with the store disabled, cold, warm, or partially
-//! warm** — worker count, shard count and materialisation mode are excluded
+//! skip simulation entirely, and misses are written back atomically as
+//! soon as they are simulated. `WLCRC_STORE_READONLY` serves hits without
+//! writing. Results are **byte-identical with the store disabled, cold,
+//! warm, or partially warm** — worker count and shard count are excluded
 //! from the key for the same reason they cannot affect results. Bumping the
 //! version salt ([`crate::cache::SIMULATOR_VERSION_SALT`]) makes every old
 //! entry unreachable, forcing recomputation after simulator-behaviour
@@ -51,17 +59,16 @@
 //!
 //! # Determinism guarantee
 //!
-//! Results are **bit-identical for any worker count, shard count and
-//! materialisation mode**. Three rules make that hold:
+//! Results are **bit-identical for any worker count and shard count**.
+//! Three rules make that hold:
 //!
 //! 1. every cell derives its disturbance-sampling seed purely from
 //!    `(base seed, config index, scheme label, workload name)`, and every
 //!    bank lane derives its RNG stream from `(cell seed, bank index)` —
 //!    never from thread identity, scheduling order or shard count;
-//! 2. trace streams are deterministic: a cell's stream derives only from the
-//!    base seed and the workload, so every scheme and every shard replays
-//!    the identical record sequence (comparisons stay paired, exactly as in
-//!    the paper);
+//! 2. traces are deterministic: a cell's trace derives only from the base
+//!    seed and the workload, and every scheme and every shard replays that
+//!    one trace (comparisons stay paired, exactly as in the paper);
 //! 3. per-bank partials merge in ascending bank order, cell results land in
 //!    slots indexed by their grid position and merge in grid order, so
 //!    floating-point accumulation order never depends on which worker
@@ -92,12 +99,12 @@
 
 use crate::cache::{self, CellKey, PlanKey, WorkloadIdentity};
 use crate::experiment::{ExperimentResult, RunMetadata};
-use crate::simulator::{merge_bank_stats, BankStats, SimulationOptions, Simulator};
+use crate::simulator::{merge_bank_stats, SimulationOptions, Simulator};
 use crate::stats::SchemeStats;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use wlcrc_pcm::codec::LineCodec;
 use wlcrc_pcm::config::PcmConfig;
@@ -120,15 +127,12 @@ pub const STORE_READONLY_ENV: &str = wlcrc_store::STORE_READONLY_ENV;
 /// per cell (a positive integer). Results are byte-identical for any value.
 pub const INTRA_SHARDS_ENV: &str = "WLCRC_INTRA_SHARDS";
 
-/// Environment variable forcing the opt-in materialise-then-run pipeline
-/// (`1`/`true`). Results are byte-identical to streaming; peak memory is not.
-pub const MATERIALISE_ENV: &str = "WLCRC_MATERIALISE";
-
 type CodecFactoryFn = Arc<dyn Fn() -> Box<dyn LineCodec> + Send + Sync>;
 
-/// A factory building one replayable [`TraceSource`] per invocation; the
-/// argument is the plan's base seed for the cell. Must be deterministic —
-/// the engine replays the stream once per bank-partition shard.
+/// A factory building one [`TraceSource`] per invocation; the argument is
+/// the plan's base seed for the cell. The engine calls it once per
+/// (workload, seed) pair and run, and every scheme and shard of that pair
+/// replays the trace it yields.
 pub type TraceSourceFactory = Arc<dyn Fn(u64) -> Box<dyn TraceSource + Send> + Send + Sync>;
 
 /// How a worker obtains the codec for a cell: either it builds a private
@@ -149,9 +153,9 @@ impl CodecSource {
     }
 }
 
-/// A workload axis entry: a profile the plan streams lazily (scaled by write
-/// intensity, like the paper's `Ave.` weighting), a caller-provided
-/// materialised trace replayed verbatim, or a custom stream factory.
+/// A workload axis entry: a profile the plan generates a trace from (scaled
+/// by write intensity, like the paper's `Ave.` weighting), a caller-provided
+/// trace replayed verbatim, or a custom stream factory.
 enum WorkloadSource {
     Profile(WorkloadProfile),
     Trace(Arc<Trace>),
@@ -185,7 +189,6 @@ pub struct ExperimentPlan {
     isolated: bool,
     threads: Option<usize>,
     intra_shards: Option<usize>,
-    materialise: Option<bool>,
     store: StoreChoice,
     store_readonly: Option<bool>,
     store_salt: Option<String>,
@@ -210,7 +213,7 @@ impl Default for ExperimentPlan {
 
 impl ExperimentPlan {
     /// Creates an empty plan: Table II config, seed 0, 1000 lines per
-    /// workload, integrity verification on, streaming pipeline.
+    /// workload, integrity verification on.
     pub fn new() -> ExperimentPlan {
         ExperimentPlan {
             schemes: Vec::new(),
@@ -222,7 +225,6 @@ impl ExperimentPlan {
             isolated: false,
             threads: None,
             intra_shards: None,
-            materialise: None,
             store: StoreChoice::Auto,
             store_readonly: None,
             store_salt: None,
@@ -262,7 +264,7 @@ impl ExperimentPlan {
         self
     }
 
-    /// Adds a workload profile; the plan streams its trace lazily (scaled by
+    /// Adds a workload profile; the plan generates its trace (scaled by
     /// relative write intensity like the paper's grids).
     pub fn workload(mut self, profile: WorkloadProfile) -> ExperimentPlan {
         self.workloads.push(WorkloadSource::Profile(profile));
@@ -294,11 +296,10 @@ impl ExperimentPlan {
         self
     }
 
-    /// Adds a custom streaming workload: `factory` builds one replayable
-    /// [`TraceSource`] per invocation from the plan's base seed (no intensity
-    /// scaling). `name` labels the results and feeds cell-seed derivation;
-    /// the factory must be deterministic because the stream is replayed once
-    /// per bank-partition shard.
+    /// Adds a custom streaming workload: `factory` builds one
+    /// [`TraceSource`] per (workload, seed) pair from the plan's base seed
+    /// (no intensity scaling). `name` labels the results and feeds cell-seed
+    /// derivation.
     pub fn source<F>(self, name: impl Into<String>, factory: F) -> ExperimentPlan
     where
         F: Fn(u64) -> Box<dyn TraceSource + Send> + Send + Sync + 'static,
@@ -383,18 +384,9 @@ impl ExperimentPlan {
     /// Overrides the intra-trace (per-bank) shard count per cell (otherwise
     /// `WLCRC_INTRA_SHARDS`, otherwise spare-worker policy). Results are
     /// byte-identical for any value; more shards let one huge trace use more
-    /// cores at the cost of replaying its stream once per shard.
+    /// cores at the cost of replaying it once per shard.
     pub fn intra_trace_shards(mut self, shards: usize) -> ExperimentPlan {
         self.intra_shards = Some(shards);
-        self
-    }
-
-    /// Opts in or out of the historical materialise-then-run pipeline
-    /// (otherwise `WLCRC_MATERIALISE`, otherwise streaming). Materialising
-    /// builds each (workload, seed) trace once and shares it across schemes
-    /// and shards — byte-identical results, O(trace-length) peak memory.
-    pub fn materialise_traces(mut self, materialise: bool) -> ExperimentPlan {
-        self.materialise = Some(materialise);
         self
     }
 
@@ -412,7 +404,7 @@ impl ExperimentPlan {
 
     /// Enables or disables the persistent result store, uniformly with the
     /// plan's other boolean knobs ([`ExperimentPlan::verify_integrity`],
-    /// [`ExperimentPlan::isolated`], [`ExperimentPlan::materialise_traces`]).
+    /// [`ExperimentPlan::isolated`]).
     ///
     /// `store_enabled(false)` never consults a store, even when `WLCRC_STORE`
     /// is set; `store_enabled(true)` restores the default behaviour (an
@@ -421,12 +413,6 @@ impl ExperimentPlan {
     pub fn store_enabled(mut self, enabled: bool) -> ExperimentPlan {
         self.store = if enabled { StoreChoice::Auto } else { StoreChoice::Disabled };
         self
-    }
-
-    /// Never consults a result store, even when `WLCRC_STORE` is set.
-    #[deprecated(since = "0.1.0", note = "use the uniform `store_enabled(false)` instead")]
-    pub fn store_disabled(self) -> ExperimentPlan {
-        self.store_enabled(false)
     }
 
     /// Forces the store read-only (hits are served, misses are not written
@@ -480,11 +466,27 @@ impl ExperimentPlan {
         resolve_worker_count(self.threads)
     }
 
-    /// The intra-trace shard count this plan will run with.
+    /// The intra-trace shard count this plan will run with: explicit
+    /// override, then `WLCRC_INTRA_SHARDS`, then spare-worker policy (idle
+    /// workers divided over the grid's cells, 1 when the grid alone fills
+    /// the pool). Always clamped to the largest bank count on the config
+    /// axis — a shard that owns no bank would replay its trace only to
+    /// discard every record.
     pub fn intra_shard_count(&self) -> usize {
-        let cells =
-            self.configs.len() * self.workloads.len() * self.schemes.len() * self.seeds.len();
-        self.resolve_intra_shards(cells)
+        let max_banks = self.configs.iter().map(PcmConfig::total_banks).max().unwrap_or(1).max(1);
+        if let Some(shards) = self.intra_shards {
+            return shards.clamp(1, max_banks);
+        }
+        if let Some(shards) =
+            std::env::var(INTRA_SHARDS_ENV).ok().as_deref().and_then(parse_thread_count)
+        {
+            return shards.min(max_banks);
+        }
+        let cell_count = self.configs.len() * self.cells_per_config();
+        if cell_count == 0 {
+            return 1;
+        }
+        (self.worker_count() / cell_count).clamp(1, max_banks)
     }
 
     /// Executes a single-config plan.
@@ -511,350 +513,7 @@ impl ExperimentPlan {
     ///
     /// Panics if the plan has no schemes, workloads, configs or seeds.
     pub fn run_grid(&self) -> Vec<ExperimentResult> {
-        assert!(!self.schemes.is_empty(), "plan declares no schemes");
-        assert!(!self.workloads.is_empty(), "plan declares no workloads");
-        assert!(!self.configs.is_empty(), "plan declares no configs");
-        assert!(!self.seeds.is_empty(), "plan declares no seeds");
-        let workers = self.worker_count();
-        let n_workloads = self.workloads.len();
-        let n_schemes = self.schemes.len();
-        let n_seeds = self.seeds.len();
-        let cell_count = self.configs.len() * n_workloads * n_schemes * n_seeds;
-        let shards = self.resolve_intra_shards(cell_count);
-        let max_intensity = self.max_intensity();
-
-        // Phases 0.25/0.5 (optional): consult the persistent result store —
-        // first whole-config plan entries, then per-cell entries. Every
-        // cacheable cell derives a content-addressed key; hits skip
-        // simulation entirely and misses are written back after the merge.
-        // The cache can never change a result — a hit is the byte-identical
-        // record of an identical cell, pinned by the engine tests.
-        let store = self.resolve_store();
-        let keys: Vec<Option<CellKey>> = match &store {
-            Some(_) => self.cell_keys(cell_count, max_intensity),
-            None => (0..cell_count).map(|_| None).collect(),
-        };
-
-        // Phase 0.25 (optional): the plan-level cache. Each config's merged
-        // result is cached whole under a key covering every cell fingerprint
-        // in the config, so a fully warm rerun is one store read per config
-        // — it returns here without touching a single per-cell entry. A
-        // config that hits drops out of every later phase.
-        let cells_per_config = n_workloads * n_schemes * n_seeds;
-        let plan_keys: Vec<Option<PlanKey>> = if store.is_some() && self.resolve_plan_cache() {
-            (0..self.configs.len()).map(|config| self.plan_key(config, &keys)).collect()
-        } else {
-            (0..self.configs.len()).map(|_| None).collect()
-        };
-        let plan_hits: Vec<Option<ExperimentResult>> = match &store {
-            Some(store) => {
-                let _span = wlcrc_obs::span("engine.plan_cache_probe");
-                plan_keys
-                    .iter()
-                    .map(|key| key.as_ref().and_then(|key| cache::load_plan(store, key)))
-                    .collect()
-            }
-            None => (0..self.configs.len()).map(|_| None).collect(),
-        };
-        if plan_hits.iter().all(Option::is_some) {
-            return plan_hits.into_iter().map(|hit| hit.expect("checked all hits")).collect();
-        }
-
-        // Phase 0.5 (optional): per-cell store lookups for the configs the
-        // plan cache did not cover. Lookups go through the worker pool too:
-        // a warm grid of thousands of cells is bound by file reads + record
-        // decodes, not simulation, and those are as independent as the cells
-        // themselves.
-        let cached: Vec<Option<SchemeStats>> = match &store {
-            Some(store) => {
-                let _span = wlcrc_obs::span("engine.cell_probe");
-                parallel_tasks(cell_count, workers, |cell| {
-                    if plan_hits[cell / cells_per_config].is_some() {
-                        return None;
-                    }
-                    keys[cell].as_ref().and_then(|key| cache::load_cell(store, key))
-                })
-            }
-            None => (0..cell_count).map(|_| None).collect(),
-        };
-        let miss_cells: Vec<usize> = (0..cell_count)
-            .filter(|&cell| plan_hits[cell / cells_per_config].is_none() && cached[cell].is_none())
-            .collect();
-        let mut miss_slot = vec![usize::MAX; cell_count];
-        for (slot, &cell) in miss_cells.iter().enumerate() {
-            miss_slot[cell] = slot;
-        }
-
-        // Optional phase 0 (opt-in): materialise each (workload, seed) trace
-        // exactly once and share it behind an Arc — the historical pipeline,
-        // byte-identical to streaming but O(trace-length) in memory. Runs
-        // after the store lookup so a warm run generates only the traces its
-        // missed cells will actually replay.
-        let shared: Option<Vec<Option<Arc<Trace>>>> = self.resolve_materialise().then(|| {
-            let _span = wlcrc_obs::span("engine.materialise");
-            let mut needed = vec![false; n_workloads * n_seeds];
-            for &cell in &miss_cells {
-                let seed = cell % n_seeds;
-                let workload = (cell / (n_seeds * n_schemes)) % n_workloads;
-                needed[workload * n_seeds + seed] = true;
-            }
-            let pairs: Vec<usize> = (0..needed.len()).filter(|&pair| needed[pair]).collect();
-            let traces = parallel_tasks(pairs.len(), workers, |index| {
-                let (workload, seed) = (pairs[index] / n_seeds, pairs[index] % n_seeds);
-                let source =
-                    self.make_source(&self.workloads[workload], self.seeds[seed], max_intensity);
-                Arc::new(source.collect_trace())
-            });
-            let mut slots: Vec<Option<Arc<Trace>>> = vec![None; n_workloads * n_seeds];
-            for (index, &pair) in pairs.iter().enumerate() {
-                slots[pair] = Some(Arc::clone(&traces[index]));
-            }
-            slots
-        });
-
-        // Phase 1: simulate every (missed cell, intra-trace shard) task. Each
-        // shard replays the cell's stream and simulates only its banks; the
-        // slot index fixes the merge order regardless of which worker runs
-        // what.
-        let simulate_span = wlcrc_obs::span("engine.simulate");
-        let partials: Vec<Vec<BankStats>> =
-            parallel_tasks(miss_cells.len() * shards, workers, |index| {
-                let shard = index % shards;
-                let cell = miss_cells[index / shards];
-                let seed = cell % n_seeds;
-                let scheme = (cell / n_seeds) % n_schemes;
-                let workload = (cell / (n_seeds * n_schemes)) % n_workloads;
-                let config = cell / (n_seeds * n_schemes * n_workloads);
-                self.run_cell_shard(
-                    config,
-                    scheme,
-                    workload,
-                    seed,
-                    shard,
-                    shards,
-                    max_intensity,
-                    shared.as_deref(),
-                )
-            });
-        drop(simulate_span);
-
-        // Phase 2: merge each cell's bank partials in ascending bank order —
-        // the one canonical order, whatever the shard count. Cached cells
-        // are used as recorded; cells in plan-hit configs are never built
-        // (their merged result is already in hand).
-        let merge_span = wlcrc_obs::span("engine.merge");
-        let cells: Vec<Option<SchemeStats>> = (0..cell_count)
-            .map(|cell| {
-                if plan_hits[cell / cells_per_config].is_some() {
-                    return None;
-                }
-                if let Some(stats) = &cached[cell] {
-                    return Some(stats.clone());
-                }
-                let scheme = (cell / n_seeds) % n_schemes;
-                let workload = (cell / (n_seeds * n_schemes)) % n_workloads;
-                let config = cell / (n_seeds * n_schemes * n_workloads);
-                let slot = miss_slot[cell];
-                let lanes = partials[slot * shards..(slot + 1) * shards].iter().flatten().cloned();
-                Some(merge_bank_stats(
-                    &self.schemes[scheme].0,
-                    self.workloads[workload].name(),
-                    self.configs[config].total_banks(),
-                    lanes,
-                ))
-            })
-            .collect();
-        drop(merge_span);
-
-        // Phase 2.5: write the freshly simulated cells back to the store —
-        // through the worker pool, like the lookups, because a cold grid's
-        // write-backs are file encodes + renames, independent per cell.
-        if let Some(store) = &store {
-            let _span = wlcrc_obs::span("engine.store_write_back");
-            let to_write: Vec<usize> =
-                miss_cells.iter().copied().filter(|&cell| keys[cell].is_some()).collect();
-            parallel_tasks(to_write.len(), workers, |index| {
-                let cell = to_write[index];
-                let key = keys[cell].as_ref().expect("filtered to cells with keys");
-                let stats = cells[cell].as_ref().expect("missed cells are in missed configs");
-                cache::save_cell(store, key, stats);
-            });
-        }
-
-        // Phase 3: deterministic merge, seed-minor so replicate order is
-        // fixed by the plan, not by scheduling. Plan-hit configs return the
-        // stored merged result verbatim; freshly merged configs write their
-        // plan entry back so the next identical run is one read.
-        self.merge_grid(&cells, &plan_hits, &plan_keys, store.as_ref())
-    }
-
-    /// The one canonical grid merge (phase 3 of [`ExperimentPlan::run_grid`]
-    /// and of [`ExperimentPlan::run_grid_claimed`]): merges each config's
-    /// per-cell statistics seed-minor in grid order, substitutes plan-level
-    /// hits verbatim, and writes plan entries for freshly merged configs.
-    fn merge_grid(
-        &self,
-        cells: &[Option<SchemeStats>],
-        plan_hits: &[Option<ExperimentResult>],
-        plan_keys: &[Option<PlanKey>],
-        store: Option<&ResultStore>,
-    ) -> Vec<ExperimentResult> {
-        let _span = wlcrc_obs::span("engine.merge_grid");
-        let n_workloads = self.workloads.len();
-        let n_schemes = self.schemes.len();
-        let n_seeds = self.seeds.len();
-        let mut results = Vec::with_capacity(self.configs.len());
-        for config in 0..self.configs.len() {
-            if let Some(hit) = &plan_hits[config] {
-                results.push(hit.clone());
-                continue;
-            }
-            let mut result = ExperimentResult {
-                meta: RunMetadata {
-                    seeds: self.seeds.clone(),
-                    lines_per_workload: self.lines_per_workload,
-                    config_index: config,
-                    grid_cells: n_workloads * n_schemes * n_seeds,
-                },
-                ..ExperimentResult::default()
-            };
-            for workload in 0..n_workloads {
-                for scheme in 0..n_schemes {
-                    let base = ((config * n_workloads + workload) * n_schemes + scheme) * n_seeds;
-                    let mut merged =
-                        cells[base].clone().expect("cells of missed configs are built");
-                    for replicate in &cells[base + 1..base + n_seeds] {
-                        merged
-                            .merge(replicate.as_ref().expect("cells of missed configs are built"));
-                    }
-                    result.cells.push(merged);
-                }
-            }
-            if let (Some(store), Some(key)) = (store, &plan_keys[config]) {
-                cache::save_plan(store, key, &result);
-            }
-            results.push(result);
-        }
-        results
-    }
-
-    /// Highest write intensity among the profile workloads (1.0 minimum,
-    /// matching the sequential harness's scaling rule).
-    fn max_intensity(&self) -> f64 {
-        self.workloads
-            .iter()
-            .filter_map(|w| match w {
-                WorkloadSource::Profile(profile) => Some(profile.write_intensity),
-                _ => None,
-            })
-            .fold(1.0, f64::max)
-    }
-
-    /// Builds a fresh replayable stream for one workload at one base seed.
-    /// Deterministic: the stream derives only from the plan and `seed`, so
-    /// every scheme and every shard sees the identical record sequence.
-    fn make_source<'a>(
-        &'a self,
-        source: &'a WorkloadSource,
-        seed: u64,
-        max_intensity: f64,
-    ) -> Box<dyn TraceSource + Send + 'a> {
-        match source {
-            WorkloadSource::Trace(trace) => Box::new(trace.source()),
-            WorkloadSource::Stream { factory, .. } => factory(seed),
-            WorkloadSource::Profile(profile) => Box::new(TraceStream::new(
-                profile.clone(),
-                workload_stream_seed(seed, &profile.name),
-                self.scaled_lines(profile, max_intensity),
-            )),
-        }
-    }
-
-    /// The scaled trace length of a profile workload (relative write
-    /// intensity, like the paper's grids). Shared between stream
-    /// construction and cache-key derivation so the key always describes
-    /// exactly the stream a cell replays.
-    fn scaled_lines(&self, profile: &WorkloadProfile, max_intensity: f64) -> usize {
-        scaled_workload_lines(self.lines_per_workload, profile, max_intensity)
-    }
-
-    /// Derives the store key of every cell; `None` marks uncacheable cells
-    /// (opaque stream workloads, whose records the engine cannot
-    /// fingerprint). Codec fingerprints are probed once per (scheme, config)
-    /// — candidate selection depends on the config's energy model — and
-    /// trace digests computed once per workload, not once per cell.
-    fn cell_keys(&self, cell_count: usize, max_intensity: f64) -> Vec<Option<CellKey>> {
-        let salt = self.store_salt.clone().unwrap_or_else(cache::effective_salt);
-        // `codec_fps[scheme * configs + config]`.
-        let codec_fps: Vec<Fingerprint> = self
-            .schemes
-            .iter()
-            .flat_map(|(_, source)| {
-                self.configs
-                    .iter()
-                    .map(|config| {
-                        source.with_codec(|codec| cache::codec_fingerprint(codec, &config.energy))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        // Per-workload identity, minus the seed-dependent stream seed.
-        enum Identity {
-            Profile { value: serde::Value, name: String, scaled: u64 },
-            Trace { name: String, digest: Fingerprint },
-            Opaque,
-        }
-        let identities: Vec<Identity> = self
-            .workloads
-            .iter()
-            .map(|workload| match workload {
-                WorkloadSource::Profile(profile) => Identity::Profile {
-                    value: profile.identity_value(),
-                    name: profile.name.clone(),
-                    scaled: self.scaled_lines(profile, max_intensity) as u64,
-                },
-                WorkloadSource::Trace(trace) => Identity::Trace {
-                    name: trace.workload.clone(),
-                    digest: trace.content_fingerprint(),
-                },
-                WorkloadSource::Stream { .. } => Identity::Opaque,
-            })
-            .collect();
-        (0..cell_count)
-            .map(|cell| {
-                let n_seeds = self.seeds.len();
-                let n_schemes = self.schemes.len();
-                let seed = cell % n_seeds;
-                let scheme = (cell / n_seeds) % n_schemes;
-                let workload = (cell / (n_seeds * n_schemes)) % self.workloads.len();
-                let config = cell / (n_seeds * n_schemes * self.workloads.len());
-                let base_seed = self.seeds[seed];
-                let identity = match &identities[workload] {
-                    Identity::Profile { value, name, scaled } => WorkloadIdentity::Profile {
-                        profile: value.clone(),
-                        stream_seed: workload_stream_seed(base_seed, name),
-                        scaled_lines: *scaled,
-                    },
-                    Identity::Trace { name, digest } => {
-                        WorkloadIdentity::Trace { name: name.clone(), digest: *digest }
-                    }
-                    Identity::Opaque => return None,
-                };
-                let label = &self.schemes[scheme].0;
-                Some(CellKey {
-                    salt: salt.clone(),
-                    scheme: label.clone(),
-                    codec: codec_fps[scheme * self.configs.len() + config],
-                    workload: identity,
-                    config: self.configs[config].clone(),
-                    config_index: config as u64,
-                    base_seed,
-                    cell_seed: cell_seed(base_seed, config, label, self.workloads[workload].name()),
-                    verify_integrity: self.verify_integrity,
-                    isolated: self.isolated,
-                })
-            })
-            .collect()
+        self.run_cells(None).0
     }
 
     /// Executes the grid cooperatively with other processes sharing the
@@ -885,205 +544,330 @@ impl ExperimentPlan {
     /// stale/dead-owner takeover exists for.
     ///
     /// Without a writable store there is nothing to coordinate through:
-    /// the plan falls back to a plain [`ExperimentPlan::run_grid`] and the
-    /// report only counts computed cells.
+    /// the run is a plain [`ExperimentPlan::run_grid`], and the report
+    /// counts what it computed, loaded and served from plan entries.
     pub fn run_grid_claimed(
         &self,
         stale_after_secs: u64,
+    ) -> (Vec<ExperimentResult>, ClaimedRunReport) {
+        self.run_cells(Some(stale_after_secs))
+    }
+
+    /// The one cell pipeline behind [`ExperimentPlan::run_grid`] and
+    /// [`ExperimentPlan::run_grid_claimed`] (`stale_after_secs` is `Some`
+    /// for claimed runs).
+    fn run_cells(
+        &self,
+        stale_after_secs: Option<u64>,
     ) -> (Vec<ExperimentResult>, ClaimedRunReport) {
         assert!(!self.schemes.is_empty(), "plan declares no schemes");
         assert!(!self.workloads.is_empty(), "plan declares no workloads");
         assert!(!self.configs.is_empty(), "plan declares no configs");
         assert!(!self.seeds.is_empty(), "plan declares no seeds");
-        let store = match self.resolve_store() {
-            Some(store) if !store.is_read_only() => store,
-            _ => {
-                let results = self.run_grid();
-                let computed = results.iter().map(|r| r.cells.len()).sum();
-                return (results, ClaimedRunReport { computed, ..Default::default() });
-            }
-        };
-        let n_workloads = self.workloads.len();
-        let n_schemes = self.schemes.len();
-        let n_seeds = self.seeds.len();
-        let cells_per_config = n_workloads * n_schemes * n_seeds;
-        let cell_count = self.configs.len() * cells_per_config;
-        let max_intensity = self.max_intensity();
-        let keys = self.cell_keys(cell_count, max_intensity);
+        let cell_count = self.configs.len() * self.cells_per_config();
 
-        let plan_keys: Vec<Option<PlanKey>> = if self.resolve_plan_cache() {
-            (0..self.configs.len()).map(|config| self.plan_key(config, &keys)).collect()
-        } else {
-            (0..self.configs.len()).map(|_| None).collect()
+        // Preamble: every cacheable cell derives a content-addressed key,
+        // and each config's merged result is cached whole under a key
+        // covering every cell fingerprint in the config. A fully warm rerun
+        // is one store read per config and returns here; a config that hits
+        // drops out of the cell loop. The cache can never change a result —
+        // a hit is the byte-identical record of an identical cell.
+        let store = self.resolve_store();
+        let keys: Vec<Option<CellKey>> = match &store {
+            Some(_) => self.cell_keys(),
+            None => (0..cell_count).map(|_| None).collect(),
         };
-        let plan_hits: Vec<Option<ExperimentResult>> = plan_keys
-            .iter()
-            .map(|key| key.as_ref().and_then(|key| cache::load_plan(&store, key)))
+        let plan_cache = self.resolve_plan_cache();
+        let plan_keys: Vec<Option<PlanKey>> = (0..self.configs.len())
+            .map(|config| plan_cache.then(|| self.plan_key(config, &keys)).flatten())
             .collect();
-        let mut report = ClaimedRunReport {
+        let plan_hits: Vec<Option<ExperimentResult>> = {
+            let _span = wlcrc_obs::span("engine.plan_cache_probe");
+            plan_keys.iter().map(|key| cache::load_plan(store.as_ref()?, key.as_ref()?)).collect()
+        };
+        let report = ClaimedRunReport {
             plan_hits: plan_hits.iter().filter(|hit| hit.is_some()).count(),
-            ..Default::default()
+            ..ClaimedRunReport::default()
         };
         if plan_hits.iter().all(Option::is_some) {
-            let results = plan_hits.into_iter().map(|hit| hit.expect("checked all hits")).collect();
-            return (results, report);
+            return (
+                plan_hits.into_iter().map(|hit| hit.expect("checked all hits")).collect(),
+                report,
+            );
         }
 
-        // Each queue item carries its retry count so requeued cells (claim
-        // held elsewhere) back off progressively instead of spinning.
-        let pending: Mutex<VecDeque<(usize, u32)>> = Mutex::new(
-            (0..cell_count)
-                .filter(|&cell| plan_hits[cell / cells_per_config].is_none())
-                .map(|cell| (cell, 0))
-                .collect(),
-        );
-        let slots: Mutex<Vec<Option<SchemeStats>>> =
-            Mutex::new((0..cell_count).map(|_| None).collect());
-        let computed = AtomicUsize::new(0);
-        let loaded = AtomicUsize::new(0);
-        let taken_over = AtomicUsize::new(0);
-
+        // The cell loop. Claims coordinate through a writable store only.
+        let stale_after_secs =
+            stale_after_secs.filter(|_| store.as_ref().is_some_and(|s| !s.is_read_only()));
+        let pending: VecDeque<(usize, u32)> = (0..cell_count)
+            .filter(|&cell| plan_hits[CellCoord::of(self, cell).config].is_none())
+            .map(|cell| (cell, 0))
+            .collect();
+        // Each loop worker owns one cell at a time; spare workers go to its
+        // intra-trace shards.
+        let pool = self.worker_count();
+        let workers = pool.min(pending.len());
+        let shard_workers = (pool / workers).max(1);
+        let shards = self.intra_shard_count();
+        let pending = Mutex::new(pending);
+        let traces: Vec<OnceLock<Arc<Trace>>> =
+            (0..self.workloads.len() * self.seeds.len()).map(|_| OnceLock::new()).collect();
+        let done = Mutex::new(((0..cell_count).map(|_| None).collect::<Vec<_>>(), report));
+        let metrics = grid_metrics();
         let worker = || {
-            let _worker_span = wlcrc_obs::span("engine.worker");
+            let _span = wlcrc_obs::span("engine.worker");
             loop {
                 let Some((cell, attempts)) =
                     pending.lock().expect("queue mutex poisoned").pop_front()
                 else {
                     break;
                 };
-                let Some(key) = &keys[cell] else {
-                    // Uncacheable cell: the store cannot carry it between
-                    // processes, so every process computes it locally.
-                    let stats = self.compute_cell(cell, max_intensity);
-                    slots.lock().expect("slot mutex poisoned")[cell] = Some(stats);
-                    computed.fetch_add(1, Ordering::Relaxed);
-                    grid_metrics().computed.inc();
-                    continue;
-                };
+                let coord = CellCoord::of(self, cell);
+                let key = store.as_ref().zip(keys[cell].as_ref());
                 // Serve-first: a finished cell always wins over any claim
-                // state (the claimant writes the entry before releasing).
-                if let Some(stats) = cache::load_cell(&store, key) {
-                    slots.lock().expect("slot mutex poisoned")[cell] = Some(stats);
-                    loaded.fetch_add(1, Ordering::Relaxed);
-                    grid_metrics().served.inc();
-                    continue;
-                }
-                let fp = Fingerprint::of_value(&key.to_value());
-                // Transient claim-machinery errors get a short bounded
-                // retry before coordination degrades to duplicate work —
-                // an NFS hiccup should not turn a fleet into N full runs.
-                let claim = {
-                    let _span = wlcrc_obs::span_with("engine.claim", || fp.to_hex());
-                    let mut claim = store.try_claim(fp);
-                    for retry in 0..CLAIM_RETRY_ATTEMPTS {
-                        if claim.is_ok() {
-                            break;
-                        }
-                        std::thread::sleep(claim_backoff(retry));
-                        claim = store.try_claim(fp);
+                // state (a claimant writes the entry before releasing).
+                let mut hit = key.and_then(|(store, key)| cache::load_cell(store, key));
+                let mut claim = None;
+                if let (None, Some(stale_after_secs), Some((store, key))) =
+                    (&hit, stale_after_secs, key)
+                {
+                    let fp = Fingerprint::of_value(&key.to_value());
+                    let Some(took_over) = claim_cell(store, fp, stale_after_secs) else {
+                        // Someone live is computing this cell: requeue it
+                        // with a progressively longer backoff, and serve it
+                        // from the store once the holder's entry lands.
+                        pending
+                            .lock()
+                            .expect("queue mutex poisoned")
+                            .push_back((cell, attempts.saturating_add(1)));
+                        std::thread::sleep(claim_backoff(attempts));
+                        continue;
+                    };
+                    // Chaos hook: die *while holding the claim* — the
+                    // injected equivalent of `kill -9` mid-compute. The
+                    // marker is left behind for surviving or later workers
+                    // to judge stale (dead same-host pid) and take over.
+                    // Inert without an explicit WLCRC_FAULTS plan.
+                    if wlcrc_faults::should_fire(FAULT_CLAIM_CRASH) {
+                        eprintln!(
+                            "wlcrc_faults: injected worker crash holding claim {} (cell {cell})",
+                            fp.to_hex()
+                        );
+                        std::process::exit(CLAIM_CRASH_EXIT_CODE);
                     }
-                    claim
-                };
-                let took_over = match claim {
-                    Ok(ClaimOutcome::Acquired) => false,
-                    Ok(ClaimOutcome::Held(holder)) => {
-                        let stale = match &holder {
-                            Some(info) => claim_is_stale(info, stale_after_secs),
-                            // Unreadable marker: judge by its file age so a
-                            // claimant that died mid-create still ages out.
-                            None => marker_age_secs(&store.claim_path(fp))
-                                .is_some_and(|age| age > stale_after_secs),
-                        };
-                        if !stale || store.takeover_claim(fp).is_err() {
-                            // Someone live is computing this cell: requeue
-                            // with a progressively longer backoff and let
-                            // the loop serve it from the store once the
-                            // holder's entry lands.
-                            pending
-                                .lock()
-                                .expect("queue mutex poisoned")
-                                .push_back((cell, attempts.saturating_add(1)));
-                            std::thread::sleep(claim_backoff(attempts));
-                            continue;
-                        }
-                        true
-                    }
-                    // Claim machinery unavailable after retries (e.g.
-                    // claims dir not creatable): coordination degrades to
-                    // duplicate work, never to a missing result.
-                    Err(_) => false,
-                };
-                // Chaos hook: die *while holding the claim* — the injected
-                // equivalent of `kill -9` mid-compute. The marker is left
-                // behind for surviving or later workers to judge stale
-                // (dead same-host pid) and take over. Inert without an
-                // explicit WLCRC_FAULTS plan.
-                if wlcrc_faults::should_fire(FAULT_CLAIM_CRASH) {
-                    eprintln!(
-                        "wlcrc_faults: injected worker crash holding claim {} (cell {cell})",
-                        fp.to_hex()
-                    );
-                    std::process::exit(CLAIM_CRASH_EXIT_CODE);
+                    // Double-check under the claim: the previous holder may
+                    // have finished between the lookup above and the claim,
+                    // and its entry must win.
+                    hit = cache::load_cell(store, key);
+                    claim = Some((store, fp, took_over));
                 }
-                // Double-check under the claim: the previous holder may have
-                // finished (entry written, claim released) between our lookup
-                // above and the claim acquisition, and its entry must win.
-                if let Some(stats) = cache::load_cell(&store, key) {
+                let served = hit.is_some();
+                let stats = hit.unwrap_or_else(|| {
+                    let trace =
+                        traces[coord.trace_index(self)].get_or_init(|| self.build_trace(coord));
+                    let stats = self.simulate_cell(coord, trace, shards, shard_workers);
+                    if let Some((store, key)) = key {
+                        cache::save_cell(store, key, &stats);
+                    }
+                    stats
+                });
+                if let Some((store, fp, _)) = claim {
                     let _ = store.release_claim(fp);
-                    slots.lock().expect("slot mutex poisoned")[cell] = Some(stats);
-                    loaded.fetch_add(1, Ordering::Relaxed);
-                    grid_metrics().served.inc();
-                    continue;
                 }
-                let stats = self.compute_cell(cell, max_intensity);
-                cache::save_cell(&store, key, &stats);
-                let _ = store.release_claim(fp);
-                slots.lock().expect("slot mutex poisoned")[cell] = Some(stats);
-                computed.fetch_add(1, Ordering::Relaxed);
-                grid_metrics().computed.inc();
-                if took_over {
-                    taken_over.fetch_add(1, Ordering::Relaxed);
-                    grid_metrics().stolen.inc();
+                let mut done = done.lock().expect("cell mutex poisoned");
+                let (cells, report) = &mut *done;
+                cells[cell] = Some(stats);
+                if served {
+                    report.loaded += 1;
+                    metrics.served.inc();
+                } else {
+                    report.computed += 1;
+                    metrics.computed.inc();
+                    if claim.is_some_and(|(_, _, took_over)| took_over) {
+                        report.taken_over += 1;
+                        metrics.stolen.inc();
+                    }
                 }
             }
         };
-        let workers = self.worker_count().clamp(1, cell_count.max(1));
-        if workers == 1 {
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker);
-                }
-            });
+        {
+            let _span = wlcrc_obs::span("engine.simulate");
+            parallel_tasks(workers, workers, |_| worker());
         }
 
-        report.computed = computed.into_inner();
-        report.loaded = loaded.into_inner();
-        report.taken_over = taken_over.into_inner();
-        let cells = slots.into_inner().expect("slot mutex poisoned");
-        let results = self.merge_grid(&cells, &plan_hits, &plan_keys, Some(&store));
-        (results, report)
+        // Deterministic merge, seed-minor so replicate order is fixed by the
+        // plan, not by scheduling.
+        let (cells, report) = done.into_inner().expect("cell mutex poisoned");
+        (self.merge_grid(&cells, &plan_hits, &plan_keys, store.as_ref()), report)
     }
 
-    /// Simulates one whole grid cell (single shard) — the claimed runner's
-    /// unit of work, byte-identical to the sharded path by the engine's
-    /// determinism rules.
-    fn compute_cell(&self, cell: usize, max_intensity: f64) -> SchemeStats {
-        let n_seeds = self.seeds.len();
-        let n_schemes = self.schemes.len();
-        let n_workloads = self.workloads.len();
-        let seed = cell % n_seeds;
-        let scheme = (cell / n_seeds) % n_schemes;
-        let workload = (cell / (n_seeds * n_schemes)) % n_workloads;
-        let config = cell / (n_seeds * n_schemes * n_workloads);
-        let lanes = self.run_cell_shard(config, scheme, workload, seed, 0, 1, max_intensity, None);
-        merge_bank_stats(
-            &self.schemes[scheme].0,
-            self.workloads[workload].name(),
-            self.configs[config].total_banks(),
-            lanes,
-        )
+    /// The one canonical grid merge: merges each config's per-cell
+    /// statistics seed-minor in grid order, substitutes plan-level hits
+    /// verbatim, and writes plan entries for freshly merged configs so the
+    /// next identical run is one read.
+    fn merge_grid(
+        &self,
+        cells: &[Option<SchemeStats>],
+        plan_hits: &[Option<ExperimentResult>],
+        plan_keys: &[Option<PlanKey>],
+        store: Option<&ResultStore>,
+    ) -> Vec<ExperimentResult> {
+        let _span = wlcrc_obs::span("engine.merge_grid");
+        let configs = cells.chunks(self.cells_per_config()).zip(plan_hits).zip(plan_keys);
+        let mut results = Vec::with_capacity(self.configs.len());
+        for (config, ((cells, plan_hit), plan_key)) in configs.enumerate() {
+            if let Some(hit) = plan_hit {
+                results.push(hit.clone());
+                continue;
+            }
+            let mut result = ExperimentResult {
+                meta: RunMetadata {
+                    seeds: self.seeds.clone(),
+                    lines_per_workload: self.lines_per_workload,
+                    config_index: config,
+                    grid_cells: cells.len(),
+                },
+                ..ExperimentResult::default()
+            };
+            // Seeds vary fastest, so each chunk holds one (workload, scheme)
+            // pair's replicates in seed order.
+            for replicates in cells.chunks(self.seeds.len()) {
+                let mut replicates = replicates
+                    .iter()
+                    .map(|cell| cell.as_ref().expect("cells of missed configs are built"));
+                let mut merged = replicates.next().expect("seed axis is not empty").clone();
+                for replicate in replicates {
+                    merged.merge(replicate);
+                }
+                result.cells.push(merged);
+            }
+            if let (Some(store), Some(key)) = (store, plan_key) {
+                cache::save_plan(store, key, &result);
+            }
+            results.push(result);
+        }
+        results
+    }
+
+    /// Number of cells per config (workload × scheme × seed).
+    fn cells_per_config(&self) -> usize {
+        self.workloads.len() * self.schemes.len() * self.seeds.len()
+    }
+
+    /// Highest write intensity among the profile workloads (1.0 minimum,
+    /// matching the sequential harness's scaling rule).
+    fn max_intensity(&self) -> f64 {
+        self.workloads
+            .iter()
+            .filter_map(|w| match w {
+                WorkloadSource::Profile(profile) => Some(profile.write_intensity),
+                _ => None,
+            })
+            .fold(1.0, f64::max)
+    }
+
+    /// Builds the trace that every cell of `coord`'s (workload, seed) pair
+    /// replays. Deterministic: it derives only from the plan and the base
+    /// seed. Traces added with [`ExperimentPlan::trace`] are used as given.
+    fn build_trace(&self, coord: CellCoord) -> Arc<Trace> {
+        let seed = self.seeds[coord.seed];
+        Arc::new(match &self.workloads[coord.workload] {
+            WorkloadSource::Trace(trace) => return Arc::clone(trace),
+            WorkloadSource::Stream { factory, .. } => factory(seed).collect_trace(),
+            WorkloadSource::Profile(profile) => TraceStream::new(
+                profile.clone(),
+                workload_stream_seed(seed, &profile.name),
+                self.scaled_lines(profile),
+            )
+            .collect_trace(),
+        })
+    }
+
+    /// The scaled trace length of a profile workload (relative write
+    /// intensity, like the paper's grids). Shared between trace
+    /// construction and cache-key derivation so the key always describes
+    /// exactly the trace a cell replays.
+    fn scaled_lines(&self, profile: &WorkloadProfile) -> usize {
+        scaled_workload_lines(self.lines_per_workload, profile, self.max_intensity())
+    }
+
+    /// Derives the store key of every cell; `None` marks uncacheable cells
+    /// (opaque stream workloads, whose records the engine cannot
+    /// fingerprint). Codec fingerprints are probed once per (scheme, config)
+    /// — candidate selection depends on the config's energy model — and
+    /// trace digests computed once per workload, not once per cell.
+    fn cell_keys(&self) -> Vec<Option<CellKey>> {
+        let salt = self.store_salt.clone().unwrap_or_else(cache::effective_salt);
+        // `codec_fps[scheme * configs + config]`.
+        let codec_fps: Vec<Fingerprint> = self
+            .schemes
+            .iter()
+            .flat_map(|(_, source)| {
+                self.configs
+                    .iter()
+                    .map(|config| {
+                        source.with_codec(|codec| cache::codec_fingerprint(codec, &config.energy))
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        // Per-workload identity, minus the seed-dependent stream seed.
+        enum Identity {
+            Profile { value: serde::Value, name: String, scaled: u64 },
+            Trace { name: String, digest: Fingerprint },
+            Opaque,
+        }
+        let identities: Vec<Identity> = self
+            .workloads
+            .iter()
+            .map(|workload| match workload {
+                WorkloadSource::Profile(profile) => Identity::Profile {
+                    value: profile.identity_value(),
+                    name: profile.name.clone(),
+                    scaled: self.scaled_lines(profile) as u64,
+                },
+                WorkloadSource::Trace(trace) => Identity::Trace {
+                    name: trace.workload.clone(),
+                    digest: trace.content_fingerprint(),
+                },
+                WorkloadSource::Stream { .. } => Identity::Opaque,
+            })
+            .collect();
+        (0..self.configs.len() * self.cells_per_config())
+            .map(|cell| {
+                let coord = CellCoord::of(self, cell);
+                let base_seed = self.seeds[coord.seed];
+                let identity = match &identities[coord.workload] {
+                    Identity::Profile { value, name, scaled } => WorkloadIdentity::Profile {
+                        profile: value.clone(),
+                        stream_seed: workload_stream_seed(base_seed, name),
+                        scaled_lines: *scaled,
+                    },
+                    Identity::Trace { name, digest } => {
+                        WorkloadIdentity::Trace { name: name.clone(), digest: *digest }
+                    }
+                    Identity::Opaque => return None,
+                };
+                let label = &self.schemes[coord.scheme].0;
+                Some(CellKey {
+                    salt: salt.clone(),
+                    scheme: label.clone(),
+                    codec: codec_fps[coord.scheme * self.configs.len() + coord.config],
+                    workload: identity,
+                    config: self.configs[coord.config].clone(),
+                    config_index: coord.config as u64,
+                    base_seed,
+                    cell_seed: cell_seed(
+                        base_seed,
+                        coord.config,
+                        label,
+                        self.workloads[coord.workload].name(),
+                    ),
+                    verify_integrity: self.verify_integrity,
+                    isolated: self.isolated,
+                })
+            })
+            .collect()
     }
 
     /// Resolves plan-level caching: explicit override, otherwise on.
@@ -1094,7 +878,7 @@ impl ExperimentPlan {
     /// Derives config `config`'s plan key from the full grid's cell keys;
     /// `None` when any cell in the config is uncacheable.
     fn plan_key(&self, config: usize, keys: &[Option<CellKey>]) -> Option<PlanKey> {
-        let cells_per_config = self.workloads.len() * self.schemes.len() * self.seeds.len();
+        let cells_per_config = self.cells_per_config();
         let slice = &keys[config * cells_per_config..(config + 1) * cells_per_config];
         let cells: Option<Vec<Fingerprint>> = slice
             .iter()
@@ -1114,13 +898,11 @@ impl ExperimentPlan {
     /// The plan-level store fingerprint of every config on the axis (`None`
     /// for configs containing uncacheable cells). Exposed so tests — and
     /// operators debugging cache behaviour — can check two plans will share
-    /// plan entries without running either: worker, shard and materialise
-    /// knobs must never move these, while salt, scheme, workload, seed and
-    /// config edits must.
+    /// plan entries without running either: worker and shard knobs must
+    /// never move these, while salt, scheme, workload, seed and config
+    /// edits must.
     pub fn plan_fingerprints(&self) -> Vec<Option<Fingerprint>> {
-        let cell_count =
-            self.configs.len() * self.workloads.len() * self.schemes.len() * self.seeds.len();
-        let keys = self.cell_keys(cell_count, self.max_intensity());
+        let keys = self.cell_keys();
         (0..self.configs.len())
             .map(|config| self.plan_key(config, &keys).map(|key| key.fingerprint()))
             .collect()
@@ -1132,9 +914,7 @@ impl ExperimentPlan {
     /// diffing it against a stored entry names exactly which cells moved —
     /// the `storectl why` plan-cache-miss post-mortem.
     pub fn plan_cell_fingerprints(&self) -> Vec<Option<Vec<Fingerprint>>> {
-        let cell_count =
-            self.configs.len() * self.workloads.len() * self.schemes.len() * self.seeds.len();
-        let keys = self.cell_keys(cell_count, self.max_intensity());
+        let keys = self.cell_keys();
         (0..self.configs.len())
             .map(|config| self.plan_key(config, &keys).map(|key| key.cells))
             .collect()
@@ -1144,8 +924,7 @@ impl ExperimentPlan {
     /// order as a plan key's recorded `cells` list (workload-major, then
     /// scheme, then seed — the grid order everywhere in the engine).
     pub fn cell_labels(&self) -> Vec<String> {
-        let mut out =
-            Vec::with_capacity(self.workloads.len() * self.schemes.len() * self.seeds.len());
+        let mut out = Vec::with_capacity(self.cells_per_config());
         for workload in &self.workloads {
             for (label, _) in &self.schemes {
                 for seed in &self.seeds {
@@ -1156,88 +935,75 @@ impl ExperimentPlan {
         out
     }
 
-    /// Runs one intra-trace shard of one grid cell, returning the per-bank
-    /// partial statistics of the banks this shard owns.
-    #[allow(clippy::too_many_arguments)]
-    fn run_cell_shard(
+    /// Simulates one cell: its intra-trace shards replay `trace` on up to
+    /// `workers` threads, each simulating only the banks it owns, and the
+    /// per-bank partials merge in ascending bank order — the one canonical
+    /// order, whatever the shard count.
+    fn simulate_cell(
         &self,
-        config_index: usize,
-        scheme_index: usize,
-        workload_index: usize,
-        seed_index: usize,
-        shard: usize,
+        coord: CellCoord,
+        trace: &Trace,
         shards: usize,
-        max_intensity: f64,
-        shared: Option<&[Option<Arc<Trace>>]>,
-    ) -> Vec<BankStats> {
-        let (label, codec_source) = &self.schemes[scheme_index];
-        let workload = &self.workloads[workload_index];
-        let base_seed = self.seeds[seed_index];
-        let _span = wlcrc_obs::span_with("engine.cell", || {
-            let mut cell_label = format!("{label}×{}×seed{base_seed}", workload.name());
-            if shards > 1 {
-                cell_label.push_str(&format!("×shard{shard}/{shards}"));
-            }
-            cell_label
+        workers: usize,
+    ) -> SchemeStats {
+        let (label, codec_source) = &self.schemes[coord.scheme];
+        let workload = self.workloads[coord.workload].name();
+        let base_seed = self.seeds[coord.seed];
+        let config = &self.configs[coord.config];
+        let simulator = Simulator::with_config(config.clone()).with_options(SimulationOptions {
+            seed: cell_seed(base_seed, coord.config, label, workload),
+            verify_integrity: self.verify_integrity,
+            sample_disturbance: true,
         });
-        let simulator = Simulator::with_config(self.configs[config_index].clone()).with_options(
-            SimulationOptions {
-                seed: cell_seed(base_seed, config_index, label, workload.name()),
-                verify_integrity: self.verify_integrity,
-                sample_disturbance: true,
-            },
-        );
-        codec_source.with_codec(|codec| {
-            let run = |source: Box<dyn TraceSource + Send + '_>| {
+        let partials = parallel_tasks(shards, workers, |shard| {
+            let _span = wlcrc_obs::span_with("engine.cell", || {
+                let mut cell_label = format!("{label}×{workload}×seed{base_seed}");
+                if shards > 1 {
+                    cell_label.push_str(&format!("×shard{shard}/{shards}"));
+                }
+                cell_label
+            });
+            codec_source.with_codec(|codec| {
                 if self.isolated {
-                    simulator.run_isolated_shard(codec, source, shard, shards)
+                    simulator.run_isolated_shard(codec, trace, shard, shards)
                 } else {
-                    simulator.run_shard(codec, source, shard, shards)
+                    simulator.run_shard(codec, trace, shard, shards)
                 }
-            };
-            match shared {
-                Some(traces) => {
-                    let trace = traces[workload_index * self.seeds.len() + seed_index]
-                        .as_ref()
-                        .expect("trace materialised for every missed cell");
-                    run(Box::new(trace.source()))
-                }
-                None => run(self.make_source(workload, base_seed, max_intensity)),
-            }
-        })
+            })
+        });
+        let _span = wlcrc_obs::span("engine.merge");
+        merge_bank_stats(label, workload, config.total_banks(), partials.into_iter().flatten())
+    }
+}
+
+/// A grid cell's coordinates. Cells are numbered config-major, then by
+/// workload and scheme, with the seed varying fastest: the order of the
+/// merged results and of a plan key's recorded cells.
+#[derive(Debug, Clone, Copy)]
+struct CellCoord {
+    config: usize,
+    workload: usize,
+    scheme: usize,
+    seed: usize,
+}
+
+impl CellCoord {
+    /// The coordinates of cell index `cell` in `plan`'s grid.
+    fn of(plan: &ExperimentPlan, cell: usize) -> CellCoord {
+        let seeds = plan.seeds.len();
+        let schemes = plan.schemes.len();
+        let workloads = plan.workloads.len();
+        CellCoord {
+            config: cell / (seeds * schemes * workloads),
+            workload: cell / (seeds * schemes) % workloads,
+            scheme: cell / seeds % schemes,
+            seed: cell % seeds,
+        }
     }
 
-    /// Resolves the intra-trace shard count: explicit override, then
-    /// `WLCRC_INTRA_SHARDS`, then spare-worker policy (idle workers divided
-    /// over the grid's cells, 1 when the grid alone fills the pool). Always
-    /// clamped to the largest bank count on the config axis — a shard that
-    /// owns no bank would replay its stream only to discard every record.
-    fn resolve_intra_shards(&self, cell_count: usize) -> usize {
-        let max_banks = self.configs.iter().map(PcmConfig::total_banks).max().unwrap_or(1).max(1);
-        if let Some(shards) = self.intra_shards {
-            return shards.clamp(1, max_banks);
-        }
-        if let Some(shards) =
-            std::env::var(INTRA_SHARDS_ENV).ok().as_deref().and_then(parse_thread_count)
-        {
-            return shards.min(max_banks);
-        }
-        if cell_count == 0 {
-            return 1;
-        }
-        (self.worker_count() / cell_count).clamp(1, max_banks)
-    }
-
-    /// Resolves the materialisation mode: explicit override, then
-    /// `WLCRC_MATERIALISE`, then streaming (off).
-    fn resolve_materialise(&self) -> bool {
-        if let Some(materialise) = self.materialise {
-            return materialise;
-        }
-        std::env::var(MATERIALISE_ENV).is_ok_and(|value| {
-            let value = value.trim();
-            ["1", "true", "yes", "on"].iter().any(|accepted| value.eq_ignore_ascii_case(accepted))
-        })
+    /// The index of the cell's (workload, seed) trace among `plan`'s.
+    fn trace_index(self, plan: &ExperimentPlan) -> usize {
+        self.workload * plan.seeds.len() + self.seed
     }
 }
 
@@ -1245,8 +1011,8 @@ impl ExperimentPlan {
 /// doing: its share of the division of labour, for logs and tests.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ClaimedRunReport {
-    /// Cells this process simulated (claim acquired, taken over, or
-    /// uncacheable).
+    /// Cells this process simulated (claimed, taken over, uncacheable, or
+    /// run without a writable store).
     pub computed: usize,
     /// Cells served from the store — computed in an earlier run or by
     /// another worker process.
@@ -1257,16 +1023,16 @@ pub struct ClaimedRunReport {
     pub plan_hits: usize,
 }
 
-/// Claimed-grid-runner counters, published through the process-global
+/// Grid-runner counters, published through the process-global
 /// `wlcrc_obs` registry as the `wlcrc_grid_*` families.
 ///
-/// [`ExperimentPlan::run_grid_claimed`] bumps these as its workers make
-/// progress, so a long run can be watched live — `wlcrc-gridrun` prints a
-/// periodic stderr progress report from them — and a scrape in the same
-/// process sees the totals.
+/// Every grid run — [`ExperimentPlan::run_grid`] and
+/// [`ExperimentPlan::run_grid_claimed`] alike — bumps these as its workers
+/// make progress, so a long run can be watched live — `wlcrc-gridrun`
+/// prints a periodic stderr progress report from them — and a scrape in the
+/// same process sees the totals.
 pub struct GridMetrics {
-    /// Cells this process simulated (claim acquired, taken over, or
-    /// uncacheable).
+    /// Cells this process simulated.
     pub computed: &'static wlcrc_obs::Counter,
     /// Cells served from the store (computed earlier or by another worker).
     pub served: &'static wlcrc_obs::Counter,
@@ -1274,7 +1040,7 @@ pub struct GridMetrics {
     pub stolen: &'static wlcrc_obs::Counter,
 }
 
-/// The claimed runner's metric handles (find-or-create on first call).
+/// The grid runner's metric handles (find-or-create on first call).
 pub fn grid_metrics() -> &'static GridMetrics {
     static METRICS: std::sync::LazyLock<GridMetrics> = std::sync::LazyLock::new(|| {
         let registry = wlcrc_obs::registry();
@@ -1306,6 +1072,40 @@ const CLAIM_RETRY_ATTEMPTS: u32 = 3;
 /// the growth keeps a long wait from spinning the filesystem.
 fn claim_backoff(attempt: u32) -> Duration {
     Duration::from_millis((2u64 << attempt.min(6)).min(128))
+}
+
+/// Claims the cell whose key fingerprint is `fp`. `Some(took_over)` means
+/// this process computes the cell: the claim was acquired, a stale claim
+/// was taken over, or the claim machinery stayed unavailable after retries
+/// (coordination then degrades to duplicate work, never to a missing
+/// result). `None` means a live worker holds the claim.
+fn claim_cell(store: &ResultStore, fp: Fingerprint, stale_after_secs: u64) -> Option<bool> {
+    let _span = wlcrc_obs::span_with("engine.claim", || fp.to_hex());
+    // Transient claim-machinery errors get a short bounded retry before
+    // coordination degrades to duplicate work — an NFS hiccup should not
+    // turn a fleet into N full runs.
+    let mut claim = store.try_claim(fp);
+    for retry in 0..CLAIM_RETRY_ATTEMPTS {
+        if claim.is_ok() {
+            break;
+        }
+        std::thread::sleep(claim_backoff(retry));
+        claim = store.try_claim(fp);
+    }
+    match claim {
+        Ok(ClaimOutcome::Acquired) | Err(_) => Some(false),
+        Ok(ClaimOutcome::Held(holder)) => {
+            let stale = match &holder {
+                Some(info) => claim_is_stale(info, stale_after_secs),
+                // Unreadable marker: judge by its file age so a claimant
+                // that died mid-create still ages out.
+                None => {
+                    marker_age_secs(&store.claim_path(fp)).is_some_and(|age| age > stale_after_secs)
+                }
+            };
+            (stale && store.takeover_claim(fp).is_ok()).then_some(true)
+        }
+    }
 }
 
 /// Age in seconds of a claim-marker file, from its mtime; `None` when the
@@ -1465,8 +1265,9 @@ mod tests {
 
     #[test]
     fn streamed_and_materialised_pipelines_are_byte_identical() {
-        // All twelve standard workloads, streamed vs materialised, sharded
-        // and not: four executions of the same grid, one result.
+        // All twelve standard workloads: the engine, which builds each trace
+        // once and shares it, sharded and not, against a plain streamed
+        // `Simulator::run` of every cell.
         let plan = || {
             ExperimentPlan::new()
                 .store_enabled(false)
@@ -1475,21 +1276,32 @@ mod tests {
                 .workloads(Benchmark::ALL.iter().map(|b| b.profile()))
                 .scheme("Baseline", || Box::new(RawCodec::new()))
         };
-        let streamed = plan().materialise_traces(false).run();
-        let materialised = plan().materialise_traces(true).run();
-        let streamed_sharded = plan().materialise_traces(false).intra_trace_shards(4).run();
-        let materialised_sharded = plan().materialise_traces(true).intra_trace_shards(4).run();
-        assert_eq!(streamed, materialised);
-        assert_eq!(streamed, streamed_sharded);
-        assert_eq!(streamed, materialised_sharded);
-        assert_eq!(streamed.cells.len(), 12);
+        let materialised = plan().intra_trace_shards(1).run();
+        assert_eq!(materialised, plan().intra_trace_shards(4).run());
+        assert_eq!(materialised.cells.len(), 12);
+        let max_intensity = plan().max_intensity();
+        for (benchmark, cell) in Benchmark::ALL.iter().zip(&materialised.cells) {
+            let profile = benchmark.profile();
+            let stream = TraceStream::new(
+                profile.clone(),
+                workload_stream_seed(5, &profile.name),
+                scaled_workload_lines(30, &profile, max_intensity),
+            );
+            let options = SimulationOptions {
+                seed: cell_seed(5, 0, "Baseline", &profile.name),
+                ..SimulationOptions::default()
+            };
+            let mut streamed = Simulator::new().with_options(options).run(&RawCodec::new(), stream);
+            streamed.scheme = "Baseline".to_string();
+            assert_eq!(&streamed, cell, "{benchmark:?}");
+        }
     }
 
     #[test]
-    fn bounded_memory_source_streams_long_traces() {
-        // A custom bounded-memory source: every record is computed from its
-        // index, so peak memory stays O(working-set) however long the trace.
-        // (At 64 lines the working set spans every bank of the Table II
+    fn long_custom_sources_replay_across_shards() {
+        // A custom source whose records are computed from their index. The
+        // engine builds its trace once and every shard replays it. (At 64
+        // lines the working set spans every bank of the Table II
         // organisation.)
         let count = 20_000u64;
         let source_factory = |seed: u64| {
@@ -1518,6 +1330,30 @@ mod tests {
         assert_eq!(stats.bank_writes.iter().sum::<u64>(), count);
         assert_eq!(stats.banks_touched(), 64, "64-line stride touches every bank");
         assert_eq!(sharded, plan().intra_trace_shards(1).run());
+    }
+
+    #[test]
+    fn each_trace_is_built_once_per_run() {
+        // Three schemes, two seeds, four shards on two workers: twelve
+        // cells and 48 shard replays share two traces, one per seed.
+        let plan = |calls: Arc<AtomicUsize>| {
+            ExperimentPlan::new()
+                .store_enabled(false)
+                .seeds([3, 4])
+                .source("counted", move |seed| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    Box::new(TraceStream::new(Benchmark::Gcc.profile(), seed, 40))
+                        as Box<dyn TraceSource + Send>
+                })
+                .scheme("Baseline", || Box::new(RawCodec::new()))
+                .scheme_boxed("Shared", Box::new(RawCodec::new()))
+                .scheme("Remapped", remapped_raw)
+        };
+        let calls = Arc::new(AtomicUsize::new(0));
+        let sharded = plan(Arc::clone(&calls)).threads(2).intra_trace_shards(4).run();
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "one trace per (workload, seed) pair");
+        let sequential = plan(Arc::default()).threads(1).intra_trace_shards(1).run();
+        assert_eq!(sharded, sequential);
     }
 
     #[test]
@@ -1665,13 +1501,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_store_disabled_matches_store_enabled_false() {
-        // The legacy spelling must stay byte-equivalent until it is removed.
-        assert_eq!(small_plan().run(), small_plan().store_disabled().run());
-    }
-
-    #[test]
     fn store_disabled_cold_and_warm_runs_are_byte_identical() {
         let scratch = Scratch::new("cold-warm");
         let plan = || small_plan().seeds([3, 4]).threads(2);
@@ -1760,7 +1589,6 @@ mod tests {
         // results, so they must not fragment the cache).
         assert_eq!(base, small_plan().threads(7).plan_fingerprints());
         assert_eq!(base, small_plan().intra_trace_shards(4).plan_fingerprints());
-        assert_eq!(base, small_plan().materialise_traces(true).plan_fingerprints());
         // Identity edits must move it.
         assert_ne!(base, small_plan().seed(4).plan_fingerprints());
         assert_ne!(base, small_plan().lines_per_workload(41).plan_fingerprints());
@@ -2002,7 +1830,7 @@ mod tests {
         };
         // Plant an aged foreign claim on the grid's one cell.
         let store = ResultStore::open(&scratch.0).unwrap();
-        let keys = plan().cell_keys(1, plan().max_intensity());
+        let keys = plan().cell_keys();
         let fp = Fingerprint::of_value(&keys[0].as_ref().unwrap().to_value());
         let path = store.claim_path(fp);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -2017,10 +1845,25 @@ mod tests {
 
     #[test]
     fn claimed_runs_without_a_store_fall_back_to_run_grid() {
-        let (results, report) = small_plan().run_grid_claimed(60);
-        assert_eq!(results, small_plan().run_grid());
-        assert_eq!(report.computed, results[0].cells.len());
+        let plan = || small_plan().seeds([3, 4]);
+        let (results, report) = plan().run_grid_claimed(60);
+        assert_eq!(results, plan().run_grid());
+        // 3 workloads × 2 schemes × 2 seeds grid cells, not merged cells.
+        assert_eq!(report.computed, 12);
         assert_eq!(report.loaded, 0);
+    }
+
+    #[test]
+    fn claimed_runs_on_a_warm_read_only_store_count_the_plan_hit() {
+        let scratch = Scratch::new("claimed-readonly");
+        let plan = || small_plan().seeds([3, 4]).store(&scratch.0);
+        let cold = plan().store_readonly(false).run_grid();
+        let (warm, report) = plan().store_readonly(true).run_grid_claimed(60);
+        assert_eq!(cold, warm);
+        assert_eq!(
+            report,
+            ClaimedRunReport { computed: 0, loaded: 0, taken_over: 0, plan_hits: 1 }
+        );
     }
 
     #[test]

@@ -53,8 +53,7 @@ pub use cache::{CellKey, PlanKey, SIMULATOR_VERSION_SALT, STORE_SALT_ENV};
 pub use engine::{
     cell_seed, grid_metrics, resolve_worker_count, scaled_workload_lines, workload_stream_seed,
     ClaimedRunReport, ExperimentPlan, GridMetrics, TraceSourceFactory, CLAIM_CRASH_EXIT_CODE,
-    FAULT_CLAIM_CRASH, INTRA_SHARDS_ENV, MATERIALISE_ENV, STORE_ENV, STORE_READONLY_ENV,
-    THREADS_ENV,
+    FAULT_CLAIM_CRASH, INTRA_SHARDS_ENV, STORE_ENV, STORE_READONLY_ENV, THREADS_ENV,
 };
 pub use experiment::{run_schemes_on_workloads, ExperimentResult, RunMetadata};
 pub use memory::MemoryOrganization;

@@ -22,8 +22,9 @@
 //! Traces are consumed through the [`source::TraceSource`] streaming
 //! abstraction: a bounded iterator of records labelled with its workload.
 //! [`source::TraceStream`] generates records lazily in O(working-set) memory;
-//! [`record::Trace`] remains as a thin materialised adapter
-//! ([`record::Trace::source`]) for tests and small workloads.
+//! [`record::Trace`] is the materialised form ([`record::Trace::source`]),
+//! which the experiment engine builds once per (workload, seed) and shares
+//! across schemes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,12 +1,9 @@
 //! Streaming trace sources.
 //!
-//! The materialise-then-run pipeline of the early releases built every trace
-//! as a `Vec<WriteRecord>` before simulating it, so peak memory grew linearly
-//! with trace length and a single huge workload could not be processed at
-//! all. [`TraceSource`] replaces that: a trace is an *iterator* of
-//! [`WriteRecord`]s labelled with the workload that produced it, generated
-//! lazily one record at a time. [`Trace`] stays available as a thin
-//! materialised adapter ([`Trace::source`]) for tests and back-compat.
+//! A [`TraceSource`] is a trace as an *iterator* of [`WriteRecord`]s
+//! labelled with the workload that produced it, generated lazily one record
+//! at a time, so a simulator fed one holds O(working-set) memory however
+//! long the trace. [`Trace`] is the materialised form ([`Trace::source`]).
 //!
 //! Three families of sources ship with the crate:
 //!
@@ -28,8 +25,8 @@ use crate::record::{Trace, WriteRecord};
 /// A `TraceSource` is an `Iterator<Item = WriteRecord>` plus the name of the
 /// workload that produced the records. Implementations are expected to be
 /// *deterministic*: constructing the same source twice must yield the same
-/// record sequence, because the experiment engine replays a source once per
-/// bank-partition worker instead of buffering records for them.
+/// record sequence, so that reruns, shards and served sessions replay the
+/// same records.
 pub trait TraceSource: Iterator<Item = WriteRecord> {
     /// Name of the workload producing this stream.
     fn workload(&self) -> &str;

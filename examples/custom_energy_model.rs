@@ -21,8 +21,8 @@ fn main() {
     println!("custom device: {}", config.energy);
 
     // The custom device plugs straight into an ExperimentPlan: the grid
-    // (2 schemes × 4 workloads) runs on the worker pool against it, with
-    // each workload streamed lazily instead of materialised up front.
+    // (2 schemes × 4 workloads) runs on the worker pool against it, and
+    // both schemes replay each workload's trace, built once.
     let benchmarks = [Benchmark::Leslie3d, Benchmark::Gcc, Benchmark::Mcf, Benchmark::Libquantum];
     let mut plan = ExperimentPlan::new().seed(3).config(config);
     for benchmark in benchmarks {

@@ -8,15 +8,14 @@ use wlcrc_repro::{
     Benchmark, Compressor, ExperimentPlan, RawCodec, TraceSource, TraceStream, Wlc, WlcCosetCodec,
 };
 
-/// One lazy stream per benchmark: nothing is materialised; the engine
-/// replays the stream per scheme (and per bank-partition shard), so peak
-/// memory stays O(working-set) however many lines are simulated.
+/// One lazy stream per benchmark: the engine builds its trace once, and
+/// every scheme (and bank-partition shard) replays it.
 fn stream(benchmark: Benchmark) -> TraceStream {
     TraceStream::new(benchmark.profile(), 99, 1500)
 }
 
 fn main() {
-    // Run the whole (2 schemes × 12 workloads) grid through the streaming
+    // Run the whole (2 schemes × 12 workloads) grid through the
     // ExperimentPlan engine before printing the per-benchmark breakdown.
     let mut plan = ExperimentPlan::new().seed(5).verify_integrity(false);
     for benchmark in Benchmark::ALL {

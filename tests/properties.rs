@@ -254,16 +254,15 @@ proptest! {
 
     /// The plan-level cache key must be a pure function of the grid's
     /// *identity* (salt, seeds, trace length, workloads, schemes) and blind
-    /// to every *execution* knob (workers, intra-trace shards, pipeline
-    /// mode) — otherwise a rerun at different parallelism would miss the
-    /// plan entry, or worse, two distinct grids would collide on one.
+    /// to every *execution* knob (workers, intra-trace shards) — otherwise a
+    /// rerun at different parallelism would miss the plan entry, or worse,
+    /// two distinct grids would collide on one.
     #[test]
     fn plan_level_key_tracks_identity_and_ignores_execution_knobs(
         seed in 0u64..1_000,
         lines in 10usize..200,
         threads in 1usize..8,
         shards in 1usize..8,
-        materialise in any::<bool>(),
     ) {
         use wlcrc_repro::memsim::ExperimentPlan;
         use wlcrc_repro::trace::Benchmark;
@@ -283,7 +282,6 @@ proptest! {
         let knobs = build(seed, lines, 2, 2)
             .threads(threads)
             .intra_trace_shards(shards)
-            .materialise_traces(materialise)
             .plan_fingerprints()[0]
             .expect("cacheable grid");
         prop_assert_eq!(base, knobs, "execution knobs must not change the plan key");

@@ -133,32 +133,55 @@ fn simulator_is_reproducible_across_runs() {
 
 #[test]
 fn streaming_pipeline_matches_materialised_baseline_for_every_scheme() {
-    // The end-to-end acceptance criterion of the streaming refactor: for
-    // every standard scheme over all twelve standard workloads, the streamed
-    // bank-sharded pipeline must be byte-identical to the materialised
-    // sequential baseline at WLCRC_THREADS ∈ {1, 4} and 1 vs 4 intra-trace
-    // bank-partitions.
+    // For every standard scheme over all twelve standard workloads, the
+    // engine, which builds each trace once and shares it across schemes and
+    // shards, must be byte-identical at WLCRC_THREADS ∈ {1, 4} and 1 vs 4
+    // intra-trace bank-partitions, and each of its cells must equal a
+    // streamed `Simulator::run` of that cell.
+    use wlcrc_repro::memsim::{cell_seed, scaled_workload_lines, workload_stream_seed};
+    use wlcrc_repro::trace::TraceStream;
+    let profiles = WorkloadProfile::all_benchmarks();
     let build = || {
         let mut plan = wlcrc_repro::memsim::ExperimentPlan::new()
             .store_enabled(false)
             .seed(42)
             .lines_per_workload(40)
-            .workloads(wlcrc_repro::trace::WorkloadProfile::all_benchmarks());
+            .workloads(profiles.clone());
         for (id, factory) in wlcrc_repro::wlcrc::schemes::standard_factories() {
             plan = plan.scheme_factory(id.label(), factory);
         }
         plan
     };
-    let baseline = build().threads(1).intra_trace_shards(1).materialise_traces(true).run();
+    let baseline = build().threads(1).intra_trace_shards(1).run();
     let variants = [
-        build().threads(1).intra_trace_shards(1).materialise_traces(false).run(),
-        build().threads(4).intra_trace_shards(4).materialise_traces(false).run(),
-        build().threads(4).intra_trace_shards(4).materialise_traces(true).run(),
+        build().threads(4).intra_trace_shards(1).run(),
+        build().threads(4).intra_trace_shards(4).run(),
     ];
     for (i, variant) in variants.iter().enumerate() {
         assert_eq!(&baseline, variant, "variant {i} diverged from the sequential baseline");
     }
     assert_eq!(baseline.cells.len(), 12 * 8);
+
+    let max_intensity = profiles.iter().map(|p| p.write_intensity).fold(1.0, f64::max);
+    let mut cells = baseline.cells.iter();
+    for profile in &profiles {
+        for (id, codec) in standard_schemes() {
+            let stream = TraceStream::new(
+                profile.clone(),
+                workload_stream_seed(42, &profile.name),
+                scaled_workload_lines(40, profile, max_intensity),
+            );
+            let options = SimulationOptions {
+                seed: cell_seed(42, 0, id.label(), &profile.name),
+                ..SimulationOptions::default()
+            };
+            let mut streamed = Simulator::with_config(PcmConfig::table_ii())
+                .with_options(options)
+                .run(codec.as_ref(), stream);
+            streamed.scheme = id.label().to_string();
+            assert_eq!(Some(&streamed), cells.next(), "{} on {}", id.label(), profile.name);
+        }
+    }
 }
 
 #[test]

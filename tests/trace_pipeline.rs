@@ -24,7 +24,7 @@ fn traced_run_produces_a_valid_chrome_trace() {
     assert!(wlcrc_repro::obs::enabled(), "the env latch must see {}", path.display());
 
     // A small two-cell grid, store disabled: enough to cross every engine
-    // phase (materialise, simulate, per-cell shards, merge) without I/O.
+    // phase (simulate, per-cell shards, merge) without I/O.
     let results = ExperimentPlan::new()
         .seed(7)
         .lines_per_workload(20)
@@ -45,8 +45,6 @@ fn traced_run_produces_a_valid_chrome_trace() {
 
     // The engine phases and the per-cell spans must all be present, and a
     // cell span cannot outlive the simulate phase that contains it.
-    // (`engine.materialise` only appears on the pre-materialised trace
-    // path, which this streaming plan does not take.)
     for name in ["engine.simulate", "engine.cell", "engine.merge"] {
         assert!(
             summary.dur_us_by_name.iter().any(|(n, _)| n == name),
