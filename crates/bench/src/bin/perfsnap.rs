@@ -16,9 +16,7 @@
 //! For every coset-style scheme the snapshot measures both the production
 //! bit-parallel kernel (`encode`) and the retained scalar oracle
 //! (`encode_scalar`), recording the speedup — this is the number the
-//! "≥2× on coset-heavy schemes" acceptance gate reads. A batched suite
-//! additionally times [`LineCodec::encode_batch`] at 1/8/64 lines per call
-//! to track the amortisation the batch API buys.
+//! "≥2× on coset-heavy schemes" acceptance gate reads.
 //!
 //! `--check` turns the snapshot into an enforced regression gate: the codec
 //! suite is measured best-of-3 and compared against the **last** entry in
@@ -574,65 +572,6 @@ fn main() {
     println!("perfsnap: codec suite ({iters} writes per scheme)");
     let codec_rows = measure_codec_suite(&lines, &wlc_lines, &energy, iters, true);
 
-    // Batched suite: the same chained workload pushed through
-    // `LineCodec::encode_batch` at 1, 8 and 64 lines per call, for the
-    // schemes that amortise per-batch setup (transition tables, plane
-    // extraction). The 1-line column is the API's fixed overhead; the gap
-    // to the 64-line column is what batching buys the simulator/serve path.
-    const BATCH_SIZES: [usize; 3] = [1, 8, 64];
-    println!("perfsnap: batched suite ({iters} writes per scheme per batch size)");
-    let batch_targets: Vec<(&'static str, Box<dyn LineCodec>)> = vec![
-        ("FlipMin", Box::new(FlipMinCodec::new())),
-        ("FNW", Box::new(FnwCodec::paper_default())),
-        ("DIN", Box::new(DinCodec::new())),
-        ("6cosets", Box::new(NCosetsCodec::six_cosets(Granularity::new(512)))),
-        ("3cosets-16", Box::new(NCosetsCodec::three_cosets(Granularity::new(16)))),
-    ];
-    let mut batched_rows = Vec::new();
-    for (name, codec) in &batch_targets {
-        let codec = codec.as_ref();
-        // Independent jobs: each line written over the chained encoding of
-        // its predecessor, so the stored side carries realistic content.
-        let olds: Vec<PhysicalLine> = {
-            let mut old = codec.initial_line();
-            lines
-                .iter()
-                .map(|l| {
-                    old = codec.encode(l, &old, &energy);
-                    old.clone()
-                })
-                .collect()
-        };
-        let jobs: Vec<(&MemoryLine, &PhysicalLine)> =
-            (0..lines.len()).map(|i| (&lines[(i + 1) % lines.len()], &olds[i])).collect();
-        let mut wps = [0.0f64; BATCH_SIZES.len()];
-        for (slot, &size) in BATCH_SIZES.iter().enumerate() {
-            for chunk in jobs.chunks(size).take(4) {
-                std::hint::black_box(codec.encode_batch(chunk, &energy));
-            }
-            let start = Instant::now();
-            let mut done = 0usize;
-            'timed: loop {
-                for chunk in jobs.chunks(size) {
-                    std::hint::black_box(codec.encode_batch(chunk, &energy));
-                    done += chunk.len();
-                    if done >= iters {
-                        break 'timed;
-                    }
-                }
-            }
-            wps[slot] = done as f64 / start.elapsed().as_secs_f64();
-        }
-        println!(
-            "  {name:<14} 1/call {:>12.0} w/s   8/call {:>12.0} w/s   64/call {:>12.0} w/s   batch64 gain {:.2}x",
-            wps[0],
-            wps[1],
-            wps[2],
-            wps[2] / wps[0]
-        );
-        batched_rows.push((*name, wps));
-    }
-
     // Plan suite: the full scheme registry over two workloads.
     println!("perfsnap: plan suite ({plan_lines} lines x 2 workloads x 8 schemes)");
     let build_plan = || {
@@ -753,17 +692,6 @@ fn main() {
         }
         entry.push_str(&line);
         entry.push('\n');
-    }
-    entry.push_str("    ],\n");
-    entry.push_str("    \"batched\": [\n");
-    for (i, (name, wps)) in batched_rows.iter().enumerate() {
-        entry.push_str(&format!(
-            "      {{\"name\": \"{name}\", \"lines_per_call_1_wps\": {:.0}, \"lines_per_call_8_wps\": {:.0}, \"lines_per_call_64_wps\": {:.0}}}{}\n",
-            wps[0],
-            wps[1],
-            wps[2],
-            if i + 1 < batched_rows.len() { "," } else { "" }
-        ));
     }
     entry.push_str("    ],\n");
     entry.push_str(&format!(

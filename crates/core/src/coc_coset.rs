@@ -19,7 +19,7 @@
 use wlcrc_compress::Coc;
 use wlcrc_coset::candidate::{CandidateSet, CosetCandidate};
 use wlcrc_ecc::BitBuf;
-use wlcrc_pcm::codec::LineCodec;
+use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
 use wlcrc_pcm::kernel::{self, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::{word as wordutil, MemoryLine};
@@ -70,6 +70,16 @@ impl Format {
             Format::Raw => CellState::S2,
         }
     }
+}
+
+/// The transition tables of every line format, built once for a prepared
+/// encoder.
+pub struct Tables {
+    /// The fixed mapping's table, which stores a line that does not compress
+    /// enough.
+    plain: TransitionTable,
+    /// The 4cosets candidates' tables, which price the repacked payload.
+    candidates: [TransitionTable; 4],
 }
 
 /// The COC+4cosets codec.
@@ -298,6 +308,8 @@ impl LineCodec for CocCosetCodec {
         LINE_CELLS + 1
     }
 
+    /// Builds only the tables of the line's format, then runs the same
+    /// format bodies as [`TableCodec::encode_with`].
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
         let (format, payload) = Self::repack(data);
         if format == Format::Raw {
@@ -306,25 +318,8 @@ impl LineCodec for CocCosetCodec {
         self.encode_payload(format, &payload, old, &self.candidate_tables(energy))
     }
 
-    /// Builds the transition tables once per batch. The candidates price the
-    /// repacked payload, not the data line, so the jobs skip the data-plane
-    /// extraction of `kernel::encode_batch`.
-    fn encode_batch(
-        &self,
-        jobs: &[(&MemoryLine, &PhysicalLine)],
-        energy: &EnergyModel,
-    ) -> Vec<PhysicalLine> {
-        let (tables, plain) =
-            (self.candidate_tables(energy), TransitionTable::new(&self.mapping, energy));
-        let encode = |&(data, old): &(&MemoryLine, &PhysicalLine)| {
-            let (format, payload) = Self::repack(data);
-            if format == Format::Raw {
-                self.encode_raw(data, old, &plain)
-            } else {
-                self.encode_payload(format, &payload, old, &tables)
-            }
-        };
-        jobs.iter().map(encode).collect()
+    fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder> {
+        codec::prepare(self, energy)
     }
 
     /// Decodes on bit planes: every candidate's inverse mapping is applied
@@ -355,6 +350,23 @@ impl LineCodec for CocCosetCodec {
             p1[w] |= c1[w] & mask;
         }
         unpack_payload(kernel::line_from_planes(&p0, &p1).words())
+    }
+}
+
+impl TableCodec for CocCosetCodec {
+    type Tables = Tables;
+
+    fn tables(&self, energy: &EnergyModel) -> Tables {
+        let plain = TransitionTable::new(&self.mapping, energy);
+        Tables { plain, candidates: self.candidate_tables(energy) }
+    }
+
+    fn encode_with(&self, tables: &Tables, data: &MemoryLine, old: &PhysicalLine) -> PhysicalLine {
+        let (format, payload) = Self::repack(data);
+        if format == Format::Raw {
+            return self.encode_raw(data, old, &tables.plain);
+        }
+        self.encode_payload(format, &payload, old, &tables.candidates)
     }
 }
 

@@ -3,9 +3,9 @@
 
 use crate::layout::WordLayout;
 use wlcrc_coset::candidate::{c1, c2, c3, CandidateSet, CosetCandidate};
-use wlcrc_pcm::codec::LineCodec;
+use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_pcm::kernel::{self, StatePlanes, SymbolPlanes, TransitionTable, PLANE_WORDS};
+use wlcrc_pcm::kernel::{self, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::{word as wordutil, MemoryLine};
 use wlcrc_pcm::mapping::SymbolMapping;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
@@ -24,9 +24,16 @@ const MAX_AUX_CELLS: usize = 8;
 /// word under every candidate, indexed `[candidate][block]`.
 type BlockCosts = [[(f64, usize); MAX_WORD_BLOCKS]; MAX_WORD_CANDIDATES];
 
-/// The transition tables of an encode, built once per write or once per
-/// batch.
-struct Tables {
+/// The transition tables of both line formats, built once for a prepared
+/// encoder.
+pub struct Tables {
+    /// The default mapping's table, which stores an incompressible line.
+    raw: TransitionTable,
+    coset: CosetTables,
+}
+
+/// The transition tables of the coset-encoded format.
+struct CosetTables {
     candidates: [TransitionTable; MAX_WORD_CANDIDATES],
     /// The auxiliary region's mapping.
     aux: TransitionTable,
@@ -469,10 +476,9 @@ impl WlcCosetCodec {
         &self,
         data: &MemoryLine,
         old: &PhysicalLine,
-        planes: &SymbolPlanes,
-        stored: &StatePlanes,
-        tables: &Tables,
+        tables: &CosetTables,
     ) -> PhysicalLine {
+        let (planes, stored) = (data.symbol_planes(), old.state_planes());
         let mut out = self.new_line(old, CellState::S1);
         let layout = self.layout;
         let (fdc, blocks) = (layout.full_data_cells(), layout.blocks());
@@ -485,8 +491,8 @@ impl WlcCosetCodec {
             let [low, high] = &mut pair;
             for (idx, target) in targets.iter_mut().enumerate().take(self.candidates.len()) {
                 *target = kernel::word_pair_block_costs(
-                    planes,
-                    stored,
+                    &planes,
+                    &stored,
                     &tables.candidates[idx],
                     pw,
                     fdc,
@@ -537,14 +543,14 @@ impl WlcCosetCodec {
         out
     }
 
-    fn tables(&self, energy: &EnergyModel) -> Tables {
+    fn coset_tables(&self, energy: &EnergyModel) -> CosetTables {
         let mut candidates = [TransitionTable::placeholder(); MAX_WORD_CANDIDATES];
         for (table, candidate) in candidates.iter_mut().zip(&self.candidates) {
             *table = TransitionTable::new(&candidate.mapping(), energy);
         }
         let aux = TransitionTable::new(&self.aux_mapping, energy);
         let aux_rows = CellState::ALL.map(|old| Symbol::ALL.map(|symbol| aux.cost_pj(old, symbol)));
-        Tables { candidates, aux, aux_rows }
+        CosetTables { candidates, aux, aux_rows }
     }
 
     /// The scalar reference encoder: per-cell block and aux-region costs and
@@ -630,29 +636,18 @@ impl LineCodec for WlcCosetCodec {
         LINE_CELLS + 1
     }
 
+    /// Builds only the tables of the line's format, then runs the same
+    /// format bodies as [`TableCodec::encode_with`].
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
         if !self.is_compressible(data) {
             let raw = TransitionTable::new(&SymbolMapping::default_mapping(), energy);
             return self.encode_raw(data, old, &raw);
         }
-        let tables = self.tables(energy);
-        self.encode_compressed(data, old, &data.symbol_planes(), &old.state_planes(), &tables)
+        self.encode_compressed(data, old, &self.coset_tables(energy))
     }
 
-    fn encode_batch(
-        &self,
-        jobs: &[(&MemoryLine, &PhysicalLine)],
-        energy: &EnergyModel,
-    ) -> Vec<PhysicalLine> {
-        let tables = self.tables(energy);
-        let raw = TransitionTable::new(&SymbolMapping::default_mapping(), energy);
-        kernel::encode_batch(jobs, |planes, stored, data, old| {
-            if self.is_compressible(data) {
-                self.encode_compressed(data, old, planes, stored, &tables)
-            } else {
-                self.encode_raw(data, old, &raw)
-            }
-        })
+    fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder> {
+        codec::prepare(self, energy)
     }
 
     /// Decodes on bit planes: every candidate's inverse mapping is applied
@@ -690,6 +685,22 @@ impl LineCodec for WlcCosetCodec {
             .words()
             .map(|w| wordutil::sign_extend_from(w, data_bits - 1));
         MemoryLine::from_words(words)
+    }
+}
+
+impl TableCodec for WlcCosetCodec {
+    type Tables = Tables;
+
+    fn tables(&self, energy: &EnergyModel) -> Tables {
+        let raw = TransitionTable::new(&SymbolMapping::default_mapping(), energy);
+        Tables { raw, coset: self.coset_tables(energy) }
+    }
+
+    fn encode_with(&self, tables: &Tables, data: &MemoryLine, old: &PhysicalLine) -> PhysicalLine {
+        if !self.is_compressible(data) {
+            return self.encode_raw(data, old, &tables.raw);
+        }
+        self.encode_compressed(data, old, &tables.coset)
     }
 }
 

@@ -10,7 +10,7 @@
 
 use wlcrc_compress::{Bdi, Fpc};
 use wlcrc_ecc::{Bch, BitBuf, PackedBch};
-use wlcrc_pcm::codec::LineCodec;
+use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
 use wlcrc_pcm::kernel::{self, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::MemoryLine;
@@ -336,26 +336,11 @@ impl LineCodec for DinCodec {
     }
 
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, _energy: &EnergyModel) -> PhysicalLine {
-        assert_eq!(old.len(), self.encoded_cells());
-        let mut out = PhysicalLine::all_reset(self.encoded_cells());
-        out.set_class(self.flag_cell(), CellClass::Aux);
+        self.encode_with(&(), data, old)
+    }
 
-        // Compressed lines are flagged with the lowest-energy state.
-        let (stored_bits, flag) = match self.compressed_payload(data) {
-            Some((bdi, payload)) => (self.expand_words(bdi, &payload), CellState::S1),
-            None => (*data, CellState::S2),
-        };
-        let planes = stored_bits.symbol_planes();
-        let mut plane0 = [0u64; PLANE_WORDS];
-        let mut plane1 = [0u64; PLANE_WORDS];
-        for w in 0..PLANE_WORDS {
-            let (t0, t1) = self.table.target_planes(&planes, w);
-            plane0[w] = t0;
-            plane1[w] = t1;
-        }
-        kernel::write_states_from_planes(&mut out, LINE_CELLS, &plane0, &plane1);
-        out.set_state(self.flag_cell(), flag);
-        out
+    fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder> {
+        codec::prepare(self, energy)
     }
 
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
@@ -414,6 +399,37 @@ impl LineCodec for DinCodec {
         } else {
             self.fpc.decode_stream(&payload)
         }
+    }
+}
+
+impl TableCodec for DinCodec {
+    /// DIN picks code words by content, not by cost: nothing depends on the
+    /// energy model.
+    type Tables = ();
+
+    fn tables(&self, _energy: &EnergyModel) {}
+
+    fn encode_with(&self, _tables: &(), data: &MemoryLine, old: &PhysicalLine) -> PhysicalLine {
+        assert_eq!(old.len(), self.encoded_cells());
+        let mut out = PhysicalLine::all_reset(self.encoded_cells());
+        out.set_class(self.flag_cell(), CellClass::Aux);
+
+        // Compressed lines are flagged with the lowest-energy state.
+        let (stored_bits, flag) = match self.compressed_payload(data) {
+            Some((bdi, payload)) => (self.expand_words(bdi, &payload), CellState::S1),
+            None => (*data, CellState::S2),
+        };
+        let planes = stored_bits.symbol_planes();
+        let mut plane0 = [0u64; PLANE_WORDS];
+        let mut plane1 = [0u64; PLANE_WORDS];
+        for w in 0..PLANE_WORDS {
+            let (t0, t1) = self.table.target_planes(&planes, w);
+            plane0[w] = t0;
+            plane1[w] = t1;
+        }
+        kernel::write_states_from_planes(&mut out, LINE_CELLS, &plane0, &plane1);
+        out.set_state(self.flag_cell(), flag);
+        out
     }
 }
 

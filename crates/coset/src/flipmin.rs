@@ -10,9 +10,9 @@
 //! data and much less so on biased, real-workload data.
 
 use wlcrc_ecc::coset_masks;
-use wlcrc_pcm::codec::LineCodec;
+use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_pcm::kernel::{self, StatePlanes, SymbolPlanes, TransitionTable, PLANE_WORDS};
+use wlcrc_pcm::kernel::{self, SymbolPlanes, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::MemoryLine;
 use wlcrc_pcm::mapping::SymbolMapping;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
@@ -61,56 +61,6 @@ impl FlipMinCodec {
             cost += energy.transition_energy_pj(old.state(cell), target);
         }
         cost
-    }
-
-    /// Bit-parallel encode body against prebuilt plane views and the
-    /// mapping's transition table; [`LineCodec::encode_batch`] builds the
-    /// table once per batch.
-    fn encode_kernel(
-        &self,
-        planes: &SymbolPlanes,
-        stored: &StatePlanes,
-        table: &TransitionTable,
-    ) -> PhysicalLine {
-        let mut best_index = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for (i, mask_planes) in self.mask_planes.iter().enumerate() {
-            let candidate = planes.xor(mask_planes);
-            if let Some(cost) =
-                kernel::block_cost_bounded(&candidate, stored, 0..LINE_CELLS, table, 0.0, best_cost)
-            {
-                best_cost = cost;
-                best_index = i;
-            }
-        }
-        self.write_chosen(&planes.xor(&self.mask_planes[best_index]), best_index, table)
-    }
-
-    /// Plane-assembled write of the winning candidate: the target planes are
-    /// scattered in one pass, which also installs the new line's
-    /// `StatePlanes` cache for the next write against it.
-    fn write_chosen(
-        &self,
-        candidate: &SymbolPlanes,
-        best_index: usize,
-        table: &TransitionTable,
-    ) -> PhysicalLine {
-        let mut out = PhysicalLine::all_reset(self.encoded_cells());
-        let mut out0 = [0u64; PLANE_WORDS];
-        let mut out1 = [0u64; PLANE_WORDS];
-        for w in 0..PLANE_WORDS {
-            let (t0, t1) = table.target_planes(candidate, w);
-            out0[w] = t0;
-            out1[w] = t1;
-        }
-        kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
-        // The 4-bit candidate index is stored in two auxiliary cells.
-        for (i, shift) in [(0usize, 0u32), (1, 2)] {
-            let bits = ((best_index >> shift) & 0b11) as u8;
-            out.set_state(LINE_CELLS + i, self.mapping.state_of(Symbol::new(bits)));
-            out.set_class(LINE_CELLS + i, CellClass::Aux);
-        }
-        out
     }
 
     /// The scalar reference encoder (see [`crate::cost`]); kept callable for
@@ -163,21 +113,11 @@ impl LineCodec for FlipMinCodec {
     }
 
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
-        assert_eq!(old.len(), self.encoded_cells());
-        let table = TransitionTable::new(&self.mapping, energy);
-        self.encode_kernel(&data.symbol_planes(), &old.state_planes(), &table)
+        self.encode_with(&self.tables(energy), data, old)
     }
 
-    fn encode_batch(
-        &self,
-        jobs: &[(&MemoryLine, &PhysicalLine)],
-        energy: &EnergyModel,
-    ) -> Vec<PhysicalLine> {
-        let table = TransitionTable::new(&self.mapping, energy);
-        kernel::encode_batch(jobs, |planes, stored, _data, old| {
-            assert_eq!(old.len(), self.encoded_cells());
-            self.encode_kernel(planes, stored, &table)
-        })
+    fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder> {
+        codec::prepare(self, energy)
     }
 
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
@@ -190,6 +130,61 @@ impl LineCodec for FlipMinCodec {
         let states = stored.state_planes();
         let (p0, p1) = kernel::symbol_planes_from_states(&states, self.mapping.symbols_per_state());
         kernel::line_from_planes(&p0, &p1).xor(&self.masks[index])
+    }
+}
+
+impl TableCodec for FlipMinCodec {
+    type Tables = TransitionTable;
+
+    fn tables(&self, energy: &EnergyModel) -> TransitionTable {
+        TransitionTable::new(&self.mapping, energy)
+    }
+
+    /// Bit-parallel encode: each mask's candidate planes are the data planes
+    /// XORed with the mask's, priced with branch-and-bound against the
+    /// incumbent.
+    fn encode_with(
+        &self,
+        table: &TransitionTable,
+        data: &MemoryLine,
+        old: &PhysicalLine,
+    ) -> PhysicalLine {
+        assert_eq!(old.len(), self.encoded_cells());
+        let (planes, stored) = (data.symbol_planes(), old.state_planes());
+        let mut best_index = 0usize;
+        let mut best_cost = f64::INFINITY;
+        for (i, mask_planes) in self.mask_planes.iter().enumerate() {
+            let candidate = planes.xor(mask_planes);
+            if let Some(cost) = kernel::block_cost_bounded(
+                &candidate,
+                &stored,
+                0..LINE_CELLS,
+                table,
+                0.0,
+                best_cost,
+            ) {
+                best_cost = cost;
+                best_index = i;
+            }
+        }
+        // Plane-assembled write of the winner: the target planes are
+        // scattered in one pass, which also installs the new line's
+        // `StatePlanes` cache for the next write against it.
+        let candidate = planes.xor(&self.mask_planes[best_index]);
+        let mut out = PhysicalLine::all_reset(self.encoded_cells());
+        let mut out0 = [0u64; PLANE_WORDS];
+        let mut out1 = [0u64; PLANE_WORDS];
+        for w in 0..PLANE_WORDS {
+            (out0[w], out1[w]) = table.target_planes(&candidate, w);
+        }
+        kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
+        // The 4-bit candidate index is stored in two auxiliary cells.
+        for (i, shift) in [(0usize, 0u32), (1, 2)] {
+            let bits = ((best_index >> shift) & 0b11) as u8;
+            out.set_state(LINE_CELLS + i, self.mapping.state_of(Symbol::new(bits)));
+            out.set_class(LINE_CELLS + i, CellClass::Aux);
+        }
+        out
     }
 }
 

@@ -8,9 +8,9 @@
 //! same overhead as FlipMin and 6cosets.
 
 use crate::granularity::Granularity;
-use wlcrc_pcm::codec::LineCodec;
+use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_pcm::kernel::{self, StatePlanes, SymbolPlanes, TransitionTable, PLANE_WORDS};
+use wlcrc_pcm::kernel::{self, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::MemoryLine;
 use wlcrc_pcm::mapping::SymbolMapping;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
@@ -80,18 +80,6 @@ impl FnwCodec {
         cost
     }
 
-    /// The two transition tables of the scheme: the plain mapping, and the
-    /// mapping composed with the symbol complement (what a flipped block
-    /// stores).
-    fn tables(&self, energy: &EnergyModel) -> [TransitionTable; 2] {
-        let keep = TransitionTable::new(&self.mapping, energy);
-        let mut flipped_states = [CellState::S1; 4];
-        for (v, slot) in flipped_states.iter_mut().enumerate() {
-            *slot = self.mapping.state_of(Symbol::new(!(v as u8) & 0b11));
-        }
-        [keep, TransitionTable::from_states(flipped_states, energy)]
-    }
-
     /// Packs the per-block flip decisions into the auxiliary cells, two
     /// flip bits per aux symbol through the default mapping.
     fn write_aux(&self, out: &mut PhysicalLine, flips: u64, blocks: usize) {
@@ -100,50 +88,6 @@ impl FnwCodec {
             let lsb = 2 * i + 1 < blocks && (flips >> (2 * i + 1)) & 1 == 1;
             out.set_state(LINE_CELLS + i, self.mapping.state_of(Symbol::from_bits(msb, lsb)));
         }
-    }
-
-    /// Bit-parallel encode body against prebuilt plane views and transition
-    /// tables; [`LineCodec::encode_batch`] builds the tables once per batch.
-    fn encode_kernel(
-        &self,
-        planes: &SymbolPlanes,
-        stored: &StatePlanes,
-        tables: &[TransitionTable; 2],
-    ) -> PhysicalLine {
-        let blocks = self.granularity.blocks_per_line();
-        debug_assert!(blocks <= 64, "flip mask is a u64");
-        let mut out = PhysicalLine::all_reset(self.encoded_cells());
-        for cell in LINE_CELLS..self.encoded_cells() {
-            out.set_class(cell, CellClass::Aux);
-        }
-        let mut flips = 0u64;
-        // Per-cell select mask of the flipped blocks, one bit per cell.
-        let mut flip_mask = [0u64; PLANE_WORDS];
-        for block in 0..blocks {
-            let cells = self.granularity.block_cells(block);
-            let keep = kernel::block_cost(planes, stored, cells.clone(), &tables[0]);
-            let inverted = kernel::block_cost(planes, stored, cells.clone(), &tables[1]);
-            if inverted < keep {
-                flips |= 1 << block;
-                set_cell_range(&mut flip_mask, cells);
-            }
-        }
-        // Plane-assembled write: select each word's target planes between
-        // the keep and the flipped table, then scatter once. This also
-        // installs the new line's StatePlanes cache, so the next write
-        // against it skips the per-cell plane rebuild.
-        let mut out0 = [0u64; PLANE_WORDS];
-        let mut out1 = [0u64; PLANE_WORDS];
-        for w in 0..PLANE_WORDS {
-            let (k0, k1) = tables[0].target_planes(planes, w);
-            let (f0, f1) = tables[1].target_planes(planes, w);
-            let fm = flip_mask[w];
-            out0[w] = (k0 & !fm) | (f0 & fm);
-            out1[w] = (k1 & !fm) | (f1 & fm);
-        }
-        kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
-        self.write_aux(&mut out, flips, blocks);
-        out
     }
 
     /// The scalar reference encoder (see [`crate::cost`]); kept callable for
@@ -210,21 +154,11 @@ impl LineCodec for FnwCodec {
     }
 
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
-        assert_eq!(old.len(), self.encoded_cells());
-        let tables = self.tables(energy);
-        self.encode_kernel(&data.symbol_planes(), &old.state_planes(), &tables)
+        self.encode_with(&self.tables(energy), data, old)
     }
 
-    fn encode_batch(
-        &self,
-        jobs: &[(&MemoryLine, &PhysicalLine)],
-        energy: &EnergyModel,
-    ) -> Vec<PhysicalLine> {
-        let tables = self.tables(energy);
-        kernel::encode_batch(jobs, |planes, stored, _data, old| {
-            assert_eq!(old.len(), self.encoded_cells());
-            self.encode_kernel(planes, stored, &tables)
-        })
+    fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder> {
+        codec::prepare(self, energy)
     }
 
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
@@ -249,6 +183,68 @@ impl LineCodec for FnwCodec {
             }
         }
         encoded.xor(&MemoryLine::from_words(flip_bits))
+    }
+}
+
+impl TableCodec for FnwCodec {
+    type Tables = [TransitionTable; 2];
+
+    /// The two transition tables of the scheme: the plain mapping, and the
+    /// mapping composed with the symbol complement (what a flipped block
+    /// stores).
+    fn tables(&self, energy: &EnergyModel) -> [TransitionTable; 2] {
+        let keep = TransitionTable::new(&self.mapping, energy);
+        let mut flipped_states = [CellState::S1; 4];
+        for (v, slot) in flipped_states.iter_mut().enumerate() {
+            *slot = self.mapping.state_of(Symbol::new(!(v as u8) & 0b11));
+        }
+        [keep, TransitionTable::from_states(flipped_states, energy)]
+    }
+
+    /// Bit-parallel encode: each block's keep and flip costs come from the
+    /// kernel, and the chosen target planes are selected per word.
+    fn encode_with(
+        &self,
+        tables: &[TransitionTable; 2],
+        data: &MemoryLine,
+        old: &PhysicalLine,
+    ) -> PhysicalLine {
+        assert_eq!(old.len(), self.encoded_cells());
+        let (planes, stored) = (data.symbol_planes(), old.state_planes());
+        let blocks = self.granularity.blocks_per_line();
+        debug_assert!(blocks <= 64, "flip mask is a u64");
+        let mut out = PhysicalLine::all_reset(self.encoded_cells());
+        for cell in LINE_CELLS..self.encoded_cells() {
+            out.set_class(cell, CellClass::Aux);
+        }
+        let mut flips = 0u64;
+        // Per-cell select mask of the flipped blocks, one bit per cell.
+        let mut flip_mask = [0u64; PLANE_WORDS];
+        for block in 0..blocks {
+            let cells = self.granularity.block_cells(block);
+            let keep = kernel::block_cost(&planes, &stored, cells.clone(), &tables[0]);
+            let inverted = kernel::block_cost(&planes, &stored, cells.clone(), &tables[1]);
+            if inverted < keep {
+                flips |= 1 << block;
+                set_cell_range(&mut flip_mask, cells);
+            }
+        }
+        // Plane-assembled write: select each word's target planes between
+        // the keep and the flipped table, then scatter once. This also
+        // installs the new line's StatePlanes cache, so the next write
+        // against it skips the per-cell plane rebuild.
+        let mut out0 = [0u64; PLANE_WORDS];
+        let mut out1 = [0u64; PLANE_WORDS];
+        for w in 0..PLANE_WORDS {
+            let (k0, k1) = tables[0].target_planes(&planes, w);
+            let (f0, f1) = tables[1].target_planes(&planes, w);
+            let fm = flip_mask[w];
+            out0[w] = (k0 & !fm) | (f0 & fm);
+            out1[w] = (k1 & !fm) | (f1 & fm);
+        }
+        kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
+        self.write_aux(&mut out, flips, blocks);
+        out
     }
 }
 

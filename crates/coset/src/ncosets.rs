@@ -9,9 +9,9 @@
 use crate::candidate::CandidateSet;
 use crate::cost::{block_cost, write_block};
 use crate::granularity::Granularity;
-use wlcrc_pcm::codec::LineCodec;
+use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_pcm::kernel::{self, StatePlanes, SymbolPlanes, TransitionTable, PLANE_WORDS};
+use wlcrc_pcm::kernel::{self, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::MemoryLine;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
 use wlcrc_pcm::state::CellState;
@@ -160,34 +160,26 @@ impl NCosetsCodec {
         }
     }
 
-    /// One transition table per candidate, on the stack (no heap allocation
-    /// per write). Built once per encode — or once per *batch* by
-    /// [`LineCodec::encode_batch`].
-    fn build_tables(&self, energy: &EnergyModel) -> [TransitionTable; MAX_CANDIDATES] {
-        let mut tables = [TransitionTable::placeholder(); MAX_CANDIDATES];
-        for (table, candidate) in tables.iter_mut().zip(self.set.candidates()) {
-            *table = TransitionTable::new(&candidate.mapping(), energy);
-        }
-        tables
-    }
-
-    /// Shared encode body. With `kernel_ctx` the per-candidate block costs
-    /// run on the bit-parallel kernel: fine granularities (blocks smaller
-    /// than a 64-cell plane word) precompute every candidate's per-block cost
-    /// with the amortised word sweep ([`kernel::block_costs_uniform`]), while
-    /// coarse blocks are evaluated per candidate with branch-and-bound (a
-    /// candidate is abandoned as soon as its partial cost reaches the
-    /// incumbent — it could no longer win the strict `<` comparison, so the
-    /// winner is unchanged). Without `kernel_ctx` the costs come from the
-    /// scalar reference in [`crate::cost`].
+    /// Shared encode body. With `kernel_tables` the per-candidate block
+    /// costs run on the bit-parallel kernel: fine granularities (blocks
+    /// smaller than a 64-cell plane word) precompute every candidate's
+    /// per-block cost with the amortised word sweep
+    /// ([`kernel::block_costs_uniform`]), while coarse blocks are evaluated
+    /// per candidate with branch-and-bound (a candidate is abandoned as soon
+    /// as its partial cost reaches the incumbent — it could no longer win the
+    /// strict `<` comparison, so the winner is unchanged). Without
+    /// `kernel_tables` the costs come from the scalar reference in
+    /// [`crate::cost`].
     fn encode_impl(
         &self,
         data: &MemoryLine,
         old: &PhysicalLine,
         energy: &EnergyModel,
-        kernel_ctx: Option<(&SymbolPlanes, &StatePlanes, &[TransitionTable; MAX_CANDIDATES])>,
+        kernel_tables: Option<&[TransitionTable; MAX_CANDIDATES]>,
     ) -> PhysicalLine {
         assert_eq!(old.len(), self.encoded_cells());
+        let kernel_ctx =
+            kernel_tables.map(|tables| (data.symbol_planes(), old.state_planes(), tables));
         let blocks = self.granularity.blocks_per_line();
         let cells_per_block = self.granularity.cells();
         let mut out = PhysicalLine::all_reset(self.encoded_cells());
@@ -200,7 +192,7 @@ impl NCosetsCodec {
         // auxiliary cells recording the choice) exactly like the scalar loop
         // below — and assembles the winners' target planes, which are
         // scattered to cells in a single pass at the end.
-        if let Some((planes, stored, tables)) = kernel_ctx {
+        if let Some((planes, stored, tables)) = &kernel_ctx {
             // Granularities finer than 8 bits (more than 64 blocks) exceed
             // the fixed-size scratch and take the generic per-block loop
             // below instead, which handles any block count.
@@ -308,7 +300,7 @@ impl NCosetsCodec {
                 // the data block plus the auxiliary cells that record the
                 // chosen candidate.
                 let selector = self.selector_cost(old, block, idx, energy);
-                let cost = match kernel_ctx {
+                let cost = match &kernel_ctx {
                     Some((planes, stored, tables)) => {
                         match kernel::block_cost_bounded(
                             planes,
@@ -360,24 +352,11 @@ impl LineCodec for NCosetsCodec {
     }
 
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
-        let tables = self.build_tables(energy);
-        self.encode_impl(
-            data,
-            old,
-            energy,
-            Some((&data.symbol_planes(), &old.state_planes(), &tables)),
-        )
+        self.encode_with(&self.tables(energy), data, old)
     }
 
-    fn encode_batch(
-        &self,
-        jobs: &[(&MemoryLine, &PhysicalLine)],
-        energy: &EnergyModel,
-    ) -> Vec<PhysicalLine> {
-        let tables = self.build_tables(energy);
-        kernel::encode_batch(jobs, |planes, stored, data, old| {
-            self.encode_impl(data, old, energy, Some((planes, stored, &tables)))
-        })
+    fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder> {
+        codec::prepare(self, energy)
     }
 
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
@@ -409,6 +388,29 @@ impl LineCodec for NCosetsCodec {
             }
         }
         kernel::line_from_planes(&p0, &p1)
+    }
+}
+
+impl TableCodec for NCosetsCodec {
+    /// The energy model, which prices the selector cells, and one transition
+    /// table per candidate, on the stack.
+    type Tables = (EnergyModel, [TransitionTable; MAX_CANDIDATES]);
+
+    fn tables(&self, energy: &EnergyModel) -> Self::Tables {
+        let mut tables = [TransitionTable::placeholder(); MAX_CANDIDATES];
+        for (table, candidate) in tables.iter_mut().zip(self.set.candidates()) {
+            *table = TransitionTable::new(&candidate.mapping(), energy);
+        }
+        (energy.clone(), tables)
+    }
+
+    fn encode_with(
+        &self,
+        (energy, tables): &Self::Tables,
+        data: &MemoryLine,
+        old: &PhysicalLine,
+    ) -> PhysicalLine {
+        self.encode_impl(data, old, energy, Some(tables))
     }
 }
 
@@ -562,22 +564,6 @@ mod tests {
                     old = enc;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn batched_encode_matches_one_at_a_time() {
-        let energy = EnergyModel::paper_default();
-        let mut rng = StdRng::seed_from_u64(95);
-        let codec = NCosetsCodec::six_cosets(Granularity::new(16));
-        let lines: Vec<MemoryLine> = (0..12).map(|_| random_line(&mut rng)).collect();
-        let olds: Vec<PhysicalLine> =
-            lines.iter().map(|l| codec.encode(l, &codec.initial_line(), &energy)).collect();
-        let jobs: Vec<(&MemoryLine, &PhysicalLine)> = lines.iter().zip(olds.iter().rev()).collect();
-        let batched = codec.encode_batch(&jobs, &energy);
-        assert_eq!(batched.len(), jobs.len());
-        for ((data, old), enc) in jobs.iter().zip(&batched) {
-            assert_eq!(*enc, codec.encode(data, old, &energy));
         }
     }
 

@@ -20,7 +20,7 @@
 use crate::candidate::{c1, c2, c3, CosetCandidate};
 use crate::cost::{block_cost, read_block, write_block};
 use crate::granularity::Granularity;
-use wlcrc_pcm::codec::LineCodec;
+use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
 use wlcrc_pcm::kernel::{self, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::MemoryLine;
@@ -159,8 +159,9 @@ impl RestrictedCosetCodec {
         AuxBits { bits, len: self.aux_bits() }
     }
 
-    /// Shared encode body; `use_kernel` switches the per-block candidate
-    /// costs between the bit-parallel kernel and the scalar reference in
+    /// Shared encode body; with `kernel_tables` (one per candidate: base,
+    /// group-A and group-B alternative) the per-block candidate costs run on
+    /// the bit-parallel kernel, without them on the scalar reference in
     /// [`crate::cost`]. Both sides run the identical selection logic, so the
     /// outputs are byte-identical (exactly so for integer-valued energies).
     fn encode_impl(
@@ -168,7 +169,7 @@ impl RestrictedCosetCodec {
         data: &MemoryLine,
         old: &PhysicalLine,
         energy: &EnergyModel,
-        use_kernel: bool,
+        kernel_tables: Option<&[TransitionTable; 3]>,
     ) -> PhysicalLine {
         assert_eq!(old.len(), self.encoded_cells());
         let blocks = self.granularity.blocks_per_line();
@@ -182,14 +183,9 @@ impl RestrictedCosetCodec {
         let mut cost_base = [0.0f64; MAX_BLOCKS];
         let mut cost_alt = [[0.0f64; MAX_BLOCKS]; 2];
         let mut targets = [([0u64; PLANE_WORDS], [0u64; PLANE_WORDS]); 3];
-        if use_kernel {
+        if let Some(tables) = kernel_tables {
             let planes = data.symbol_planes();
             let stored = old.state_planes();
-            let tables = [
-                TransitionTable::new(&self.base.mapping(), energy),
-                TransitionTable::new(&self.alt_a.mapping(), energy),
-                TransitionTable::new(&self.alt_b.mapping(), energy),
-            ];
             let cells_per_block = self.granularity.cells();
             kernel::block_costs_uniform_with_targets(
                 &planes,
@@ -293,7 +289,7 @@ impl RestrictedCosetCodec {
         for cell in LINE_CELLS..self.encoded_cells() {
             out.set_class(cell, CellClass::Aux);
         }
-        if use_kernel && self.granularity.cells() < 64 {
+        if kernel_tables.is_some() && self.granularity.cells() < 64 {
             // Assemble the chosen blocks' target planes and scatter once.
             let cells_per_block = self.granularity.cells();
             let blocks_per_word = 64 / cells_per_block;
@@ -330,7 +326,7 @@ impl RestrictedCosetCodec {
         old: &PhysicalLine,
         energy: &EnergyModel,
     ) -> PhysicalLine {
-        self.encode_impl(data, old, energy, false)
+        self.encode_impl(data, old, energy, None)
     }
 }
 
@@ -344,7 +340,11 @@ impl LineCodec for RestrictedCosetCodec {
     }
 
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
-        self.encode_impl(data, old, energy, true)
+        self.encode_with(&self.tables(energy), data, old)
+    }
+
+    fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder> {
+        codec::prepare(self, energy)
     }
 
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
@@ -359,6 +359,27 @@ impl LineCodec for RestrictedCosetCodec {
             read_block(stored, &mut data, cells, candidate);
         }
         data
+    }
+}
+
+impl TableCodec for RestrictedCosetCodec {
+    /// The energy model, which prices the auxiliary cells, and the base,
+    /// group-A and group-B candidates' transition tables.
+    type Tables = (EnergyModel, [TransitionTable; 3]);
+
+    fn tables(&self, energy: &EnergyModel) -> Self::Tables {
+        let tables = [&self.base, &self.alt_a, &self.alt_b]
+            .map(|candidate| TransitionTable::new(&candidate.mapping(), energy));
+        (energy.clone(), tables)
+    }
+
+    fn encode_with(
+        &self,
+        (energy, tables): &Self::Tables,
+        data: &MemoryLine,
+        old: &PhysicalLine,
+    ) -> PhysicalLine {
+        self.encode_impl(data, old, energy, Some(tables))
     }
 }
 

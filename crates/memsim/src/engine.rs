@@ -1227,9 +1227,10 @@ pub fn cell_seed(base: u64, config_index: usize, scheme: &str, workload: &str) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlcrc_pcm::codec::RawCodec;
+    use wlcrc_pcm::codec::{LineEncoder, RawCodec};
     use wlcrc_pcm::energy::EnergyModel;
     use wlcrc_pcm::line::MemoryLine;
+    use wlcrc_pcm::physical::PhysicalLine;
     use wlcrc_trace::{from_fn, Benchmark, TraceGenerator, WriteRecord};
 
     /// The shared test grid. `store_enabled(false)` keeps every non-store
@@ -1330,6 +1331,74 @@ mod tests {
         assert_eq!(stats.bank_writes.iter().sum::<u64>(), count);
         assert_eq!(stats.banks_touched(), 64, "64-line stride touches every bank");
         assert_eq!(sharded, plan().intra_trace_shards(1).run());
+    }
+
+    /// Delegates to the Baseline codec and counts its `encoder()` calls.
+    struct CountingCodec {
+        inner: RawCodec,
+        encoders: Arc<AtomicUsize>,
+    }
+
+    impl LineCodec for CountingCodec {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn encoded_cells(&self) -> usize {
+            self.inner.encoded_cells()
+        }
+
+        fn encode(
+            &self,
+            data: &MemoryLine,
+            old: &PhysicalLine,
+            energy: &EnergyModel,
+        ) -> PhysicalLine {
+            self.inner.encode(data, old, energy)
+        }
+
+        fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder> {
+            self.encoders.fetch_add(1, Ordering::Relaxed);
+            self.inner.encoder(energy)
+        }
+
+        fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
+            self.inner.decode(stored)
+        }
+    }
+
+    #[test]
+    fn each_encoder_is_built_once_per_cell_shard_and_session() {
+        // Two workloads, two seeds, four shards on two workers: four cells
+        // and 16 shard runs, each building its tables once.
+        let plan = |encoders: Arc<AtomicUsize>| {
+            ExperimentPlan::new()
+                .store_enabled(false)
+                .seeds([3, 4])
+                .lines_per_workload(40)
+                .workload(Benchmark::Gcc.profile())
+                .workload(Benchmark::Mcf.profile())
+                .scheme("Counted", move || {
+                    let encoders = Arc::clone(&encoders);
+                    Box::new(CountingCodec { inner: RawCodec::new(), encoders })
+                })
+        };
+        let encoders = Arc::new(AtomicUsize::new(0));
+        let sharded = plan(Arc::clone(&encoders)).threads(2).intra_trace_shards(4).run();
+        assert_eq!(encoders.load(Ordering::Relaxed), 16, "one encoder per (cell, shard)");
+        let sequential = plan(Arc::default()).threads(1).intra_trace_shards(1).run();
+        assert_eq!(sharded, sequential);
+
+        let encoders = Arc::new(AtomicUsize::new(0));
+        let codec = CountingCodec { inner: RawCodec::new(), encoders: Arc::clone(&encoders) };
+        let mut session = Simulator::new().session(Box::new(codec), "gcc");
+        for record in TraceStream::new(Benchmark::Gcc.profile(), 3, 120) {
+            session.write(&record);
+        }
+        assert_eq!(encoders.load(Ordering::Relaxed), 1, "one encoder per session");
+        let direct = Simulator::new()
+            .run(&RawCodec::new(), TraceStream::new(Benchmark::Gcc.profile(), 3, 120));
+        assert_eq!(session.stats(), direct);
     }
 
     #[test]

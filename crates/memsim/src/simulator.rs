@@ -13,6 +13,11 @@
 //! [`Simulator::run_shard`]) computes exactly the lanes the sequential run
 //! would have computed, so merging all shards' lanes in bank order is
 //! byte-identical to [`Simulator::run`] for any shard count.
+//!
+//! Every run encodes through one [`LineEncoder`], built by
+//! [`LineCodec::encoder`] when the run (or session) starts: the codec's
+//! transition tables and its all-RESET initial line are built once, not per
+//! write. First touches encode over the encoder's initial line.
 
 use crate::memory::MemoryOrganization;
 use crate::stats::SchemeStats;
@@ -20,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use wlcrc_pcm::codec::LineCodec;
+use wlcrc_pcm::codec::{LineCodec, LineEncoder};
 use wlcrc_pcm::config::PcmConfig;
 use wlcrc_pcm::disturb::evaluate_disturbance;
 use wlcrc_pcm::physical::PhysicalLine;
@@ -160,6 +165,7 @@ impl Simulator {
     ) -> Vec<BankStats> {
         let shards = shards.max(1);
         let organization = MemoryOrganization::new(&self.config);
+        let encoder = codec.encoder(&self.config.energy);
         let mut lanes: Vec<Option<BankLane>> = Vec::new();
         lanes.resize_with(organization.total_banks(), || None);
         for record in &mut source {
@@ -168,7 +174,7 @@ impl Simulator {
                 continue;
             }
             let lane = lanes[bank].get_or_insert_with(|| BankLane::new(self.options.seed, bank));
-            lane.feed(codec, &record, &self.config, &self.options, tracking);
+            lane.feed(codec, encoder.as_ref(), &record, &self.config, &self.options, tracking);
         }
         lanes
             .into_iter()
@@ -188,20 +194,20 @@ impl Default for Simulator {
 /// the per-bank lane core.
 ///
 /// Where [`Simulator::run`] consumes a whole [`TraceSource`] and returns, a
-/// `SimulatorSession` owns its codec and its bank lanes *across calls*:
-/// records arrive one batch at a time (a memory service's request stream),
-/// each is routed to its bank lane exactly as the batch runner would route
-/// it, and [`SimulatorSession::stats`] can be taken at any point without
+/// `SimulatorSession` owns its codec, the codec's prepared [`LineEncoder`]
+/// (built once, when the session opens) and its bank lanes *across calls*:
+/// records arrive one at a time (a memory service's request stream), each
+/// is routed to its bank lane exactly as the batch runner would route it,
+/// and [`SimulatorSession::stats`] can be taken at any point without
 /// disturbing the stored state.
 ///
 /// **Equivalence guarantee:** feeding the records of a trace through
-/// [`write`](SimulatorSession::write) / [`write_batch`](SimulatorSession::write_batch)
-/// in trace order produces statistics byte-identical to
-/// [`Simulator::run`] over the same trace with the same options — lanes are
-/// keyed by bank, per-lane arrival order is the trace order, and per-lane RNG
-/// streams derive only from `(seed, bank)`. Records of *different* banks may
-/// even be fed in any interleaving (lanes never interact). The serve soak
-/// test pins this end to end over a live socket.
+/// [`write`](SimulatorSession::write) in trace order produces statistics
+/// byte-identical to [`Simulator::run`] over the same trace with the same
+/// options — lanes are keyed by bank, per-lane arrival order is the trace
+/// order, and per-lane RNG streams derive only from `(seed, bank)`. Records
+/// of *different* banks may even be fed in any interleaving (lanes never
+/// interact). The serve soak test pins this end to end over a live socket.
 ///
 /// **Degraded mode:** [`set_degraded`](SimulatorSession::set_degraded) sheds
 /// integrity verification and disturbance sampling — the two pieces of work
@@ -213,6 +219,7 @@ impl Default for Simulator {
 /// exact).
 pub struct SimulatorSession {
     codec: Box<dyn LineCodec>,
+    encoder: Box<dyn LineEncoder>,
     config: PcmConfig,
     options: SimulationOptions,
     organization: MemoryOrganization,
@@ -235,6 +242,7 @@ impl Simulator {
         let mut lanes: Vec<Option<BankLane>> = Vec::new();
         lanes.resize_with(organization.total_banks(), || None);
         SimulatorSession {
+            encoder: codec.encoder(&self.config.energy),
             codec,
             config: self.config.clone(),
             options: self.options.clone(),
@@ -268,47 +276,9 @@ impl SimulatorSession {
         let seed = self.options.seed;
         let options = self.effective_options();
         let lane = self.lanes[bank].get_or_insert_with(|| BankLane::new(seed, bank));
-        lane.feed(self.codec.as_ref(), record, &self.config, &options, Tracking::Stored);
+        let (codec, encoder) = (self.codec.as_ref(), self.encoder.as_ref());
+        lane.feed(codec, encoder, record, &self.config, &options, Tracking::Stored);
         self.writes += 1;
-    }
-
-    /// Feeds a batch, grouped by bank lane for locality: all records of bank
-    /// 0 first, then bank 1, and so on, each lane preserving the batch's
-    /// arrival order. Within a lane, maximal runs of distinct addresses are
-    /// encoded through [`LineCodec::encode_batch`], so codecs that hoist
-    /// their transition-table setup pay it once per run instead of once per
-    /// record. Statistics are byte-identical to feeding the batch record by
-    /// record — encoding is pure, and every side effect (RNG draws,
-    /// integrity checks, accumulation, insertion) still happens per record
-    /// in the lane's arrival order.
-    pub fn write_batch(&mut self, records: &[WriteRecord]) {
-        if records.len() < 2 {
-            for record in records {
-                self.write(record);
-            }
-            return;
-        }
-        let options = self.effective_options();
-        // Stable sort of record indices by bank keeps arrival order per lane.
-        let banks: Vec<usize> =
-            records.iter().map(|r| self.organization.bank_index(r.address)).collect();
-        let mut order: Vec<u32> = (0..records.len() as u32).collect();
-        order.sort_by_key(|&i| banks[i as usize]);
-        let mut start = 0usize;
-        while start < order.len() {
-            let bank = banks[order[start] as usize];
-            let mut end = start;
-            while end < order.len() && banks[order[end] as usize] == bank {
-                end += 1;
-            }
-            let lane_records: Vec<&WriteRecord> =
-                order[start..end].iter().map(|&k| &records[k as usize]).collect();
-            let seed = self.options.seed;
-            let lane = self.lanes[bank].get_or_insert_with(|| BankLane::new(seed, bank));
-            lane.feed_batch(self.codec.as_ref(), &lane_records, &self.config, &options);
-            self.writes += lane_records.len() as u64;
-            start = end;
-        }
     }
 
     /// Enables or disables degraded mode (shed verify-integrity and
@@ -399,48 +369,40 @@ impl BankLane {
         }
     }
 
+    /// Simulates one record: encodes its old value over the encoder's
+    /// initial line when the lane holds nothing for the address (or tracks
+    /// nothing) and its new value over the stored content; then accounts the
+    /// differential-write energy, sampled disturbance, the integrity check
+    /// and the statistics. The new line replaces the stored one when the
+    /// lane tracks content.
     fn feed(
         &mut self,
         codec: &dyn LineCodec,
+        encoder: &dyn LineEncoder,
         record: &WriteRecord,
         config: &PcmConfig,
         options: &SimulationOptions,
         tracking: Tracking,
     ) {
-        let energy = &config.energy;
+        let first_touch = || encoder.encode(&record.old, encoder.initial_line());
         let old = match tracking {
-            Tracking::Stored => self
-                .stored
-                .remove(&record.address)
-                .unwrap_or_else(|| codec.encode(&record.old, &codec.initial_line(), energy)),
-            Tracking::Isolated => codec.encode(&record.old, &codec.initial_line(), energy),
+            Tracking::Stored => self.stored.remove(&record.address).unwrap_or_else(first_touch),
+            Tracking::Isolated => first_touch(),
         };
-        let new = codec.encode(&record.new, &old, energy);
-        self.account(codec, record, &old, new, config, options, tracking);
-    }
-
-    /// The per-record step after encoding: differential-write energy,
-    /// sampled disturbance, the integrity check and the statistics, then
-    /// the new line replaces the stored one when the lane tracks content.
-    #[allow(clippy::too_many_arguments)]
-    fn account(
-        &mut self,
-        codec: &dyn LineCodec,
-        record: &WriteRecord,
-        old: &PhysicalLine,
-        new: PhysicalLine,
-        config: &PcmConfig,
-        options: &SimulationOptions,
-        tracking: Tracking,
-    ) {
-        let outcome = differential_write(old, &new, &config.energy);
+        let new = encoder.encode(&record.new, &old);
+        let outcome = differential_write(&old, &new, &config.energy);
         let disturbance = if options.sample_disturbance {
-            evaluate_disturbance(old, &new, &config.disturbance, &mut self.rng)
+            evaluate_disturbance(&old, &new, &config.disturbance, &mut self.rng)
         } else {
             wlcrc_pcm::disturb::DisturbanceOutcome::default()
         };
+        // Every codec returns exactly `encoded_cells()` cells, so the length
+        // test decides and the class scan never runs: every write counts as
+        // encoded, raw-fallback lines included. Counting only lines stored
+        // in an encoded format would change the number, so it waits for a
+        // salt bump.
         let encoded = match tracking {
-            Tracking::Stored => new.aux_cells() > 0 || codec.encoded_cells() == new.len(),
+            Tracking::Stored => codec.encoded_cells() == new.len() || new.aux_cells() > 0,
             Tracking::Isolated => true,
         };
         let integrity_ok =
@@ -448,61 +410,6 @@ impl BankLane {
         self.stats.record(outcome, disturbance, encoded, integrity_ok);
         if tracking == Tracking::Stored {
             self.stored.insert(record.address, new);
-        }
-    }
-
-    /// Feeds one lane's arrival-order slice of a batch, batch-encoding
-    /// maximal runs of *distinct* addresses through
-    /// [`LineCodec::encode_batch`] (within such a run no record's encoding
-    /// depends on another's outcome, so the encodes are independent).
-    /// Byte-identical to calling [`BankLane::feed`] per record: encoding is
-    /// pure, and the side effects — disturbance RNG draws, integrity
-    /// checks, statistics accumulation and stored-line insertion — run per
-    /// record in arrival order after each run's encodes.
-    fn feed_batch(
-        &mut self,
-        codec: &dyn LineCodec,
-        records: &[&WriteRecord],
-        config: &PcmConfig,
-        options: &SimulationOptions,
-    ) {
-        let energy = &config.energy;
-        let initial = codec.initial_line();
-        let mut seen: std::collections::HashSet<u64> =
-            std::collections::HashSet::with_capacity(records.len().min(64));
-        let mut start = 0usize;
-        while start < records.len() {
-            seen.clear();
-            let mut end = start;
-            while end < records.len() && seen.insert(records[end].address) {
-                end += 1;
-            }
-            let run = &records[start..end];
-            // Stored content per record: take what the lane holds, then
-            // batch-encode the first-touch misses against the initial line.
-            let mut olds: Vec<Option<PhysicalLine>> =
-                run.iter().map(|r| self.stored.remove(&r.address)).collect();
-            let miss_jobs: Vec<(&wlcrc_pcm::line::MemoryLine, &PhysicalLine)> = run
-                .iter()
-                .zip(&olds)
-                .filter(|(_, old)| old.is_none())
-                .map(|(r, _)| (&r.old, &initial))
-                .collect();
-            if !miss_jobs.is_empty() {
-                let mut encoded = codec.encode_batch(&miss_jobs, energy).into_iter();
-                for slot in olds.iter_mut().filter(|o| o.is_none()) {
-                    *slot = encoded.next();
-                }
-            }
-            let olds: Vec<PhysicalLine> =
-                olds.into_iter().map(|o| o.expect("every miss was filled")).collect();
-            let new_jobs: Vec<(&wlcrc_pcm::line::MemoryLine, &PhysicalLine)> =
-                run.iter().zip(&olds).map(|(r, old)| (&r.new, old)).collect();
-            let news = codec.encode_batch(&new_jobs, energy);
-            for ((record, old), new) in run.iter().zip(&olds).zip(news) {
-                self.account(codec, record, old, new, config, options, Tracking::Stored);
-            }
-            start = end;
         }
     }
 }
@@ -681,13 +588,19 @@ mod tests {
         }
         assert_eq!(session.stats(), batch);
         assert_eq!(session.writes(), 300);
-        // Chunked into uneven batches (write_batch regroups by bank).
-        let mut chunked = sim.session(Box::new(RawCodec::new()), trace.workload.clone());
+        // Uneven chunks, each regrouped by bank the way the serve drain
+        // feeds its per-bank queues: lanes never interact, so only the
+        // per-bank order matters.
+        let mut regrouped = sim.session(Box::new(RawCodec::new()), trace.workload.clone());
         let records: Vec<WriteRecord> = trace.iter().copied().collect();
         for chunk in records.chunks(37) {
-            chunked.write_batch(chunk);
+            let mut chunk = chunk.to_vec();
+            chunk.sort_by_key(|record| regrouped.bank_index(record.address));
+            for record in &chunk {
+                regrouped.write(record);
+            }
         }
-        assert_eq!(chunked.stats(), batch);
+        assert_eq!(regrouped.stats(), batch);
     }
 
     #[test]
@@ -696,15 +609,15 @@ mod tests {
         let trace = TraceGenerator::new(Benchmark::Mcf.profile(), 3).generate(120);
         let records: Vec<WriteRecord> = trace.iter().copied().collect();
         let mut session = sim.session(Box::new(RawCodec::new()), "mcf");
-        session.write_batch(&records[..60]);
+        records[..60].iter().for_each(|record| session.write(record));
         let midway = session.stats();
         assert_eq!(midway.writes, 60);
-        session.write_batch(&records[60..]);
+        records[60..].iter().for_each(|record| session.write(record));
         let full = session.stats();
         assert_eq!(full.writes, 120);
         // Taking stats mid-stream must not have perturbed the stored state.
         let mut straight = sim.session(Box::new(RawCodec::new()), "mcf");
-        straight.write_batch(&records);
+        records.iter().for_each(|record| straight.write(record));
         assert_eq!(full, straight.stats());
     }
 
@@ -714,11 +627,11 @@ mod tests {
         let trace = TraceGenerator::new(Benchmark::Lbm.profile(), 5).generate(100);
         let records: Vec<WriteRecord> = trace.iter().copied().collect();
         let mut normal = sim.session(Box::new(RawCodec::new()), "lbm");
-        normal.write_batch(&records);
+        records.iter().for_each(|record| normal.write(record));
         let mut degraded = sim.session(Box::new(RawCodec::new()), "lbm");
         degraded.set_degraded(true);
         assert!(degraded.degraded());
-        degraded.write_batch(&records);
+        records.iter().for_each(|record| degraded.write(record));
         let n = normal.stats();
         let d = degraded.stats();
         // Energy and endurance are RNG-free and must be identical; sampled

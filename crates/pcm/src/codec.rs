@@ -51,6 +51,13 @@ impl std::error::Error for CodecError {}
 /// on interior mutability, so one codec instance can be shared by the
 /// parallel experiment engine's worker threads (`wlcrc_memsim`'s
 /// `ExperimentPlan`) or rebuilt cheaply per worker.
+///
+/// A codec's transition tables depend only on the energy model, so code
+/// that encodes many lines under one model — the simulator's lanes, a
+/// served session — asks for a prepared [`LineEncoder`] once through
+/// [`LineCodec::encoder`] instead of calling [`LineCodec::encode`] per line.
+/// Both run the codec's one encode body (see [`TableCodec`]), so they
+/// produce the same bytes.
 pub trait LineCodec: Send + Sync {
     /// Human-readable scheme name used in reports ("WLCRC-16", "6cosets", ...).
     fn name(&self) -> &str;
@@ -59,12 +66,17 @@ pub trait LineCodec: Send + Sync {
     fn encoded_cells(&self) -> usize;
 
     /// Encodes `data`, choosing the encoding that minimises the differential
-    /// write cost with respect to the stored content `old`.
+    /// write cost with respect to the stored content `old`. Builds the
+    /// codec's transition tables for `energy` on every call.
     ///
     /// # Panics
     ///
     /// Implementations may panic if `old.len() != self.encoded_cells()`.
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine;
+
+    /// This codec prepared for `energy`: its transition tables built once,
+    /// and its initial line with the plane view already installed.
+    fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder>;
 
     /// Decodes a stored physical line back into the data it represents.
     ///
@@ -78,23 +90,76 @@ pub trait LineCodec: Send + Sync {
     fn initial_line(&self) -> PhysicalLine {
         PhysicalLine::all_reset(self.encoded_cells())
     }
+}
 
-    /// Encodes a batch of independent `(data, old)` jobs, returning one
-    /// encoded line per job in order.
+/// A codec prepared for one energy model by [`LineCodec::encoder`].
+///
+/// `Send`, so a session holding one can be drained on any thread.
+pub trait LineEncoder: Send {
+    /// Encodes `data` over the stored `old`: the same line
+    /// [`LineCodec::encode`] returns under the encoder's energy model.
     ///
-    /// The default simply calls [`LineCodec::encode`] per job, so every codec
-    /// gets the API for free and batching is always byte-identical to
-    /// one-at-a-time encoding. Kernelised codecs override this to build their
-    /// per-energy transition tables once per batch instead of once per line,
-    /// which is where the amortisation the batched write paths
-    /// (`SimulatorSession::write_batch`, the serve lanes) rely on comes from.
-    fn encode_batch(
+    /// # Panics
+    ///
+    /// Implementations may panic if `old` does not have the codec's
+    /// [`LineCodec::encoded_cells`] cells.
+    fn encode(&self, data: &MemoryLine, old: &PhysicalLine) -> PhysicalLine;
+
+    /// The codec's [`LineCodec::initial_line`], built once, with its plane
+    /// view installed: the stored content of an address's first write.
+    fn initial_line(&self) -> &PhysicalLine;
+}
+
+/// A codec whose encode splits into what it derives from the energy model
+/// alone ([`TableCodec::tables`]) and its one encode body
+/// ([`TableCodec::encode_with`]); [`prepare`] builds its [`LineEncoder`].
+/// Its [`LineCodec::encode`] runs the same body with tables built for the
+/// call. A codec with several line formats may pick the format first and
+/// build only that format's tables, as long as it then runs the same
+/// per-format code.
+pub trait TableCodec: LineCodec + Clone + 'static {
+    /// The transition tables (and whatever else) an encode derives from the
+    /// energy model.
+    type Tables: Send + 'static;
+
+    /// Builds the tables for `energy`.
+    fn tables(&self, energy: &EnergyModel) -> Self::Tables;
+
+    /// The encode body: encodes `data` over `old` with prebuilt `tables`.
+    fn encode_with(
         &self,
-        jobs: &[(&MemoryLine, &PhysicalLine)],
-        energy: &EnergyModel,
-    ) -> Vec<PhysicalLine> {
-        jobs.iter().map(|&(data, old)| self.encode(data, old, energy)).collect()
+        tables: &Self::Tables,
+        data: &MemoryLine,
+        old: &PhysicalLine,
+    ) -> PhysicalLine;
+}
+
+/// The [`LineEncoder`] of a [`TableCodec`]: its own copy of the codec, the
+/// tables for one energy model, and the warm initial line.
+struct Prepared<C: TableCodec> {
+    codec: C,
+    tables: C::Tables,
+    initial: PhysicalLine,
+}
+
+impl<C: TableCodec> LineEncoder for Prepared<C> {
+    fn encode(&self, data: &MemoryLine, old: &PhysicalLine) -> PhysicalLine {
+        self.codec.encode_with(&self.tables, data, old)
     }
+
+    fn initial_line(&self) -> &PhysicalLine {
+        &self.initial
+    }
+}
+
+/// Builds the [`LineEncoder`] of `codec` under `energy`: what every
+/// [`LineCodec::encoder`] returns. The encoder owns a copy of the codec, so
+/// it outlives the borrow it was built from.
+pub fn prepare<C: TableCodec>(codec: &C, energy: &EnergyModel) -> Box<dyn LineEncoder> {
+    let initial = codec.initial_line();
+    // Builds the line's plane cache once; every first touch reads it warm.
+    let _ = initial.state_planes();
+    Box::new(Prepared { codec: codec.clone(), tables: codec.tables(energy), initial })
 }
 
 /// The baseline scheme: the 512 data bits are stored through the default
@@ -138,15 +203,36 @@ impl LineCodec for RawCodec {
     }
 
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
-        assert_eq!(old.len(), self.encoded_cells());
-        let mut out = PhysicalLine::all_reset(LINE_CELLS);
-        kernel::store_mapped(data, &TransitionTable::new(&self.mapping, energy), &mut out);
-        out
+        self.encode_with(&self.tables(energy), data, old)
+    }
+
+    fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder> {
+        prepare(self, energy)
     }
 
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
         assert_eq!(stored.len(), self.encoded_cells());
         kernel::load_mapped(stored, &self.mapping)
+    }
+}
+
+impl TableCodec for RawCodec {
+    type Tables = TransitionTable;
+
+    fn tables(&self, energy: &EnergyModel) -> TransitionTable {
+        TransitionTable::new(&self.mapping, energy)
+    }
+
+    fn encode_with(
+        &self,
+        table: &TransitionTable,
+        data: &MemoryLine,
+        old: &PhysicalLine,
+    ) -> PhysicalLine {
+        assert_eq!(old.len(), self.encoded_cells());
+        let mut out = PhysicalLine::all_reset(LINE_CELLS);
+        kernel::store_mapped(data, table, &mut out);
+        out
     }
 }
 

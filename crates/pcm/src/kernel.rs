@@ -1141,27 +1141,6 @@ pub fn load_mapped(stored: &PhysicalLine, mapping: &SymbolMapping) -> MemoryLine
     line_from_planes(&plane0, &plane1)
 }
 
-/// Shared driver for batched encodes: extracts each job's symbol and stored
-/// plane views once and hands them to `encode_one` in order. The per-codec
-/// `encode_batch` overrides build their transition tables a single time and
-/// capture them in the closure, so table setup amortises across the batch
-/// while plane extraction stays out of the per-codec code.
-pub fn encode_batch<F>(
-    jobs: &[(&MemoryLine, &PhysicalLine)],
-    mut encode_one: F,
-) -> Vec<PhysicalLine>
-where
-    F: FnMut(&SymbolPlanes, &StatePlanes, &MemoryLine, &PhysicalLine) -> PhysicalLine,
-{
-    let mut out = Vec::with_capacity(jobs.len());
-    for &(data, old) in jobs {
-        let planes = data.symbol_planes();
-        let stored = old.state_planes();
-        out.push(encode_one(&planes, &stored, data, old));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1573,19 +1552,5 @@ mod tests {
                 assert_eq!(line.symbol(cell), mapping.symbol_of(stored.state(cell)), "cell {cell}");
             }
         }
-    }
-
-    #[test]
-    fn encode_batch_driver_hands_out_consistent_planes() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let data: Vec<MemoryLine> = (0..4).map(|_| random_line(&mut rng)).collect();
-        let stored: Vec<PhysicalLine> = (0..4).map(|_| random_stored(&mut rng)).collect();
-        let jobs: Vec<(&MemoryLine, &PhysicalLine)> = data.iter().zip(stored.iter()).collect();
-        let out = encode_batch(&jobs, |planes, old, line, old_line| {
-            assert_eq!(*planes, SymbolPlanes::new(line));
-            assert_eq!(old.plane0(), StatePlanes::new(old_line).plane0());
-            old_line.clone()
-        });
-        assert_eq!(out.len(), 4);
     }
 }

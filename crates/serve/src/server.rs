@@ -270,23 +270,17 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Drains up to `limit` queued records (lane by lane, ascending bank order,
-/// per-lane FIFO), returning how many were simulated. Exits degraded mode
+/// per-lane FIFO), returning how many were simulated. Each record goes
+/// straight from its bank's queue into the session's lane for that bank,
+/// which encodes it with the session's prepared encoder. Exits degraded mode
 /// when the backlog reaches zero.
 fn drain(inner: &mut SessionInner, shared: &Shared, limit: usize) -> usize {
     let mut simulated = 0;
-    let mut chunk: Vec<WriteRecord> = Vec::new();
     for bank in 0..inner.queues.len() {
-        // Pop the lane's share of the budget as one contiguous chunk and
-        // feed it through the session's batched write path, so the codec's
-        // per-batch setup (transition tables, plane extraction) amortises
-        // across the lane's queued records.
         let take = inner.queues[bank].len().min(limit - simulated);
-        if take == 0 {
-            continue;
+        for record in inner.queues[bank].drain(..take) {
+            inner.sim.write(&record);
         }
-        chunk.clear();
-        chunk.extend(inner.queues[bank].drain(..take));
-        inner.sim.write_batch(&chunk);
         inner.backlog -= take;
         simulated += take;
         if simulated >= limit {

@@ -82,14 +82,13 @@ fn encode_allocates_only_the_returned_line() {
         FlipMinCodec, FnwCodec, Granularity, NCosetsCodec, RestrictedCosetCodec,
     };
     use wlcrc_repro::pcm::codec::LineCodec;
-    use wlcrc_repro::pcm::line::MemoryLine;
     use wlcrc_repro::pcm::prelude::EnergyModel;
     use wlcrc_repro::wlcrc::{CocCosetCodec, WlcCosetCodec};
 
     let energy = EnergyModel::paper_default();
     // Mixed content: WLC-compressible words so WLCRC takes its encoded path,
     // and varied values so candidate searches do real work.
-    let lines: Vec<MemoryLine> = workload();
+    let lines = workload();
 
     // Each codec with its allocations per encode: the returned
     // PhysicalLine's cells and classes vectors, plus, for COC+4cosets, the
@@ -106,26 +105,32 @@ fn encode_allocates_only_the_returned_line() {
     ];
 
     for (codec, name, per_encode) in &codecs {
-        // Warm up: first writes may lazily initialise internals.
+        // The simulator's lanes encode through the codec's prepared encoder.
+        let encoder = codec.encoder(&energy);
+        // Warm up: first writes may lazily initialise internals (the
+        // compression-gated codecs build a format's tables on first use).
         let mut old = codec.initial_line();
         for line in &lines {
             old = codec.encode(line, &old, &energy);
+            let _ = encoder.encode(line, &old);
         }
-        // Steady state: each encode allocates exactly `per_encode` times.
-        // (Dropping the previous `old` is a deallocation and is not counted.)
-        const WRITES: u64 = 32;
-        let (allocs, _) = allocations_during(|| {
-            for i in 0..WRITES as usize {
-                let new = codec.encode(&lines[i % lines.len()], &old, &energy);
-                old = new;
-            }
-        });
-        assert_eq!(
-            allocs,
-            per_encode * WRITES,
-            "{name}: expected exactly {per_encode} allocations per encode, got {allocs} over \
-             {WRITES} writes"
-        );
+        // Steady state: each encode allocates exactly `per_encode` times,
+        // through `encode` and through the encoder. A first touch over the
+        // encoder's initial line allocates the same; over a fresh
+        // `initial_line()` it also allocates that line's two vectors.
+        // (Dropping a line is a deallocation and is not counted.)
+        for line in &lines {
+            let (allocs, _) = allocations_during(|| encoder.encode(line, encoder.initial_line()));
+            assert_eq!(allocs, *per_encode, "{name}: first touch through the encoder");
+            let (allocs, _) =
+                allocations_during(|| codec.encode(line, &codec.initial_line(), &energy));
+            assert_eq!(allocs, per_encode + 2, "{name}: first touch through encode");
+            let (allocs, _) = allocations_during(|| encoder.encode(line, &old));
+            assert_eq!(allocs, *per_encode, "{name}: chained encode through the encoder");
+            let (allocs, new) = allocations_during(|| codec.encode(line, &old, &energy));
+            assert_eq!(allocs, *per_encode, "{name}: chained encode");
+            old = new;
+        }
     }
 }
 
@@ -207,15 +212,24 @@ fn batched_encode_allocates_only_the_returned_lines() {
         };
         let jobs: Vec<(&MemoryLine, &PhysicalLine)> =
             (0..64).map(|i| (&lines[(i + 1) % lines.len()], &olds[i % olds.len()])).collect();
-        // Warm-up, then pin: a batch of N lines may allocate exactly
-        // 1 + 2N times — the returned Vec plus each returned PhysicalLine's
-        // two backing vectors. Transition tables, plane views and candidate
-        // search state all live on the stack, so batching adds nothing
-        // per line beyond the lines themselves.
-        let _ = codec.encode_batch(&jobs, &energy);
+        // A batch of records drained through one prepared encoder, as a
+        // served session does. Building the encoder is the only per-batch
+        // setup; after it, a batch of N lines collected into a Vec may
+        // allocate exactly 1 + 2N times — the Vec plus each returned
+        // PhysicalLine's two backing vectors. Transition tables live in the
+        // encoder and plane views and candidate search state on the stack,
+        // so a longer batch adds nothing per line beyond the lines themselves.
+        let encoder = codec.encoder(&energy);
+        let encode_all = |batch: &[(&MemoryLine, &PhysicalLine)]| -> Vec<PhysicalLine> {
+            batch.iter().map(|(data, old)| encoder.encode(data, old)).collect()
+        };
+        let _ = encode_all(&jobs);
         for n in [1usize, 8, 64] {
-            let (allocs, out) = allocations_during(|| codec.encode_batch(&jobs[..n], &energy));
+            let (allocs, out) = allocations_during(|| encode_all(&jobs[..n]));
             assert_eq!(out.len(), n);
+            for ((data, old), new) in jobs[..n].iter().zip(&out) {
+                assert_eq!(*new, codec.encode(data, old, &energy), "{name}: batch output");
+            }
             assert_eq!(
                 allocs,
                 1 + 2 * n as u64,

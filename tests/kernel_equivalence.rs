@@ -1,14 +1,17 @@
 //! Proptest equivalence suite for the bit-parallel candidate-evaluation
-//! kernel: every optimised `encode()` must be byte-identical to its retained
-//! scalar reference (`encode_scalar`), for all schemes × content classes ×
-//! stored states × energy configurations, and the packed `BitBuf` streams
-//! must round-trip exactly like the `Vec<bool>` streams they replaced. The
-//! plane-based accounting tail (`differential_write`,
-//! `evaluate_disturbance`) and the fixed-mapping store/load are checked
-//! against the cell-by-cell loops they replaced, kept here as oracles. The
-//! compression-gated codecs' plane decodes are checked against their
-//! per-cell `decode_scalar` on arbitrary stored lines, and their encodes
-//! under a non-integer energy table against a golden fingerprint.
+//! kernel: every optimised encode, run through the codec's prepared
+//! `LineEncoder`, must be byte-identical to its retained scalar reference
+//! (`encode_scalar`), for all schemes × content classes × stored states ×
+//! energy configurations; every prepared encoder must match its codec's
+//! `LineCodec::encode`, first touches over its initial line included; and
+//! the packed `BitBuf` streams must round-trip exactly like the `Vec<bool>`
+//! streams they replaced. The plane-based accounting tail
+//! (`differential_write`, `evaluate_disturbance`) and the fixed-mapping
+//! store/load are checked against the cell-by-cell loops they replaced, kept
+//! here as oracles. The compression-gated codecs' plane decodes are checked
+//! against their per-cell `decode_scalar` on arbitrary stored lines, and
+//! their encodes under a non-integer energy table against a golden
+//! fingerprint.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -75,8 +78,9 @@ fn arb_energy() -> impl Strategy<Value = EnergyModel> {
 }
 
 /// The four Figure 14 energy models plus one with non-integer energies,
-/// which takes `differential_write`'s cell-by-cell fallback.
-fn arb_accounting_energy() -> impl Strategy<Value = EnergyModel> {
+/// which takes `differential_write`'s cell-by-cell fallback and the
+/// codecs' f64 selection paths.
+fn arb_any_energy() -> impl Strategy<Value = EnergyModel> {
     prop::sample::select(vec![0usize, 1, 2, 3, 4]).prop_map(|i| match i {
         4 => EnergyModel::new(36.5, [0.1, 20.3, 307.7, 547.25]),
         _ => EnergyModel::figure14_configurations()[i].clone(),
@@ -188,7 +192,9 @@ fn evaluate_disturbance_scalar<R: Rng + ?Sized>(
 }
 
 /// Encodes `seed_data` then `data` with both paths, asserting byte equality
-/// at each step (the second write exercises a non-trivial stored line).
+/// at each step (the second write exercises a non-trivial stored line). The
+/// kernel side runs through the codec's prepared encoder, the first write
+/// over the encoder's initial line.
 fn assert_kernel_equals_scalar<F>(
     codec: &dyn LineCodec,
     scalar: F,
@@ -198,11 +204,12 @@ fn assert_kernel_equals_scalar<F>(
 ) where
     F: Fn(&MemoryLine, &PhysicalLine, &EnergyModel) -> PhysicalLine,
 {
-    let initial = codec.initial_line();
-    let first_kernel = codec.encode(seed_data, &initial, energy);
-    let first_scalar = scalar(seed_data, &initial, energy);
+    let encoder = codec.encoder(energy);
+    let initial = encoder.initial_line();
+    let first_kernel = encoder.encode(seed_data, initial);
+    let first_scalar = scalar(seed_data, initial, energy);
     assert_eq!(first_kernel, first_scalar, "{}: first write diverged", codec.name());
-    let second_kernel = codec.encode(data, &first_kernel, energy);
+    let second_kernel = encoder.encode(data, &first_kernel);
     let second_scalar = scalar(data, &first_kernel, energy);
     assert_eq!(second_kernel, second_scalar, "{}: second write diverged", codec.name());
     assert_eq!(codec.decode(&second_kernel), *data, "{}: decode mismatch", codec.name());
@@ -265,41 +272,33 @@ proptest! {
         prop_assert_eq!(codec.decode(&second), codec.decode_scalar(&second));
     }
 
+    /// A prepared encoder is the codec's `encode` with its tables built
+    /// once: chained encodes, and first touches over the encoder's warm
+    /// initial line, must match `encode` byte for byte under integer and
+    /// non-integer energy tables.
     #[test]
-    fn batched_encode_matches_one_at_a_time(
-        lines in prop::collection::vec(arb_biased_line(), 1..20),
-        chunk in 1usize..9,
-        energy in arb_energy(),
-    ) {
-        let codecs: Vec<Box<dyn LineCodec>> = vec![
-            Box::new(NCosetsCodec::six_cosets(Granularity::new(512))),
-            Box::new(FnwCodec::paper_default()),
-            Box::new(FlipMinCodec::new()),
-            Box::new(DinCodec::new()),
-            Box::new(WlcCosetCodec::wlcrc16()),
-            Box::new(WlcCosetCodec::wlc_four_cosets(32)),
-            Box::new(CocCosetCodec::new()),
-        ];
+    fn encoder_matches_encode(lines in prop::collection::vec(arb_biased_line(), 1..8),
+                              random in arb_line(),
+                              energy in arb_any_energy()) {
+        let mut codecs: Vec<Box<dyn LineCodec>> =
+            standard_schemes().into_iter().map(|(_, codec)| codec).collect();
+        codecs.push(Box::new(RestrictedCosetCodec::new(Granularity::new(16))));
         for codec in &codecs {
-            // Independent jobs: each line paired with the chained encoding of
-            // its predecessors, so stored content is realistic and distinct.
-            let mut olds = Vec::with_capacity(lines.len());
+            let encoder = codec.encoder(&energy);
+            let initial = encoder.initial_line();
+            prop_assert_eq!(initial, &codec.initial_line(), "{}", codec.name());
+            prop_assert_eq!(initial.state_planes(), StatePlanes::new(initial), "{}", codec.name());
             let mut old = codec.initial_line();
-            for line in &lines {
-                old = codec.encode(line, &old, &energy);
-                olds.push(old.clone());
-            }
-            let jobs: Vec<(&MemoryLine, &PhysicalLine)> =
-                lines.iter().rev().zip(olds.iter()).collect();
-            for piece in jobs.chunks(chunk) {
-                let batch = codec.encode_batch(piece, &energy);
-                prop_assert_eq!(batch.len(), piece.len());
-                for ((data, stored), enc) in piece.iter().zip(&batch) {
-                    prop_assert_eq!(
-                        &codec.encode(data, stored, &energy), enc,
-                        "{}: batched encode diverged from one-at-a-time", codec.name()
-                    );
-                }
+            for line in lines.iter().chain([&random]) {
+                prop_assert_eq!(
+                    encoder.encode(line, initial),
+                    codec.encode(line, &codec.initial_line(), &energy),
+                    "{}: first touch diverged", codec.name()
+                );
+                let new = encoder.encode(line, &old);
+                prop_assert_eq!(&new, &codec.encode(line, &old, &energy),
+                                "{}: chained encode diverged", codec.name());
+                old = new;
             }
         }
     }
@@ -440,7 +439,7 @@ proptest! {
 
     #[test]
     fn differential_write_matches_scalar_oracle(pair in arb_line_pair(),
-                                                energy in arb_accounting_energy()) {
+                                                energy in arb_any_energy()) {
         let (old, new) = pair;
         let fast = differential_write(&old, &new, &energy);
         let slow = differential_write_scalar(&old, &new, &energy);

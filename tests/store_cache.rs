@@ -203,3 +203,35 @@ fn config_axis_cells_cache_independently() {
     assert_eq!(store.entries().len(), 8, "3 schemes x 1 workload x 2 configs, plus 2 plan entries");
     assert_eq!(store.hit_count(), 2, "the warm grid is two plan-level hits");
 }
+
+/// Every cell's store key carries its codec's behavioural fingerprint
+/// (`codec_fingerprint`: the codec's encodes of four fixed probe lines under
+/// the cell's energy table), so a change to what it hashes, or to any
+/// codec's encodes of those probes, orphans every stored entry. This golden
+/// pins the fingerprints of the 8 standard schemes and `3-r-cosets-16` under
+/// Table II and one non-integer energy table.
+#[test]
+fn codec_fingerprints_match_the_golden() {
+    use wlcrc_repro::coset::{Granularity, RestrictedCosetCodec};
+    use wlcrc_repro::memsim::cache::codec_fingerprint;
+    use wlcrc_repro::pcm::codec::LineCodec;
+    use wlcrc_repro::pcm::energy::EnergyModel;
+    use wlcrc_repro::wlcrc::schemes::standard_schemes;
+    use wlcrc_repro::StableHasher;
+
+    const GOLDEN: &str = "8d7c50739407f9f68d9b65df14ebb9a5";
+    let mut codecs: Vec<Box<dyn LineCodec>> =
+        standard_schemes().into_iter().map(|(_, codec)| codec).collect();
+    codecs.push(Box::new(RestrictedCosetCodec::new(Granularity::new(16))));
+    let mut hasher = StableHasher::new();
+    let mut listing = String::new();
+    for energy in [EnergyModel::paper_default(), EnergyModel::new(36.5, [0.1, 20.3, 307.7, 547.25])]
+    {
+        for codec in &codecs {
+            let fingerprint = codec_fingerprint(codec.as_ref(), &energy).to_hex();
+            hasher.update(fingerprint.as_bytes());
+            listing.push_str(&format!("\n  {} {fingerprint}", codec.name()));
+        }
+    }
+    assert_eq!(hasher.finish().to_hex(), GOLDEN, "codec fingerprints:{listing}");
+}
