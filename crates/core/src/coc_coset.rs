@@ -21,7 +21,7 @@ use wlcrc_coset::candidate::{CandidateSet, CosetCandidate};
 use wlcrc_ecc::BitBuf;
 use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_pcm::kernel::{self, TransitionTable, PLANE_WORDS};
+use wlcrc_pcm::kernel::{self, Selectors, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::{word as wordutil, MemoryLine};
 use wlcrc_pcm::mapping::SymbolMapping;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
@@ -170,32 +170,17 @@ impl CocCosetCodec {
         let mut winners = [0u8; MAX_BLOCKS];
         let mut out0 = [0u64; PLANE_WORDS];
         let mut out1 = [0u64; PLANE_WORDS];
-        let candidates = &tables[..self.candidates.len()];
-        if candidates.iter().all(|t| t.integer_write_pj().is_some()) {
-            kernel::select_blocks_uniform_int(
-                &planes,
-                &stored,
-                block_cells,
-                blocks,
-                candidates,
-                &[[0; 8]; MAX_BLOCKS],
-                &mut winners,
-                &mut out0,
-                &mut out1,
-            );
-        } else {
-            kernel::select_blocks_uniform(
-                &planes,
-                &stored,
-                block_cells,
-                blocks,
-                candidates,
-                &[[0.0; 8]; MAX_BLOCKS],
-                &mut winners,
-                &mut out0,
-                &mut out1,
-            );
-        }
+        kernel::select_blocks_uniform(
+            &planes,
+            &stored,
+            block_cells,
+            blocks,
+            &tables[..self.candidates.len()],
+            Selectors::Unpriced,
+            &mut winners,
+            &mut out0,
+            &mut out1,
+        );
         // Selector cells occupy the freed space after the payload region;
         // any remaining freed cells stay in the RESET state. All count as
         // aux.

@@ -11,7 +11,7 @@ use crate::cost::{block_cost, write_block};
 use crate::granularity::Granularity;
 use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_pcm::kernel::{self, TransitionTable, PLANE_WORDS};
+use wlcrc_pcm::kernel::{self, Selectors, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::MemoryLine;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
 use wlcrc_pcm::state::CellState;
@@ -162,14 +162,14 @@ impl NCosetsCodec {
 
     /// Shared encode body. With `kernel_tables` the per-candidate block
     /// costs run on the bit-parallel kernel: fine granularities (blocks
-    /// smaller than a 64-cell plane word) precompute every candidate's
-    /// per-block cost with the amortised word sweep
-    /// ([`kernel::block_costs_uniform`]), while coarse blocks are evaluated
-    /// per candidate with branch-and-bound (a candidate is abandoned as soon
-    /// as its partial cost reaches the incumbent — it could no longer win the
-    /// strict `<` comparison, so the winner is unchanged). Without
-    /// `kernel_tables` the costs come from the scalar reference in
-    /// [`crate::cost`].
+    /// smaller than a 64-cell plane word) pick every block's candidate in
+    /// one fused word sweep ([`kernel::select_blocks_uniform`]), which is
+    /// told where the selector cells are and prices them itself, while
+    /// coarse blocks are evaluated per candidate with branch-and-bound (a
+    /// candidate is abandoned as soon as its partial cost reaches the
+    /// incumbent — it could no longer win the strict `<` comparison, so the
+    /// winner is unchanged). Without `kernel_tables` the costs come from the
+    /// scalar reference in [`crate::cost`].
     fn encode_impl(
         &self,
         data: &MemoryLine,
@@ -197,94 +197,32 @@ impl NCosetsCodec {
             // the fixed-size scratch and take the generic per-block loop
             // below instead, which handles any block count.
             if cells_per_block < 64 && blocks <= MAX_LINE_BLOCKS {
-                // Single-cell selectors (sets of ≤ 4 candidates) reduce to
-                // "zero if the stored selector already says `idx`, else the
-                // programming energy of the selector state".
-                let one_aux_cell = self.aux_cells_per_block() == 1;
-                let selector_write_pj: [f64; 4] =
-                    std::array::from_fn(|idx| energy.write_energy_pj(CellState::from_index(idx)));
-                let aux_base = self.aux_cell_base();
-                let aux_states = &old.states()[aux_base..];
+                let (aux_base, aux_cells) = (self.aux_cell_base(), self.aux_cells_per_block());
+                let stored_selectors = &old.states()[aux_base..];
+                let selectors = if aux_cells == 1 {
+                    Selectors::OneCell(stored_selectors)
+                } else {
+                    Selectors::TwoCells { stored: stored_selectors, codes: &AUX_COMBOS }
+                };
                 let mut winners = [0u8; MAX_LINE_BLOCKS];
                 let mut out0 = [0u64; PLANE_WORDS];
                 let mut out1 = [0u64; PLANE_WORDS];
-                // Integer-valued energies (the paper's tables) run the
-                // selection entirely on u64 totals — exactly equal to the f64
-                // totals, which represent the same integers.
-                let all_int =
-                    tables[..self.set.len()].iter().all(|t| t.integer_write_pj().is_some());
-                if all_int {
-                    let template: [u64; 8] =
-                        std::array::from_fn(
-                            |i| {
-                                if i < 4 {
-                                    selector_write_pj[i] as u64
-                                } else {
-                                    0
-                                }
-                            },
-                        );
-                    let mut selector_costs = [[0u64; 8]; MAX_LINE_BLOCKS];
-                    for (block, row) in selector_costs.iter_mut().enumerate().take(blocks) {
-                        if one_aux_cell {
-                            *row = template;
-                            let stored_selector = aux_states[block].index();
-                            if stored_selector < self.set.len() {
-                                row[stored_selector] = 0;
-                            }
-                        } else {
-                            for (idx, slot) in row.iter_mut().enumerate().take(self.set.len()) {
-                                *slot = self.selector_cost(old, block, idx, energy) as u64;
-                            }
-                        }
-                    }
-                    kernel::select_blocks_uniform_int(
-                        planes,
-                        stored,
-                        cells_per_block,
-                        blocks,
-                        &tables[..self.set.len()],
-                        &selector_costs,
-                        &mut winners,
-                        &mut out0,
-                        &mut out1,
-                    );
-                } else {
-                    let mut selector_costs = [[0.0f64; 8]; MAX_LINE_BLOCKS];
-                    for (block, row) in selector_costs.iter_mut().enumerate().take(blocks) {
-                        if one_aux_cell {
-                            row[..4].copy_from_slice(&selector_write_pj);
-                            let stored_selector = aux_states[block].index();
-                            if stored_selector < self.set.len() {
-                                row[stored_selector] = 0.0;
-                            }
-                        } else {
-                            for (idx, slot) in row.iter_mut().enumerate().take(self.set.len()) {
-                                *slot = self.selector_cost(old, block, idx, energy);
-                            }
-                        }
-                    }
-                    kernel::select_blocks_uniform(
-                        planes,
-                        stored,
-                        cells_per_block,
-                        blocks,
-                        &tables[..self.set.len()],
-                        &selector_costs,
-                        &mut winners,
-                        &mut out0,
-                        &mut out1,
-                    );
-                }
-                if one_aux_cell {
-                    // One selector cell per block, in block order.
-                    let aux_states = &mut out.states_mut()[LINE_CELLS..];
-                    for (slot, &winner) in aux_states.iter_mut().zip(winners.iter().take(blocks)) {
-                        *slot = CellState::ALL[(winner & 3) as usize];
-                    }
-                } else {
-                    for (block, &winner) in winners.iter().enumerate().take(blocks) {
-                        self.write_selector(&mut out, block, winner as usize);
+                kernel::select_blocks_uniform(
+                    planes,
+                    stored,
+                    cells_per_block,
+                    blocks,
+                    &tables[..self.set.len()],
+                    selectors,
+                    &mut winners,
+                    &mut out0,
+                    &mut out1,
+                );
+                let selector_cells = out.states_mut()[aux_base..].chunks_exact_mut(aux_cells);
+                for (cells, &winner) in selector_cells.zip(&winners[..blocks]) {
+                    match cells {
+                        [cell] => *cell = CellState::ALL[usize::from(winner)],
+                        _ => (cells[0], cells[1]) = AUX_COMBOS[usize::from(winner)],
                     }
                 }
                 kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);

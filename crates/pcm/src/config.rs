@@ -2,6 +2,7 @@
 
 use crate::disturb::DisturbanceModel;
 use crate::energy::EnergyModel;
+use crate::state::CellState;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the simulated machine and PCM main memory.
@@ -69,6 +70,40 @@ impl PcmConfig {
     /// Total number of 64-byte lines in main memory.
     pub fn total_lines(&self) -> u64 {
         (self.capacity_gib as u64) * 1024 * 1024 * 1024 / self.line_bytes as u64
+    }
+
+    /// Checks that the simulator can run this configuration: at least one
+    /// bank, a bank count that fits a `usize`, a non-empty line, finite
+    /// non-negative RESET and SET energies, and disturbance rates in
+    /// `[0, 1]`. The constructors of [`EnergyModel`] and
+    /// [`DisturbanceModel`] enforce the latter two, but a deserialized
+    /// configuration bypasses them.
+    pub fn validate(&self) -> Result<(), String> {
+        let sizes = [
+            ("channels", self.channels),
+            ("dimms_per_channel", self.dimms_per_channel),
+            ("banks_per_dimm", self.banks_per_dimm),
+            ("line_bytes", self.line_bytes),
+        ];
+        if let Some((name, _)) = sizes.iter().find(|(_, size)| *size == 0) {
+            return Err(format!("{name} must be non-zero"));
+        }
+        if sizes[..3].iter().try_fold(1usize, |banks, (_, size)| banks.checked_mul(*size)).is_none()
+        {
+            return Err("the total bank count overflows".to_string());
+        }
+        let set_pj = CellState::ALL.map(|state| self.energy.set_pj(state));
+        if !std::iter::once(self.energy.reset_pj())
+            .chain(set_pj)
+            .all(|pj| pj.is_finite() && pj >= 0.0)
+        {
+            return Err("RESET and SET energies must be finite non-negative numbers".to_string());
+        }
+        if !CellState::ALL.iter().all(|&state| (0.0..=1.0).contains(&self.disturbance.rate(state)))
+        {
+            return Err("disturbance rates must be probabilities in [0, 1]".to_string());
+        }
+        Ok(())
     }
 }
 

@@ -25,6 +25,12 @@
 //!   [`word_pair_block_costs`]) count every block of a plane word at once:
 //!   a lane-wise partial popcount, the SWAR popcount stopped at the block
 //!   width, leaves each block's count in its own lane.
+//! * [`select_blocks_uniform`] is the one block-selection entry point of the
+//!   coset codecs. It reads its arithmetic off the candidates' tables —
+//!   exact `u64` totals when every table is integer-valued, `f64` otherwise
+//!   — and prices the selector cells the caller describes ([`Selectors`])
+//!   in that arithmetic, so no codec asks whether its energy table is
+//!   integer.
 //!
 //! The kernel is numerically exact with respect to the scalar path whenever
 //! the energy table holds integer-valued picojoule costs (as the paper's
@@ -273,8 +279,8 @@ pub struct TransitionTable {
     /// (true for the paper's Table II and all Figure 14 configurations):
     /// weighted popcount sums then run in exact integer arithmetic — the
     /// converted result is bit-identical to the f64 dot product, since both
-    /// are integers far below 2^53 — and skip four int→float conversions
-    /// per block.
+    /// are integers far below 2^53 — and [`select_blocks_uniform`] totals
+    /// and compares whole selections on `u64`.
     write_int: Option<[u64; 4]>,
     /// The state storing each symbol value.
     states: [CellState; 4],
@@ -348,23 +354,10 @@ impl TransitionTable {
         }
     }
 
-    /// `true` when storing `symbol` over `old` would reprogram the cell.
-    #[inline]
-    pub fn is_updated(&self, old: CellState, symbol: Symbol) -> bool {
-        old != self.states[symbol.value() as usize]
-    }
-
     /// The state that stores `symbol` under this table's assignment.
     #[inline]
     pub fn state_of(&self, symbol: Symbol) -> CellState {
         self.states[symbol.value() as usize]
-    }
-
-    /// The per-state programming energies as exact integers, when the energy
-    /// model is integer-valued (see the `write_int` fast path).
-    #[inline]
-    pub fn integer_write_pj(&self) -> Option<[u64; 4]> {
-        self.write_int
     }
 
     /// The target-state planes of a block of symbols: bit `c` of the returned
@@ -435,22 +428,53 @@ fn buckets(changed: u64, t0: u64, t1: u64) -> [u64; 4] {
     [changed & !t1 & !t0, changed & !t1 & t0, changed & t1 & !t0, changed & t1 & t0]
 }
 
+/// The arithmetic costs are totalled in: exact `u64` picojoules when a
+/// table is integer-valued, `f64` otherwise.
+trait Cost: Copy + PartialOrd + core::ops::Add<Output = Self> {
+    const ZERO: Self;
+
+    /// The programming energy of each target state under `table`.
+    fn weights(table: &TransitionTable) -> [Self; 4];
+
+    /// The energy of `counts[s]` changed cells per target state `S(s+1)`,
+    /// summed as `((c0·w0 + c1·w1) + c2·w2) + c3·w3`.
+    fn dot(counts: [u64; 4], weights: &[Self; 4]) -> Self;
+}
+
+impl Cost for u64 {
+    const ZERO: u64 = 0;
+
+    fn weights(table: &TransitionTable) -> [u64; 4] {
+        table.write_int.expect("integer arithmetic needs an integer-valued table")
+    }
+
+    #[inline]
+    fn dot(c: [u64; 4], w: &[u64; 4]) -> u64 {
+        c[0] * w[0] + c[1] * w[1] + c[2] * w[2] + c[3] * w[3]
+    }
+}
+
+impl Cost for f64 {
+    const ZERO: f64 = 0.0;
+
+    fn weights(table: &TransitionTable) -> [f64; 4] {
+        table.write_pj
+    }
+
+    #[inline]
+    fn dot(c: [u64; 4], w: &[f64; 4]) -> f64 {
+        c[0] as f64 * w[0] + c[1] as f64 * w[1] + c[2] as f64 * w[2] + c[3] as f64 * w[3]
+    }
+}
+
 /// The energy of `counts[s]` changed cells per target state `S(s+1)`.
+/// Integer energies give the same integer the f64 dot product produces (all
+/// terms far below 2^53), minus the four int→float conversions.
 #[inline]
 fn bucket_cost(counts: [u64; 4], table: &TransitionTable) -> f64 {
-    match table.write_int {
-        // Integer energies: the u64 total is the same integer the f64 dot
-        // product produces (all terms far below 2^53), minus the four
-        // int→float conversions.
-        Some(wi) => {
-            (counts[0] * wi[0] + counts[1] * wi[1] + counts[2] * wi[2] + counts[3] * wi[3]) as f64
-        }
-        None => {
-            counts[0] as f64 * table.write_pj[0]
-                + counts[1] as f64 * table.write_pj[1]
-                + counts[2] as f64 * table.write_pj[2]
-                + counts[3] as f64 * table.write_pj[3]
-        }
+    match &table.write_int {
+        Some(weights) => u64::dot(counts, weights) as f64,
+        None => f64::dot(counts, &table.write_pj),
     }
 }
 
@@ -507,14 +531,6 @@ impl LaneCounts {
     fn counts(&self, shift: usize) -> [u64; 4] {
         self.lanes.map(|lane| (lane >> shift) & self.lane_mask)
     }
-
-    /// [`bucket_cost`] of the block whose lane starts at bit `shift`, on
-    /// integer weights.
-    #[inline]
-    fn cost_int(&self, shift: usize, weights: &[u64; 4]) -> u64 {
-        let c = self.counts(shift);
-        c[0] * weights[0] + c[1] * weights[1] + c[2] * weights[2] + c[3] * weights[3]
-    }
 }
 
 /// Cost of one plane word under `mask`.
@@ -544,22 +560,6 @@ pub fn block_cost(
     cells: Range<usize>,
     table: &TransitionTable,
 ) -> f64 {
-    if let Some(wi) = table.write_int {
-        // Fixed-width chunked form: accumulate the four bucket counts across
-        // every word with straight-line AND/XOR/popcount (no per-word float
-        // dependency chain, autovectorisable), then one dot product at the
-        // end. Exact regrouping — every partial sum is an integer.
-        let mut counts = [0u64; 4];
-        for (w, mask) in plane_words(cells) {
-            let (t0, t1) = table.target_planes(data, w);
-            let changed = ((t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w])) & mask;
-            for (count, bucket) in counts.iter_mut().zip(buckets(changed, t0, t1)) {
-                *count += u64::from(bucket.count_ones());
-            }
-        }
-        return (counts[0] * wi[0] + counts[1] * wi[1] + counts[2] * wi[2] + counts[3] * wi[3])
-            as f64;
-    }
     let mut cost = 0.0;
     for (w, mask) in plane_words(cells) {
         cost += word_cost(data, old, table, w, mask);
@@ -596,35 +596,22 @@ pub fn block_cost_bounded(
 }
 
 /// Costs of `blocks` equal-size blocks tiling the line from cell 0, written
-/// into `out[0..blocks]` for one candidate.
+/// into `out[0..blocks]` for one candidate, together with the candidate's
+/// target-state planes for every covered word in `targets` (`.0` = low bit,
+/// `.1` = high bit), so the caller can assemble the winning encoding with a
+/// few mask merges instead of re-mapping every cell.
 ///
 /// For blocks smaller than a plane word this amortises the target-plane and
 /// changed-mask computation across every block sharing the word — the
 /// per-block work drops to four masked popcounts — which is what makes the
-/// fine-granularity (8/16/32-bit) candidate sweeps of the n-cosets and
-/// restricted codecs profitable. Blocks of one or more whole words fall back
-/// to [`block_cost`] per block.
+/// fine-granularity (8/16/32-bit) candidate sweeps of the restricted codec
+/// profitable. Blocks of one or more whole words fall back to
+/// [`block_cost`] per block.
 ///
 /// # Panics
 ///
 /// Panics if `out` is shorter than `blocks` or `cells_per_block` does not
 /// tile 64-cell words (divisor or multiple of 64).
-pub fn block_costs_uniform(
-    data: &SymbolPlanes,
-    old: &StatePlanes,
-    cells_per_block: usize,
-    blocks: usize,
-    table: &TransitionTable,
-    out: &mut [f64],
-) {
-    let mut targets = ([0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
-    block_costs_uniform_with_targets(data, old, cells_per_block, blocks, table, out, &mut targets);
-}
-
-/// Like [`block_costs_uniform`], but additionally records the candidate's
-/// target-state planes for every covered word in `targets` (`.0` = low bit,
-/// `.1` = high bit), so the caller can assemble the winning encoding with a
-/// few mask merges instead of re-mapping every cell.
 pub fn block_costs_uniform_with_targets(
     data: &SymbolPlanes,
     old: &StatePlanes,
@@ -663,21 +650,109 @@ pub fn block_costs_uniform_with_targets(
     }
 }
 
+/// The selector cells that record each block's chosen candidate, which
+/// [`select_blocks_uniform`] prices alongside the block's data cells: zero
+/// for a cell that already stores the recording state, that state's
+/// programming energy otherwise.
+#[derive(Debug, Clone, Copy)]
+pub enum Selectors<'a> {
+    /// No selector cells are priced.
+    Unpriced,
+    /// One cell per block: `stored[b]` is the state block `b`'s selector
+    /// cell holds, and candidate `i` is recorded as state `S(i+1)`.
+    OneCell(&'a [CellState]),
+    /// Two cells per block: `stored[2b]` and `stored[2b + 1]` are the states
+    /// block `b`'s selector cells hold, and candidate `i` is recorded as the
+    /// state pair `codes[i]`.
+    TwoCells {
+        /// The stored selector states, two per block in block order.
+        stored: &'a [CellState],
+        /// The state pair recording each candidate.
+        codes: &'a [(CellState, CellState)],
+    },
+}
+
+/// Each candidate's cost, in arithmetic `T`, of the selector cells that
+/// would record it for `block`, priced from the candidate's own table. A
+/// two-cell selector costs `t_a + t_b`.
+#[inline]
+fn selector_costs<T: Cost, const N: usize>(
+    selectors: &Selectors<'_>,
+    weights: &[[T; 4]; N],
+    block: usize,
+) -> [T; N] {
+    let price = |stored: CellState, target: CellState, i: usize| {
+        if stored == target {
+            T::ZERO
+        } else {
+            weights[i][target.index()]
+        }
+    };
+    match selectors {
+        Selectors::Unpriced => [T::ZERO; N],
+        Selectors::OneCell(stored) => {
+            let mut row: [T; N] = core::array::from_fn(|i| weights[i][i]);
+            if let Some(kept) = row.get_mut(stored[block].index()) {
+                *kept = T::ZERO;
+            }
+            row
+        }
+        Selectors::TwoCells { stored, codes } => {
+            let (a, b) = (stored[2 * block], stored[2 * block + 1]);
+            core::array::from_fn(|i| price(a, codes[i].0, i) + price(b, codes[i].1, i))
+        }
+    }
+}
+
+/// The inputs of one [`select_blocks_uniform`] call.
+struct Sweep<'a> {
+    data: &'a SymbolPlanes,
+    old: &'a StatePlanes,
+    cells_per_block: usize,
+    tables: &'a [TransitionTable],
+    selectors: Selectors<'a>,
+}
+
+type SelectFn = fn(&Sweep<'_>, &mut [u8], &mut [u64; PLANE_WORDS], &mut [u64; PLANE_WORDS]);
+
+/// [`select_core`] for `candidates` tables in arithmetic `T`. With the
+/// count known the compiler fully unrolls the candidate loops and keeps the
+/// bucket masks in registers instead of spilling a dynamically-indexed
+/// array.
+fn select_fn<T: Cost>(candidates: usize) -> SelectFn {
+    match candidates {
+        1 => select_core::<T, 1>,
+        2 => select_core::<T, 2>,
+        3 => select_core::<T, 3>,
+        4 => select_core::<T, 4>,
+        5 => select_core::<T, 5>,
+        6 => select_core::<T, 6>,
+        7 => select_core::<T, 7>,
+        _ => select_core::<T, 8>,
+    }
+}
+
 /// Fused sweep + candidate selection for uniform sub-word blocks: for every
-/// block of `cells_per_block` cells (tiling the line from cell 0), evaluates
-/// each candidate's data cost plus `selector_costs[block][candidate]`, picks
-/// the argmin (first strict minimum, matching the scalar `<` scan), records
-/// it in `winners`, and merges the winner's target planes into
-/// `(out0, out1)` ready for [`write_states_from_planes`].
+/// block of `cells_per_block` cells (tiling the line from cell 0), totals
+/// each candidate's data cost and the cost of its `selectors` cells, picks
+/// the first strict minimum (matching the scalar `<` scan), records it in
+/// `winners`, and merges the winner's target planes into `(out0, out1)`
+/// ready for [`write_states_from_planes`].
 ///
-/// Everything happens word by word while the candidate bucket masks are
-/// still in registers — no per-candidate cost arrays are materialised.
+/// Totals are exact `u64` picojoules when every table is integer-valued
+/// (the paper's Table II and the Figure 14 configurations), and `f64`
+/// otherwise, each summed as [`block_cost`] and the scalar selector cost
+/// sum them. Everything happens word by word while the candidate bucket
+/// masks are still in registers — no per-candidate cost arrays are
+/// materialised — and a word no candidate reprograms (a rewrite of
+/// identical content) is decided by its selector cells alone.
 ///
 /// # Panics
 ///
-/// Panics if `cells_per_block` does not divide 64, `winners` or
-/// `selector_costs` is shorter than the block count, or more than eight
-/// candidate tables are given.
+/// Panics if `cells_per_block` does not divide 64, `winners` or the
+/// selector cells are shorter than the block count, or `tables` holds no or
+/// more than eight candidates (more than four with one selector cell, more
+/// than `codes` with two).
 #[allow(clippy::too_many_arguments)]
 pub fn select_blocks_uniform(
     data: &SymbolPlanes,
@@ -685,250 +760,61 @@ pub fn select_blocks_uniform(
     cells_per_block: usize,
     blocks: usize,
     tables: &[TransitionTable],
-    selector_costs: &[[f64; 8]],
+    selectors: Selectors<'_>,
     winners: &mut [u8],
     out0: &mut [u64; PLANE_WORDS],
     out1: &mut [u64; PLANE_WORDS],
 ) {
     assert!(64 % cells_per_block == 0 && cells_per_block < 64, "blocks must subdivide plane words");
     assert!(winners.len() >= blocks, "winners slice too short");
-    assert!(selector_costs.len() >= blocks, "selector_costs slice too short");
-    assert!(tables.len() <= 8, "at most eight candidates");
+    assert!((1..=8).contains(&tables.len()), "one to eight candidates");
+    let select = if tables.iter().all(|table| table.write_int.is_some()) {
+        select_fn::<u64>(tables.len())
+    } else {
+        select_fn::<f64>(tables.len())
+    };
+    let sweep = Sweep { data, old, cells_per_block, tables, selectors };
+    select(&sweep, &mut winners[..blocks], out0, out1);
+}
+
+fn select_core<T: Cost, const N: usize>(
+    sweep: &Sweep<'_>,
+    winners: &mut [u8],
+    out0: &mut [u64; PLANE_WORDS],
+    out1: &mut [u64; PLANE_WORDS],
+) {
+    let tables: &[TransitionTable; N] = sweep.tables.try_into().expect("N candidate tables");
+    let weights = tables.each_ref().map(T::weights);
+    let (data, old, cells_per_block) = (sweep.data, sweep.old, sweep.cells_per_block);
     let blocks_per_word = 64 / cells_per_block;
     let block_mask = (1u64 << cells_per_block) - 1;
-    let winners = &mut winners[..blocks];
-    let no_counts = LaneCounts { lanes: [0; 4], lane_mask: 0 };
     for (w, chunk) in winners.chunks_mut(blocks_per_word).enumerate() {
-        // Per-candidate word state: target planes and per-block bucket counts.
-        let mut planes = [(0u64, 0u64); 8];
-        let mut lanes = [no_counts; 8];
-        for (idx, table) in tables.iter().enumerate() {
-            let (t0, t1) = table.target_planes(data, w);
-            planes[idx] = (t0, t1);
-            let changed = (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]);
-            lanes[idx] = LaneCounts::new(changed, t0, t1, cells_per_block);
-        }
-        for (b, slot) in chunk.iter_mut().enumerate() {
-            let block = w * blocks_per_word + b;
-            let selector = &selector_costs[block];
-            let shift = b * cells_per_block;
-            let mut best = 0usize;
-            let mut best_cost = f64::INFINITY;
-            for (idx, table) in tables.iter().enumerate() {
-                let cost = bucket_cost(lanes[idx].counts(shift), table) + selector[idx];
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = idx;
-                }
-            }
-            *slot = best as u8;
-            let mask = block_mask << shift;
-            out0[w] |= planes[best].0 & mask;
-            out1[w] |= planes[best].1 & mask;
-        }
-    }
-}
-
-/// All-integer variant of [`select_blocks_uniform`], used when every
-/// candidate's energy table is integer-valued (paper Table II and the
-/// Figure 14 configurations): totals and comparisons run on `u64`. Every
-/// total is an integer that the f64 path represents exactly, so the argmin —
-/// first strict minimum — is identical; only the arithmetic is cheaper.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`select_blocks_uniform`], or when a
-/// table has no integer representation.
-#[allow(clippy::too_many_arguments)]
-pub fn select_blocks_uniform_int(
-    data: &SymbolPlanes,
-    old: &StatePlanes,
-    cells_per_block: usize,
-    blocks: usize,
-    tables: &[TransitionTable],
-    selector_costs: &[[u64; 8]],
-    winners: &mut [u8],
-    out0: &mut [u64; PLANE_WORDS],
-    out1: &mut [u64; PLANE_WORDS],
-) {
-    assert!(64 % cells_per_block == 0 && cells_per_block < 64, "blocks must subdivide plane words");
-    assert!(winners.len() >= blocks, "winners slice too short");
-    assert!(selector_costs.len() >= blocks, "selector_costs slice too short");
-    assert!(tables.len() <= 8, "at most eight candidates");
-    let weights: [[u64; 4]; 8] = core::array::from_fn(|i| match tables.get(i) {
-        Some(t) => t.write_int.expect("integer-valued energy table required"),
-        None => [0; 4],
-    });
-    // Monomorphise over the candidate count: with `N` known the compiler
-    // fully unrolls the candidate loops and keeps the bucket masks in
-    // registers instead of spilling a dynamically-indexed array.
-    match tables.len() {
-        0 => {}
-        1 => select_int_core::<1>(
-            data,
-            old,
-            cells_per_block,
-            blocks,
-            tables,
-            &weights,
-            selector_costs,
-            winners,
-            out0,
-            out1,
-        ),
-        2 => select_int_core::<2>(
-            data,
-            old,
-            cells_per_block,
-            blocks,
-            tables,
-            &weights,
-            selector_costs,
-            winners,
-            out0,
-            out1,
-        ),
-        3 => select_int_core::<3>(
-            data,
-            old,
-            cells_per_block,
-            blocks,
-            tables,
-            &weights,
-            selector_costs,
-            winners,
-            out0,
-            out1,
-        ),
-        4 => select_int_core::<4>(
-            data,
-            old,
-            cells_per_block,
-            blocks,
-            tables,
-            &weights,
-            selector_costs,
-            winners,
-            out0,
-            out1,
-        ),
-        5 => select_int_core::<5>(
-            data,
-            old,
-            cells_per_block,
-            blocks,
-            tables,
-            &weights,
-            selector_costs,
-            winners,
-            out0,
-            out1,
-        ),
-        6 => select_int_core::<6>(
-            data,
-            old,
-            cells_per_block,
-            blocks,
-            tables,
-            &weights,
-            selector_costs,
-            winners,
-            out0,
-            out1,
-        ),
-        7 => select_int_core::<7>(
-            data,
-            old,
-            cells_per_block,
-            blocks,
-            tables,
-            &weights,
-            selector_costs,
-            winners,
-            out0,
-            out1,
-        ),
-        _ => select_int_core::<8>(
-            data,
-            old,
-            cells_per_block,
-            blocks,
-            tables,
-            &weights,
-            selector_costs,
-            winners,
-            out0,
-            out1,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn select_int_core<const N: usize>(
-    data: &SymbolPlanes,
-    old: &StatePlanes,
-    cells_per_block: usize,
-    blocks: usize,
-    tables: &[TransitionTable],
-    weights: &[[u64; 4]; 8],
-    selector_costs: &[[u64; 8]],
-    winners: &mut [u8],
-    out0: &mut [u64; PLANE_WORDS],
-    out1: &mut [u64; PLANE_WORDS],
-) {
-    debug_assert_eq!(tables.len(), N);
-    let blocks_per_word = 64 / cells_per_block;
-    let block_mask = (1u64 << cells_per_block) - 1;
-    let winners = &mut winners[..blocks];
-    for ((w, chunk), sel_rows) in
-        winners.chunks_mut(blocks_per_word).enumerate().zip(selector_costs.chunks(blocks_per_word))
-    {
-        let mut planes = [(0u64, 0u64); N];
-        let mut changed = [0u64; N];
-        for idx in 0..N {
-            let (t0, t1) = tables[idx].target_planes(data, w);
-            planes[idx] = (t0, t1);
-            changed[idx] = (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]);
-        }
-        let any_changed = changed.iter().fold(0, |any, &c| any | c);
-        if any_changed == 0 {
-            // Differential-write fast path: no candidate reprograms any cell
-            // of this word (a rewrite of identical content), so every block's
-            // data cost is zero and only the selector costs decide.
-            for ((b, slot), selector) in chunk.iter_mut().enumerate().zip(sel_rows) {
-                let mut best = 0usize;
-                let mut best_cost = u64::MAX;
-                for (idx, &sel) in selector.iter().enumerate().take(N) {
-                    if sel < best_cost {
-                        best_cost = sel;
-                        best = idx;
-                    }
-                }
-                *slot = best as u8;
-                let mask = block_mask << (b * cells_per_block);
-                out0[w] |= planes[best].0 & mask;
-                out1[w] |= planes[best].1 & mask;
-            }
-            continue;
-        }
-        let lanes: [LaneCounts; N] = core::array::from_fn(|idx| {
-            LaneCounts::new(changed[idx], planes[idx].0, planes[idx].1, cells_per_block)
+        let planes = tables.each_ref().map(|table| table.target_planes(data, w));
+        let changed = planes.map(|(t0, t1)| (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]));
+        let lanes = changed.iter().any(|&c| c != 0).then(|| {
+            core::array::from_fn::<_, N, _>(|idx| {
+                LaneCounts::new(changed[idx], planes[idx].0, planes[idx].1, cells_per_block)
+            })
         });
-        for ((b, slot), selector) in chunk.iter_mut().enumerate().zip(sel_rows) {
+        for (b, slot) in chunk.iter_mut().enumerate() {
             let shift = b * cells_per_block;
-            let mut best = 0usize;
-            let mut best_cost = u64::MAX;
-            for idx in 0..N {
-                let cost = lanes[idx].cost_int(shift, &weights[idx]) + selector[idx];
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = idx;
+            let selector = selector_costs(&sweep.selectors, &weights, w * blocks_per_word + b);
+            let costs = match &lanes {
+                Some(lanes) => core::array::from_fn(|idx| {
+                    T::dot(lanes[idx].counts(shift), &weights[idx]) + selector[idx]
+                }),
+                None => selector,
+            };
+            let mut best = (0, costs[0]);
+            for (idx, &cost) in costs.iter().enumerate().skip(1) {
+                if cost < best.1 {
+                    best = (idx, cost);
                 }
             }
-            *slot = best as u8;
+            *slot = best.0 as u8;
             let mask = block_mask << shift;
-            out0[w] |= planes[best].0 & mask;
-            out1[w] |= planes[best].1 & mask;
+            out0[w] |= planes[best.0].0 & mask;
+            out1[w] |= planes[best.0].1 & mask;
         }
     }
 }
@@ -1234,7 +1120,6 @@ mod tests {
             for sym in Symbol::ALL {
                 let target = mapping.state_of(sym);
                 assert_eq!(table.cost_pj(old, sym), energy.transition_energy_pj(old, target));
-                assert_eq!(table.is_updated(old, sym), old != target);
                 assert_eq!(table.state_of(sym), target);
             }
         }
@@ -1314,7 +1199,19 @@ mod tests {
             for cells_per_block in [4usize, 8, 16, 32, 64, 128, 256] {
                 let blocks = LINE_CELLS / cells_per_block;
                 let mut out = [0.0f64; 64];
-                block_costs_uniform(&dp, &op, cells_per_block, blocks, &table, &mut out);
+                let mut targets = ([0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
+                block_costs_uniform_with_targets(
+                    &dp,
+                    &op,
+                    cells_per_block,
+                    blocks,
+                    &table,
+                    &mut out,
+                    &mut targets,
+                );
+                for w in 0..PLANE_WORDS {
+                    assert_eq!((targets.0[w], targets.1[w]), table.target_planes(&dp, w));
+                }
                 for (b, &cost) in out.iter().enumerate().take(blocks) {
                     let range = b * cells_per_block..(b + 1) * cells_per_block;
                     assert_eq!(
@@ -1422,63 +1319,85 @@ mod tests {
     #[test]
     fn block_selection_is_the_first_strict_minimum_per_block() {
         let mut rng = StdRng::seed_from_u64(18);
-        let energy = EnergyModel::paper_default();
-        let tables: Vec<TransitionTable> = SymbolMapping::all_mappings()[..5]
-            .iter()
-            .map(|mapping| TransitionTable::new(mapping, &energy))
-            .collect();
-        for cells_per_block in [1usize, 2, 4, 8, 16, 32] {
-            let data = random_line(&mut rng);
-            let old = random_stored(&mut rng);
-            let (dp, op) = (SymbolPlanes::new(&data), StatePlanes::new(&old));
-            let blocks = LINE_CELLS / cells_per_block - 1;
-            let selector_int: Vec<[u64; 8]> =
-                (0..blocks).map(|_| core::array::from_fn(|_| rng.gen_range(0..300))).collect();
-            let selector: Vec<[f64; 8]> =
-                selector_int.iter().map(|row| row.map(|c| c as f64)).collect();
-            let mut expect = (vec![0u8; blocks], [0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
-            for (b, winner) in expect.0.iter_mut().enumerate() {
-                let cells = b * cells_per_block..(b + 1) * cells_per_block;
-                let mut best = (0, f64::INFINITY);
-                for (idx, table) in tables.iter().enumerate() {
-                    let cost = block_cost(&dp, &op, cells.clone(), table) + selector[b][idx];
-                    if cost < best.1 {
-                        best = (idx, cost);
+        let energies =
+            [EnergyModel::paper_default(), EnergyModel::new(36.5, [0.1, 20.3, 307.7, 547.25])];
+        let codes: [(CellState, CellState); 8] =
+            core::array::from_fn(|i| (CellState::ALL[i % 4], CellState::ALL[(i / 2 + 1) % 4]));
+        let mappings = SymbolMapping::all_mappings();
+        for (energy, candidates, duplicate) in
+            energies.iter().flat_map(|e| (1..=8).flat_map(move |n| [(e, n, false), (e, n, true)]))
+        {
+            // Duplicate tables over an `old` whose words 0 and 2 already store
+            // their encoding: no candidate reprograms a cell of those words.
+            let tables: Vec<TransitionTable> = (0..candidates)
+                .map(|i| TransitionTable::new(&mappings[if duplicate { 5 } else { 3 * i }], energy))
+                .collect();
+            for cells_per_block in [1usize, 2, 4, 8, 16, 32] {
+                let data = random_line(&mut rng);
+                let mut old = random_stored(&mut rng);
+                if duplicate {
+                    for cell in (0..64).chain(128..192) {
+                        old.set_state(cell, tables[0].state_of(data.symbol(cell)));
                     }
                 }
-                *winner = best.0 as u8;
-                for cell in cells {
-                    let state = tables[best.0].state_of(data.symbol(cell)).index() as u64;
-                    expect.1[cell / 64] |= (state & 1) << (cell % 64);
-                    expect.2[cell / 64] |= (state >> 1) << (cell % 64);
+                let (dp, op) = (SymbolPlanes::new(&data), StatePlanes::new(&old));
+                let blocks = LINE_CELLS / cells_per_block - 1;
+                let stored: Vec<CellState> =
+                    (0..2 * blocks).map(|_| CellState::from_index(rng.gen_range(0..4))).collect();
+                let shapes = [
+                    (0, Selectors::Unpriced),
+                    (1, Selectors::OneCell(&stored)),
+                    (2, Selectors::TwoCells { stored: &stored, codes: &codes }),
+                ];
+                for (selector_cells, selectors) in shapes {
+                    if selector_cells == 1 && candidates > 4 {
+                        continue;
+                    }
+                    let selector_cost = |b: usize, idx: usize| match selector_cells {
+                        0 => 0.0,
+                        1 => energy.transition_energy_pj(stored[b], CellState::ALL[idx]),
+                        _ => {
+                            energy.transition_energy_pj(stored[2 * b], codes[idx].0)
+                                + energy.transition_energy_pj(stored[2 * b + 1], codes[idx].1)
+                        }
+                    };
+                    let mut expect = (vec![0u8; blocks], [0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
+                    for (b, winner) in expect.0.iter_mut().enumerate() {
+                        let cells = b * cells_per_block..(b + 1) * cells_per_block;
+                        let mut best = (0, f64::INFINITY);
+                        for (idx, table) in tables.iter().enumerate() {
+                            let cost =
+                                block_cost(&dp, &op, cells.clone(), table) + selector_cost(b, idx);
+                            if cost < best.1 {
+                                best = (idx, cost);
+                            }
+                        }
+                        *winner = best.0 as u8;
+                        for cell in cells {
+                            let state = tables[best.0].state_of(data.symbol(cell)).index() as u64;
+                            expect.1[cell / 64] |= (state & 1) << (cell % 64);
+                            expect.2[cell / 64] |= (state >> 1) << (cell % 64);
+                        }
+                    }
+                    let mut got = (vec![0u8; blocks], [0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
+                    select_blocks_uniform(
+                        &dp,
+                        &op,
+                        cells_per_block,
+                        blocks,
+                        &tables,
+                        selectors,
+                        &mut got.0,
+                        &mut got.1,
+                        &mut got.2,
+                    );
+                    assert_eq!(
+                        got, expect,
+                        "{energy:?}, {candidates} candidates, duplicate {duplicate}, \
+                         cpb {cells_per_block}, {selector_cells} selector cells"
+                    );
                 }
             }
-            let mut got = (vec![0u8; blocks], [0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
-            select_blocks_uniform(
-                &dp,
-                &op,
-                cells_per_block,
-                blocks,
-                &tables,
-                &selector,
-                &mut got.0,
-                &mut got.1,
-                &mut got.2,
-            );
-            assert_eq!(got, expect, "f64, cpb {cells_per_block}");
-            let mut got = (vec![0u8; blocks], [0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
-            select_blocks_uniform_int(
-                &dp,
-                &op,
-                cells_per_block,
-                blocks,
-                &tables,
-                &selector_int,
-                &mut got.0,
-                &mut got.1,
-                &mut got.2,
-            );
-            assert_eq!(got, expect, "int, cpb {cells_per_block}");
         }
     }
 

@@ -484,6 +484,7 @@ fn open_session(
     config: PcmConfig,
     options: SimulationOptions,
 ) -> Result<Response, ServeError> {
+    config.validate().map_err(ServeError::Open)?;
     let codec = SchemeId::ALL
         .iter()
         .find(|id| id.label() == scheme)

@@ -1,20 +1,22 @@
 //! Resilience of the serve path under injected faults: the connection cap
 //! fails closed with `Busy`, deadline misses push sessions into degraded
-//! mode, and a flaky client absorbed by [`RetryClient`] still produces
-//! byte-identical statistics.
+//! mode, a flaky client absorbed by [`RetryClient`] still produces
+//! byte-identical statistics, and `Open` refuses a configuration the
+//! simulator cannot run instead of panicking on its first write.
 //!
 //! Lives in its own integration-test binary because the `wlcrc_faults` plan
 //! is process-global; every test here takes the lock (even fault-free ones,
 //! so a concurrently configured plan cannot leak into them).
 
+use serde::{Deserialize, Serialize, Value};
 use std::sync::Mutex;
 use std::time::Duration;
 use wlcrc::schemes::SchemeId;
 use wlcrc_memsim::{SimulationOptions, Simulator};
 use wlcrc_pcm::config::PcmConfig;
 use wlcrc_serve::{
-    scrape_value, RetryClient, RetryPolicy, ServeClient, Server, ServerConfig, FAULT_CLIENT_FLAKY,
-    FAULT_REQUEST_SLOW,
+    scrape_value, RetryClient, RetryPolicy, ServeClient, ServeError, Server, ServerConfig,
+    FAULT_CLIENT_FLAKY, FAULT_REQUEST_SLOW,
 };
 use wlcrc_trace::{Benchmark, TraceStream, WriteRecord};
 
@@ -161,5 +163,69 @@ fn flaky_client_retries_are_byte_identical_to_a_clean_run() {
 
     let mut closer = ServeClient::connect(addr).expect("connect");
     closer.shutdown().expect("shutdown");
+    running.join();
+}
+
+/// `value` with its record field `field` replaced. The derived
+/// `Deserialize` does not check, so this is how a client can send models
+/// that `EnergyModel::new` and `DisturbanceModel::new` would refuse.
+fn with_field<T: Serialize + Deserialize>(value: &T, field: &str, replacement: Value) -> T {
+    let Value::Record { name, mut fields } = value.to_value() else { panic!("not a record") };
+    fields.iter_mut().find(|(key, _)| key == field).expect("no such field").1 = replacement;
+    T::from_value(&Value::Record { name, fields }).expect("deserializes unchecked")
+}
+
+#[test]
+fn open_refuses_configs_the_simulator_cannot_run() {
+    let _guard = exclusive_faults();
+    wlcrc_faults::clear();
+    let server = Server::new(ServerConfig { workers: 0, ..ServerConfig::default() });
+    let running = server.serve_tcp("127.0.0.1:0").expect("bind");
+    let mut client =
+        ServeClient::connect(running.local_addr().expect("tcp addr")).expect("connect");
+
+    let table_ii = PcmConfig::table_ii();
+    let energy = |field, value: Value| PcmConfig {
+        energy: with_field(&table_ii.energy, field, value),
+        ..table_ii.clone()
+    };
+    let rates = |rates: [f64; 4]| PcmConfig {
+        disturbance: with_field(&table_ii.disturbance, "rates", rates.to_value()),
+        ..table_ii.clone()
+    };
+    let mut refused = ["channels", "dimms_per_channel", "banks_per_dimm", "line_bytes"]
+        .map(|field| with_field(&table_ii, field, Value::U64(0)))
+        .to_vec();
+    refused.extend([
+        PcmConfig { channels: usize::MAX, dimms_per_channel: 2, ..table_ii.clone() },
+        energy("reset_pj", Value::F64(-1.0)),
+        energy("reset_pj", Value::F64(f64::NAN)),
+        energy("set_pj", [0.0, 20.0, f64::INFINITY, 547.0].to_value()),
+        energy("set_pj", [0.0, -20.0, 307.0, 547.0].to_value()),
+        rates([0.123, -0.1, 0.276, 0.152]),
+        rates([0.123, 0.0, 1.5, 0.152]),
+        rates([f64::NAN, 0.0, 0.276, 0.152]),
+    ]);
+    let scheme = SchemeId::Wlcrc16.label();
+    for config in refused {
+        match client.open(scheme, "gcc", config.clone(), SimulationOptions::default()) {
+            Err(ServeError::Remote(message)) => {
+                assert!(message.starts_with("session open rejected"), "{message}")
+            }
+            other => panic!("{config:?} was not refused: {other:?}"),
+        }
+    }
+
+    // The connection outlived every refusal, no session was left behind,
+    // and a valid `Open` on it still serves writes.
+    let text = client.metrics_text().expect("metrics");
+    assert_eq!(scrape_value(&text, "wlcrc_serve_sessions"), Some(0.0));
+    let records = records_for(Benchmark::Gcc, 0x0BE7, 40);
+    let session =
+        client.open(scheme, "gcc", table_ii, SimulationOptions::default()).expect("a valid open");
+    client.write_all(session, &records).expect("write_all");
+    assert_eq!(client.stats(session).expect("stats").0.writes, records.len() as u64);
+
+    client.shutdown().expect("shutdown");
     running.join();
 }

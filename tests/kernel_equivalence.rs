@@ -545,3 +545,54 @@ fn non_integer_energy_encodes_match_the_golden_fingerprint() {
     }
     assert_eq!(hasher.finish().to_hex(), GOLDEN);
 }
+
+/// Chained encodes of the n-cosets codecs at sub-word granularity, which
+/// price every block's selector cells alongside its data cells, and of
+/// `3-r-cosets-16`, under a non-integer energy model. The lines cycle
+/// through random, biased and repeated content; a repeated line rewrites
+/// identical data, so keeping the stored selectors is free. The fingerprint
+/// pins the f64 selection's choices; it was computed before the selection
+/// kernel learned to price selector cells itself.
+#[test]
+fn non_integer_energy_selector_priced_encodes_match_the_golden_fingerprint() {
+    const GOLDEN: &str = "8ca3ec11e51aa3b92139b4b70fd007d2";
+    let energy = EnergyModel::new(36.5, [0.1, 20.3, 307.7, 547.25]);
+    let mut rng = StdRng::seed_from_u64(2019);
+    let mut lines: Vec<MemoryLine> = Vec::new();
+    for i in 0..180 {
+        let line = match i % 3 {
+            0 => MemoryLine::from_words(std::array::from_fn(|_| rng.gen())),
+            1 => MemoryLine::from_words(std::array::from_fn(|_| {
+                let raw: u64 = rng.gen();
+                match rng.gen_range(0..5) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => raw & 0xFFFF,
+                    3 => (-(i64::from(raw as u16))) as u64,
+                    _ => raw,
+                }
+            })),
+            _ => lines[i - 1],
+        };
+        lines.push(line);
+    }
+    let mut codecs: Vec<Box<dyn LineCodec>> = Vec::new();
+    for bits in [8, 16] {
+        codecs.push(Box::new(NCosetsCodec::three_cosets(Granularity::new(bits))));
+        codecs.push(Box::new(NCosetsCodec::four_cosets(Granularity::new(bits))));
+        codecs.push(Box::new(NCosetsCodec::six_cosets(Granularity::new(bits))));
+    }
+    codecs.push(Box::new(RestrictedCosetCodec::new(Granularity::new(16))));
+    let mut hasher = StableHasher::new();
+    for codec in &codecs {
+        let mut old = codec.initial_line();
+        for line in &lines {
+            old = codec.encode(line, &old, &energy);
+            assert_eq!(codec.decode(&old), *line, "{}", codec.name());
+            for (_, state, class) in old.iter() {
+                hasher.update(&[state.index() as u8, u8::from(class == CellClass::Aux)]);
+            }
+        }
+    }
+    assert_eq!(hasher.finish().to_hex(), GOLDEN);
+}
