@@ -1,39 +1,33 @@
 //! `perfsnap` — the repository's performance-trajectory snapshot.
 //!
-//! Runs the codec, plan and store throughput suites on deterministic
-//! workloads and **appends** one JSON entry (git revision, wall clock,
-//! writes/sec per scheme, kernel-vs-scalar speedups, and the persistent
-//! result store's cold-vs-warm plan wall clocks) to `BENCH_codec.json`,
-//! so every PR can diff its throughput against the recorded trajectory:
+//! Runs three suites at one fixed setting and **appends** one JSON entry to
+//! `BENCH_codec.json`, so every PR can diff its throughput against the
+//! recorded trajectory:
+//!
+//! - *codec*: encode writes/sec and decode reads/sec of every scheme over
+//!   4000 chained writes of a mixed corpus; the WLC-integrated schemes also
+//!   on fully WLC-compressible content (rows suffixed `@wlc`). Every
+//!   coset-style scheme also times its retained scalar oracle
+//!   (`encode_scalar`) and records the kernel's speedup over it;
+//! - *plan*: the wall clock of the store-less 8-scheme × 2-workload
+//!   `ExperimentPlan` grid at 400 lines per workload;
+//! - *serve*: requests/sec and the p99 batch latency of 400 batches of 64
+//!   writes sent to an in-process `wlcrc-serve` over loopback TCP.
 //!
 //! ```text
-//! cargo run --release --bin perfsnap                  # full snapshot
-//! cargo run --release --bin perfsnap -- --quick       # CI smoke (tiny grid)
-//! cargo run --release --bin perfsnap -- --out my.json # alternative file
-//! cargo run --release --bin perfsnap -- --quick --check   # CI perf gate
+//! cargo run --release --bin perfsnap                     # append a snapshot
+//! cargo run --release --bin perfsnap -- --out my.json    # to another file
+//! cargo run --release --bin perfsnap -- --note "<text>"  # annotate the entry
+//! cargo run --release --bin perfsnap -- --check          # CI perf gate
 //! ```
 //!
-//! For every coset-style scheme the snapshot measures both the production
-//! bit-parallel kernel (`encode`) and the retained scalar oracle
-//! (`encode_scalar`), recording the speedup — this is the number the
-//! "≥2× on coset-heavy schemes" acceptance gate reads.
-//!
 //! `--check` turns the snapshot into an enforced regression gate: the codec
-//! suite is measured best-of-3 and compared against the **last** entry in
-//! the trajectory file (override with `--check-against <file>`); any codec
-//! whose encode or decode throughput regresses by more than 15% fails the
-//! run with a non-zero exit. The serve suite is gated the same way —
-//! best-of-3 `requests_per_sec` (must not drop >15%) and best-of-3
-//! `p99_batch_ms` (must not grow >15%) against the recorded serve row.
-//! Nothing is appended in check mode.
-//!
-//! The store suite separates the three cache layers: per-cell warm hits
-//! (plan cache off), and the plan-level hit where the whole grid is served
-//! from one store read. The scale suite additionally spawns 1/2/4
-//! `wlcrc-gridrun` worker processes on a shared cold store and records the
-//! cold and warm wall clocks (skipped when the gridrun binary is not built
-//! alongside this one). `--note "<text>"` attaches an annotation to the
-//! appended entry — used to mark before/after pairs around a perf PR.
+//! and serve suites are measured best-of-3 and compared against the **last**
+//! entry in the trajectory file (override with `--check-against <file>`).
+//! Any codec whose encode or decode throughput drops by more than 15%, a
+//! serve `requests_per_sec` drop or `p99_batch_ms` growth of more than 15%,
+//! or a recorded codec this build does not measure fails the run with a
+//! non-zero exit. Nothing is appended in check mode.
 
 use std::time::Instant;
 use wlcrc::schemes::standard_factories;
@@ -53,6 +47,15 @@ use wlcrc_trace::{Benchmark, TraceStream, WriteRecord};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Chained writes per codec and measurement in the codec suite.
+const ITERS: usize = 4000;
+/// Lines per workload of the plan suite's grid.
+const PLAN_LINES: usize = 400;
+/// Write batches per serve-suite round.
+const SERVE_BATCHES: usize = 400;
+/// Seed of the codec corpora, the plan grid and the served trace.
+const SEED: u64 = 42;
 
 /// A scalar-oracle encode closure (`encode_scalar` of a concrete codec).
 type ScalarEncode = Box<dyn Fn(&MemoryLine, &PhysicalLine, &EnergyModel) -> PhysicalLine>;
@@ -128,13 +131,6 @@ fn targets() -> Vec<Target> {
         scalar: Some(Box::new(move |d, o, e| restricted_scalar.encode_scalar(d, o, e))),
     });
     out
-}
-
-/// A deterministic mix of biased, compressible and random lines — shared
-/// with `benches/codec_throughput.rs` so the interactive bench and the
-/// recorded trajectory measure the same workload.
-fn workload_lines(count: usize, seed: u64) -> Vec<MemoryLine> {
-    wlcrc_bench::workloads::mixed_lines(count, seed)
 }
 
 /// Lines whose words all pass the WLC test for `k = 6` (sign-extended small
@@ -247,42 +243,6 @@ fn measure_serve(batches: usize, batch_size: usize, seed: u64) -> (f64, f64, f64
     batch_ms.sort_by(f64::total_cmp);
     let p99_batch_ms = batch_ms[(batch_ms.len() * 99).div_ceil(100).saturating_sub(1)];
     (batches as f64 / serve_secs, serve_records.len() as f64 / serve_secs, p99_batch_ms)
-}
-
-/// The `wlcrc-gridrun` binary built alongside this one, when present.
-fn gridrun_binary() -> Option<std::path::PathBuf> {
-    let path = std::env::current_exe().ok()?.with_file_name("wlcrc-gridrun");
-    path.exists().then_some(path)
-}
-
-/// Spawns `processes` concurrent gridrun workers on `store` and returns the
-/// wall clock (ms) until the last one exits with the full merged grid.
-fn run_gridrun_fleet(
-    binary: &std::path::Path,
-    store: &std::path::Path,
-    processes: usize,
-    plan_lines: usize,
-    seed: u64,
-) -> f64 {
-    let start = Instant::now();
-    let children: Vec<std::process::Child> = (0..processes)
-        .map(|_| {
-            std::process::Command::new(binary)
-                .args(["--plan", "perfsnap", "--lines", &plan_lines.to_string()])
-                .args(["--seed", &seed.to_string(), "--threads", "1"])
-                .arg("--store")
-                .arg(store)
-                .stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null())
-                .spawn()
-                .expect("perfsnap: spawn wlcrc-gridrun worker")
-        })
-        .collect();
-    for mut child in children {
-        let status = child.wait().expect("perfsnap: wait for gridrun worker");
-        assert!(status.success(), "gridrun worker failed with {status}");
-    }
-    start.elapsed().as_secs_f64() * 1e3
 }
 
 fn git_describe() -> (String, bool) {
@@ -454,10 +414,8 @@ fn entry_serve(entry: &Json) -> Option<(f64, f64)> {
     Some((serve.get("requests_per_sec")?.as_f64()?, serve.get("p99_batch_ms")?.as_f64()?))
 }
 
-/// The `--check` perf gate: measures the codec suite best-of-3 and compares
-/// every codec's encode/decode throughput against the last trajectory entry.
-/// Returns `false` when any codec regressed by more than
-/// [`CHECK_REGRESSION_LIMIT`] or a baseline codec is missing from this build.
+/// The `--check` perf gate: measures the codec and serve suites best-of-3
+/// and hands them to [`gate_passes`] against the last trajectory entry.
 fn run_check(
     baseline_path: &str,
     lines: &[MemoryLine],
@@ -483,32 +441,10 @@ fn run_check(
             b.decode_rps = b.decode_rps.max(r.decode_rps);
         }
     }
-    let verdict = |name: &str, metric: &str, current: f64, recorded: f64| -> bool {
-        let delta = current / recorded - 1.0;
-        let fail = delta < -CHECK_REGRESSION_LIMIT;
-        println!(
-            "  {name:<16} {metric} {current:>12.0} vs {recorded:>12.0} recorded  {:>+7.1}%  {}",
-            delta * 100.0,
-            if fail { "FAIL" } else { "ok" }
-        );
-        !fail
-    };
-    let mut ok = true;
-    for base in &baseline {
-        let Some(current) = best.iter().find(|r| r.name == base.name) else {
-            println!("  {:<16} missing from this build  FAIL", base.name);
-            ok = false;
-            continue;
-        };
-        ok &= verdict(&base.name, "encode", current.encode_wps, base.encode_wps);
-        if let Some(dec) = base.decode_rps {
-            ok &= verdict(&base.name, "decode", current.decode_rps, dec);
-        }
-    }
     // Serve gate: best-of-3 requests/sec (higher is better) and p99 batch
     // latency (lower is better) against the recorded serve row. Older
     // trajectory files without a serve row simply skip the gate.
-    if let Some((base_rps, base_p99)) = entry_serve(&entry) {
+    let serve = entry_serve(&entry).map(|recorded| {
         let mut best_rps = 0.0f64;
         let mut best_p99 = f64::INFINITY;
         for _ in 0..3 {
@@ -516,17 +452,10 @@ fn run_check(
             best_rps = best_rps.max(rps);
             best_p99 = best_p99.min(p99);
         }
-        ok &= verdict("serve", "req/s ", best_rps, base_rps);
-        let p99_delta = best_p99 / base_p99 - 1.0;
-        let p99_fail = p99_delta > CHECK_REGRESSION_LIMIT;
-        println!(
-            "  {:<16} p99 ms {best_p99:>12.3} vs {base_p99:>12.3} recorded  {:>+7.1}%  {}",
-            "serve",
-            p99_delta * 100.0,
-            if p99_fail { "FAIL" } else { "ok" }
-        );
-        ok &= !p99_fail;
-    } else {
+        (recorded, (best_rps, best_p99))
+    });
+    let ok = gate_passes(&baseline, &best, serve);
+    if serve.is_none() {
         println!("  serve row missing from {baseline_path}: serve gate skipped");
     }
     if ok {
@@ -543,43 +472,84 @@ fn run_check(
     ok
 }
 
+/// The gate's verdict, printed one comparison per line: `false` when a
+/// `baseline` codec is missing from `measured` or its encode or recorded
+/// decode throughput fell more than [`CHECK_REGRESSION_LIMIT`] below the
+/// baseline, or when `serve`, a (recorded, measured) pair of (requests/sec,
+/// p99 batch ms), lost more than the limit in requests/sec or grew more
+/// than it in p99.
+fn gate_passes(
+    baseline: &[BaselineRow],
+    measured: &[CodecRow],
+    serve: Option<((f64, f64), (f64, f64))>,
+) -> bool {
+    let verdict = |name: &str, metric: &str, current: f64, recorded: f64| -> bool {
+        let delta = current / recorded - 1.0;
+        let fail = delta < -CHECK_REGRESSION_LIMIT;
+        println!(
+            "  {name:<16} {metric} {current:>12.0} vs {recorded:>12.0} recorded  {:>+7.1}%  {}",
+            delta * 100.0,
+            if fail { "FAIL" } else { "ok" }
+        );
+        !fail
+    };
+    let mut ok = true;
+    for base in baseline {
+        let Some(current) = measured.iter().find(|r| r.name == base.name) else {
+            println!("  {:<16} missing from this build  FAIL", base.name);
+            ok = false;
+            continue;
+        };
+        ok &= verdict(&base.name, "encode", current.encode_wps, base.encode_wps);
+        if let Some(dec) = base.decode_rps {
+            ok &= verdict(&base.name, "decode", current.decode_rps, dec);
+        }
+    }
+    if let Some(((base_rps, base_p99), (best_rps, best_p99))) = serve {
+        ok &= verdict("serve", "req/s ", best_rps, base_rps);
+        let p99_delta = best_p99 / base_p99 - 1.0;
+        let p99_fail = p99_delta > CHECK_REGRESSION_LIMIT;
+        println!(
+            "  {:<16} p99 ms {best_p99:>12.3} vs {base_p99:>12.3} recorded  {:>+7.1}%  {}",
+            "serve",
+            p99_delta * 100.0,
+            if p99_fail { "FAIL" } else { "ok" }
+        );
+        ok &= !p99_fail;
+    }
+    ok
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
     let flag = |name: &str| -> Option<String> {
         args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
     };
     let out_path = flag("--out").unwrap_or_else(|| "BENCH_codec.json".to_string());
     let note = flag("--note");
-    let seed: u64 = flag("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-    let default_iters = if quick { 300 } else { 4000 };
-    let iters: usize = flag("--iters").and_then(|v| v.parse().ok()).unwrap_or(default_iters);
-    let plan_lines: usize =
-        flag("--lines").and_then(|v| v.parse().ok()).unwrap_or(if quick { 40 } else { 400 });
 
     let energy = EnergyModel::paper_default();
-    let lines = workload_lines(256, seed);
-    let wlc_lines = wlc_compressible_lines(256, seed.wrapping_add(1));
+    let lines = wlcrc_bench::workloads::mixed_lines(256, SEED);
+    let wlc_lines = wlc_compressible_lines(256, SEED + 1);
 
     if check {
         let baseline_path = flag("--check-against").unwrap_or_else(|| out_path.clone());
-        let serve_batches = if quick { 50 } else { 400 };
-        let ok = run_check(&baseline_path, &lines, &wlc_lines, &energy, iters, serve_batches, seed);
+        let ok = run_check(&baseline_path, &lines, &wlc_lines, &energy, ITERS, SERVE_BATCHES, SEED);
         std::process::exit(if ok { 0 } else { 1 });
     }
 
-    println!("perfsnap: codec suite ({iters} writes per scheme)");
-    let codec_rows = measure_codec_suite(&lines, &wlc_lines, &energy, iters, true);
+    println!("perfsnap: codec suite ({ITERS} writes per scheme)");
+    let codec_rows = measure_codec_suite(&lines, &wlc_lines, &energy, ITERS, true);
 
     // Plan suite: the full scheme registry over two workloads.
-    println!("perfsnap: plan suite ({plan_lines} lines x 2 workloads x 8 schemes)");
+    println!("perfsnap: plan suite ({PLAN_LINES} lines x 2 workloads x 8 schemes)");
     let build_plan = || {
         // Explicitly store-less: the baseline numbers must not depend on a
         // WLCRC_STORE environment variable leaking into the snapshot.
         let mut plan = ExperimentPlan::new()
-            .seed(seed)
-            .lines_per_workload(plan_lines)
+            .seed(SEED)
+            .lines_per_workload(PLAN_LINES)
             .workload(Benchmark::Gcc.profile())
             .workload(Benchmark::Lbm.profile())
             .store_enabled(false);
@@ -595,71 +565,13 @@ fn main() {
     let stream_wps = grid_writes as f64 / (streamed_ms / 1e3);
     println!("  plan {streamed_ms:.0} ms ({stream_wps:.0} w/s)");
 
-    // Store suite: the same grid with the persistent result store disabled
-    // (the streamed number above), cold (every cell misses and is written
-    // back), warm per-cell (every cell is served from disk, plan cache off)
-    // and the plan-level hit (the whole grid served from one store read).
-    // All four runs must be byte-identical — the store may only ever change
-    // wall clock.
-    println!("perfsnap: store suite (disabled / cold miss / per-cell warm / plan-level hit)");
-    let store_dir =
-        std::env::temp_dir().join(format!("wlcrc-perfsnap-store-{}-{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let cold_start = Instant::now();
-    let cold = build_plan().store(&store_dir).plan_cache(false).run();
-    let store_cold_ms = cold_start.elapsed().as_secs_f64() * 1e3;
-    let warm_start = Instant::now();
-    let warm = build_plan().store(&store_dir).plan_cache(false).run();
-    let store_warm_ms = warm_start.elapsed().as_secs_f64() * 1e3;
-    // Adoption run: per-cell hits rebuild the whole-config plan entry …
-    let adopted = build_plan().store(&store_dir).run();
-    // … which the timed plan-hit run is then served from in one read.
-    let plan_hit_start = Instant::now();
-    let plan_hit = build_plan().store(&store_dir).run();
-    let store_plan_hit_ms = plan_hit_start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(streamed, cold, "cold store run must be byte-identical to the store-less run");
-    assert_eq!(streamed, warm, "warm store run must be byte-identical to the store-less run");
-    assert_eq!(streamed, adopted, "plan-adoption run must be byte-identical to the store-less run");
-    assert_eq!(streamed, plan_hit, "plan-level hit must be byte-identical to the store-less run");
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let warm_speedup = streamed_ms / store_warm_ms;
-    let plan_hit_speedup = streamed_ms / store_plan_hit_ms;
-    println!(
-        "  disabled {streamed_ms:.0} ms   cold {store_cold_ms:.0} ms   warm {store_warm_ms:.0} ms ({warm_speedup:.1}x)   plan hit {store_plan_hit_ms:.2} ms ({plan_hit_speedup:.1}x)"
-    );
-
-    // Scale suite: 1/2/4 concurrent gridrun worker processes claiming cells
-    // of the same plan through a shared cold store, then rerun warm (the
-    // fully warm rerun is one plan-level read per worker). Skipped when the
-    // gridrun binary is not built next to this one.
-    let mut scale_rows: Vec<(usize, f64, f64)> = Vec::new();
-    match gridrun_binary() {
-        Some(binary) => {
-            println!("perfsnap: scale suite (wlcrc-gridrun x 1/2/4 processes, shared store)");
-            for processes in [1usize, 2, 4] {
-                let scale_dir = std::env::temp_dir().join(format!(
-                    "wlcrc-perfsnap-scale-{}-{seed}-{processes}",
-                    std::process::id()
-                ));
-                let _ = std::fs::remove_dir_all(&scale_dir);
-                let cold_ms = run_gridrun_fleet(&binary, &scale_dir, processes, plan_lines, seed);
-                let warm_ms = run_gridrun_fleet(&binary, &scale_dir, processes, plan_lines, seed);
-                let _ = std::fs::remove_dir_all(&scale_dir);
-                println!("  {processes} proc   cold {cold_ms:.0} ms   warm {warm_ms:.1} ms");
-                scale_rows.push((processes, cold_ms, warm_ms));
-            }
-        }
-        None => println!("perfsnap: scale suite skipped (wlcrc-gridrun not built)"),
-    }
-
     // Serve suite: the same simulator behind the wire protocol. An
     // in-process `wlcrc-serve` on an ephemeral port receives fixed-size
     // write batches over TCP; requests/sec and the p99 batch latency track
     // the framing + queueing overhead of the service path.
-    let serve_batches: usize = if quick { 50 } else { 400 };
     let serve_batch_size: usize = 64;
-    println!("perfsnap: serve suite ({serve_batches} batches x {serve_batch_size} writes)");
-    let (serve_rps, serve_wps, p99_batch_ms) = measure_serve(serve_batches, serve_batch_size, seed);
+    println!("perfsnap: serve suite ({SERVE_BATCHES} batches x {serve_batch_size} writes)");
+    let (serve_rps, serve_wps, p99_batch_ms) = measure_serve(SERVE_BATCHES, serve_batch_size, SEED);
     println!("  {serve_rps:.0} req/s   {serve_wps:.0} w/s   p99 batch {p99_batch_ms:.2} ms");
 
     let (git_rev, dirty) = git_describe();
@@ -673,7 +585,7 @@ fn main() {
     ));
     entry.push_str(&format!("    \"timestamp_unix\": {},\n", timestamp.unwrap_or(0)));
     entry.push_str(&format!(
-        "    \"config\": {{\"iters\": {iters}, \"plan_lines\": {plan_lines}, \"seed\": {seed}, \"quick\": {quick}}},\n"
+        "    \"config\": {{\"iters\": {ITERS}, \"plan_lines\": {PLAN_LINES}, \"seed\": {SEED}}},\n"
     ));
     entry.push_str("    \"codecs\": [\n");
     for (i, row) in codec_rows.iter().enumerate() {
@@ -695,23 +607,10 @@ fn main() {
     }
     entry.push_str("    ],\n");
     entry.push_str(&format!(
-        "    \"plan\": {{\"schemes\": 8, \"workloads\": 2, \"lines\": {plan_lines}, \"writes\": {grid_writes}, \"streamed_wall_ms\": {streamed_ms:.1}, \"streamed_writes_per_sec\": {stream_wps:.0}}},\n"
+        "    \"plan\": {{\"schemes\": 8, \"workloads\": 2, \"lines\": {PLAN_LINES}, \"writes\": {grid_writes}, \"streamed_wall_ms\": {streamed_ms:.1}, \"streamed_writes_per_sec\": {stream_wps:.0}}},\n"
     ));
     entry.push_str(&format!(
-        "    \"store\": {{\"disabled_wall_ms\": {streamed_ms:.1}, \"cold_wall_ms\": {store_cold_ms:.1}, \"warm_wall_ms\": {store_warm_ms:.1}, \"warm_speedup\": {warm_speedup:.1}, \"plan_hit_wall_ms\": {store_plan_hit_ms:.2}, \"plan_hit_speedup\": {plan_hit_speedup:.1}}},\n"
-    ));
-    if !scale_rows.is_empty() {
-        entry.push_str("    \"scale\": [\n");
-        for (i, (processes, cold_ms, warm_ms)) in scale_rows.iter().enumerate() {
-            entry.push_str(&format!(
-                "      {{\"processes\": {processes}, \"cold_wall_ms\": {cold_ms:.1}, \"warm_wall_ms\": {warm_ms:.1}}}{}\n",
-                if i + 1 < scale_rows.len() { "," } else { "" }
-            ));
-        }
-        entry.push_str("    ],\n");
-    }
-    entry.push_str(&format!(
-        "    \"serve\": {{\"batches\": {serve_batches}, \"batch_size\": {serve_batch_size}, \"requests_per_sec\": {serve_rps:.0}, \"writes_per_sec\": {serve_wps:.0}, \"p99_batch_ms\": {p99_batch_ms:.3}}}{}\n",
+        "    \"serve\": {{\"batches\": {SERVE_BATCHES}, \"batch_size\": {serve_batch_size}, \"requests_per_sec\": {serve_rps:.0}, \"writes_per_sec\": {serve_wps:.0}, \"p99_batch_ms\": {p99_batch_ms:.3}}}{}\n",
         if note.is_some() { "," } else { "" }
     ));
     if let Some(note) = &note {
@@ -724,6 +623,56 @@ fn main() {
         Err(err) => {
             eprintln!("perfsnap: could not write {out_path}: {err}");
             std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(name: &str, encode_wps: f64, decode_rps: f64) -> CodecRow {
+        CodecRow { name: name.to_string(), encode_wps, decode_rps, scalar_wps: None, speedup: None }
+    }
+
+    fn baseline() -> Vec<BaselineRow> {
+        vec![BaselineRow { name: "WLCRC-16".to_string(), encode_wps: 1e6, decode_rps: Some(2e6) }]
+    }
+
+    /// The verdict on a WLCRC-16 row and a serve row measured at the given
+    /// multiples of their baselines (1000 req/s, p99 2 ms).
+    fn passes(encode: f64, decode: f64, requests: f64, p99: f64) -> bool {
+        let measured = [row("WLCRC-16", 1e6 * encode, 2e6 * decode)];
+        gate_passes(&baseline(), &measured, Some(((1000.0, 2.0), (1000.0 * requests, 2.0 * p99))))
+    }
+
+    #[test]
+    fn rows_within_the_limit_pass_and_rows_beyond_it_fail() {
+        assert!(passes(1.0, 1.0, 1.0, 1.0));
+        assert!(passes(0.86, 0.86, 0.86, 1.14));
+        assert!(!passes(0.84, 1.0, 1.0, 1.0), "encode 16% below");
+        assert!(!passes(1.0, 0.84, 1.0, 1.0), "decode 16% below");
+        assert!(!passes(1.0, 1.0, 0.84, 1.0), "serve req/s 16% below");
+        assert!(!passes(1.0, 1.0, 1.0, 1.16), "serve p99 16% above");
+    }
+
+    #[test]
+    fn a_baseline_row_missing_from_the_build_fails() {
+        assert!(gate_passes(&baseline(), &[row("WLCRC-16", 1e6, 2e6)], None));
+        assert!(!gate_passes(&baseline(), &[row("Baseline", 1e6, 2e6)], None));
+    }
+
+    #[test]
+    fn this_build_measures_every_row_of_the_committed_baseline() {
+        let entry = last_entry(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codec.json"));
+        let baseline = entry_codecs(&entry).expect("the committed trajectory has codec rows");
+        assert!(entry_serve(&entry).is_some(), "the committed trajectory has a serve row");
+        let lines = wlcrc_bench::workloads::mixed_lines(4, SEED);
+        let wlc_lines = wlc_compressible_lines(4, SEED + 1);
+        let measured =
+            measure_codec_suite(&lines, &wlc_lines, &EnergyModel::paper_default(), 1, false);
+        for base in &baseline {
+            assert!(measured.iter().any(|r| r.name == base.name), "{} is not measured", base.name);
         }
     }
 }

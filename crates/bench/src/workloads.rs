@@ -16,10 +16,8 @@ use wlcrc_trace::{
 
 /// A deterministic mixed corpus of memory lines — zero words, all-ones
 /// words, small values, small negatives and random words — the content mix
-/// the throughput measurements (`benches/codec_throughput.rs` and the
-/// `perfsnap` bin) chain their writes over. Keeping it in one place
-/// guarantees the interactive bench and the recorded `BENCH_codec.json`
-/// trajectory measure the same workload.
+/// the `perfsnap` codec suite chains its writes over, and so the corpus
+/// behind every codec row of the `BENCH_codec.json` trajectory.
 pub fn mixed_lines(count: usize, seed: u64) -> Vec<wlcrc_pcm::line::MemoryLine> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -135,24 +135,6 @@ type CodecFactoryFn = Arc<dyn Fn() -> Box<dyn LineCodec> + Send + Sync>;
 /// replays the trace it yields.
 pub type TraceSourceFactory = Arc<dyn Fn(u64) -> Box<dyn TraceSource + Send> + Send + Sync>;
 
-/// How a worker obtains the codec for a cell: either it builds a private
-/// instance through a factory, or it borrows a pre-built shared instance
-/// (possible because [`LineCodec`] is `Send + Sync`).
-enum CodecSource {
-    Factory(CodecFactoryFn),
-    Shared(Arc<dyn LineCodec>),
-}
-
-impl CodecSource {
-    /// Runs `f` with a codec reference for this cell.
-    fn with_codec<T>(&self, f: impl FnOnce(&dyn LineCodec) -> T) -> T {
-        match self {
-            CodecSource::Factory(factory) => f(factory().as_ref()),
-            CodecSource::Shared(codec) => f(codec.as_ref()),
-        }
-    }
-}
-
 /// A workload axis entry: a profile the plan generates a trace from (scaled
 /// by write intensity, like the paper's `Ave.` weighting), a caller-provided
 /// trace replayed verbatim, or a custom stream factory.
@@ -180,7 +162,7 @@ impl WorkloadSource {
 /// config) or [`ExperimentPlan::run_grid`] (one [`ExperimentResult`] per
 /// config).
 pub struct ExperimentPlan {
-    schemes: Vec<(String, CodecSource)>,
+    schemes: Vec<(String, CodecFactoryFn)>,
     workloads: Vec<WorkloadSource>,
     configs: Vec<PcmConfig>,
     seeds: Vec<u64>,
@@ -238,7 +220,7 @@ impl ExperimentPlan {
     where
         F: Fn() -> Box<dyn LineCodec> + Send + Sync + 'static,
     {
-        self.schemes.push((label.into(), CodecSource::Factory(Arc::new(factory))));
+        self.schemes.push((label.into(), Arc::new(factory)));
         self
     }
 
@@ -250,17 +232,7 @@ impl ExperimentPlan {
         label: impl Into<String>,
         factory: Arc<dyn Fn() -> Box<dyn LineCodec> + Send + Sync>,
     ) -> ExperimentPlan {
-        self.schemes.push((label.into(), CodecSource::Factory(factory)));
-        self
-    }
-
-    /// Adds a pre-built codec, shared read-only by all workers.
-    pub fn scheme_boxed(
-        mut self,
-        label: impl Into<String>,
-        codec: Box<dyn LineCodec>,
-    ) -> ExperimentPlan {
-        self.schemes.push((label.into(), CodecSource::Shared(Arc::from(codec))));
+        self.schemes.push((label.into(), factory));
         self
     }
 
@@ -802,12 +774,10 @@ impl ExperimentPlan {
         let codec_fps: Vec<Fingerprint> = self
             .schemes
             .iter()
-            .flat_map(|(_, source)| {
+            .flat_map(|(_, factory)| {
                 self.configs
                     .iter()
-                    .map(|config| {
-                        source.with_codec(|codec| cache::codec_fingerprint(codec, &config.energy))
-                    })
+                    .map(|config| cache::codec_fingerprint(factory().as_ref(), &config.energy))
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -946,7 +916,7 @@ impl ExperimentPlan {
         shards: usize,
         workers: usize,
     ) -> SchemeStats {
-        let (label, codec_source) = &self.schemes[coord.scheme];
+        let (label, factory) = &self.schemes[coord.scheme];
         let workload = self.workloads[coord.workload].name();
         let base_seed = self.seeds[coord.seed];
         let config = &self.configs[coord.config];
@@ -963,13 +933,12 @@ impl ExperimentPlan {
                 }
                 cell_label
             });
-            codec_source.with_codec(|codec| {
-                if self.isolated {
-                    simulator.run_isolated_shard(codec, trace, shard, shards)
-                } else {
-                    simulator.run_shard(codec, trace, shard, shards)
-                }
-            })
+            let codec = factory();
+            if self.isolated {
+                simulator.run_isolated_shard(codec.as_ref(), trace, shard, shards)
+            } else {
+                simulator.run_shard(codec.as_ref(), trace, shard, shards)
+            }
         });
         let _span = wlcrc_obs::span("engine.merge");
         merge_bank_stats(label, workload, config.total_banks(), partials.into_iter().flatten())
@@ -1246,7 +1215,7 @@ mod tests {
             .workload(Benchmark::Mcf.profile())
             .workload(Benchmark::Omnetpp.profile())
             .scheme("Baseline", || Box::new(RawCodec::new()))
-            .scheme_boxed("Shared", Box::new(RawCodec::new()))
+            .scheme("Shared", || Box::new(RawCodec::new()))
     }
 
     #[test]
@@ -1415,7 +1384,7 @@ mod tests {
                         as Box<dyn TraceSource + Send>
                 })
                 .scheme("Baseline", || Box::new(RawCodec::new()))
-                .scheme_boxed("Shared", Box::new(RawCodec::new()))
+                .scheme("Shared", || Box::new(RawCodec::new()))
                 .scheme("Remapped", remapped_raw)
         };
         let calls = Arc::new(AtomicUsize::new(0));
@@ -1688,7 +1657,7 @@ mod tests {
             .workload(Benchmark::Gcc.profile())
             .workload(Benchmark::Mcf.profile())
             .scheme("Baseline", || Box::new(RawCodec::new()))
-            .scheme_boxed("Shared", Box::new(RawCodec::new()))
+            .scheme("Shared", || Box::new(RawCodec::new()))
             .store(&scratch.0)
             .store_readonly(false)
             .run();

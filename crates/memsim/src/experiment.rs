@@ -1,13 +1,10 @@
 //! Experiment results: the per-cell statistics grid every figure is derived
-//! from, plus the historical sequential entry point (now a thin wrapper over
-//! the parallel [`ExperimentPlan`](crate::engine::ExperimentPlan) engine).
+//! from, as the [`ExperimentPlan`](crate::engine::ExperimentPlan) engine
+//! returns it.
 
-use crate::engine::ExperimentPlan;
 use crate::stats::SchemeStats;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use wlcrc_pcm::codec::LineCodec;
-use wlcrc_trace::WorkloadProfile;
 
 /// Provenance of an [`ExperimentResult`]: which grid produced it.
 ///
@@ -90,53 +87,35 @@ fn distinct<'a>(names: impl Iterator<Item = &'a str>) -> Vec<String> {
     out
 }
 
-/// Runs every `(scheme, workload)` combination: for each workload a synthetic
-/// trace of `lines_per_workload` writes (scaled by the workload's relative
-/// write intensity) is generated from its profile and fed to every scheme.
-///
-/// The same trace (same seed) is used for all schemes of a workload so the
-/// comparison is paired, exactly as in the paper. Execution is delegated to
-/// [`ExperimentPlan`], so the grid is sharded across the worker pool
-/// (`WLCRC_THREADS`) with deterministic results; prefer building a plan
-/// directly in new code.
-///
-/// Seeding note: traces are derived exactly as the historical sequential
-/// harness derived them, so the written data — and every energy/endurance
-/// metric, which is RNG-free — is unchanged. The *disturbance-sampling* RNG,
-/// however, is now seeded per (scheme, workload) cell instead of reusing the
-/// raw base seed everywhere (the engine's cross-worker determinism rule), so
-/// sampled disturbance counts differ from pre-engine releases for the same
-/// `seed`.
-pub fn run_schemes_on_workloads(
-    schemes: Vec<(&str, Box<dyn LineCodec>)>,
-    workloads: &[WorkloadProfile],
-    lines_per_workload: usize,
-    seed: u64,
-) -> ExperimentResult {
-    let mut plan = ExperimentPlan::new()
-        .seed(seed)
-        .lines_per_workload(lines_per_workload)
-        .workloads(workloads.iter().cloned());
-    for (label, codec) in schemes {
-        plan = plan.scheme_boxed(label, codec);
-    }
-    plan.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ExperimentPlan;
     use wlcrc_pcm::codec::RawCodec;
-    use wlcrc_trace::Benchmark;
+    use wlcrc_trace::{Benchmark, WorkloadProfile};
 
-    fn baseline_pair() -> Vec<(&'static str, Box<dyn LineCodec>)> {
-        vec![("Baseline", Box::new(RawCodec::new())), ("Baseline2", Box::new(RawCodec::new()))]
+    /// A store-less plan running `schemes` RAW codecs over `workloads`.
+    fn run_raw(
+        schemes: &[&str],
+        workloads: Vec<WorkloadProfile>,
+        lines_per_workload: usize,
+        seed: u64,
+    ) -> ExperimentResult {
+        let mut plan = ExperimentPlan::new()
+            .store_enabled(false)
+            .seed(seed)
+            .lines_per_workload(lines_per_workload)
+            .workloads(workloads);
+        for &label in schemes {
+            plan = plan.scheme(label, || Box::new(RawCodec::new()));
+        }
+        plan.run()
     }
 
     #[test]
     fn runs_every_combination() {
         let workloads = vec![Benchmark::Gcc.profile(), Benchmark::Mcf.profile()];
-        let result = run_schemes_on_workloads(baseline_pair(), &workloads, 50, 1);
+        let result = run_raw(&["Baseline", "Baseline2"], workloads, 50, 1);
         assert_eq!(result.cells.len(), 4);
         assert_eq!(result.schemes().len(), 2);
         assert_eq!(result.workloads(), vec!["gcc".to_string(), "mcf".to_string()]);
@@ -147,10 +126,8 @@ mod tests {
 
     #[test]
     fn intensity_scales_trace_length() {
-        let schemes: Vec<(&str, Box<dyn LineCodec>)> =
-            vec![("Baseline", Box::new(RawCodec::new()))];
         let workloads = vec![Benchmark::Leslie3d.profile(), Benchmark::Omnetpp.profile()];
-        let result = run_schemes_on_workloads(schemes, &workloads, 100, 2);
+        let result = run_raw(&["Baseline"], workloads, 100, 2);
         let hmi = result.get("Baseline", "lesl").unwrap().writes;
         let lmi = result.get("Baseline", "omne").unwrap().writes;
         assert!(hmi > lmi, "HMI workloads must issue more writes ({hmi} vs {lmi})");
@@ -158,10 +135,8 @@ mod tests {
 
     #[test]
     fn averages_merge_workloads() {
-        let schemes: Vec<(&str, Box<dyn LineCodec>)> =
-            vec![("Baseline", Box::new(RawCodec::new()))];
         let workloads = vec![Benchmark::Gcc.profile(), Benchmark::Mcf.profile()];
-        let result = run_schemes_on_workloads(schemes, &workloads, 30, 3);
+        let result = run_raw(&["Baseline"], workloads, 30, 3);
         let avg = result.average_for_scheme("Baseline");
         let total: u64 = result.for_scheme("Baseline").iter().map(|s| s.writes).sum();
         assert_eq!(avg.writes, total);
@@ -170,8 +145,7 @@ mod tests {
 
     #[test]
     fn write_imbalance_is_reported_per_workload() {
-        let workloads = vec![Benchmark::Gcc.profile()];
-        let result = run_schemes_on_workloads(baseline_pair(), &workloads, 200, 1);
+        let result = run_raw(&["Baseline", "Baseline2"], vec![Benchmark::Gcc.profile()], 200, 1);
         let imbalance = result.write_imbalance("gcc").expect("workload present");
         assert!(imbalance >= 1.0);
         assert_eq!(result.write_imbalance("nope"), None);

@@ -55,7 +55,7 @@ pub use engine::{
     ClaimedRunReport, ExperimentPlan, GridMetrics, TraceSourceFactory, CLAIM_CRASH_EXIT_CODE,
     FAULT_CLAIM_CRASH, INTRA_SHARDS_ENV, STORE_ENV, STORE_READONLY_ENV, THREADS_ENV,
 };
-pub use experiment::{run_schemes_on_workloads, ExperimentResult, RunMetadata};
+pub use experiment::{ExperimentResult, RunMetadata};
 pub use memory::MemoryOrganization;
 pub use simulator::{merge_bank_stats, BankStats, SimulationOptions, Simulator, SimulatorSession};
 pub use stats::SchemeStats;

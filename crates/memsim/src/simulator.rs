@@ -128,7 +128,10 @@ impl Simulator {
         self.run_lanes(codec, trace.into_trace_source(), shard, shards, Tracking::Stored)
     }
 
-    /// Shard variant of [`Simulator::run_isolated`]; see [`Simulator::run_shard`].
+    /// [`Simulator::run_shard`] without address tracking: each record is an
+    /// isolated write whose stored content is the encoding of its old value.
+    /// Used by the random-data studies (Figures 1, 2), where there is no
+    /// reuse.
     pub fn run_isolated_shard(
         &self,
         codec: &dyn LineCodec,
@@ -137,19 +140,6 @@ impl Simulator {
         shards: usize,
     ) -> Vec<BankStats> {
         self.run_lanes(codec, trace.into_trace_source(), shard, shards, Tracking::Isolated)
-    }
-
-    /// Runs `codec` over a slice of raw `(old, new)` records without address
-    /// tracking: each record is treated as an isolated write whose stored
-    /// content is the encoding of the old value. Used by the random-data
-    /// studies (Figures 1, 2) where there is no reuse.
-    pub fn run_isolated(&self, codec: &dyn LineCodec, records: &[WriteRecord]) -> SchemeStats {
-        let source = wlcrc_trace::from_fn("isolated", records.len() as u64, |i| {
-            records[usize::try_from(i).expect("record index fits usize")]
-        });
-        let scheme = codec.name().to_string();
-        let lanes = self.run_lanes(codec, source, 0, 1, Tracking::Isolated);
-        merge_bank_stats(&scheme, "isolated", self.config.total_banks(), lanes)
     }
 
     /// The lane engine behind every entry point: streams the source, routes
@@ -513,16 +503,11 @@ mod tests {
     fn isolated_run_matches_record_count() {
         let sim = Simulator::new();
         let codec = RawCodec::new();
-        let records: Vec<WriteRecord> = (0..50)
-            .map(|i| {
-                WriteRecord::new(
-                    0,
-                    MemoryLine::from_words([i; 8]),
-                    MemoryLine::from_words([i + 1; 8]),
-                )
-            })
-            .collect();
-        let stats = sim.run_isolated(&codec, &records);
+        let records = wlcrc_trace::from_fn("isolated", 50, |i| {
+            WriteRecord::new(0, MemoryLine::from_words([i; 8]), MemoryLine::from_words([i + 1; 8]))
+        });
+        let lanes = sim.run_isolated_shard(&codec, records, 0, 1);
+        let stats = merge_bank_stats("Baseline", "isolated", sim.config().total_banks(), lanes);
         assert_eq!(stats.writes, 50);
         assert_eq!(stats.integrity_failures, 0);
     }

@@ -5,6 +5,11 @@ use crate::energy::EnergyModel;
 use crate::state::CellState;
 use serde::{Deserialize, Serialize};
 
+/// The most banks [`PcmConfig::validate`] accepts: 64× Table II's 64. A
+/// simulation allocates per bank, so the bound caps what one configuration
+/// from outside the program can make it allocate.
+const MAX_BANKS: usize = 4096;
+
 /// Configuration of the simulated machine and PCM main memory.
 ///
 /// The timing-related parameters (write pausing, queue depth) are carried for
@@ -72,12 +77,11 @@ impl PcmConfig {
         (self.capacity_gib as u64) * 1024 * 1024 * 1024 / self.line_bytes as u64
     }
 
-    /// Checks that the simulator can run this configuration: at least one
-    /// bank, a bank count that fits a `usize`, a non-empty line, finite
-    /// non-negative RESET and SET energies, and disturbance rates in
-    /// `[0, 1]`. The constructors of [`EnergyModel`] and
-    /// [`DisturbanceModel`] enforce the latter two, but a deserialized
-    /// configuration bypasses them.
+    /// Checks that the simulator can run this configuration: between one
+    /// and 4,096 banks, a non-empty line, finite non-negative RESET
+    /// and SET energies, and disturbance rates in `[0, 1]`. The constructors
+    /// of [`EnergyModel`] and [`DisturbanceModel`] enforce the latter two,
+    /// but a deserialized configuration bypasses them.
     pub fn validate(&self) -> Result<(), String> {
         let sizes = [
             ("channels", self.channels),
@@ -88,9 +92,9 @@ impl PcmConfig {
         if let Some((name, _)) = sizes.iter().find(|(_, size)| *size == 0) {
             return Err(format!("{name} must be non-zero"));
         }
-        if sizes[..3].iter().try_fold(1usize, |banks, (_, size)| banks.checked_mul(*size)).is_none()
-        {
-            return Err("the total bank count overflows".to_string());
+        let banks = sizes[..3].iter().try_fold(1usize, |banks, (_, size)| banks.checked_mul(*size));
+        if banks.is_none_or(|banks| banks > MAX_BANKS) {
+            return Err(format!("the total bank count must be at most {MAX_BANKS}"));
         }
         let set_pj = CellState::ALL.map(|state| self.energy.set_pj(state));
         if !std::iter::once(self.energy.reset_pj())

@@ -198,6 +198,15 @@ fn open_refuses_configs_the_simulator_cannot_run() {
         .to_vec();
     refused.extend([
         PcmConfig { channels: usize::MAX, dimms_per_channel: 2, ..table_ii.clone() },
+        // 2^33 and 4,097 banks: each fits a `usize`, but a session allocates
+        // per bank.
+        PcmConfig {
+            channels: 2048,
+            dimms_per_channel: 2048,
+            banks_per_dimm: 2048,
+            ..table_ii.clone()
+        },
+        PcmConfig { channels: 17, dimms_per_channel: 1, banks_per_dimm: 241, ..table_ii.clone() },
         energy("reset_pj", Value::F64(-1.0)),
         energy("reset_pj", Value::F64(f64::NAN)),
         energy("set_pj", [0.0, 20.0, f64::INFINITY, 547.0].to_value()),
@@ -217,14 +226,18 @@ fn open_refuses_configs_the_simulator_cannot_run() {
     }
 
     // The connection outlived every refusal, no session was left behind,
-    // and a valid `Open` on it still serves writes.
+    // and a valid `Open` at the 4,096-bank bound on it still serves writes.
     let text = client.metrics_text().expect("metrics");
     assert_eq!(scrape_value(&text, "wlcrc_serve_sessions"), Some(0.0));
     let records = records_for(Benchmark::Gcc, 0x0BE7, 40);
+    let most_banks =
+        PcmConfig { channels: 16, dimms_per_channel: 16, banks_per_dimm: 16, ..table_ii };
     let session =
-        client.open(scheme, "gcc", table_ii, SimulationOptions::default()).expect("a valid open");
+        client.open(scheme, "gcc", most_banks, SimulationOptions::default()).expect("a valid open");
     client.write_all(session, &records).expect("write_all");
-    assert_eq!(client.stats(session).expect("stats").0.writes, records.len() as u64);
+    let stats = client.stats(session).expect("stats").0;
+    assert_eq!(stats.writes, records.len() as u64);
+    assert_eq!(stats.bank_writes.len(), 4096);
 
     client.shutdown().expect("shutdown");
     running.join();

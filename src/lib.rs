@@ -60,9 +60,9 @@ pub use wlcrc::schemes::{standard_factories, standard_schemes, CodecFactory, Sch
 pub use wlcrc::{CocCosetCodec, CosetPolicy, MultiObjectiveConfig, WlcCosetCodec, WordLayout};
 pub use wlcrc_compress::{Bdi, Coc, Compressor, Fpc, Wlc};
 pub use wlcrc_memsim::{
-    cell_seed, merge_bank_stats, run_schemes_on_workloads, scaled_workload_lines,
-    workload_stream_seed, BankStats, ExperimentPlan, ExperimentResult, MemoryOrganization,
-    RunMetadata, SchemeStats, SimulationOptions, Simulator, SimulatorSession,
+    cell_seed, merge_bank_stats, scaled_workload_lines, workload_stream_seed, BankStats,
+    ExperimentPlan, ExperimentResult, MemoryOrganization, RunMetadata, SchemeStats,
+    SimulationOptions, Simulator, SimulatorSession,
 };
 pub use wlcrc_pcm::codec::{CodecError, LineCodec, RawCodec};
 pub use wlcrc_pcm::config::PcmConfig;

@@ -1,19 +1,23 @@
 //! End-to-end integration tests: the trace-driven simulator combined with
 //! synthetic workloads must reproduce the headline findings of the paper.
 
-use wlcrc_repro::memsim::{run_schemes_on_workloads, SimulationOptions, Simulator};
-use wlcrc_repro::pcm::codec::LineCodec;
+use wlcrc_repro::memsim::{ExperimentPlan, SimulationOptions, Simulator};
 use wlcrc_repro::pcm::config::PcmConfig;
 use wlcrc_repro::trace::{Benchmark, TraceGenerator, WorkloadProfile};
-use wlcrc_repro::wlcrc::schemes::{standard_schemes, SchemeId};
+use wlcrc_repro::wlcrc::schemes::{standard_factories, standard_schemes, SchemeId};
 
 fn small_experiment() -> wlcrc_repro::memsim::ExperimentResult {
     // Hermetic: a developer's WLCRC_STORE must not leak cached cells into
     // (or out of) the paper-findings assertions.
-    std::env::remove_var(wlcrc_repro::memsim::STORE_ENV);
-    let schemes: Vec<(&str, Box<dyn LineCodec>)> =
-        standard_schemes().into_iter().map(|(id, codec)| (id.label(), codec)).collect();
-    run_schemes_on_workloads(schemes, &WorkloadProfile::all_benchmarks(), 150, 99)
+    let mut plan = ExperimentPlan::new()
+        .store_enabled(false)
+        .seed(99)
+        .lines_per_workload(150)
+        .workloads(WorkloadProfile::all_benchmarks());
+    for (id, factory) in standard_factories() {
+        plan = plan.scheme_factory(id.label(), factory);
+    }
+    plan.run()
 }
 
 #[test]
@@ -100,14 +104,14 @@ fn experiment_plan_is_deterministic_across_worker_counts() {
     // worker count: per-cell seeds derive from grid coordinates, never from
     // thread identity or completion order.
     let build = || {
-        let mut plan = wlcrc_repro::memsim::ExperimentPlan::new()
+        let mut plan = ExperimentPlan::new()
             .store_enabled(false)
             .seed(99)
             .lines_per_workload(60)
             .workload(Benchmark::Gcc.profile())
             .workload(Benchmark::Lbm.profile())
             .workload(Benchmark::Omnetpp.profile());
-        for (id, factory) in wlcrc_repro::wlcrc::schemes::standard_factories() {
+        for (id, factory) in standard_factories() {
             plan = plan.scheme_factory(id.label(), factory);
         }
         plan
@@ -142,12 +146,12 @@ fn streaming_pipeline_matches_materialised_baseline_for_every_scheme() {
     use wlcrc_repro::trace::TraceStream;
     let profiles = WorkloadProfile::all_benchmarks();
     let build = || {
-        let mut plan = wlcrc_repro::memsim::ExperimentPlan::new()
+        let mut plan = ExperimentPlan::new()
             .store_enabled(false)
             .seed(42)
             .lines_per_workload(40)
             .workloads(profiles.clone());
-        for (id, factory) in wlcrc_repro::wlcrc::schemes::standard_factories() {
+        for (id, factory) in standard_factories() {
             plan = plan.scheme_factory(id.label(), factory);
         }
         plan
