@@ -154,8 +154,7 @@ impl CocCosetCodec {
     /// Encodes a repacked `payload` in an encoded `format` on the kernel:
     /// one fused sweep picks every payload block's candidate (the first
     /// strict minimum of its data cost; selectors are not priced), and the
-    /// payload and selector cells are written as planes in one pass, which
-    /// also installs the result's plane cache.
+    /// payload and selector cells are written as planes in one pass.
     fn encode_payload(
         &self,
         format: Format,
@@ -189,7 +188,7 @@ impl CocCosetCodec {
             out0[cell / 64] |= u64::from(winner & 1) << (cell % 64);
             out1[cell / 64] |= u64::from(winner >> 1) << (cell % 64);
         }
-        kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
+        out.set_data_planes(&out0, &out1);
         for cell in format.payload_cells()..LINE_CELLS {
             out.set_class(cell, CellClass::Aux);
         }

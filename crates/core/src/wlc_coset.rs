@@ -471,7 +471,7 @@ impl WlcCosetCodec {
     /// data words: one word-pair sweep per candidate prices every block of
     /// both, each aux cell's cost per symbol comes from a per-word table, and
     /// the winners' target planes and the aux states are merged into one
-    /// plane-assembled write (which also installs the result's plane cache).
+    /// plane-assembled write.
     fn encode_compressed(
         &self,
         data: &MemoryLine,
@@ -504,10 +504,9 @@ impl WlcCosetCodec {
             for (half, costs) in pair.iter().enumerate() {
                 let word = 2 * pw + half;
                 let base = WORD_CELLS * half;
-                let aux_old = &old.states()[word * WORD_CELLS + fdc..(word + 1) * WORD_CELLS];
                 let mut aux_table = [[0.0f64; 4]; MAX_AUX_CELLS];
-                for (row, &state) in aux_table.iter_mut().zip(aux_old) {
-                    *row = tables.aux_rows[state.index()];
+                for (k, row) in aux_table.iter_mut().enumerate().take(aux_cells) {
+                    *row = tables.aux_rows[old.state(word * WORD_CELLS + fdc + k).index()];
                 }
                 let (group_b, choices, aux_bits) = self.choose(costs, |aux_bits| {
                     let field = self.aux_field(data, word, aux_bits);
@@ -534,7 +533,7 @@ impl WlcCosetCodec {
                 }
             }
         }
-        kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
+        out.set_data_planes(&out0, &out1);
         for word in 0..LINE_WORDS {
             for cell in fdc..WORD_CELLS {
                 out.set_class(Self::global_cell(word, cell), CellClass::Aux);

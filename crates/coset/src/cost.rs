@@ -36,7 +36,10 @@ pub fn block_cost(
 }
 
 /// Like [`block_cost`] but counting the number of cells that would be
-/// programmed instead of the energy (used by the multi-objective policy).
+/// programmed instead of the energy: the scalar oracle of
+/// `wlcrc_pcm::kernel::block_updated_cells`, which the kernel's
+/// `word_pair_sweep_matches_per_block_cost` test uses as the reference for
+/// WLCRC's update counts.
 pub fn block_updated_cells(
     data: &MemoryLine,
     old: &PhysicalLine,

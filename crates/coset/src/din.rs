@@ -427,7 +427,7 @@ impl TableCodec for DinCodec {
             plane0[w] = t0;
             plane1[w] = t1;
         }
-        kernel::write_states_from_planes(&mut out, LINE_CELLS, &plane0, &plane1);
+        out.set_data_planes(&plane0, &plane1);
         out.set_state(self.flag_cell(), flag);
         out
     }

@@ -167,9 +167,8 @@ impl TableCodec for FlipMinCodec {
                 best_index = i;
             }
         }
-        // Plane-assembled write of the winner: the target planes are
-        // scattered in one pass, which also installs the new line's
-        // `StatePlanes` cache for the next write against it.
+        // Plane-assembled write of the winner: its target planes are the
+        // new line's data planes.
         let candidate = planes.xor(&self.mask_planes[best_index]);
         let mut out = PhysicalLine::all_reset(self.encoded_cells());
         let mut out0 = [0u64; PLANE_WORDS];
@@ -177,7 +176,7 @@ impl TableCodec for FlipMinCodec {
         for w in 0..PLANE_WORDS {
             (out0[w], out1[w]) = table.target_planes(&candidate, w);
         }
-        kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
+        out.set_data_planes(&out0, &out1);
         // The 4-bit candidate index is stored in two auxiliary cells.
         for (i, shift) in [(0usize, 0u32), (1, 2)] {
             let bits = ((best_index >> shift) & 0b11) as u8;

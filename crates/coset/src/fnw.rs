@@ -164,9 +164,8 @@ impl LineCodec for FnwCodec {
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
         assert_eq!(stored.len(), self.encoded_cells());
         let blocks = self.granularity.blocks_per_line();
-        // Bit-parallel inverse mapping of the data cells; the warm plane
-        // cache installed by the encode side makes this a handful of word
-        // shuffles on lines that live across writes.
+        // Bit-parallel inverse mapping of the data cells: a handful of word
+        // shuffles on the stored planes.
         let states = stored.state_planes();
         let (p0, p1) = kernel::symbol_planes_from_states(&states, self.mapping.symbols_per_state());
         let encoded = kernel::line_from_planes(&p0, &p1);
@@ -230,9 +229,7 @@ impl TableCodec for FnwCodec {
             }
         }
         // Plane-assembled write: select each word's target planes between
-        // the keep and the flipped table, then scatter once. This also
-        // installs the new line's StatePlanes cache, so the next write
-        // against it skips the per-cell plane rebuild.
+        // the keep and the flipped table, then store them at once.
         let mut out0 = [0u64; PLANE_WORDS];
         let mut out1 = [0u64; PLANE_WORDS];
         for w in 0..PLANE_WORDS {
@@ -242,7 +239,7 @@ impl TableCodec for FnwCodec {
             out0[w] = (k0 & !fm) | (f0 & fm);
             out1[w] = (k1 & !fm) | (f1 & fm);
         }
-        kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
+        out.set_data_planes(&out0, &out1);
         self.write_aux(&mut out, flips, blocks);
         out
     }

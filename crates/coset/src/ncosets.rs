@@ -66,9 +66,16 @@ impl NCosetsCodec {
     /// # Panics
     ///
     /// Panics if the candidate set needs more than two auxiliary cells per
-    /// block (more than 16 candidates).
+    /// block (more than 16 candidates), or if the granularity is finer than
+    /// 8 bits: the block selection keeps its winners in a fixed array of 64,
+    /// and 6cosets at 2 bits would need 768 cells, past
+    /// [`wlcrc_pcm::MAX_LINE_CELLS`].
     pub fn new(set: CandidateSet, granularity: Granularity) -> NCosetsCodec {
         assert!(set.len() <= 16, "NCosetsCodec supports at most 16 candidates per block");
+        assert!(
+            granularity.blocks_per_line() <= MAX_LINE_BLOCKS,
+            "NCosetsCodec supports at most {MAX_LINE_BLOCKS} blocks per line (granularity >= 8 bits)"
+        );
         if set.len() > 4 {
             assert!(
                 set.len() <= AUX_COMBOS.len(),
@@ -190,19 +197,16 @@ impl NCosetsCodec {
         // per block while the bucket masks are in registers — the selection
         // minimises the full differential-write cost (data block plus the
         // auxiliary cells recording the choice) exactly like the scalar loop
-        // below — and assembles the winners' target planes, which are
-        // scattered to cells in a single pass at the end.
+        // below — and assembles the winners' target planes, stored with one
+        // `set_data_planes` at the end.
         if let Some((planes, stored, tables)) = &kernel_ctx {
-            // Granularities finer than 8 bits (more than 64 blocks) exceed
-            // the fixed-size scratch and take the generic per-block loop
-            // below instead, which handles any block count.
-            if cells_per_block < 64 && blocks <= MAX_LINE_BLOCKS {
-                let (aux_base, aux_cells) = (self.aux_cell_base(), self.aux_cells_per_block());
-                let stored_selectors = &old.states()[aux_base..];
-                let selectors = if aux_cells == 1 {
-                    Selectors::OneCell(stored_selectors)
+            if cells_per_block < 64 {
+                // The selector cells follow the 256 data cells, where the
+                // kernel reads them.
+                let selectors = if self.aux_cells_per_block() == 1 {
+                    Selectors::OneCell(old)
                 } else {
-                    Selectors::TwoCells { stored: stored_selectors, codes: &AUX_COMBOS }
+                    Selectors::TwoCells { stored: old, codes: &AUX_COMBOS }
                 };
                 let mut winners = [0u8; MAX_LINE_BLOCKS];
                 let mut out0 = [0u64; PLANE_WORDS];
@@ -218,14 +222,10 @@ impl NCosetsCodec {
                     &mut out0,
                     &mut out1,
                 );
-                let selector_cells = out.states_mut()[aux_base..].chunks_exact_mut(aux_cells);
-                for (cells, &winner) in selector_cells.zip(&winners[..blocks]) {
-                    match cells {
-                        [cell] => *cell = CellState::ALL[usize::from(winner)],
-                        _ => (cells[0], cells[1]) = AUX_COMBOS[usize::from(winner)],
-                    }
+                for (block, &winner) in winners[..blocks].iter().enumerate() {
+                    self.write_selector(&mut out, block, usize::from(winner));
                 }
-                kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
+                out.set_data_planes(&out0, &out1);
                 return out;
             }
         }
@@ -435,7 +435,7 @@ mod tests {
         let energy = EnergyModel::paper_default();
         let data = MemoryLine::ZERO.complement();
         let enc = codec.encode(&data, &codec.initial_line(), &energy);
-        let low = enc.states().iter().take(LINE_CELLS).filter(|s| s.is_low_energy()).count();
+        let low = enc.iter().take(LINE_CELLS).filter(|(_, s, _)| s.is_low_energy()).count();
         assert_eq!(low, LINE_CELLS);
     }
 

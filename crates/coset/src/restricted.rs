@@ -290,7 +290,7 @@ impl RestrictedCosetCodec {
             out.set_class(cell, CellClass::Aux);
         }
         if kernel_tables.is_some() && self.granularity.cells() < 64 {
-            // Assemble the chosen blocks' target planes and scatter once.
+            // Assemble the chosen blocks' target planes and store them at once.
             let cells_per_block = self.granularity.cells();
             let blocks_per_word = 64 / cells_per_block;
             let block_mask = (1u64 << cells_per_block) - 1;
@@ -304,7 +304,7 @@ impl RestrictedCosetCodec {
                 out0[w] |= targets[idx].0[w] & mask;
                 out1[w] |= targets[idx].1[w] & mask;
             }
-            kernel::write_states_from_planes(&mut out, LINE_CELLS, &out0, &out1);
+            out.set_data_planes(&out0, &out1);
         } else {
             let (base, alt) = self.group_candidates(group_b);
             for block in 0..blocks {

@@ -16,8 +16,9 @@
 //!
 //! Every run encodes through one [`LineEncoder`], built by
 //! [`LineCodec::encoder`] when the run (or session) starts: the codec's
-//! transition tables and its all-RESET initial line are built once, not per
-//! write. First touches encode over the encoder's initial line.
+//! transition tables are built once, not per write. First touches encode
+//! over the codec's all-RESET [`LineCodec::initial_line`], an all-zero
+//! stack value.
 
 use crate::memory::MemoryOrganization;
 use crate::stats::SchemeStats;
@@ -359,7 +360,7 @@ impl BankLane {
         }
     }
 
-    /// Simulates one record: encodes its old value over the encoder's
+    /// Simulates one record: encodes its old value over the codec's
     /// initial line when the lane holds nothing for the address (or tracks
     /// nothing) and its new value over the stored content; then accounts the
     /// differential-write energy, sampled disturbance, the integrity check
@@ -374,7 +375,7 @@ impl BankLane {
         options: &SimulationOptions,
         tracking: Tracking,
     ) {
-        let first_touch = || encoder.encode(&record.old, encoder.initial_line());
+        let first_touch = || encoder.encode(&record.old, &codec.initial_line());
         let old = match tracking {
             Tracking::Stored => self.stored.remove(&record.address).unwrap_or_else(first_touch),
             Tracking::Isolated => first_touch(),

@@ -74,8 +74,7 @@ pub trait LineCodec: Send + Sync {
     /// Implementations may panic if `old.len() != self.encoded_cells()`.
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine;
 
-    /// This codec prepared for `energy`: its transition tables built once,
-    /// and its initial line with the plane view already installed.
+    /// This codec prepared for `energy`: its transition tables built once.
     fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder>;
 
     /// Decodes a stored physical line back into the data it represents.
@@ -104,10 +103,6 @@ pub trait LineEncoder: Send {
     /// Implementations may panic if `old` does not have the codec's
     /// [`LineCodec::encoded_cells`] cells.
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine) -> PhysicalLine;
-
-    /// The codec's [`LineCodec::initial_line`], built once, with its plane
-    /// view installed: the stored content of an address's first write.
-    fn initial_line(&self) -> &PhysicalLine;
 }
 
 /// A codec whose encode splits into what it derives from the energy model
@@ -134,21 +129,16 @@ pub trait TableCodec: LineCodec + Clone + 'static {
     ) -> PhysicalLine;
 }
 
-/// The [`LineEncoder`] of a [`TableCodec`]: its own copy of the codec, the
-/// tables for one energy model, and the warm initial line.
+/// The [`LineEncoder`] of a [`TableCodec`]: its own copy of the codec and
+/// the tables for one energy model.
 struct Prepared<C: TableCodec> {
     codec: C,
     tables: C::Tables,
-    initial: PhysicalLine,
 }
 
 impl<C: TableCodec> LineEncoder for Prepared<C> {
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine) -> PhysicalLine {
         self.codec.encode_with(&self.tables, data, old)
-    }
-
-    fn initial_line(&self) -> &PhysicalLine {
-        &self.initial
     }
 }
 
@@ -156,10 +146,7 @@ impl<C: TableCodec> LineEncoder for Prepared<C> {
 /// [`LineCodec::encoder`] returns. The encoder owns a copy of the codec, so
 /// it outlives the borrow it was built from.
 pub fn prepare<C: TableCodec>(codec: &C, energy: &EnergyModel) -> Box<dyn LineEncoder> {
-    let initial = codec.initial_line();
-    // Builds the line's plane cache once; every first touch reads it warm.
-    let _ = initial.state_planes();
-    Box::new(Prepared { codec: codec.clone(), tables: codec.tables(energy), initial })
+    Box::new(Prepared { codec: codec.clone(), tables: codec.tables(energy) })
 }
 
 /// The baseline scheme: the 512 data bits are stored through the default
@@ -266,7 +253,7 @@ mod tests {
         let codec = RawCodec::new();
         let e = EnergyModel::paper_default();
         let enc = codec.encode(&MemoryLine::ZERO, &codec.initial_line(), &e);
-        assert!(enc.states().iter().all(|s| *s == CellState::S1));
+        assert!(enc.iter().all(|(_, s, _)| s == CellState::S1));
     }
 
     #[test]
@@ -274,7 +261,7 @@ mod tests {
         let codec = RawCodec::new();
         let e = EnergyModel::paper_default();
         let enc = codec.encode(&MemoryLine::ZERO.complement(), &codec.initial_line(), &e);
-        assert!(enc.states().iter().all(|s| *s == CellState::S3));
+        assert!(enc.iter().all(|(_, s, _)| s == CellState::S3));
     }
 
     #[test]

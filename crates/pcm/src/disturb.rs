@@ -5,10 +5,8 @@
 //! in the minimum-resistance state `S2` is immune; cells in `S1`, `S3` and
 //! `S4` are disturbed with the per-state rates of Table II (20 nm node).
 
-use crate::kernel::{self, PLANE_WORDS};
-use crate::physical::{CellClass, PhysicalLine};
+use crate::physical::{PhysicalLine, LINE_PLANE_WORDS};
 use crate::state::CellState;
-use crate::LINE_CELLS;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
@@ -111,9 +109,9 @@ impl AddAssign for DisturbanceOutcome {
 /// order. This order is part of the simulated results: changing it changes
 /// every sampled count and needs a `SIMULATOR_VERSION_SALT` bump.
 ///
-/// The first 256 cells are scanned on the lines' cached plane views: only the
-/// written cells with an idle, disturbable neighbour are visited, found with
-/// `trailing_zeros` over word masks, and nothing is allocated.
+/// The lines are scanned on their bit planes, over every word they occupy:
+/// only the written cells with an idle, disturbable neighbour are visited,
+/// found with `trailing_zeros` over word masks, and nothing is allocated.
 ///
 /// # Panics
 ///
@@ -125,36 +123,21 @@ pub fn evaluate_disturbance<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> DisturbanceOutcome {
     assert_eq!(old.len(), new.len());
-    let len = new.len();
-    let (old_planes, new_planes) = (old.state_planes(), new.state_planes());
-    let cells = kernel::prefix_mask(len);
-    let mut written = [0u64; PLANE_WORDS];
+    let (len, words) = (new.len(), new.len().div_ceil(64));
+    let ((o0, o1, _), (n0, n1, aux)) = (old.planes(), new.planes());
+    let mut written = [0u64; LINE_PLANE_WORDS];
     // Idle cells whose stored state can be disturbed (anything but S2).
-    let mut victims = [0u64; PLANE_WORDS];
-    for w in 0..PLANE_WORDS {
-        let (n0, n1) = (new_planes.plane0()[w], new_planes.plane1()[w]);
-        written[w] = (old_planes.plane0()[w] ^ n0) | (old_planes.plane1()[w] ^ n1);
-        victims[w] = cells[w] & !written[w] & !(n0 & !n1);
+    let mut victims = [0u64; LINE_PLANE_WORDS];
+    for w in 0..words {
+        let cells = u64::MAX >> (64 - (len - w * 64).min(64));
+        written[w] = (o0[w] ^ n0[w]) | (o1[w] ^ n1[w]);
+        victims[w] = cells & !written[w] & !(n0[w] & !n1[w]);
     }
-    let is_victim =
-        |cell: usize| old.state(cell) == new.state(cell) && new.state(cell).is_disturbable();
+    let rates = CellState::ALL.map(|state| model.rate(state));
     let mut outcome = DisturbanceOutcome::default();
-    let mut expose = |cell: usize| {
-        let p = model.rate(new.state(cell));
-        let hit = usize::from(rng.gen::<f64>() < p);
-        if new.class(cell) == CellClass::Aux {
-            outcome.expected_aux_errors += p;
-            outcome.aux_errors += hit;
-        } else {
-            outcome.expected_data_errors += p;
-            outcome.data_errors += hit;
-        }
-    };
-    // The first cell past the plane view is the right neighbour of cell 255.
-    let beyond = u64::from(len > LINE_CELLS && is_victim(LINE_CELLS));
-    for w in 0..PLANE_WORDS {
+    for w in 0..words {
         let below = if w > 0 { victims[w - 1] >> 63 } else { 0 };
-        let above = if w + 1 < PLANE_WORDS { victims[w + 1] & 1 } else { beyond };
+        let above = victims.get(w + 1).map_or(0, |word| word & 1);
         // Bit c: cell c's left (right) neighbour is a victim.
         let left = (victims[w] << 1) | below;
         let right = (victims[w] >> 1) | (above << 63);
@@ -162,24 +145,24 @@ pub fn evaluate_disturbance<R: Rng + ?Sized>(
         while aggressors != 0 {
             let b = aggressors.trailing_zeros();
             let cell = w * 64 + b as usize;
-            if (left >> b) & 1 == 1 {
-                expose(cell - 1);
-            }
-            if (right >> b) & 1 == 1 {
-                expose(cell + 1);
+            // The left neighbour first, then the right one. An exposed
+            // neighbour is a victim, so it lies inside the line.
+            for (neighbour, exposed) in [(cell.wrapping_sub(1), left), (cell + 1, right)] {
+                if (exposed >> b) & 1 == 0 {
+                    continue;
+                }
+                let (vw, bit) = (neighbour / 64, 1u64 << (neighbour % 64));
+                let p = rates[usize::from(n1[vw] & bit != 0) << 1 | usize::from(n0[vw] & bit != 0)];
+                let hit = usize::from(rng.gen::<f64>() < p);
+                if aux[vw] & bit != 0 {
+                    outcome.expected_aux_errors += p;
+                    outcome.aux_errors += hit;
+                } else {
+                    outcome.expected_data_errors += p;
+                    outcome.data_errors += hit;
+                }
             }
             aggressors &= aggressors - 1;
-        }
-    }
-    for cell in LINE_CELLS..len {
-        if old.state(cell) == new.state(cell) {
-            continue;
-        }
-        if is_victim(cell - 1) {
-            expose(cell - 1);
-        }
-        if cell + 1 < len && is_victim(cell + 1) {
-            expose(cell + 1);
         }
     }
     outcome

@@ -42,7 +42,7 @@
 use crate::energy::EnergyModel;
 use crate::line::MemoryLine;
 use crate::mapping::SymbolMapping;
-use crate::physical::{CellClass, PhysicalLine};
+use crate::physical::PhysicalLine;
 use crate::state::{CellState, Symbol};
 use crate::{LINE_CELLS, LINE_WORDS};
 use std::ops::Range;
@@ -72,52 +72,6 @@ fn spread_bits(mut x: u64) -> u64 {
     x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
     x = (x | (x << 2)) & 0x3333_3333_3333_3333;
     (x | (x << 1)) & 0x5555_5555_5555_5555
-}
-
-/// Gathers the low bit of each byte of `x` into the low byte of the result
-/// (byte `i` lands on bit `i`). The multiply shifts byte `i`'s low bit to
-/// bit `56 + i`; every partial product lands on a bit of its own, so
-/// nothing carries.
-#[inline]
-fn pack_byte_lsbs(x: u64) -> u64 {
-    (x & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
-}
-
-/// Inverse of [`pack_byte_lsbs`]: spreads the low byte of `x` onto the low
-/// bits of eight bytes (bit `i` lands on bit `8i`). The multiply copies the
-/// byte into every byte without carries, the mask keeps bit `i` of byte `i`,
-/// and adding `0x7F` per byte carries any kept bit into that byte's top bit.
-#[inline]
-fn spread_byte_lsbs(x: u64) -> u64 {
-    let kept = (x & 0xFF).wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
-    ((kept + 0x7F7F_7F7F_7F7F_7F7F) >> 7) & 0x0101_0101_0101_0101
-}
-
-/// Packs bits 0 and 1 of `byte(cell)` for the first 256 `cells` into two
-/// plane bitmaps, eight cells per step: the eight bytes form one word,
-/// whose low and high bits [`pack_byte_lsbs`] gathers.
-fn pack_planes<T: Copy>(
-    cells: &[T],
-    byte: impl Fn(T) -> u8,
-) -> ([u64; PLANE_WORDS], [u64; PLANE_WORDS]) {
-    let cells = &cells[..cells.len().min(LINE_CELLS)];
-    let mut planes = ([0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
-    let groups = cells.chunks_exact(8);
-    let rest = groups.remainder();
-    for (g, group) in groups.enumerate() {
-        let group: &[T; 8] = group.try_into().expect("chunks_exact yields eight cells");
-        let bytes = u64::from_le_bytes(group.map(&byte));
-        let (w, shift) = (g / 8, 8 * (g % 8));
-        planes.0[w] |= pack_byte_lsbs(bytes) << shift;
-        planes.1[w] |= pack_byte_lsbs(bytes >> 1) << shift;
-    }
-    let base = cells.len() - rest.len();
-    for (i, &cell) in rest.iter().enumerate() {
-        let (c, value) = (base + i, u64::from(byte(cell)));
-        planes.0[c / 64] |= (value & 1) << (c % 64);
-        planes.1[c / 64] |= ((value >> 1) & 1) << (c % 64);
-    }
-    planes
 }
 
 /// The 2-bit symbols of a [`MemoryLine`], de-interleaved into two bit planes.
@@ -205,26 +159,19 @@ impl SymbolPlanes {
 }
 
 /// The stored states of the first 256 cells of a [`PhysicalLine`], packed as
-/// two bit planes (low/high bit of each state's 2-bit index).
+/// two bit planes (low/high bit of each state's 2-bit index): a copy of the
+/// line's first four plane words, built by [`PhysicalLine::state_planes`].
 ///
 /// Auxiliary cells beyond the 256 data cells are not covered: every scheme
 /// touches them with a handful of scalar operations, never inside the
 /// per-candidate block loops the kernel accelerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatePlanes {
-    plane0: [u64; PLANE_WORDS],
-    plane1: [u64; PLANE_WORDS],
+    pub(crate) plane0: [u64; PLANE_WORDS],
+    pub(crate) plane1: [u64; PLANE_WORDS],
 }
 
 impl StatePlanes {
-    /// Builds the plane view of the first `min(len, 256)` cells of `line`.
-    /// The view is a pure function of the stored states, so it is always
-    /// consistent with [`PhysicalLine::state`].
-    pub fn new(line: &PhysicalLine) -> StatePlanes {
-        let (plane0, plane1) = pack_planes(line.states(), |state| state.index() as u8);
-        StatePlanes { plane0, plane1 }
-    }
-
     /// The low-bit plane of the state indices.
     #[inline]
     pub fn plane0(&self) -> &[u64; PLANE_WORDS] {
@@ -244,17 +191,6 @@ impl StatePlanes {
         let lo = (self.plane0[w] >> b) & 1;
         let hi = (self.plane1[w] >> b) & 1;
         CellState::from_index((hi << 1 | lo) as usize)
-    }
-
-    /// Rewrites the two bits of cell `cell` — the incremental update
-    /// [`PhysicalLine::set_state`] uses to keep a cached view warm.
-    #[inline]
-    pub(crate) fn set(&mut self, cell: usize, state: CellState) {
-        let (w, b) = (cell / 64, cell % 64);
-        let mask = 1u64 << b;
-        let idx = state.index() as u64;
-        self.plane0[w] = (self.plane0[w] & !mask) | ((idx & 1) << b);
-        self.plane1[w] = (self.plane1[w] & !mask) | ((idx >> 1) << b);
     }
 }
 
@@ -388,21 +324,6 @@ pub(crate) fn integer_energies(write_pj: &[f64; 4]) -> Option<[u64; 4]> {
         .iter()
         .all(|&e| e.fract() == 0.0 && (0.0..1048576.0).contains(&e))
         .then(|| core::array::from_fn(|i| write_pj[i] as u64))
-}
-
-/// Plane-word masks of the first `cells` cells (all 256 when `cells` is
-/// larger): the cells of a shorter line, without the zero padding.
-pub(crate) fn prefix_mask(cells: usize) -> [u64; PLANE_WORDS] {
-    core::array::from_fn(|w| match cells.saturating_sub(w * 64) {
-        n if n >= 64 => u64::MAX,
-        n => (1u64 << n) - 1,
-    })
-}
-
-/// The auxiliary cells among the first 256 cells of `line`, one bit per cell
-/// in plane layout.
-pub(crate) fn aux_mask(line: &PhysicalLine) -> [u64; PLANE_WORDS] {
-    pack_planes(line.classes(), |class| u8::from(class == CellClass::Aux)).0
 }
 
 /// Iterates over the (plane-word index, in-word cell mask) pairs covering
@@ -653,20 +574,21 @@ pub fn block_costs_uniform_with_targets(
 /// The selector cells that record each block's chosen candidate, which
 /// [`select_blocks_uniform`] prices alongside the block's data cells: zero
 /// for a cell that already stores the recording state, that state's
-/// programming energy otherwise.
+/// programming energy otherwise. A stored line keeps its selector cells
+/// after its 256 data cells, in block order.
 #[derive(Debug, Clone, Copy)]
 pub enum Selectors<'a> {
     /// No selector cells are priced.
     Unpriced,
-    /// One cell per block: `stored[b]` is the state block `b`'s selector
-    /// cell holds, and candidate `i` is recorded as state `S(i+1)`.
-    OneCell(&'a [CellState]),
-    /// Two cells per block: `stored[2b]` and `stored[2b + 1]` are the states
-    /// block `b`'s selector cells hold, and candidate `i` is recorded as the
-    /// state pair `codes[i]`.
+    /// One cell per block: cell `256 + b` of the stored line holds block
+    /// `b`'s selector, and candidate `i` is recorded as state `S(i+1)`.
+    OneCell(&'a PhysicalLine),
+    /// Two cells per block: cells `256 + 2b` and `256 + 2b + 1` of the
+    /// stored line hold block `b`'s selector, and candidate `i` is recorded
+    /// as the state pair `codes[i]`.
     TwoCells {
-        /// The stored selector states, two per block in block order.
-        stored: &'a [CellState],
+        /// The stored line.
+        stored: &'a PhysicalLine,
         /// The state pair recording each candidate.
         codes: &'a [(CellState, CellState)],
     },
@@ -692,13 +614,14 @@ fn selector_costs<T: Cost, const N: usize>(
         Selectors::Unpriced => [T::ZERO; N],
         Selectors::OneCell(stored) => {
             let mut row: [T; N] = core::array::from_fn(|i| weights[i][i]);
-            if let Some(kept) = row.get_mut(stored[block].index()) {
+            if let Some(kept) = row.get_mut(stored.state(LINE_CELLS + block).index()) {
                 *kept = T::ZERO;
             }
             row
         }
         Selectors::TwoCells { stored, codes } => {
-            let (a, b) = (stored[2 * block], stored[2 * block + 1]);
+            let first = LINE_CELLS + 2 * block;
+            let (a, b) = (stored.state(first), stored.state(first + 1));
             core::array::from_fn(|i| price(a, codes[i].0, i) + price(b, codes[i].1, i))
         }
     }
@@ -737,7 +660,7 @@ fn select_fn<T: Cost>(candidates: usize) -> SelectFn {
 /// each candidate's data cost and the cost of its `selectors` cells, picks
 /// the first strict minimum (matching the scalar `<` scan), records it in
 /// `winners`, and merges the winner's target planes into `(out0, out1)`
-/// ready for [`write_states_from_planes`].
+/// ready for [`PhysicalLine::set_data_planes`].
 ///
 /// Totals are exact `u64` picojoules when every table is integer-valued
 /// (the paper's Table II and the Figure 14 configurations), and `f64`
@@ -749,10 +672,10 @@ fn select_fn<T: Cost>(candidates: usize) -> SelectFn {
 ///
 /// # Panics
 ///
-/// Panics if `cells_per_block` does not divide 64, `winners` or the
-/// selector cells are shorter than the block count, or `tables` holds no or
-/// more than eight candidates (more than four with one selector cell, more
-/// than `codes` with two).
+/// Panics if `cells_per_block` does not divide 64, `winners` is shorter
+/// than the block count, the stored line lacks a block's selector cells, or
+/// `tables` holds no or more than eight candidates (more than four with one
+/// selector cell, more than `codes` with two).
 #[allow(clippy::too_many_arguments)]
 pub fn select_blocks_uniform(
     data: &SymbolPlanes,
@@ -819,43 +742,6 @@ fn select_core<T: Cost, const N: usize>(
     }
 }
 
-/// Writes the states encoded by a pair of assembled target planes into the
-/// first `cells` cells of `out` in one pass.
-///
-/// When the planes cover the full 256-cell data region they are also
-/// installed as `out`'s cached [`StatePlanes`] view, so the *next* encode
-/// against this line gets its stored planes for free instead of rebuilding
-/// them cell by cell.
-pub fn write_states_from_planes(
-    out: &mut PhysicalLine,
-    cells: usize,
-    plane0: &[u64; PLANE_WORDS],
-    plane1: &[u64; PLANE_WORDS],
-) {
-    debug_assert!(cells <= LINE_CELLS);
-    let mut groups = out.states_mut()[..cells].chunks_exact_mut(8);
-    for (g, group) in (&mut groups).enumerate() {
-        // Eight cells per step: their state indices as the low two bits of
-        // eight bytes, the inverse of `pack_planes`.
-        let (w, shift) = (g / 8, 8 * (g % 8));
-        let indices =
-            spread_byte_lsbs(plane0[w] >> shift) | (spread_byte_lsbs(plane1[w] >> shift) << 1);
-        for (k, slot) in group.iter_mut().enumerate() {
-            *slot = CellState::from_index(((indices >> (8 * k)) & 3) as usize);
-        }
-    }
-    let rest = groups.into_remainder();
-    for (c, slot) in (cells - rest.len()..).zip(rest) {
-        let (w, b) = (c / 64, c % 64);
-        *slot = CellState::from_index(
-            ((((plane1[w] >> b) & 1) << 1) | ((plane0[w] >> b) & 1)) as usize,
-        );
-    }
-    if cells == LINE_CELLS && out.len() >= LINE_CELLS {
-        out.install_state_planes(StatePlanes { plane0: *plane0, plane1: *plane1 });
-    }
-}
-
 /// The WLC word-pair sweep: per-block `(cost, updated cells)` of one
 /// candidate over plane word `word`, which holds two 32-cell data words.
 /// Each data word keeps its coset-encoded blocks in its first `data_cells`
@@ -914,28 +800,6 @@ pub fn block_updated_cells(
         updated += (((t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w])) & mask).count_ones();
     }
     updated as usize
-}
-
-/// Classifies the cells of `cells` into the sixteen `(old state × symbol)`
-/// buckets, indexed `old.index() * 4 + symbol.value()`. Dotting the result
-/// against [`TransitionTable::cost_pj`] reproduces [`block_cost`]; exposed
-/// for diagnostics and the equivalence tests.
-pub fn bucket_counts(data: &SymbolPlanes, old: &StatePlanes, cells: Range<usize>) -> [u32; 16] {
-    let mut counts = [0u32; 16];
-    for (w, mask) in plane_words(cells) {
-        let (o0, o1) = (old.plane0[w], old.plane1[w]);
-        // Fixed-width form: sixteen unconditional masked popcounts per word.
-        // No data-dependent branches, so the whole word reduces to a flat
-        // AND/popcount grid the compiler can vectorise.
-        let state_masks =
-            [(!o1 & !o0) & mask, (!o1 & o0) & mask, (o1 & !o0) & mask, (o1 & o0) & mask];
-        for (s, &sm) in state_masks.iter().enumerate() {
-            for v in 0..4 {
-                counts[s * 4 + v] += (sm & data.masks[v][w]).count_ones();
-            }
-        }
-    }
-    counts
 }
 
 /// Writes the states storing the symbols of `cells` of `data` under `table`
@@ -1003,8 +867,8 @@ pub fn symbol_planes_from_states(
 /// Stores the 256 symbols of `data` into the first 256 cells of `out`
 /// through the fixed assignment of `table`: the raw-line store of the
 /// Baseline codec and of the compression-gated codecs' fallback. The target
-/// planes are assembled word by word and scattered once, which also installs
-/// `out`'s plane cache for the next write against it.
+/// planes are assembled word by word and stored with one
+/// [`PhysicalLine::set_data_planes`].
 ///
 /// # Panics
 ///
@@ -1016,7 +880,7 @@ pub fn store_mapped(data: &MemoryLine, table: &TransitionTable, out: &mut Physic
     for w in 0..PLANE_WORDS {
         (plane0[w], plane1[w]) = table.target_planes(&symbols, w);
     }
-    write_states_from_planes(out, LINE_CELLS, &plane0, &plane1);
+    out.set_data_planes(&plane0, &plane1);
 }
 
 /// Reads the first 256 cells of `stored` back through the inverse of
@@ -1030,6 +894,8 @@ pub fn load_mapped(stored: &PhysicalLine, mapping: &SymbolMapping) -> MemoryLine
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::CellClass;
+    use crate::MAX_LINE_CELLS;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1080,7 +946,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..20 {
             let stored = random_stored(&mut rng);
-            let planes = StatePlanes::new(&stored);
+            let planes = stored.state_planes();
             for cell in 0..LINE_CELLS {
                 assert_eq!(planes.state(cell), stored.state(cell), "cell {cell}");
             }
@@ -1088,26 +954,24 @@ mod tests {
     }
 
     #[test]
-    fn state_planes_and_aux_mask_cover_every_line_length() {
+    fn state_planes_and_classes_cover_every_line_length() {
         let mut rng = StdRng::seed_from_u64(15);
-        for len in 0..=300 {
-            let mut line = random_stored(&mut rng);
-            for _ in LINE_CELLS..len {
-                line.push(CellState::from_index(rng.gen_range(0..4)), CellClass::Data);
-            }
-            let states = line.states()[..len].to_vec();
+        for len in 0..=MAX_LINE_CELLS {
+            let states: Vec<CellState> =
+                (0..len).map(|_| CellState::from_index(rng.gen_range(0..4))).collect();
             let classes: Vec<CellClass> = (0..len)
                 .map(|_| if rng.gen_range(0..3) == 0 { CellClass::Aux } else { CellClass::Data })
                 .collect();
-            let line = PhysicalLine::from_parts(states, classes);
-            let (planes, aux) = (StatePlanes::new(&line), aux_mask(&line));
+            let line = PhysicalLine::from_parts(states.clone(), classes.clone());
+            let planes = line.state_planes();
             for cell in 0..LINE_CELLS {
-                let (w, b) = (cell / 64, cell % 64);
-                let state = line.states().get(cell).copied().unwrap_or(CellState::S1);
+                let state = states.get(cell).copied().unwrap_or(CellState::S1);
                 assert_eq!(planes.state(cell), state, "len {len} cell {cell}");
-                let is_aux = line.classes().get(cell) == Some(&CellClass::Aux);
-                assert_eq!((aux[w] >> b) & 1 == 1, is_aux, "len {len} cell {cell}");
             }
+            let expect: Vec<_> = (0..len).map(|i| (i, states[i], classes[i])).collect();
+            assert_eq!(line.iter().collect::<Vec<_>>(), expect, "len {len}");
+            let aux = classes.iter().filter(|&&class| class == CellClass::Aux).count();
+            assert_eq!(line.aux_cells(), aux, "len {len}");
         }
     }
 
@@ -1139,35 +1003,11 @@ mod tests {
             ];
             let data = random_line(&mut rng);
             let old = random_stored(&mut rng);
-            let (dp, op) = (SymbolPlanes::new(&data), StatePlanes::new(&old));
+            let (dp, op) = (SymbolPlanes::new(&data), old.state_planes());
             for cells in [0..LINE_CELLS, 0..4, 60..68, 128..192, 7..9, 250..256] {
                 let expect = scalar_cost(&data, &old, cells.clone(), states, &energy);
                 assert_eq!(block_cost(&dp, &op, cells.clone(), &table), expect, "{cells:?}");
             }
-        }
-    }
-
-    #[test]
-    fn bucket_counts_dot_cost_table_reproduces_block_cost() {
-        let energy = EnergyModel::paper_default();
-        let mut rng = StdRng::seed_from_u64(4);
-        let mapping = SymbolMapping::all_mappings()[13];
-        let table = TransitionTable::new(&mapping, &energy);
-        for _ in 0..10 {
-            let data = random_line(&mut rng);
-            let old = random_stored(&mut rng);
-            let (dp, op) = (SymbolPlanes::new(&data), StatePlanes::new(&old));
-            let counts = bucket_counts(&dp, &op, 0..LINE_CELLS);
-            assert_eq!(counts.iter().map(|c| *c as usize).sum::<usize>(), LINE_CELLS);
-            let dotted: f64 = counts
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| {
-                    f64::from(c)
-                        * table.cost_pj(CellState::from_index(i / 4), Symbol::new((i % 4) as u8))
-                })
-                .sum();
-            assert_eq!(dotted, block_cost(&dp, &op, 0..LINE_CELLS, &table));
         }
     }
 
@@ -1179,7 +1019,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let data = random_line(&mut rng);
         let old = random_stored(&mut rng);
-        let (dp, op) = (SymbolPlanes::new(&data), StatePlanes::new(&old));
+        let (dp, op) = (SymbolPlanes::new(&data), old.state_planes());
         for cells in [0..LINE_CELLS, 3..77, 64..128] {
             let expect =
                 cells.clone().filter(|&c| old.state(c) != mapping.state_of(data.symbol(c))).count();
@@ -1195,7 +1035,7 @@ mod tests {
             let table = TransitionTable::new(&mapping, &energy);
             let data = random_line(&mut rng);
             let old = random_stored(&mut rng);
-            let (dp, op) = (SymbolPlanes::new(&data), StatePlanes::new(&old));
+            let (dp, op) = (SymbolPlanes::new(&data), old.state_planes());
             for cells_per_block in [4usize, 8, 16, 32, 64, 128, 256] {
                 let blocks = LINE_CELLS / cells_per_block;
                 let mut out = [0.0f64; 64];
@@ -1225,37 +1065,6 @@ mod tests {
     }
 
     #[test]
-    fn plane_writes_cover_every_cell_count() {
-        let mut rng = StdRng::seed_from_u64(19);
-        for cells in 0..=LINE_CELLS {
-            let p0: [u64; PLANE_WORDS] = core::array::from_fn(|_| rng.gen());
-            let p1: [u64; PLANE_WORDS] = core::array::from_fn(|_| rng.gen());
-            let mut out = random_stored(&mut rng);
-            let before = out.clone();
-            write_states_from_planes(&mut out, cells, &p0, &p1);
-            for cell in 0..LINE_CELLS {
-                let expect = if cell < cells {
-                    let (w, b) = (cell / 64, cell % 64);
-                    CellState::from_index((((p1[w] >> b) & 1) << 1 | ((p0[w] >> b) & 1)) as usize)
-                } else {
-                    before.state(cell)
-                };
-                assert_eq!(out.state(cell), expect, "cells {cells} cell {cell}");
-            }
-            assert_eq!(out.state_planes(), StatePlanes::new(&out), "cells {cells}");
-        }
-    }
-
-    #[test]
-    fn spread_byte_lsbs_inverts_pack_byte_lsbs() {
-        for byte in 0..=255u64 {
-            let spread = spread_byte_lsbs(byte | 0xAB00);
-            assert_eq!(spread & !0x0101_0101_0101_0101, 0, "byte {byte}");
-            assert_eq!(pack_byte_lsbs(spread), byte);
-        }
-    }
-
-    #[test]
     fn lane_popcounts_count_every_lane() {
         let mut rng = StdRng::seed_from_u64(16);
         for _ in 0..200 {
@@ -1279,7 +1088,7 @@ mod tests {
             let table = TransitionTable::new(&SymbolMapping::all_mappings()[9], energy);
             let data = random_line(&mut rng);
             let old = random_stored(&mut rng);
-            let (dp, op) = (SymbolPlanes::new(&data), StatePlanes::new(&old));
+            let (dp, op) = (SymbolPlanes::new(&data), old.state_planes());
             for cells_per_block in [4usize, 8, 16, 32] {
                 for data_cells in [24usize, 28, 29, 30, 31, 32] {
                     for word in 0..PLANE_WORDS {
@@ -1334,31 +1143,38 @@ mod tests {
                 .collect();
             for cells_per_block in [1usize, 2, 4, 8, 16, 32] {
                 let data = random_line(&mut rng);
-                let mut old = random_stored(&mut rng);
+                // The data cells, then selector cells up to the longest line.
+                let mut old = PhysicalLine::from_states(
+                    (0..MAX_LINE_CELLS)
+                        .map(|_| CellState::from_index(rng.gen_range(0..4)))
+                        .collect(),
+                );
                 if duplicate {
                     for cell in (0..64).chain(128..192) {
                         old.set_state(cell, tables[0].state_of(data.symbol(cell)));
                     }
                 }
-                let (dp, op) = (SymbolPlanes::new(&data), StatePlanes::new(&old));
-                let blocks = LINE_CELLS / cells_per_block - 1;
-                let stored: Vec<CellState> =
-                    (0..2 * blocks).map(|_| CellState::from_index(rng.gen_range(0..4))).collect();
+                let (dp, op) = (SymbolPlanes::new(&data), old.state_planes());
+                let stored = |selector: usize| old.state(LINE_CELLS + selector);
                 let shapes = [
                     (0, Selectors::Unpriced),
-                    (1, Selectors::OneCell(&stored)),
-                    (2, Selectors::TwoCells { stored: &stored, codes: &codes }),
+                    (1, Selectors::OneCell(&old)),
+                    (2, Selectors::TwoCells { stored: &old, codes: &codes }),
                 ];
                 for (selector_cells, selectors) in shapes {
                     if selector_cells == 1 && candidates > 4 {
                         continue;
                     }
+                    // All but the last block, as far as the selector cells fit.
+                    let blocks = (LINE_CELLS / cells_per_block)
+                        .min((MAX_LINE_CELLS - LINE_CELLS) / selector_cells.max(1))
+                        - 1;
                     let selector_cost = |b: usize, idx: usize| match selector_cells {
                         0 => 0.0,
-                        1 => energy.transition_energy_pj(stored[b], CellState::ALL[idx]),
+                        1 => energy.transition_energy_pj(stored(b), CellState::ALL[idx]),
                         _ => {
-                            energy.transition_energy_pj(stored[2 * b], codes[idx].0)
-                                + energy.transition_energy_pj(stored[2 * b + 1], codes[idx].1)
+                            energy.transition_energy_pj(stored(2 * b), codes[idx].0)
+                                + energy.transition_energy_pj(stored(2 * b + 1), codes[idx].1)
                         }
                     };
                     let mut expect = (vec![0u8; blocks], [0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
@@ -1408,7 +1224,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let data = random_line(&mut rng);
         let old = random_stored(&mut rng);
-        let (dp, op) = (SymbolPlanes::new(&data), StatePlanes::new(&old));
+        let (dp, op) = (SymbolPlanes::new(&data), old.state_planes());
         let full = block_cost(&dp, &op, 0..LINE_CELLS, &table);
         assert_eq!(
             block_cost_bounded(&dp, &op, 0..LINE_CELLS, &table, 0.0, f64::INFINITY),
@@ -1464,7 +1280,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         for mapping in [SymbolMapping::default_mapping(), SymbolMapping::all_mappings()[19]] {
             let stored = random_stored(&mut rng);
-            let planes = StatePlanes::new(&stored);
+            let planes = stored.state_planes();
             let (p0, p1) = symbol_planes_from_states(&planes, mapping.symbols_per_state());
             let line = line_from_planes(&p0, &p1);
             for cell in 0..LINE_CELLS {

@@ -11,7 +11,8 @@
 //!   coset candidates of the paper are particular mappings.
 //! * [`line::MemoryLine`] — a 512-bit memory line (eight 64-bit words).
 //! * [`physical::PhysicalLine`] — the cell states actually stored in the
-//!   array, including auxiliary cells, with a per-cell data/aux classification.
+//!   array, including auxiliary cells, with a per-cell data/aux
+//!   classification, held as bit planes.
 //! * [`energy::EnergyModel`] — RESET + iterative-SET programming energy
 //!   (Table II of the paper), configurable for the Figure 14 sensitivity study.
 //! * [`kernel`] — the bit-parallel candidate-evaluation kernel: transition
@@ -61,6 +62,10 @@ pub const LINE_BYTES: usize = LINE_BITS / 8;
 pub const LINE_WORDS: usize = LINE_BITS / 64;
 /// Number of 2-bit MLC cells needed to store the data bits of a memory line.
 pub const LINE_CELLS: usize = LINE_BITS / 2;
+/// Most cells a stored line may hold (data plus auxiliary cells). The
+/// longest line any codec here stores is 6cosets at 8-bit granularity,
+/// 384 cells.
+pub const MAX_LINE_CELLS: usize = 512;
 /// Number of cells used by one 64-bit word.
 pub const WORD_CELLS: usize = 64 / 2;
 
@@ -76,5 +81,5 @@ pub mod prelude {
     pub use crate::physical::{CellClass, PhysicalLine};
     pub use crate::state::{CellState, Symbol};
     pub use crate::write::{differential_write, WriteOutcome};
-    pub use crate::{LINE_BITS, LINE_BYTES, LINE_CELLS, LINE_WORDS, WORD_CELLS};
+    pub use crate::{LINE_BITS, LINE_BYTES, LINE_CELLS, LINE_WORDS, MAX_LINE_CELLS, WORD_CELLS};
 }

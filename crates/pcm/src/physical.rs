@@ -1,16 +1,14 @@
 //! Physical (stored) cell content of an encoded memory line.
 
-use crate::kernel::StatePlanes;
+use crate::kernel::{StatePlanes, PLANE_WORDS};
 use crate::state::CellState;
-use crate::LINE_CELLS;
-use serde::{de, Deserialize, Serialize, Value};
+use crate::{LINE_CELLS, MAX_LINE_CELLS};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Classification of a stored cell, used to break write energy and cell-update
 /// counts into the *data block* part and the *auxiliary* part, as the paper's
 /// figures do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellClass {
     /// A cell holding (possibly encoded) data bits.
     Data,
@@ -19,99 +17,102 @@ pub enum CellClass {
     Aux,
 }
 
+/// Plane words covering the longest line, 64 cells per word.
+pub(crate) const LINE_PLANE_WORDS: usize = MAX_LINE_CELLS / 64;
+
 /// The cell states stored in the PCM array for one encoded memory line,
 /// together with the data/aux classification of every cell.
 ///
 /// Different encoding schemes store a different number of cells per line
-/// (256 data cells plus zero or more auxiliary cells), so the length is not
-/// fixed. Two physical lines are only comparable cell-by-cell if they were
-/// produced by the same scheme.
+/// (256 data cells plus zero or more auxiliary cells, at most
+/// [`MAX_LINE_CELLS`]), so the length is not fixed. Two physical lines are
+/// only comparable cell-by-cell if they were produced by the same scheme.
 ///
-/// The line lazily caches the [`StatePlanes`] bit-plane view of its first
-/// 256 cells (built on the first [`PhysicalLine::state_planes`] call, or
-/// installed directly by the kernel's plane-assembled writes) and keeps it
-/// in sync through [`PhysicalLine::set_state`]/[`PhysicalLine::push`], so
-/// the per-encode plane rebuild the coset kernel used to pay is amortised
-/// away for lines that live across writes. The cache is invisible:
-/// equality, hashing-by-content and serialization see only cells and
-/// classes.
-#[derive(Clone)]
+/// The line is stored as bit planes, one bit per cell and 64 cells per
+/// word: the low and the high bit of each cell's state index, and a plane
+/// marking the auxiliary cells. Every bit at and past the cell count is
+/// zero, so an all-RESET line is the zero value, equality is plane
+/// equality, and the line owns no heap memory.
+#[derive(Clone, PartialEq, Eq)]
 pub struct PhysicalLine {
-    cells: Vec<CellState>,
-    classes: Vec<CellClass>,
-    /// Lazily built plane view of `cells[..256]`; `OnceLock` keeps the type
-    /// `Sync` (codecs holding lines are shared across worker threads) while
-    /// allowing interior initialisation from `&self`.
-    planes: OnceLock<StatePlanes>,
+    plane0: [u64; LINE_PLANE_WORDS],
+    plane1: [u64; LINE_PLANE_WORDS],
+    aux: [u64; LINE_PLANE_WORDS],
+    len: usize,
 }
 
-impl PartialEq for PhysicalLine {
-    fn eq(&self, other: &PhysicalLine) -> bool {
-        // The plane cache is derived state and must never affect equality.
-        self.cells == other.cells && self.classes == other.classes
-    }
-}
-
-impl Eq for PhysicalLine {}
-
-impl Serialize for PhysicalLine {
-    fn to_value(&self) -> Value {
-        Value::record(
-            "PhysicalLine",
-            vec![("cells", self.cells.to_value()), ("classes", self.classes.to_value())],
-        )
-    }
-}
-
-impl Deserialize for PhysicalLine {
-    fn from_value(value: &Value) -> Result<PhysicalLine, de::Error> {
-        let record = value.as_record("PhysicalLine")?;
-        let cells: Vec<CellState> = record.field("cells")?;
-        let classes: Vec<CellClass> = record.field("classes")?;
-        if cells.len() != classes.len() {
-            return Err(de::Error::custom("cells and classes lengths differ"));
-        }
-        Ok(PhysicalLine { cells, classes, planes: OnceLock::new() })
-    }
+/// Sets (`on`) or clears the bits of `word` in `mask`.
+#[inline]
+fn assign(word: &mut u64, mask: u64, on: bool) {
+    *word = (*word & !mask) | (mask & 0u64.wrapping_sub(u64::from(on)));
 }
 
 impl PhysicalLine {
     /// Creates a physical line of `len` cells, all in the RESET state `S1`,
     /// all classified as data. This models a freshly initialised (erased) line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`MAX_LINE_CELLS`].
     pub fn all_reset(len: usize) -> PhysicalLine {
+        assert!(len <= MAX_LINE_CELLS, "a line holds at most {MAX_LINE_CELLS} cells, not {len}");
         PhysicalLine {
-            cells: vec![CellState::S1; len],
-            classes: vec![CellClass::Data; len],
-            planes: OnceLock::new(),
+            plane0: [0; LINE_PLANE_WORDS],
+            plane1: [0; LINE_PLANE_WORDS],
+            aux: [0; LINE_PLANE_WORDS],
+            len,
         }
     }
 
     /// Creates a physical line from explicit cell states, all classified as data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`MAX_LINE_CELLS`] states.
     pub fn from_states(cells: Vec<CellState>) -> PhysicalLine {
-        let classes = vec![CellClass::Data; cells.len()];
-        PhysicalLine { cells, classes, planes: OnceLock::new() }
+        let mut line = PhysicalLine::all_reset(cells.len());
+        for (index, state) in cells.into_iter().enumerate() {
+            line.set_state(index, state);
+        }
+        line
     }
 
     /// Creates a physical line from explicit cell states and classes.
     ///
     /// # Panics
     ///
-    /// Panics if the two vectors have different lengths.
+    /// Panics if the two vectors have different lengths or hold more than
+    /// [`MAX_LINE_CELLS`] cells.
     pub fn from_parts(cells: Vec<CellState>, classes: Vec<CellClass>) -> PhysicalLine {
         assert_eq!(cells.len(), classes.len(), "cells and classes must have the same length");
-        PhysicalLine { cells, classes, planes: OnceLock::new() }
+        let mut line = PhysicalLine::from_states(cells);
+        for (index, class) in classes.into_iter().enumerate() {
+            line.set_class(index, class);
+        }
+        line
     }
 
     /// Number of cells in the encoded line.
     #[inline]
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.len
     }
 
     /// `true` if the line has no cells.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.len == 0
+    }
+
+    /// The word and in-word bit of cell `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    #[inline]
+    fn locate(&self, index: usize) -> (usize, u64) {
+        assert!(index < self.len, "cell {index} is out of bounds for a {}-cell line", self.len);
+        (index / 64, 1 << (index % 64))
     }
 
     /// The state of cell `index`.
@@ -121,23 +122,22 @@ impl PhysicalLine {
     /// Panics if `index` is out of bounds.
     #[inline]
     pub fn state(&self, index: usize) -> CellState {
-        self.cells[index]
+        let (w, bit) = self.locate(index);
+        let lo = usize::from(self.plane0[w] & bit != 0);
+        let hi = usize::from(self.plane1[w] & bit != 0);
+        CellState::from_index(hi << 1 | lo)
     }
 
-    /// Sets the state of cell `index`, keeping any warm plane cache in sync
-    /// (a two-bit update, not an invalidation).
+    /// Sets the state of cell `index`.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
     #[inline]
     pub fn set_state(&mut self, index: usize, state: CellState) {
-        self.cells[index] = state;
-        if index < LINE_CELLS {
-            if let Some(planes) = self.planes.get_mut() {
-                planes.set(index, state);
-            }
-        }
+        let (w, bit) = self.locate(index);
+        assign(&mut self.plane0[w], bit, state.index() & 1 == 1);
+        assign(&mut self.plane1[w], bit, state.index() & 2 == 2);
     }
 
     /// The classification of cell `index`.
@@ -147,7 +147,12 @@ impl PhysicalLine {
     /// Panics if `index` is out of bounds.
     #[inline]
     pub fn class(&self, index: usize) -> CellClass {
-        self.classes[index]
+        let (w, bit) = self.locate(index);
+        if self.aux[w] & bit != 0 {
+            CellClass::Aux
+        } else {
+            CellClass::Data
+        }
     }
 
     /// Sets the classification of cell `index`.
@@ -157,45 +162,13 @@ impl PhysicalLine {
     /// Panics if `index` is out of bounds.
     #[inline]
     pub fn set_class(&mut self, index: usize, class: CellClass) {
-        self.classes[index] = class;
-    }
-
-    /// Appends a cell with the given state and class, keeping any warm plane
-    /// cache in sync.
-    pub fn push(&mut self, state: CellState, class: CellClass) {
-        let index = self.cells.len();
-        self.cells.push(state);
-        self.classes.push(class);
-        if index < LINE_CELLS {
-            if let Some(planes) = self.planes.get_mut() {
-                planes.set(index, state);
-            }
-        }
-    }
-
-    /// The stored cell states.
-    #[inline]
-    pub fn states(&self) -> &[CellState] {
-        &self.cells
-    }
-
-    /// Mutable access to the stored cell states (classes are untouched).
-    /// Invalidates the plane cache — the caller may rewrite any state.
-    #[inline]
-    pub fn states_mut(&mut self) -> &mut [CellState] {
-        self.planes.take();
-        &mut self.cells
-    }
-
-    /// The per-cell classifications.
-    #[inline]
-    pub fn classes(&self) -> &[CellClass] {
-        &self.classes
+        let (w, bit) = self.locate(index);
+        assign(&mut self.aux[w], bit, class == CellClass::Aux);
     }
 
     /// Number of cells classified as auxiliary.
     pub fn aux_cells(&self) -> usize {
-        self.classes.iter().filter(|c| **c == CellClass::Aux).count()
+        self.aux.iter().map(|word| word.count_ones() as usize).sum()
     }
 
     /// Number of cells classified as data.
@@ -203,60 +176,51 @@ impl PhysicalLine {
         self.len() - self.aux_cells()
     }
 
-    /// Number of cells whose state differs from `other` at the same index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two lines have different lengths.
-    pub fn changed_cells(&self, other: &PhysicalLine) -> usize {
-        assert_eq!(self.len(), other.len(), "lines must have the same cell count");
-        self.cells.iter().zip(other.cells.iter()).filter(|(a, b)| a != b).count()
-    }
-
     /// Iterates over `(index, state, class)` for every cell.
     pub fn iter(&self) -> impl Iterator<Item = (usize, CellState, CellClass)> + '_ {
-        self.cells.iter().zip(self.classes.iter()).enumerate().map(|(i, (s, c))| (i, *s, *c))
+        (0..self.len).map(|i| (i, self.state(i), self.class(i)))
     }
 
     /// The bit-plane view of the first 256 cells' states, consumed by the
-    /// bit-parallel evaluation kernel ([`crate::kernel`]).
-    ///
-    /// The view is cached: the first call builds it (or the kernel's
-    /// plane-assembled write installs it for free), later calls copy it, and
-    /// every mutation path keeps it consistent — so a stored line that lives
-    /// across writes pays the 256-cell rebuild at most once, not per encode.
+    /// bit-parallel evaluation kernel ([`crate::kernel`]): a copy of the
+    /// line's first four plane words.
+    #[inline]
     pub fn state_planes(&self) -> StatePlanes {
-        *self.planes.get_or_init(|| StatePlanes::new(self))
-    }
-
-    /// Installs a known-correct plane cache (the kernel's plane-assembled
-    /// writes already hold the planes they just scattered). Debug builds
-    /// verify the claim against a rebuild.
-    pub(crate) fn install_state_planes(&mut self, planes: StatePlanes) {
-        debug_assert_eq!(
-            planes,
-            StatePlanes::new(self),
-            "installed planes must match the stored states"
-        );
-        self.planes.take();
-        let _ = self.planes.set(planes);
-    }
-
-    /// Histogram of stored states, indexed by state index.
-    pub fn state_histogram(&self) -> [usize; 4] {
-        let mut hist = [0usize; 4];
-        for s in &self.cells {
-            hist[s.index()] += 1;
+        StatePlanes {
+            plane0: core::array::from_fn(|w| self.plane0[w]),
+            plane1: core::array::from_fn(|w| self.plane1[w]),
         }
-        hist
+    }
+
+    /// Stores the states encoded by a pair of assembled target planes into
+    /// the first 256 cells: the one write of a codec that builds its data
+    /// region as planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line has fewer than 256 cells.
+    #[inline]
+    pub fn set_data_planes(&mut self, plane0: &[u64; PLANE_WORDS], plane1: &[u64; PLANE_WORDS]) {
+        assert!(self.len >= LINE_CELLS, "the data planes cover {LINE_CELLS} cells");
+        self.plane0[..PLANE_WORDS].copy_from_slice(plane0);
+        self.plane1[..PLANE_WORDS].copy_from_slice(plane1);
+    }
+
+    /// The whole line as `(plane0, plane1, aux)` plane words: what the
+    /// accounting in [`crate::write`] and [`crate::disturb`] scans.
+    #[inline]
+    pub(crate) fn planes(
+        &self,
+    ) -> (&[u64; LINE_PLANE_WORDS], &[u64; LINE_PLANE_WORDS], &[u64; LINE_PLANE_WORDS]) {
+        (&self.plane0, &self.plane1, &self.aux)
     }
 }
 
 impl fmt::Debug for PhysicalLine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "PhysicalLine {{ cells: {}, aux: {}, states: ", self.len(), self.aux_cells())?;
-        for s in self.cells.iter().take(16) {
-            write!(f, "{}", s.index() + 1)?;
+        for (_, state, _) in self.iter().take(16) {
+            write!(f, "{}", state.index() + 1)?;
         }
         if self.len() > 16 {
             write!(f, "...")?;
@@ -273,119 +237,38 @@ mod tests {
     fn all_reset_is_uniform() {
         let line = PhysicalLine::all_reset(10);
         assert_eq!(line.len(), 10);
-        assert!(line.states().iter().all(|s| *s == CellState::S1));
+        assert!(line.iter().all(|(_, s, _)| s == CellState::S1));
         assert_eq!(line.aux_cells(), 0);
         assert_eq!(line.data_cells(), 10);
     }
 
     #[test]
-    fn changed_cells_counts_differences() {
-        let a = PhysicalLine::all_reset(4);
-        let mut b = a.clone();
-        b.set_state(1, CellState::S3);
-        b.set_state(3, CellState::S2);
-        assert_eq!(a.changed_cells(&b), 2);
-        assert_eq!(b.changed_cells(&a), 2);
-        assert_eq!(a.changed_cells(&a), 0);
+    fn states_and_classes_round_trip_through_the_planes() {
+        let mut line = PhysicalLine::all_reset(MAX_LINE_CELLS);
+        for i in 0..MAX_LINE_CELLS {
+            line.set_state(i, CellState::from_index((i * 7 + i / 9) % 4));
+            line.set_class(i, if i % 5 == 0 { CellClass::Aux } else { CellClass::Data });
+        }
+        for (i, state, class) in line.iter() {
+            assert_eq!(state, CellState::from_index((i * 7 + i / 9) % 4), "cell {i}");
+            assert_eq!(class == CellClass::Aux, i % 5 == 0, "cell {i}");
+        }
+        assert_eq!(line.aux_cells(), MAX_LINE_CELLS.div_ceil(5));
+        line.set_state(3, CellState::S1);
+        line.set_class(0, CellClass::Data);
+        assert_eq!((line.state(3), line.class(0)), (CellState::S1, CellClass::Data));
     }
 
     #[test]
-    fn push_and_classify() {
-        let mut line = PhysicalLine::all_reset(2);
-        line.push(CellState::S4, CellClass::Aux);
-        assert_eq!(line.len(), 3);
-        assert_eq!(line.aux_cells(), 1);
-        assert_eq!(line.class(2), CellClass::Aux);
-        line.set_class(0, CellClass::Aux);
-        assert_eq!(line.aux_cells(), 2);
-    }
-
-    #[test]
-    fn state_histogram_sums_to_len() {
-        let mut line = PhysicalLine::all_reset(8);
-        line.set_state(0, CellState::S4);
-        line.set_state(1, CellState::S4);
-        line.set_state(2, CellState::S2);
-        let h = line.state_histogram();
-        assert_eq!(h.iter().sum::<usize>(), 8);
-        assert_eq!(h[3], 2);
-        assert_eq!(h[1], 1);
-        assert_eq!(h[0], 5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_lengths_are_rejected() {
-        let a = PhysicalLine::all_reset(4);
-        let b = PhysicalLine::all_reset(5);
-        let _ = a.changed_cells(&b);
+    #[should_panic(expected = "out of bounds")]
+    fn cells_past_the_length_are_rejected() {
+        let mut line = PhysicalLine::all_reset(4);
+        line.set_state(4, CellState::S2);
     }
 
     #[test]
     #[should_panic]
     fn from_parts_checks_lengths() {
         let _ = PhysicalLine::from_parts(vec![CellState::S1], vec![]);
-    }
-
-    /// A 300-cell line (256 data + aux tail) with a varied state pattern.
-    fn patterned_line() -> PhysicalLine {
-        let states: Vec<CellState> =
-            (0..300).map(|i| CellState::from_index((i * 7 + i / 9) % 4)).collect();
-        PhysicalLine::from_states(states)
-    }
-
-    #[test]
-    fn plane_cache_stays_consistent_through_mutations() {
-        let mut line = patterned_line();
-        // Warm the cache, then mutate through every supported path.
-        let warm = line.state_planes();
-        assert_eq!(warm, StatePlanes::new(&line));
-        line.set_state(0, CellState::S4);
-        line.set_state(255, CellState::S2);
-        line.set_state(131, CellState::S1);
-        line.set_state(290, CellState::S3); // aux region: not covered by planes
-        line.push(CellState::S4, CellClass::Aux); // beyond 256: ignored
-        assert_eq!(line.state_planes(), StatePlanes::new(&line), "set_state keeps planes in sync");
-        // Raw mutable access invalidates; the next call rebuilds.
-        line.states_mut()[17] = CellState::S3;
-        assert_eq!(line.state_planes(), StatePlanes::new(&line), "states_mut invalidates");
-    }
-
-    #[test]
-    fn plane_cache_tracks_growth_through_the_data_region() {
-        let mut line = PhysicalLine::all_reset(10);
-        let _ = line.state_planes();
-        for i in 0..400 {
-            line.push(CellState::from_index(i % 4), CellClass::Data);
-        }
-        assert_eq!(line.state_planes(), StatePlanes::new(&line));
-    }
-
-    #[test]
-    fn cache_warmth_does_not_affect_equality_or_clones() {
-        let cold = patterned_line();
-        let warmed = patterned_line();
-        let _ = warmed.state_planes();
-        assert_eq!(cold, warmed);
-        let cloned = warmed.clone();
-        assert_eq!(cloned.state_planes(), StatePlanes::new(&cloned));
-        // A clone of a warm line carries a warm, still-correct cache even
-        // after diverging mutations.
-        let mut diverged = warmed.clone();
-        diverged.set_state(3, CellState::S4);
-        assert_eq!(diverged.state_planes(), StatePlanes::new(&diverged));
-        assert_eq!(warmed.state_planes(), StatePlanes::new(&warmed));
-        assert_ne!(diverged, warmed);
-    }
-
-    #[test]
-    fn physical_lines_serialize_without_the_cache() {
-        use serde::{Deserialize, Serialize};
-        let mut line = patterned_line();
-        line.set_class(299, CellClass::Aux);
-        let _ = line.state_planes();
-        let back = PhysicalLine::from_value(&line.to_value()).unwrap();
-        assert_eq!(back, line);
-        assert_eq!(back.class(299), CellClass::Aux);
     }
 }

@@ -1,10 +1,9 @@
 //! Differential write: only cells whose state changes are programmed.
 
 use crate::energy::EnergyModel;
-use crate::kernel::{self, PLANE_WORDS};
-use crate::physical::{CellClass, PhysicalLine};
+use crate::kernel;
+use crate::physical::{CellClass, PhysicalLine, LINE_PLANE_WORDS};
 use crate::state::CellState;
-use crate::LINE_CELLS;
 use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
@@ -55,13 +54,11 @@ impl AddAssign for WriteOutcome {
 /// its target state. The data/aux split follows the classification carried by
 /// the *new* encoded line.
 ///
-/// The first 256 cells are compared on the lines' cached [`StatePlanes`]
-/// views: programmed cells are counted per (class, target state) with
+/// The lines are compared on their bit planes, over every word they
+/// occupy: programmed cells are counted per (class, target state) with
 /// popcounts and weighted by the integer energy table, which equals the
 /// cell-by-cell f64 sum bit for bit (see [`kernel`]). An energy table with
 /// non-integer entries is summed cell by cell in ascending order instead.
-///
-/// [`StatePlanes`]: crate::kernel::StatePlanes
 ///
 /// # Panics
 ///
@@ -74,52 +71,41 @@ pub fn differential_write(
 ) -> WriteOutcome {
     assert_eq!(old.len(), new.len(), "differential write requires lines of identical cell count");
     let write_pj = CellState::ALL.map(|state| energy.write_energy_pj(state));
-    let (old_planes, new_planes) = (old.state_planes(), new.state_planes());
-    let changed: [u64; PLANE_WORDS] = core::array::from_fn(|w| {
-        (old_planes.plane0()[w] ^ new_planes.plane0()[w])
-            | (old_planes.plane1()[w] ^ new_planes.plane1()[w])
-    });
-    // Cells past the plane view (auxiliary tails), in ascending order.
-    let tail = (LINE_CELLS..new.len()).filter(|&i| old.state(i) != new.state(i));
+    let words = new.len().div_ceil(64);
+    let ((o0, o1, _), (n0, n1, aux)) = (old.planes(), new.planes());
+    let changed: [u64; LINE_PLANE_WORDS] =
+        core::array::from_fn(|w| (o0[w] ^ n0[w]) | (o1[w] ^ n1[w]));
     let mut outcome = WriteOutcome::default();
     let Some(weights) = kernel::integer_energies(&write_pj) else {
-        let mut program = |cell: usize| {
-            let e = write_pj[new.state(cell).index()];
-            match new.class(cell) {
-                CellClass::Data => {
-                    outcome.data_energy_pj += e;
-                    outcome.data_cells_updated += 1;
-                }
-                CellClass::Aux => {
-                    outcome.aux_energy_pj += e;
-                    outcome.aux_cells_updated += 1;
-                }
-            }
-        };
-        for (w, &word) in changed.iter().enumerate() {
+        for (w, &word) in changed.iter().enumerate().take(words) {
             let mut cells = word;
             while cells != 0 {
-                program(w * 64 + cells.trailing_zeros() as usize);
+                let cell = w * 64 + cells.trailing_zeros() as usize;
+                let e = write_pj[new.state(cell).index()];
+                match new.class(cell) {
+                    CellClass::Data => {
+                        outcome.data_energy_pj += e;
+                        outcome.data_cells_updated += 1;
+                    }
+                    CellClass::Aux => {
+                        outcome.aux_energy_pj += e;
+                        outcome.aux_cells_updated += 1;
+                    }
+                }
                 cells &= cells - 1;
             }
         }
-        tail.for_each(program);
         return outcome;
     };
     // Programmed cells per (class, target state); class 0 is data, 1 aux.
-    let aux = kernel::aux_mask(new);
     let mut counts = [[0u64; 4]; 2];
-    for w in 0..PLANE_WORDS {
-        let (n0, n1) = (new_planes.plane0()[w], new_planes.plane1()[w]);
-        let targets = [!n1 & !n0, !n1 & n0, n1 & !n0, n1 & n0];
+    for w in 0..words {
+        let targets = [!n1[w] & !n0[w], !n1[w] & n0[w], n1[w] & !n0[w], n1[w] & n0[w]];
         for (class, cells) in [changed[w] & !aux[w], changed[w] & aux[w]].into_iter().enumerate() {
             for (count, target) in counts[class].iter_mut().zip(targets) {
                 *count += u64::from((cells & target).count_ones());
             }
         }
-    }
-    for cell in tail {
-        counts[usize::from(new.class(cell) == CellClass::Aux)][new.state(cell).index()] += 1;
     }
     let energy_of = |counts: &[u64; 4]| -> f64 {
         counts.iter().zip(weights).map(|(&count, weight)| count * weight).sum::<u64>() as f64

@@ -128,7 +128,9 @@ pub enum Response {
         stats: SchemeStats,
         /// `Some(true)` if a result store served this session's final stats
         /// from a previous run, `Some(false)` on a store miss, `None` when
-        /// the server runs store-less.
+        /// the server runs store-less or the session entered degraded mode:
+        /// its statistics then differ from a clean run, so its close
+        /// neither reads nor writes the store.
         store_hit: Option<bool>,
     },
     /// Plain-text metrics in Prometheus exposition style.

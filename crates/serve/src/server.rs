@@ -23,7 +23,8 @@
 //! integrity verification and disturbance sampling (the two costs that do
 //! not affect energy/endurance accounting) until its backlog fully drains.
 //! The escalation is therefore: full fidelity → degraded (faster drain,
-//! observable in `Stats` and metrics) → `Busy` (fail closed).
+//! observable in `Stats` and metrics) → `Busy` (fail closed). A session
+//! that entered degraded mode closes without touching the result store.
 
 use crate::error::ServeError;
 use crate::metrics::{render, ServeCounters, SessionSample};
@@ -81,7 +82,8 @@ pub struct ServerConfig {
     /// verification and disturbance sampling) so the server catches back up.
     /// `None` disables deadline accounting.
     pub request_deadline: Option<Duration>,
-    /// Optional persistent result store consulted/filled at session close.
+    /// Optional persistent result store consulted/filled at session close
+    /// (skipped by sessions that entered degraded mode).
     pub store: Option<PathBuf>,
 }
 
@@ -114,6 +116,10 @@ struct SessionInner {
     workload: String,
     config: PcmConfig,
     options: SimulationOptions,
+    /// Set when the session enters degraded mode. Its statistics then
+    /// differ from a clean run of the same records, so its close neither
+    /// reads nor writes the result store.
+    shed: bool,
 }
 
 struct SessionSlot {
@@ -435,9 +441,15 @@ fn request_session(request: &Request) -> Option<u64> {
 /// [`SimulatorSession::set_degraded`].
 fn degrade_session(shared: &Shared, id: u64) {
     let Some(slot) = lock_recover(&shared.sessions).get(&id).cloned() else { return };
-    let mut inner = lock_recover(&slot.inner);
+    enter_degraded(&mut lock_recover(&slot.inner), shared);
+}
+
+/// Puts a session into degraded mode (idempotently) and marks it as having
+/// shed work.
+fn enter_degraded(inner: &mut SessionInner, shared: &Shared) {
     if !inner.sim.degraded() {
         inner.sim.set_degraded(true);
+        inner.shed = true;
         shared.counters.degraded_entered_total.inc();
     }
 }
@@ -507,6 +519,7 @@ fn open_session(
             workload,
             config,
             options,
+            shed: false,
         }),
     });
     lock_recover(&shared.sessions).insert(id, slot);
@@ -538,9 +551,8 @@ fn write_records(
         inner.backlog += 1;
         accepted += 1;
     }
-    if inner.backlog > config.degraded_threshold && !inner.sim.degraded() {
-        inner.sim.set_degraded(true);
-        shared.counters.degraded_entered_total.inc();
+    if inner.backlog > config.degraded_threshold {
+        enter_degraded(&mut inner, shared);
     }
     let queued = inner.backlog as u64;
     let backlog = inner.backlog;
@@ -565,7 +577,8 @@ fn close_session(shared: &Shared, session: u64) -> Result<Response, ServeError> 
     let mut inner = lock_recover(&slot.inner);
     drain(&mut inner, shared, usize::MAX);
     let stats = inner.sim.stats();
-    let store_hit = shared.store.as_ref().map(|store| {
+    let store = shared.store.as_ref().filter(|_| !inner.shed);
+    let store_hit = store.map(|store| {
         let key = session_key(&inner);
         let hit = store.get(&key).is_some_and(|cached| cached == stats.to_value());
         if hit {

@@ -1,8 +1,9 @@
 //! Resilience of the serve path under injected faults: the connection cap
 //! fails closed with `Busy`, deadline misses push sessions into degraded
-//! mode, a flaky client absorbed by [`RetryClient`] still produces
-//! byte-identical statistics, and `Open` refuses a configuration the
-//! simulator cannot run instead of panicking on its first write.
+//! mode, a session that shed work leaves the result store alone, a flaky
+//! client absorbed by [`RetryClient`] still produces byte-identical
+//! statistics, and `Open` refuses a configuration the simulator cannot run
+//! instead of panicking on its first write.
 //!
 //! Lives in its own integration-test binary because the `wlcrc_faults` plan
 //! is process-global; every test here takes the lock (even fault-free ones,
@@ -18,6 +19,7 @@ use wlcrc_serve::{
     scrape_value, RetryClient, RetryPolicy, ServeClient, ServeError, Server, ServerConfig,
     FAULT_CLIENT_FLAKY, FAULT_REQUEST_SLOW,
 };
+use wlcrc_store::ResultStore;
 use wlcrc_trace::{Benchmark, TraceStream, WriteRecord};
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -121,6 +123,56 @@ fn deadline_misses_degrade_the_session_but_keep_energy_exact() {
 
     client.shutdown().expect("shutdown");
     running.join();
+}
+
+#[test]
+fn a_session_that_shed_work_neither_reads_nor_writes_the_store() {
+    let _guard = exclusive_faults();
+    wlcrc_faults::clear();
+    let store = std::env::temp_dir().join(format!("wlcrc-resilience-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let options = SimulationOptions { seed: 4, ..SimulationOptions::default() };
+    let records = records_for(Benchmark::Gcc, 0x5EED, 80);
+    // Opens one server on the shared store and closes one session of
+    // `records` per entry of `sessions`.
+    let close_sessions = |config: ServerConfig, sessions: usize| {
+        let config = ServerConfig { store: Some(store.clone()), ..config };
+        let running = Server::new(config).serve_tcp("127.0.0.1:0").expect("bind");
+        let mut client = ServeClient::connect(running.local_addr().expect("tcp addr")).unwrap();
+        let closed: Vec<_> = (0..sessions)
+            .map(|_| {
+                let scheme = SchemeId::Wlcrc16.label();
+                let session =
+                    client.open(scheme, "gcc", PcmConfig::table_ii(), options.clone()).unwrap();
+                client.write_all(session, &records).expect("write_all");
+                client.close(session).expect("close")
+            })
+            .collect();
+        client.shutdown().expect("shutdown");
+        running.join();
+        closed
+    };
+
+    // No workers and a threshold below the one batch: the write degrades
+    // the session, which sheds work until its close drains it.
+    let degraded = ServerConfig { workers: 0, degraded_threshold: 8, ..ServerConfig::default() };
+    let (stats, store_hit) = close_sessions(degraded, 1).remove(0);
+    assert_eq!(store_hit, None, "a session that shed work must skip the store");
+    assert_eq!(stats.expected_disturb_errors, 0.0, "disturbance sampling was shed");
+    assert!(ResultStore::open(&store).expect("store").entries().is_empty());
+
+    // A clean replay of the same records misses, then hits.
+    let direct = Simulator::with_config(PcmConfig::table_ii()).with_options(options.clone()).run(
+        SchemeId::Wlcrc16.build().as_ref(),
+        TraceStream::new(Benchmark::Gcc.profile(), 0x5EED, records.len()),
+    );
+    let closed = close_sessions(ServerConfig::default(), 2);
+    for ((mut stats, store_hit), expect) in closed.into_iter().zip([false, true]) {
+        assert_eq!(store_hit, Some(expect));
+        stats.scheme = direct.scheme.clone();
+        assert_eq!(stats, direct, "a clean session equals a direct run");
+    }
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]

@@ -120,8 +120,8 @@ fn instrumented_encode_loop_allocates_exactly_the_encode() {
 
     const WRITES: u64 = 32;
     // Baseline: the bare encode loop. Steady-state WLCRC encode allocates
-    // exactly twice per write (the returned PhysicalLine's two vectors) —
-    // pinned independently by tests/hotpath_alloc.rs.
+    // nothing (the returned PhysicalLine is a stack value) — pinned
+    // independently by tests/hotpath_alloc.rs.
     let (bare, _) = allocations_during(|| {
         for i in 0..WRITES as usize {
             old = codec.encode(&lines[i % lines.len()], &old, &energy);

@@ -135,3 +135,43 @@ fn wlcrc16_round_trips_through_the_simulator() {
         );
     }
 }
+
+/// Every codec the repo builds fits its line in `MAX_LINE_CELLS` cells and
+/// round-trips; the longest is 6cosets at 8 bits. Finer n-cosets
+/// granularities and longer lines are refused, and a stored line owns no
+/// heap memory.
+#[test]
+fn every_constructed_codec_fits_the_line_capacity() {
+    use wlcrc_repro::coset::{FnwCodec, Granularity, NCosetsCodec, RestrictedCosetCodec};
+    use wlcrc_repro::pcm::prelude::{PhysicalLine, MAX_LINE_CELLS};
+    use wlcrc_repro::{LineCodec, SchemeId, WlcCosetCodec};
+
+    let mut codecs: Vec<Box<dyn LineCodec>> = SchemeId::ALL.iter().map(|id| id.build()).collect();
+    for g in Granularity::SWEEP {
+        codecs.push(Box::new(NCosetsCodec::three_cosets(g)));
+        codecs.push(Box::new(NCosetsCodec::four_cosets(g)));
+        codecs.push(Box::new(NCosetsCodec::six_cosets(g)));
+        codecs.push(Box::new(RestrictedCosetCodec::new(g)));
+        codecs.push(Box::new(FnwCodec::new(g)));
+    }
+    for bits in [8, 16, 32, 64] {
+        codecs.push(Box::new(WlcCosetCodec::wlcrc(bits)));
+        codecs.push(Box::new(WlcCosetCodec::wlc_three_cosets(bits)));
+        codecs.push(Box::new(WlcCosetCodec::wlc_four_cosets(bits)));
+    }
+    let energy = EnergyModel::paper_default();
+    let mut rng = StdRng::seed_from_u64(512);
+    for codec in &codecs {
+        assert!(codec.encoded_cells() <= MAX_LINE_CELLS, "{}", codec.name());
+        let mut stored = codec.initial_line();
+        for style in 0..6 {
+            let data = line_from(&mut rng, style);
+            stored = codec.encode(&data, &stored, &energy);
+            assert_eq!(codec.decode(&stored), data, "{}", codec.name());
+        }
+    }
+    assert_eq!(codecs.iter().map(|codec| codec.encoded_cells()).max(), Some(384));
+    assert!(std::panic::catch_unwind(|| NCosetsCodec::four_cosets(Granularity::new(4))).is_err());
+    assert!(std::panic::catch_unwind(|| PhysicalLine::all_reset(MAX_LINE_CELLS + 1)).is_err());
+    assert!(!std::mem::needs_drop::<PhysicalLine>());
+}
