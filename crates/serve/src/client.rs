@@ -117,15 +117,15 @@ impl<S: Read + Write> ServeClient<S> {
             while !rest.is_empty() {
                 match self.write(session, rest)? {
                     Response::Accepted { accepted, queued } => {
+                        rest = unaccepted(rest, accepted)?;
                         report.written += accepted;
                         report.max_queued = report.max_queued.max(queued);
-                        rest = &rest[accepted as usize..];
                     }
                     Response::Busy { accepted, queued } => {
+                        rest = unaccepted(rest, accepted)?;
                         report.written += accepted;
                         report.busy_responses += 1;
                         report.max_queued = report.max_queued.max(queued);
-                        rest = &rest[accepted as usize..];
                         // Nothing was dropped; give the server room.
                         self.flush(session)?;
                     }
@@ -180,6 +180,14 @@ impl<S: Read + Write> ServeClient<S> {
 
 fn unexpected(expected: &str, got: &Response) -> ServeError {
     ServeError::Protocol(format!("expected {expected} response, got {got:?}"))
+}
+
+/// The records a `Write` of `sent` left to the client once the server took
+/// `accepted` of them; a count beyond the batch is a protocol error.
+fn unaccepted(sent: &[WriteRecord], accepted: u64) -> Result<&[WriteRecord], ServeError> {
+    usize::try_from(accepted).ok().and_then(|taken| sent.get(taken..)).ok_or_else(|| {
+        ServeError::Protocol(format!("server accepted {accepted} of {} records", sent.len()))
+    })
 }
 
 /// Backoff schedule for [`RetryClient`]: exponential doubling from
@@ -375,16 +383,16 @@ impl RetryClient {
                 let request = Request::Write { session, records: rest.to_vec() };
                 match self.call(&request)? {
                     Response::Accepted { accepted, queued } => {
+                        rest = unaccepted(rest, accepted)?;
                         report.written += accepted;
                         report.max_queued = report.max_queued.max(queued);
-                        rest = &rest[accepted as usize..];
                         busy_attempt = 0;
                     }
                     Response::Busy { accepted, queued } => {
+                        rest = unaccepted(rest, accepted)?;
                         report.written += accepted;
                         report.busy_responses += 1;
                         report.max_queued = report.max_queued.max(queued);
-                        rest = &rest[accepted as usize..];
                         // Nothing was dropped; pause (escalating while the
                         // server stays busy), let it drain, resubmit.
                         self.busy_waits += 1;
@@ -459,6 +467,57 @@ fn transport_retryable(err: &ServeError, request: &Request) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::{SocketAddr, TcpListener};
+    use std::thread::JoinHandle;
+    use wlcrc_pcm::line::MemoryLine;
+
+    /// A one-thread fake server: serves one connection, answering every
+    /// frame with `response`, until the client hangs up.
+    fn fake_server(response: Response) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let thread = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            while let Ok(Some(_)) = read_frame(&mut stream) {
+                if write_frame(&mut stream, &response.to_value()).is_err() {
+                    return;
+                }
+            }
+        });
+        (addr, thread)
+    }
+
+    fn batch(count: u64) -> Vec<WriteRecord> {
+        (0..count)
+            .map(|i| WriteRecord::new(64 * i, MemoryLine::ZERO, MemoryLine::from_words([i; 8])))
+            .collect()
+    }
+
+    fn is_overcount(result: Result<WriteReport, ServeError>) -> bool {
+        matches!(result, Err(ServeError::Protocol(message)) if message.contains("accepted 65 of 64"))
+    }
+
+    #[test]
+    fn both_clients_refuse_an_accepted_count_beyond_the_batch() {
+        let records = batch(64);
+        for response in [
+            Response::Accepted { accepted: 65, queued: 0 },
+            Response::Busy { accepted: 65, queued: 0 },
+        ] {
+            let (addr, server) = fake_server(response.clone());
+            let mut client = ServeClient::connect(addr).expect("connect");
+            assert!(is_overcount(client.write_all(1, &records)), "ServeClient took {response:?}");
+            drop(client);
+            server.join().expect("fake server");
+
+            let (addr, server) = fake_server(response.clone());
+            let mut client =
+                RetryClient::connect(addr.to_string(), RetryPolicy::default()).expect("connect");
+            assert!(is_overcount(client.write_all(1, &records)), "RetryClient took {response:?}");
+            drop(client);
+            server.join().expect("fake server");
+        }
+    }
 
     #[test]
     fn retry_delays_are_deterministic_capped_and_jittered() {

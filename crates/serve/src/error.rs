@@ -24,6 +24,9 @@ pub enum ServeError {
     /// A session could not be opened (unknown scheme label, invalid
     /// configuration).
     Open(String),
+    /// A server configuration under which the server cannot make progress
+    /// (see [`ServerConfig::validate`](crate::server::ServerConfig::validate)).
+    Config(String),
     /// The peer answered a request with a protocol-level `Error` response;
     /// the payload is the server's message.
     Remote(String),
@@ -39,6 +42,7 @@ impl fmt::Display for ServeError {
             ServeError::Protocol(msg) => write!(f, "serve protocol violation: {msg}"),
             ServeError::UnknownSession(id) => write!(f, "unknown session id {id}"),
             ServeError::Open(msg) => write!(f, "session open rejected: {msg}"),
+            ServeError::Config(msg) => write!(f, "server config rejected: {msg}"),
             ServeError::Remote(msg) => write!(f, "server reported: {msg}"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
         }

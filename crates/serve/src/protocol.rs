@@ -15,7 +15,15 @@
 //! statistics travel over the socket byte-identically to how they land on
 //! disk. Requests and responses are `Value::Record`s dispatched by record
 //! name; unknown names are a protocol error, which keeps the format open to
-//! extension without a version bump.
+//! extension without a version bump. A frame goes out in one `write_all`.
+//!
+//! `Write` is the one request sent at volume, so its records do not travel
+//! as a value tree: its `records` field is one `Value::Bytes` block of
+//! fixed [`PACKED_RECORD_BYTES`]-byte records, each 17 little-endian
+//! `u64`s — `address`, the eight words of `old`, the eight words of `new`.
+//! A block whose length is not a whole number of records, or a `records`
+//! field that is not a byte block (version 1 sent a sequence of record
+//! values), is a protocol error.
 //!
 //! Frames are capped at [`MAX_FRAME_BYTES`]; a peer announcing a larger
 //! frame is rejected before any allocation, mirroring the wire decoder's
@@ -26,18 +34,26 @@ use serde::{Serialize, Value};
 use std::io::{Read, Write};
 use wlcrc_memsim::{SchemeStats, SimulationOptions};
 use wlcrc_pcm::config::PcmConfig;
+use wlcrc_pcm::line::MemoryLine;
+use wlcrc_pcm::LINE_WORDS;
 use wlcrc_store::wire;
 use wlcrc_trace::WriteRecord;
 
 /// Version byte carried by every frame; bump on incompatible changes to the
 /// request/response schema (adding new record names does not require one).
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Version 2 packs a `Write`'s records into one byte block.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Upper bound on one frame's encoded size (version byte + payload).
-/// Generous for real batches — a `WriteRecord` encodes in ~170 bytes, so a
-/// 4 MiB frame holds >20k records — while bounding what a malicious or
-/// corrupt peer can make the server allocate.
+/// Generous for real batches — a `WriteRecord` packs into
+/// [`PACKED_RECORD_BYTES`] = 136 bytes, so a 4 MiB frame holds >30k
+/// records — while bounding what a malicious or corrupt peer can make the
+/// server allocate.
 pub const MAX_FRAME_BYTES: usize = 4 << 20;
+
+/// Size of one packed [`WriteRecord`] in a `Write` body: 17 little-endian
+/// `u64`s (`address`, `old.words()`, `new.words()`).
+pub const PACKED_RECORD_BYTES: usize = 8 * (1 + 2 * LINE_WORDS);
 
 /// A client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +75,8 @@ pub enum Request {
     Write {
         /// Session to write into.
         session: u64,
-        /// Records, in stream order.
+        /// Records, in stream order; on the wire one packed byte block
+        /// (see the module docs).
         records: Vec<WriteRecord>,
     },
     /// Blocks until everything queued so far is simulated.
@@ -160,10 +177,16 @@ impl Request {
                     ("options", options.to_value()),
                 ],
             ),
-            Request::Write { session, records } => Value::record(
-                "Write",
-                vec![("session", session.to_value()), ("records", records.to_value())],
-            ),
+            Request::Write { session, records } => {
+                let mut block = Vec::with_capacity(records.len() * PACKED_RECORD_BYTES);
+                for record in records {
+                    block.extend_from_slice(&pack_record(record));
+                }
+                Value::record(
+                    "Write",
+                    vec![("session", session.to_value()), ("records", Value::Bytes(block))],
+                )
+            }
             Request::Flush { session } => {
                 Value::record("Flush", vec![("session", session.to_value())])
             }
@@ -198,9 +221,14 @@ impl Request {
             }
             "Write" => {
                 let fields = value.as_record("Write")?;
+                let Some(Value::Bytes(block)) = fields.raw("records") else {
+                    return Err(ServeError::Protocol(
+                        "Write records must be one packed byte block".to_string(),
+                    ));
+                };
                 Request::Write {
                     session: fields.field("session")?,
-                    records: fields.field("records")?,
+                    records: unpack_records(block)?,
                 }
             }
             "Flush" => Request::Flush { session: value.as_record("Flush")?.field("session")? },
@@ -300,16 +328,48 @@ impl Response {
     }
 }
 
-/// Writes one frame carrying `value` to `writer`.
+/// One record in its packed `Write` form: `address`, then the words of
+/// `old`, then those of `new`, each a little-endian `u64`.
+pub(crate) fn pack_record(record: &WriteRecord) -> [u8; PACKED_RECORD_BYTES] {
+    let words =
+        std::iter::once(&record.address).chain(record.old.words()).chain(record.new.words());
+    let mut packed = [0u8; PACKED_RECORD_BYTES];
+    for (bytes, word) in packed.chunks_exact_mut(8).zip(words) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+    packed
+}
+
+/// The records of a packed `Write` block; a block that is not a whole
+/// number of [`PACKED_RECORD_BYTES`]-byte records is a protocol error.
+fn unpack_records(block: &[u8]) -> Result<Vec<WriteRecord>, ServeError> {
+    if !block.len().is_multiple_of(PACKED_RECORD_BYTES) {
+        return Err(ServeError::Protocol(format!(
+            "a Write block of {} bytes is not a whole number of {PACKED_RECORD_BYTES}-byte records",
+            block.len()
+        )));
+    }
+    let records = block.chunks_exact(PACKED_RECORD_BYTES).map(|packed| {
+        let word =
+            |i: usize| u64::from_le_bytes(packed[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let line = |first: usize| MemoryLine::from_words(std::array::from_fn(|i| word(first + i)));
+        WriteRecord::new(word(0), line(1), line(1 + LINE_WORDS))
+    });
+    Ok(records.collect())
+}
+
+/// Writes one frame carrying `value` to `writer`, in one `write_all`.
 pub fn write_frame(writer: &mut impl Write, value: &Value) -> Result<(), ServeError> {
     let payload = wire::encode(value);
     let length = payload.len() + 1;
     if length > MAX_FRAME_BYTES {
         return Err(ServeError::Protocol(format!("frame of {length} bytes exceeds cap")));
     }
-    writer.write_all(&(length as u32).to_le_bytes())?;
-    writer.write_all(&[PROTOCOL_VERSION])?;
-    writer.write_all(&payload)?;
+    let mut frame = Vec::with_capacity(4 + length);
+    frame.extend_from_slice(&(length as u32).to_le_bytes());
+    frame.push(PROTOCOL_VERSION);
+    frame.extend_from_slice(&payload);
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
@@ -381,6 +441,59 @@ mod tests {
         roundtrip_request(Request::Close { session: 3 });
         roundtrip_request(Request::Metrics);
         roundtrip_request(Request::Shutdown);
+    }
+
+    /// `count` records whose 17 words all differ, so a misplaced word shows.
+    fn distinct_records(count: u64) -> Vec<WriteRecord> {
+        let word = |i: u64, w: u64| ((i << 8) | w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (0..count)
+            .map(|i| {
+                let old = MemoryLine::from_words(std::array::from_fn(|w| word(i, w as u64)));
+                let new = MemoryLine::from_words(std::array::from_fn(|w| word(i, 8 + w as u64)));
+                WriteRecord::new(64 * i, old, new)
+            })
+            .collect()
+    }
+
+    fn frame_len(request: &Request) -> usize {
+        let mut buffer = Vec::new();
+        write_frame(&mut buffer, &request.to_value()).unwrap();
+        buffer.len()
+    }
+
+    #[test]
+    fn writes_round_trip_at_136_bytes_per_record() {
+        let empty = frame_len(&Request::Write { session: 3, records: vec![] });
+        for count in [0, 1, 4096] {
+            let request = Request::Write { session: 3, records: distinct_records(count) };
+            assert_eq!(frame_len(&request) - empty, count as usize * 136);
+            roundtrip_request(request);
+        }
+        // The layout: `address`, then `old`'s words, then `new`'s.
+        let record = distinct_records(2)[1];
+        let packed = pack_record(&record);
+        assert_eq!(packed[..8], record.address.to_le_bytes());
+        assert_eq!(packed[8..16], record.old.words()[0].to_le_bytes());
+        assert_eq!(packed[128..], record.new.words()[7].to_le_bytes());
+    }
+
+    #[test]
+    fn version_1_and_ragged_write_bodies_are_refused() {
+        let write = |records: Value| {
+            Request::from_value(&Value::record(
+                "Write",
+                vec![("session", Value::U64(3)), ("records", records)],
+            ))
+        };
+        let v1 = write(distinct_records(2).to_value());
+        assert!(matches!(v1, Err(ServeError::Protocol(_))), "a v1 body: {v1:?}");
+        for len in [135, 137] {
+            let ragged = write(Value::Bytes(vec![0; len]));
+            assert!(matches!(ragged, Err(ServeError::Protocol(_))), "{len} bytes: {ragged:?}");
+        }
+        let missing =
+            Request::from_value(&Value::record("Write", vec![("session", Value::U64(3))]));
+        assert!(matches!(missing, Err(ServeError::Protocol(_))));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use crate::error::ServeError;
 use crate::metrics::{render, ServeCounters, SessionSample};
-use crate::protocol::{read_frame, write_frame, Request, Response};
+use crate::protocol::{pack_record, read_frame, write_frame, Request, Response};
 use serde::{Serialize, Value};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -87,6 +87,25 @@ pub struct ServerConfig {
     pub store: Option<PathBuf>,
 }
 
+impl ServerConfig {
+    /// Refuses the settings under which the server cannot make progress: a
+    /// zero `lane_capacity` or `session_queue_cap` answers every `Write`
+    /// with `Busy { accepted: 0 }`, so a client resubmits forever, and a
+    /// zero `drain_batch` re-queues a dirty session without draining it.
+    /// (`workers: 0` is legal; see above.)
+    pub fn validate(&self) -> Result<(), ServeError> {
+        let bounds = [
+            ("lane_capacity", self.lane_capacity),
+            ("session_queue_cap", self.session_queue_cap),
+            ("drain_batch", self.drain_batch),
+        ];
+        match bounds.into_iter().find(|&(_, value)| value == 0) {
+            Some((name, _)) => Err(ServeError::Config(format!("{name} must be at least 1"))),
+            None => Ok(()),
+        }
+    }
+}
+
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
@@ -109,8 +128,8 @@ struct SessionInner {
     queues: Vec<VecDeque<WriteRecord>>,
     /// Total queued records across all lanes.
     backlog: usize,
-    /// Running digest of every accepted record, in accept order — the
-    /// stream identity in the session's store key.
+    /// Running digest of every accepted record's packed wire form, in
+    /// accept order — the stream identity in the session's store key.
     digest: StableHasher,
     scheme: String,
     workload: String,
@@ -187,8 +206,9 @@ impl Server {
 
     /// Binds a TCP listener on `addr` (use port 0 for an ephemeral port),
     /// spawns the worker pool and the accept loop, and returns the running
-    /// handle.
+    /// handle. Refuses a config that [`ServerConfig::validate`] refuses.
     pub fn serve_tcp(self, addr: impl ToSocketAddrs) -> Result<RunningServer, ServeError> {
+        self.shared.config.validate()?;
         let listener = TcpListener::bind(addr)?;
         let tcp_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -199,9 +219,11 @@ impl Server {
     }
 
     /// Binds a Unix-domain socket at `path` (removing a stale socket file),
-    /// spawns the worker pool and the accept loop.
+    /// spawns the worker pool and the accept loop. Refuses a config that
+    /// [`ServerConfig::validate`] refuses.
     #[cfg(unix)]
     pub fn serve_unix(self, path: impl Into<PathBuf>) -> Result<RunningServer, ServeError> {
+        self.shared.config.validate()?;
         let path = path.into();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
@@ -546,7 +568,7 @@ fn write_records(
             busy = true;
             break;
         }
-        inner.digest.update_value(&record.to_value());
+        inner.digest.update(&pack_record(record));
         inner.queues[bank].push_back(*record);
         inner.backlog += 1;
         accepted += 1;
@@ -634,4 +656,38 @@ fn metrics_text(shared: &Shared) -> String {
     samples.sort_by_key(|sample| sample.session);
     let connections = shared.connections.load(Ordering::SeqCst);
     render(&shared.counters, &samples, shared.config.lane_capacity, connections)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_queue_bounds_and_drain_batches_are_refused_before_binding() {
+        // Workers are off, so a serve that wrongly took a zero would start
+        // only its accept loop.
+        let base = ServerConfig { workers: 0, ..ServerConfig::default() };
+        assert!(base.validate().is_ok(), "workers: 0 stays legal");
+        let refused = [
+            ("lane_capacity", ServerConfig { lane_capacity: 0, ..base.clone() }),
+            ("session_queue_cap", ServerConfig { session_queue_cap: 0, ..base.clone() }),
+            ("drain_batch", ServerConfig { drain_batch: 0, ..base.clone() }),
+        ];
+        for (name, config) in refused {
+            match config.validate() {
+                Err(ServeError::Config(message)) => assert!(message.contains(name), "{message}"),
+                other => panic!("{name}: 0 was not refused: {other:?}"),
+            }
+            let served = Server::new(config.clone()).serve_tcp("127.0.0.1:0");
+            assert!(matches!(served, Err(ServeError::Config(_))), "serve_tcp took {name}: 0");
+            #[cfg(unix)]
+            {
+                let path = std::env::temp_dir()
+                    .join(format!("wlcrc-validate-{}-{name}.sock", std::process::id()));
+                let served = Server::new(config).serve_unix(&path);
+                assert!(matches!(served, Err(ServeError::Config(_))), "serve_unix took {name}: 0");
+                assert!(!path.exists(), "a refused config must not bind");
+            }
+        }
+    }
 }

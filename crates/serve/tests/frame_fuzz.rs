@@ -1,10 +1,12 @@
 //! Property coverage for the frame decoder: arbitrary, truncated and
 //! oversized byte streams must never panic the server — every failure
 //! surfaces as a typed [`ServeError`] (I/O, wire or protocol), and only a
-//! clean EOF at a frame boundary reads as `Ok(None)`.
+//! clean EOF at a frame boundary reads as `Ok(None)`. Arbitrary bytes in a
+//! `Write`'s packed records block parse or fail typed, never panic.
 
 use proptest::prelude::*;
-use wlcrc_serve::protocol::{read_frame, write_frame};
+use serde::Value;
+use wlcrc_serve::protocol::{read_frame, write_frame, PACKED_RECORD_BYTES};
 use wlcrc_serve::{Request, ServeError, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 
 /// The decoder's only allowed failure modes.
@@ -64,6 +66,33 @@ proptest! {
             Ok(Some(value)) => drop(Request::from_value(&value)),
             Ok(None) => prop_assert!(false, "a complete frame is not an EOF"),
             Err(err) => prop_assert!(is_typed_failure(&err), "untyped failure: {err}"),
+        }
+    }
+
+    #[test]
+    fn arbitrary_write_blocks_never_panic_request_parsing(
+        session in any::<u64>(),
+        block in prop::collection::vec(any::<u8>(), 0..1024),
+    ) {
+        let write = Value::record(
+            "Write",
+            vec![("session", Value::U64(session)), ("records", Value::Bytes(block.clone()))],
+        );
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &write).unwrap();
+        let value = read_frame(&mut &bytes[..]).unwrap().expect("one frame");
+        let whole = block.len().is_multiple_of(PACKED_RECORD_BYTES);
+        match Request::from_value(&value) {
+            Ok(Request::Write { session: parsed, records }) => {
+                prop_assert!(whole, "a {}-byte block parsed", block.len());
+                prop_assert_eq!(parsed, session);
+                prop_assert_eq!(records.len() * PACKED_RECORD_BYTES, block.len());
+            }
+            Ok(other) => prop_assert!(false, "a Write parsed as {other:?}"),
+            Err(err) => {
+                prop_assert!(matches!(err, ServeError::Protocol(_)), "untyped failure: {err}");
+                prop_assert!(!whole, "a whole {}-byte block was refused", block.len());
+            }
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Resilience of the serve path under injected faults: the connection cap
 //! fails closed with `Busy`, deadline misses push sessions into degraded
-//! mode, a session that shed work leaves the result store alone, a flaky
+//! mode, a session that shed work leaves the result store alone, a
+//! session's store key covers every bit of its accepted stream, a flaky
 //! client absorbed by [`RetryClient`] still produces byte-identical
 //! statistics, and `Open` refuses a configuration the simulator cannot run
 //! instead of panicking on its first write.
@@ -172,6 +173,60 @@ fn a_session_that_shed_work_neither_reads_nor_writes_the_store() {
         stats.scheme = direct.scheme.clone();
         assert_eq!(stats, direct, "a clean session equals a direct run");
     }
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn the_session_key_covers_every_packed_byte() {
+    let _guard = exclusive_faults();
+    wlcrc_faults::clear();
+    let store = std::env::temp_dir().join(format!("wlcrc-session-key-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let mut first = records_for(Benchmark::Gcc, 0xB17, 60);
+    // The last record rewrites the line of record 3.
+    first.push(WriteRecord::new(first[3].address, first[3].new, first[7].new));
+    let last = first.len() - 1;
+    let flipped = |index: usize, flip: fn(&mut WriteRecord)| {
+        let mut records = first.clone();
+        flip(&mut records[index]);
+        records
+    };
+    // One bit of one record each: an address (a new line in the same
+    // bank), then `old` and `new` of the rewrite. The simulator reads
+    // neither the moved address nor a rewrite's `old`, so only the key can
+    // tell those two streams from the first.
+    let streams = [
+        first.clone(),
+        flipped(10, |record| record.address ^= 1 << 40),
+        flipped(last, |record| record.old.words_mut()[3] ^= 1 << 17),
+        flipped(last, |record| record.new.words_mut()[5] ^= 1 << 33),
+        first.clone(),
+    ];
+    let running =
+        Server::new(ServerConfig { store: Some(store.clone()), ..ServerConfig::default() })
+            .serve_tcp("127.0.0.1:0")
+            .expect("bind");
+    let mut client = ServeClient::connect(running.local_addr().expect("tcp addr")).unwrap();
+    let options = SimulationOptions { seed: 6, ..SimulationOptions::default() };
+    let closed: Vec<_> = streams
+        .iter()
+        .map(|records| {
+            let scheme = SchemeId::Wlcrc16.label();
+            let session =
+                client.open(scheme, "gcc", PcmConfig::table_ii(), options.clone()).unwrap();
+            client.write_all(session, records).expect("write_all");
+            client.close(session).expect("close")
+        })
+        .collect();
+    client.shutdown().expect("shutdown");
+    running.join();
+
+    let hits: Vec<_> = closed.iter().map(|(_, store_hit)| *store_hit).collect();
+    let expected = [false, false, false, false, true].map(Some);
+    assert_eq!(hits, expected, "one flipped bit must miss; the replay must hit");
+    assert_eq!(closed[1].0, closed[0].0, "the moved address simulates like the first stream");
+    assert_eq!(closed[2].0, closed[0].0, "the rewrite's old is never read");
+    assert_eq!(ResultStore::open(&store).expect("store").entries().len(), 4);
     let _ = std::fs::remove_dir_all(&store);
 }
 
