@@ -155,14 +155,9 @@ impl TableCodec for FlipMinCodec {
         let mut best_cost = f64::INFINITY;
         for (i, mask_planes) in self.mask_planes.iter().enumerate() {
             let candidate = planes.xor(mask_planes);
-            if let Some(cost) = kernel::block_cost_bounded(
-                &candidate,
-                &stored,
-                0..LINE_CELLS,
-                table,
-                0.0,
-                best_cost,
-            ) {
+            if let Some(cost) =
+                kernel::block_cost_bounded(&candidate, &stored, 0..LINE_CELLS, table, best_cost)
+            {
                 best_cost = cost;
                 best_index = i;
             }

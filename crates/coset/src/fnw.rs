@@ -10,12 +10,15 @@
 use crate::granularity::Granularity;
 use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_pcm::kernel::{self, TransitionTable, PLANE_WORDS};
+use wlcrc_pcm::kernel::{self, Selectors, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::MemoryLine;
 use wlcrc_pcm::mapping::SymbolMapping;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
 use wlcrc_pcm::state::{CellState, Symbol};
 use wlcrc_pcm::LINE_CELLS;
+
+/// Most blocks any granularity produces (8-bit blocks → 64 per line).
+const MAX_BLOCKS: usize = 64;
 
 /// The Flip-N-Write codec.
 #[derive(Debug, Clone)]
@@ -31,12 +34,12 @@ impl FnwCodec {
     /// # Panics
     ///
     /// Panics if the granularity is finer than 8 bits: the per-write flip
-    /// decisions are kept in a `u64` mask (one bit per block), which covers
-    /// the paper's whole 8..512-bit sweep but not more than 64 blocks.
+    /// decisions are kept in a fixed array of 64, which covers the paper's
+    /// whole 8..512-bit sweep but not more blocks.
     pub fn new(granularity: Granularity) -> FnwCodec {
         assert!(
-            granularity.blocks_per_line() <= 64,
-            "FnwCodec supports at most 64 blocks per line (granularity >= 8 bits)"
+            granularity.blocks_per_line() <= MAX_BLOCKS,
+            "FnwCodec supports at most {MAX_BLOCKS} blocks per line (granularity >= 8 bits)"
         );
         FnwCodec {
             granularity,
@@ -60,6 +63,13 @@ impl FnwCodec {
         self.granularity.blocks_per_line().div_ceil(2)
     }
 
+    /// The state storing `symbol` in a block that is, or is not, flipped: a
+    /// flipped block stores the symbol complement.
+    fn target(&self, symbol: Symbol, flipped: bool) -> CellState {
+        let stored = if flipped { Symbol::new(!symbol.value() & 0b11) } else { symbol };
+        self.mapping.state_of(stored)
+    }
+
     fn flip_cost(
         &self,
         data: &MemoryLine,
@@ -70,28 +80,37 @@ impl FnwCodec {
     ) -> f64 {
         let mut cost = 0.0;
         for cell in cells {
-            let mut symbol = data.symbol(cell);
-            if flipped {
-                symbol = Symbol::new(!symbol.value() & 0b11);
-            }
-            let target = self.mapping.state_of(symbol);
+            let target = self.target(data.symbol(cell), flipped);
             cost += energy.transition_energy_pj(old.state(cell), target);
         }
         cost
     }
 
-    /// Packs the per-block flip decisions into the auxiliary cells, two
-    /// flip bits per aux symbol through the default mapping.
-    fn write_aux(&self, out: &mut PhysicalLine, flips: u64, blocks: usize) {
+    /// The line every encode fills in: all cells RESET, the flip-bit cells
+    /// after the 256 data cells marked auxiliary.
+    fn blank_line(&self) -> PhysicalLine {
+        let mut out = PhysicalLine::all_reset(self.encoded_cells());
+        for cell in LINE_CELLS..self.encoded_cells() {
+            out.set_class(cell, CellClass::Aux);
+        }
+        out
+    }
+
+    /// Packs the per-block flip decisions (`flips[b]` is 1 when block `b`
+    /// is flipped) into the auxiliary cells, two flip bits per aux symbol
+    /// through the default mapping.
+    fn write_aux(&self, out: &mut PhysicalLine, flips: &[u8]) {
+        let flipped = |block: usize| flips.get(block) == Some(&1);
         for i in 0..self.aux_cells() {
-            let msb = (flips >> (2 * i)) & 1 == 1;
-            let lsb = 2 * i + 1 < blocks && (flips >> (2 * i + 1)) & 1 == 1;
-            out.set_state(LINE_CELLS + i, self.mapping.state_of(Symbol::from_bits(msb, lsb)));
+            let symbol = Symbol::from_bits(flipped(2 * i), flipped(2 * i + 1));
+            out.set_state(LINE_CELLS + i, self.mapping.state_of(symbol));
         }
     }
 
-    /// The scalar reference encoder (see [`crate::cost`]); kept callable for
-    /// the equivalence tests and the perf snapshot.
+    /// The scalar reference encoder (see [`crate::cost`]): per block, the
+    /// keep and flip costs cell by cell, then the block written through the
+    /// mapping. Kept callable for the equivalence tests and the perf
+    /// snapshot.
     #[doc(hidden)]
     pub fn encode_scalar(
         &self,
@@ -101,35 +120,19 @@ impl FnwCodec {
     ) -> PhysicalLine {
         assert_eq!(old.len(), self.encoded_cells());
         let blocks = self.granularity.blocks_per_line();
-        let mut out = PhysicalLine::all_reset(self.encoded_cells());
-        for cell in LINE_CELLS..self.encoded_cells() {
-            out.set_class(cell, CellClass::Aux);
-        }
-        let tables = self.tables(energy);
-        let mut flips = 0u64;
-        for block in 0..blocks {
+        let mut out = self.blank_line();
+        let mut flips = [0u8; MAX_BLOCKS];
+        for (block, flip) in flips[..blocks].iter_mut().enumerate() {
             let cells = self.granularity.block_cells(block);
             let keep = self.flip_cost(data, old, cells.clone(), false, energy);
-            let inverted = self.flip_cost(data, old, cells.clone(), true, energy);
-            let flip = inverted < keep;
-            if flip {
-                flips |= 1 << block;
+            let flipped = self.flip_cost(data, old, cells.clone(), true, energy) < keep;
+            *flip = u8::from(flipped);
+            for cell in cells {
+                out.set_state(cell, self.target(data.symbol(cell), flipped));
             }
-            kernel::write_block(data, &mut out, cells, &tables[usize::from(flip)]);
         }
-        self.write_aux(&mut out, flips, blocks);
+        self.write_aux(&mut out, &flips[..blocks]);
         out
-    }
-}
-
-/// Sets one bit per cell of `cells` in a per-cell plane-word mask.
-fn set_cell_range(mask: &mut [u64; PLANE_WORDS], cells: std::ops::Range<usize>) {
-    let (mut c, end) = (cells.start, cells.end);
-    while c < end {
-        let (w, off) = (c / 64, c % 64);
-        let n = (64 - off).min(end - c);
-        mask[w] |= (u64::MAX >> (64 - n)) << off;
-        c += n;
     }
 }
 
@@ -192,16 +195,16 @@ impl TableCodec for FnwCodec {
     /// mapping composed with the symbol complement (what a flipped block
     /// stores).
     fn tables(&self, energy: &EnergyModel) -> [TransitionTable; 2] {
-        let keep = TransitionTable::new(&self.mapping, energy);
-        let mut flipped_states = [CellState::S1; 4];
-        for (v, slot) in flipped_states.iter_mut().enumerate() {
-            *slot = self.mapping.state_of(Symbol::new(!(v as u8) & 0b11));
-        }
-        [keep, TransitionTable::from_states(flipped_states, energy)]
+        [false, true].map(|flipped| {
+            let states = core::array::from_fn(|v| self.target(Symbol::new(v as u8), flipped));
+            TransitionTable::from_states(states, energy)
+        })
     }
 
-    /// Bit-parallel encode: each block's keep and flip costs come from the
-    /// kernel, and the chosen target planes are selected per word.
+    /// One [`kernel::select_blocks_uniform`] call at every granularity, over
+    /// the tables `[keep, flipped]` with unpriced selectors: a block flips
+    /// only when flipping is strictly cheaper, the winners are the flip bits,
+    /// and the kernel hands back the chosen target planes.
     fn encode_with(
         &self,
         tables: &[TransitionTable; 2],
@@ -209,38 +212,24 @@ impl TableCodec for FnwCodec {
         old: &PhysicalLine,
     ) -> PhysicalLine {
         assert_eq!(old.len(), self.encoded_cells());
-        let (planes, stored) = (data.symbol_planes(), old.state_planes());
         let blocks = self.granularity.blocks_per_line();
-        debug_assert!(blocks <= 64, "flip mask is a u64");
-        let mut out = PhysicalLine::all_reset(self.encoded_cells());
-        for cell in LINE_CELLS..self.encoded_cells() {
-            out.set_class(cell, CellClass::Aux);
-        }
-        let mut flips = 0u64;
-        // Per-cell select mask of the flipped blocks, one bit per cell.
-        let mut flip_mask = [0u64; PLANE_WORDS];
-        for block in 0..blocks {
-            let cells = self.granularity.block_cells(block);
-            let keep = kernel::block_cost(&planes, &stored, cells.clone(), &tables[0]);
-            let inverted = kernel::block_cost(&planes, &stored, cells.clone(), &tables[1]);
-            if inverted < keep {
-                flips |= 1 << block;
-                set_cell_range(&mut flip_mask, cells);
-            }
-        }
-        // Plane-assembled write: select each word's target planes between
-        // the keep and the flipped table, then store them at once.
+        let mut flips = [0u8; MAX_BLOCKS];
         let mut out0 = [0u64; PLANE_WORDS];
         let mut out1 = [0u64; PLANE_WORDS];
-        for w in 0..PLANE_WORDS {
-            let (k0, k1) = tables[0].target_planes(&planes, w);
-            let (f0, f1) = tables[1].target_planes(&planes, w);
-            let fm = flip_mask[w];
-            out0[w] = (k0 & !fm) | (f0 & fm);
-            out1[w] = (k1 & !fm) | (f1 & fm);
-        }
+        kernel::select_blocks_uniform(
+            &data.symbol_planes(),
+            &old.state_planes(),
+            self.granularity.cells(),
+            blocks,
+            tables,
+            Selectors::Unpriced,
+            &mut flips,
+            &mut out0,
+            &mut out1,
+        );
+        let mut out = self.blank_line();
         out.set_data_planes(&out0, &out1);
-        self.write_aux(&mut out, flips, blocks);
+        self.write_aux(&mut out, &flips[..blocks]);
         out
     }
 }
@@ -309,13 +298,13 @@ mod tests {
     fn kernel_encode_matches_scalar_encode() {
         let energy = EnergyModel::paper_default();
         let mut rng = StdRng::seed_from_u64(51);
-        for g in [16usize, 64, 128, 512] {
-            let codec = FnwCodec::new(Granularity::new(g));
+        for granularity in Granularity::SWEEP {
+            let codec = FnwCodec::new(granularity);
             let mut old = codec.initial_line();
             for _ in 0..10 {
                 let data = random_line(&mut rng);
                 let kernel = codec.encode(&data, &old, &energy);
-                assert_eq!(kernel, codec.encode_scalar(&data, &old, &energy), "g={g}");
+                assert_eq!(kernel, codec.encode_scalar(&data, &old, &energy), "{granularity}");
                 old = kernel;
             }
         }

@@ -167,93 +167,37 @@ impl NCosetsCodec {
         }
     }
 
-    /// Shared encode body. With `kernel_tables` the per-candidate block
-    /// costs run on the bit-parallel kernel: fine granularities (blocks
-    /// smaller than a 64-cell plane word) pick every block's candidate in
-    /// one fused word sweep ([`kernel::select_blocks_uniform`]), which is
-    /// told where the selector cells are and prices them itself, while
-    /// coarse blocks are evaluated per candidate with branch-and-bound (a
-    /// candidate is abandoned as soon as its partial cost reaches the
-    /// incumbent — it could no longer win the strict `<` comparison, so the
-    /// winner is unchanged). Without `kernel_tables` the costs come from the
-    /// scalar reference in [`crate::cost`].
-    fn encode_impl(
-        &self,
-        data: &MemoryLine,
-        old: &PhysicalLine,
-        energy: &EnergyModel,
-        kernel_tables: Option<&[TransitionTable; MAX_CANDIDATES]>,
-    ) -> PhysicalLine {
-        assert_eq!(old.len(), self.encoded_cells());
-        let kernel_ctx =
-            kernel_tables.map(|tables| (data.symbol_planes(), old.state_planes(), tables));
-        let blocks = self.granularity.blocks_per_line();
-        let cells_per_block = self.granularity.cells();
+    /// The line every encode fills in: all cells RESET, the selector cells
+    /// after the 256 data cells marked auxiliary.
+    fn blank_line(&self) -> PhysicalLine {
         let mut out = PhysicalLine::all_reset(self.encoded_cells());
         for cell in LINE_CELLS..self.encoded_cells() {
             out.set_class(cell, CellClass::Aux);
         }
-        // Fine granularity: the fused kernel sweep evaluates every candidate
-        // per block while the bucket masks are in registers — the selection
-        // minimises the full differential-write cost (data block plus the
-        // auxiliary cells recording the choice) exactly like the scalar loop
-        // below — and assembles the winners' target planes, stored with one
-        // `set_data_planes` at the end.
-        if let Some((planes, stored, tables)) = &kernel_ctx {
-            if cells_per_block < 64 {
-                // The selector cells follow the 256 data cells, where the
-                // kernel reads them.
-                let selectors = if self.aux_cells_per_block() == 1 {
-                    Selectors::OneCell(old)
-                } else {
-                    Selectors::TwoCells { stored: old, codes: &AUX_COMBOS }
-                };
-                let mut winners = [0u8; MAX_LINE_BLOCKS];
-                let mut out0 = [0u64; PLANE_WORDS];
-                let mut out1 = [0u64; PLANE_WORDS];
-                kernel::select_blocks_uniform(
-                    planes,
-                    stored,
-                    cells_per_block,
-                    blocks,
-                    &tables[..self.set.len()],
-                    selectors,
-                    &mut winners,
-                    &mut out0,
-                    &mut out1,
-                );
-                for (block, &winner) in winners[..blocks].iter().enumerate() {
-                    self.write_selector(&mut out, block, usize::from(winner));
-                }
-                out.set_data_planes(&out0, &out1);
-                return out;
-            }
-        }
-        for block in 0..blocks {
+        out
+    }
+
+    /// The scalar reference encoder: per block, the candidate with the
+    /// smallest differential-write cost of the data block plus the selector
+    /// cells that record it, priced and written cell by cell through
+    /// [`crate::cost`]. Kept callable so the equivalence tests and the perf
+    /// snapshot can compare the kernel encode against it.
+    #[doc(hidden)]
+    pub fn encode_scalar(
+        &self,
+        data: &MemoryLine,
+        old: &PhysicalLine,
+        energy: &EnergyModel,
+    ) -> PhysicalLine {
+        assert_eq!(old.len(), self.encoded_cells());
+        let mut out = self.blank_line();
+        for block in 0..self.granularity.blocks_per_line() {
             let cells = self.granularity.block_cells(block);
             let mut best = 0usize;
             let mut best_cost = f64::INFINITY;
             for (idx, candidate) in self.set.candidates().iter().enumerate() {
-                // The selection minimises the full differential-write cost:
-                // the data block plus the auxiliary cells that record the
-                // chosen candidate.
-                let selector = self.selector_cost(old, block, idx, energy);
-                let cost = match &kernel_ctx {
-                    Some((planes, stored, tables)) => {
-                        match kernel::block_cost_bounded(
-                            planes,
-                            stored,
-                            cells.clone(),
-                            &tables[idx],
-                            selector,
-                            best_cost,
-                        ) {
-                            Some(total) => total,
-                            None => continue,
-                        }
-                    }
-                    None => block_cost(data, old, cells.clone(), candidate, energy) + selector,
-                };
+                let cost = block_cost(data, old, cells.clone(), candidate, energy)
+                    + self.selector_cost(old, block, idx, energy);
                 if cost < best_cost {
                     best_cost = cost;
                     best = idx;
@@ -263,20 +207,6 @@ impl NCosetsCodec {
             self.write_selector(&mut out, block, best);
         }
         out
-    }
-
-    /// The scalar reference encoder (identical selection logic driven by the
-    /// per-cell cost routines in [`crate::cost`]). Kept callable so the
-    /// equivalence tests and the perf snapshot can compare the kernel against
-    /// the exact pre-kernel path.
-    #[doc(hidden)]
-    pub fn encode_scalar(
-        &self,
-        data: &MemoryLine,
-        old: &PhysicalLine,
-        energy: &EnergyModel,
-    ) -> PhysicalLine {
-        self.encode_impl(data, old, energy, None)
     }
 }
 
@@ -330,25 +260,56 @@ impl LineCodec for NCosetsCodec {
 }
 
 impl TableCodec for NCosetsCodec {
-    /// The energy model, which prices the selector cells, and one transition
-    /// table per candidate, on the stack.
-    type Tables = (EnergyModel, [TransitionTable; MAX_CANDIDATES]);
+    /// One transition table per candidate, on the stack.
+    type Tables = [TransitionTable; MAX_CANDIDATES];
 
     fn tables(&self, energy: &EnergyModel) -> Self::Tables {
         let mut tables = [TransitionTable::placeholder(); MAX_CANDIDATES];
         for (table, candidate) in tables.iter_mut().zip(self.set.candidates()) {
             *table = TransitionTable::new(&candidate.mapping(), energy);
         }
-        (energy.clone(), tables)
+        tables
     }
 
+    /// One [`kernel::select_blocks_uniform`] call at every granularity: the
+    /// kernel totals each block's data cost and the cost of the selector
+    /// cells that would record the candidate, which follow the 256 data
+    /// cells where it reads them, and hands back the winners and their
+    /// target planes. The choices are the scalar loop's of
+    /// [`NCosetsCodec::encode_scalar`] whenever the energy table is integer.
     fn encode_with(
         &self,
-        (energy, tables): &Self::Tables,
+        tables: &Self::Tables,
         data: &MemoryLine,
         old: &PhysicalLine,
     ) -> PhysicalLine {
-        self.encode_impl(data, old, energy, Some(tables))
+        assert_eq!(old.len(), self.encoded_cells());
+        let blocks = self.granularity.blocks_per_line();
+        let selectors = if self.aux_cells_per_block() == 1 {
+            Selectors::OneCell(old)
+        } else {
+            Selectors::TwoCells { stored: old, codes: &AUX_COMBOS }
+        };
+        let mut winners = [0u8; MAX_LINE_BLOCKS];
+        let mut out0 = [0u64; PLANE_WORDS];
+        let mut out1 = [0u64; PLANE_WORDS];
+        kernel::select_blocks_uniform(
+            &data.symbol_planes(),
+            &old.state_planes(),
+            self.granularity.cells(),
+            blocks,
+            &tables[..self.set.len()],
+            selectors,
+            &mut winners,
+            &mut out0,
+            &mut out1,
+        );
+        let mut out = self.blank_line();
+        for (block, &winner) in winners[..blocks].iter().enumerate() {
+            self.write_selector(&mut out, block, usize::from(winner));
+        }
+        out.set_data_planes(&out0, &out1);
+        out
     }
 }
 

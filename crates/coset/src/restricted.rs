@@ -175,51 +175,33 @@ impl RestrictedCosetCodec {
         let blocks = self.granularity.blocks_per_line();
         debug_assert!(blocks <= MAX_BLOCKS);
 
-        // Every candidate's cost for every block, computed once up front
-        // (C1 is shared by both groups, so this also halves the scalar work
-        // the old implementation spent re-evaluating it per group). The
-        // kernel sweep additionally captures each candidate's target planes
-        // so the final write is assembled from masks.
-        let mut cost_base = [0.0f64; MAX_BLOCKS];
-        let mut cost_alt = [[0.0f64; MAX_BLOCKS]; 2];
+        // Every candidate's cost for every block (base, group-A and group-B
+        // alternative), computed once up front: C1 is shared by both groups.
+        // The kernel sweep additionally captures each candidate's target
+        // planes so the final write is assembled from masks.
+        let mut costs = [[0.0f64; MAX_BLOCKS]; 3];
         let mut targets = [([0u64; PLANE_WORDS], [0u64; PLANE_WORDS]); 3];
         if let Some(tables) = kernel_tables {
-            let planes = data.symbol_planes();
-            let stored = old.state_planes();
+            let (planes, stored) = (data.symbol_planes(), old.state_planes());
             let cells_per_block = self.granularity.cells();
-            kernel::block_costs_uniform_with_targets(
-                &planes,
-                &stored,
-                cells_per_block,
-                blocks,
-                &tables[0],
-                &mut cost_base,
-                &mut targets[0],
-            );
-            kernel::block_costs_uniform_with_targets(
-                &planes,
-                &stored,
-                cells_per_block,
-                blocks,
-                &tables[1],
-                &mut cost_alt[0],
-                &mut targets[1],
-            );
-            kernel::block_costs_uniform_with_targets(
-                &planes,
-                &stored,
-                cells_per_block,
-                blocks,
-                &tables[2],
-                &mut cost_alt[1],
-                &mut targets[2],
-            );
+            for ((table, costs), targets) in tables.iter().zip(&mut costs).zip(&mut targets) {
+                kernel::block_costs_uniform_with_targets(
+                    &planes,
+                    &stored,
+                    cells_per_block,
+                    blocks,
+                    table,
+                    costs,
+                    targets,
+                );
+            }
         } else {
+            let candidates = [&self.base, &self.alt_a, &self.alt_b];
             for block in 0..blocks {
                 let cells = self.granularity.block_cells(block);
-                cost_base[block] = block_cost(data, old, cells.clone(), &self.base, energy);
-                cost_alt[0][block] = block_cost(data, old, cells.clone(), &self.alt_a, energy);
-                cost_alt[1][block] = block_cost(data, old, cells, &self.alt_b, energy);
+                for (costs, candidate) in costs.iter_mut().zip(candidates) {
+                    costs[block] = block_cost(data, old, cells.clone(), candidate, energy);
+                }
             }
         }
 
@@ -230,19 +212,21 @@ impl RestrictedCosetCodec {
         let mut group_cost = [0.0f64; 2];
         let mut group_choice = [0u64; 2];
         for g in 0..2 {
+            let (base, alt) = (&costs[0], &costs[1 + g]);
             for block in 0..blocks {
-                if cost_alt[g][block] < cost_base[block] {
+                if alt[block] < base[block] {
                     group_choice[g] |= 1 << block;
-                    group_cost[g] += cost_alt[g][block];
+                    group_cost[g] += alt[block];
                 } else {
-                    group_cost[g] += cost_base[block];
+                    group_cost[g] += base[block];
                 }
             }
             group_cost[g] +=
                 self.aux_cost(old, AuxBits::new(g == 1, group_choice[g], blocks), energy);
         }
         let group_b = group_cost[1] < group_cost[0];
-        let alt_costs = &cost_alt[usize::from(group_b)];
+        let alt = 1 + usize::from(group_b);
+        let (base_costs, alt_costs) = (&costs[0], &costs[alt]);
         let mut choices = group_choice[usize::from(group_b)];
 
         // Refinement: a block only switches away from C1 when the data saving
@@ -270,7 +254,7 @@ impl RestrictedCosetCodec {
                         aux_cell,
                         energy,
                     );
-                let total = if flag { alt_costs[block] } else { cost_base[block] } + trial_aux;
+                let total = if flag { alt_costs[block] } else { base_costs[block] } + trial_aux;
                 if total < best_total {
                     best_total = total;
                     best_flag = flag;
@@ -289,20 +273,20 @@ impl RestrictedCosetCodec {
         for cell in LINE_CELLS..self.encoded_cells() {
             out.set_class(cell, CellClass::Aux);
         }
-        if kernel_tables.is_some() && self.granularity.cells() < 64 {
-            // Assemble the chosen blocks' target planes and store them at once.
-            let cells_per_block = self.granularity.cells();
-            let blocks_per_word = 64 / cells_per_block;
-            let block_mask = (1u64 << cells_per_block) - 1;
-            let alt_idx = if group_b { 2 } else { 1 };
+        if kernel_tables.is_some() {
+            // Assemble the chosen blocks' target planes and store them at
+            // once; a block covers part of one plane word or whole words.
+            let block_mask = u64::MAX >> (64 - self.granularity.cells().min(64));
             let mut out0 = [0u64; PLANE_WORDS];
             let mut out1 = [0u64; PLANE_WORDS];
             for block in 0..blocks {
-                let idx = if (choices >> block) & 1 == 1 { alt_idx } else { 0 };
-                let w = block / blocks_per_word;
-                let mask = block_mask << ((block % blocks_per_word) * cells_per_block);
-                out0[w] |= targets[idx].0[w] & mask;
-                out1[w] |= targets[idx].1[w] & mask;
+                let idx = if (choices >> block) & 1 == 1 { alt } else { 0 };
+                let cells = self.granularity.block_cells(block);
+                let mask = block_mask << (cells.start % 64);
+                for w in cells.start / 64..cells.end.div_ceil(64) {
+                    out0[w] |= targets[idx].0[w] & mask;
+                    out1[w] |= targets[idx].1[w] & mask;
+                }
             }
             out.set_data_planes(&out0, &out1);
         } else {

@@ -26,11 +26,11 @@
 //!   a lane-wise partial popcount, the SWAR popcount stopped at the block
 //!   width, leaves each block's count in its own lane.
 //! * [`select_blocks_uniform`] is the one block-selection entry point of the
-//!   coset codecs. It reads its arithmetic off the candidates' tables —
-//!   exact `u64` totals when every table is integer-valued, `f64` otherwise
-//!   — and prices the selector cells the caller describes ([`Selectors`])
-//!   in that arithmetic, so no codec asks whether its energy table is
-//!   integer.
+//!   coset codecs, at every block width. It reads its arithmetic off the
+//!   candidates' tables — exact `u64` totals when every table is
+//!   integer-valued, `f64` otherwise — prices the selector cells the caller
+//!   describes ([`Selectors`]) in that arithmetic, so no codec asks whether
+//!   its energy table is integer, and hands back the winners' target planes.
 //!
 //! The kernel is numerically exact with respect to the scalar path whenever
 //! the energy table holds integer-valued picojoule costs (as the paper's
@@ -454,22 +454,19 @@ impl LaneCounts {
     }
 }
 
-/// Cost of one plane word under `mask`.
+/// The changed cells of plane word `word` under `mask`, per target state:
+/// four popcounts replace up to 64 scalar lookups.
 #[inline]
-fn word_cost(
+fn word_counts(
     data: &SymbolPlanes,
     old: &StatePlanes,
     table: &TransitionTable,
     word: usize,
     mask: u64,
-) -> f64 {
+) -> [u64; 4] {
     let (t0, t1) = table.target_planes(data, word);
     let changed = ((t0 ^ old.plane0[word]) | (t1 ^ old.plane1[word])) & mask;
-    if changed == 0 {
-        return 0.0;
-    }
-    // Four popcounts replace up to 64 scalar lookups.
-    bucket_cost(buckets(changed, t0, t1).map(|bucket| u64::from(bucket.count_ones())), table)
+    buckets(changed, t0, t1).map(|bucket| u64::from(bucket.count_ones()))
 }
 
 /// Bit-parallel equivalent of `wlcrc_coset::cost::block_cost`: the
@@ -483,15 +480,15 @@ pub fn block_cost(
 ) -> f64 {
     let mut cost = 0.0;
     for (w, mask) in plane_words(cells) {
-        cost += word_cost(data, old, table, w, mask);
+        cost += bucket_cost(word_counts(data, old, table, w, mask), table);
     }
     cost
 }
 
-/// Like [`block_cost`], but starts the accumulator at `base` and gives up as
-/// soon as the running total reaches `bound` (branch-and-bound for candidate
-/// searches: a candidate whose partial cost already matches the incumbent can
-/// never win a strict `<` comparison).
+/// Like [`block_cost`], but gives up as soon as the running total reaches
+/// `bound`: branch-and-bound for FlipMin's whole-line candidate search (a
+/// candidate whose partial cost already matches the incumbent can never win
+/// a strict `<` comparison).
 ///
 /// Returns `Some(total)` with `total < bound`, or `None` when the bound was
 /// hit.
@@ -500,20 +497,16 @@ pub fn block_cost_bounded(
     old: &StatePlanes,
     cells: Range<usize>,
     table: &TransitionTable,
-    base: f64,
     bound: f64,
 ) -> Option<f64> {
-    let mut cost = base;
-    if cost >= bound {
-        return None;
-    }
+    let mut cost = 0.0;
     for (w, mask) in plane_words(cells) {
-        cost += word_cost(data, old, table, w, mask);
+        cost += bucket_cost(word_counts(data, old, table, w, mask), table);
         if cost >= bound {
             return None;
         }
     }
-    Some(cost)
+    (cost < bound).then_some(cost)
 }
 
 /// Costs of `blocks` equal-size blocks tiling the line from cell 0, written
@@ -526,13 +519,13 @@ pub fn block_cost_bounded(
 /// changed-mask computation across every block sharing the word — the
 /// per-block work drops to four masked popcounts — which is what makes the
 /// fine-granularity (8/16/32-bit) candidate sweeps of the restricted codec
-/// profitable. Blocks of one or more whole words fall back to
-/// [`block_cost`] per block.
+/// profitable. A block of whole words adds its words' costs in ascending
+/// order, as [`block_cost`] does.
 ///
 /// # Panics
 ///
-/// Panics if `out` is shorter than `blocks` or `cells_per_block` does not
-/// tile 64-cell words (divisor or multiple of 64).
+/// Panics if `out` is shorter than `blocks`, `cells_per_block` is not a
+/// power of two, or the blocks overrun the line's 256 data cells.
 pub fn block_costs_uniform_with_targets(
     data: &SymbolPlanes,
     old: &StatePlanes,
@@ -542,30 +535,24 @@ pub fn block_costs_uniform_with_targets(
     out: &mut [f64],
     targets: &mut ([u64; PLANE_WORDS], [u64; PLANE_WORDS]),
 ) {
-    assert!(out.len() >= blocks, "output slice too short");
-    let words = (blocks * cells_per_block).div_ceil(64).min(PLANE_WORDS);
-    if cells_per_block >= 64 {
-        assert!(cells_per_block.is_multiple_of(64), "blocks must tile plane words");
-        for (b, slot) in out.iter_mut().enumerate().take(blocks) {
-            *slot = block_cost(data, old, b * cells_per_block..(b + 1) * cells_per_block, table);
-        }
-        for w in 0..words {
-            let (t0, t1) = table.target_planes(data, w);
-            targets.0[w] = t0;
-            targets.1[w] = t1;
-        }
-        return;
-    }
-    assert!(64 % cells_per_block == 0, "blocks must tile plane words");
-    let blocks_per_word = 64 / cells_per_block;
+    assert!(
+        cells_per_block.is_power_of_two() && blocks * cells_per_block <= LINE_CELLS,
+        "blocks must tile the line's plane words"
+    );
     let out = &mut out[..blocks];
-    for (w, chunk) in out.chunks_mut(blocks_per_word).enumerate() {
+    out.fill(0.0);
+    let blocks_per_word = 64 / cells_per_block.min(64);
+    for w in 0..(blocks * cells_per_block).div_ceil(64) {
         let (t0, t1) = table.target_planes(data, w);
-        targets.0[w] = t0;
-        targets.1[w] = t1;
+        (targets.0[w], targets.1[w]) = (t0, t1);
+        if cells_per_block >= 64 {
+            out[w * 64 / cells_per_block] +=
+                bucket_cost(word_counts(data, old, table, w, u64::MAX), table);
+            continue;
+        }
         let changed = (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]);
         let lanes = LaneCounts::new(changed, t0, t1, cells_per_block);
-        for (b, slot) in chunk.iter_mut().enumerate() {
+        for (b, slot) in out[w * blocks_per_word..].iter_mut().take(blocks_per_word).enumerate() {
             *slot = bucket_cost(lanes.counts(b * cells_per_block), table);
         }
     }
@@ -574,11 +561,11 @@ pub fn block_costs_uniform_with_targets(
 /// The selector cells that record each block's chosen candidate, which
 /// [`select_blocks_uniform`] prices alongside the block's data cells: zero
 /// for a cell that already stores the recording state, that state's
-/// programming energy otherwise. A stored line keeps its selector cells
-/// after its 256 data cells, in block order.
+/// programming energy otherwise, at every block width. A stored line keeps
+/// its selector cells after its 256 data cells, in block order.
 #[derive(Debug, Clone, Copy)]
 pub enum Selectors<'a> {
-    /// No selector cells are priced.
+    /// No selector cells are priced (FNW, whose flip bits share cells).
     Unpriced,
     /// One cell per block: cell `256 + b` of the stored line holds block
     /// `b`'s selector, and candidate `i` is recorded as state `S(i+1)`.
@@ -655,27 +642,30 @@ fn select_fn<T: Cost>(candidates: usize) -> SelectFn {
     }
 }
 
-/// Fused sweep + candidate selection for uniform sub-word blocks: for every
-/// block of `cells_per_block` cells (tiling the line from cell 0), totals
-/// each candidate's data cost and the cost of its `selectors` cells, picks
-/// the first strict minimum (matching the scalar `<` scan), records it in
+/// Fused sweep + candidate selection for uniform blocks: for every block of
+/// `cells_per_block` cells (tiling the line from cell 0), totals each
+/// candidate's data cost and the cost of its `selectors` cells, picks the
+/// first strict minimum (matching the scalar `<` scan), records it in
 /// `winners`, and merges the winner's target planes into `(out0, out1)`
 /// ready for [`PhysicalLine::set_data_planes`].
 ///
 /// Totals are exact `u64` picojoules when every table is integer-valued
 /// (the paper's Table II and the Figure 14 configurations), and `f64`
-/// otherwise, each summed as [`block_cost`] and the scalar selector cost
-/// sum them. Everything happens word by word while the candidate bucket
-/// masks are still in registers — no per-candidate cost arrays are
-/// materialised — and a word no candidate reprograms (a rewrite of
-/// identical content) is decided by its selector cells alone.
+/// otherwise. No per-candidate cost arrays are materialised. Sub-word blocks
+/// (1 to 32 cells) are counted lane-wise, all blocks of a plane word at
+/// once, and sum data cost then selector cost; a word no candidate
+/// reprograms (a rewrite of identical content) is decided by its selector
+/// cells alone. Whole-word blocks (64, 128 or 256 cells) take one
+/// `count_ones` per word and bucket, and sum from the selector cost, adding
+/// the block's words in ascending order.
 ///
 /// # Panics
 ///
-/// Panics if `cells_per_block` does not divide 64, `winners` is shorter
-/// than the block count, the stored line lacks a block's selector cells, or
-/// `tables` holds no or more than eight candidates (more than four with one
-/// selector cell, more than `codes` with two).
+/// Panics if `cells_per_block` is not a power of two, the blocks overrun
+/// the line's 256 data cells, `winners` is shorter than the block count,
+/// the stored line lacks a block's selector cells, or `tables` holds no or
+/// more than eight candidates (more than four with one selector cell, more
+/// than `codes` with two).
 #[allow(clippy::too_many_arguments)]
 pub fn select_blocks_uniform(
     data: &SymbolPlanes,
@@ -688,7 +678,10 @@ pub fn select_blocks_uniform(
     out0: &mut [u64; PLANE_WORDS],
     out1: &mut [u64; PLANE_WORDS],
 ) {
-    assert!(64 % cells_per_block == 0 && cells_per_block < 64, "blocks must subdivide plane words");
+    assert!(
+        cells_per_block.is_power_of_two() && blocks * cells_per_block <= LINE_CELLS,
+        "blocks must tile the line's plane words"
+    );
     assert!(winners.len() >= blocks, "winners slice too short");
     assert!((1..=8).contains(&tables.len()), "one to eight candidates");
     let select = if tables.iter().all(|table| table.write_int.is_some()) {
@@ -709,6 +702,25 @@ fn select_core<T: Cost, const N: usize>(
     let tables: &[TransitionTable; N] = sweep.tables.try_into().expect("N candidate tables");
     let weights = tables.each_ref().map(T::weights);
     let (data, old, cells_per_block) = (sweep.data, sweep.old, sweep.cells_per_block);
+    if cells_per_block >= 64 {
+        for (b, slot) in winners.iter_mut().enumerate() {
+            let words = b * cells_per_block / 64..(b + 1) * cells_per_block / 64;
+            let mut costs = selector_costs(&sweep.selectors, &weights, b);
+            for w in words.clone() {
+                costs = core::array::from_fn(|i| {
+                    costs[i] + T::dot(word_counts(data, old, &tables[i], w, !0), &weights[i])
+                });
+            }
+            let best = first_minimum(&costs);
+            *slot = best as u8;
+            for w in words {
+                let (t0, t1) = tables[best].target_planes(data, w);
+                out0[w] |= t0;
+                out1[w] |= t1;
+            }
+        }
+        return;
+    }
     let blocks_per_word = 64 / cells_per_block;
     let block_mask = (1u64 << cells_per_block) - 1;
     for (w, chunk) in winners.chunks_mut(blocks_per_word).enumerate() {
@@ -728,18 +740,19 @@ fn select_core<T: Cost, const N: usize>(
                 }),
                 None => selector,
             };
-            let mut best = (0, costs[0]);
-            for (idx, &cost) in costs.iter().enumerate().skip(1) {
-                if cost < best.1 {
-                    best = (idx, cost);
-                }
-            }
-            *slot = best.0 as u8;
+            let best = first_minimum(&costs);
+            *slot = best as u8;
             let mask = block_mask << shift;
-            out0[w] |= planes[best.0].0 & mask;
-            out1[w] |= planes[best.0].1 & mask;
+            out0[w] |= planes[best].0 & mask;
+            out1[w] |= planes[best].1 & mask;
         }
     }
+}
+
+/// The index of the first strict minimum of `costs` (the scalar `<` scan).
+#[inline]
+fn first_minimum<T: Cost>(costs: &[T]) -> usize {
+    (1..costs.len()).fold(0, |best, idx| if costs[idx] < costs[best] { idx } else { best })
 }
 
 /// The WLC word-pair sweep: per-block `(cost, updated cells)` of one
@@ -800,20 +813,6 @@ pub fn block_updated_cells(
         updated += (((t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w])) & mask).count_ones();
     }
     updated as usize
-}
-
-/// Writes the states storing the symbols of `cells` of `data` under `table`
-/// into `out` (at the same cell indices). Runs once per chosen candidate, so
-/// it stays scalar but goes through the precomputed target-state array.
-pub fn write_block(
-    data: &MemoryLine,
-    out: &mut PhysicalLine,
-    cells: Range<usize>,
-    table: &TransitionTable,
-) {
-    for cell in cells {
-        out.set_state(cell, table.state_of(data.symbol(cell)));
-    }
 }
 
 /// Re-interleaves a pair of bit planes back into a [`MemoryLine`]: cell `c`
@@ -1141,7 +1140,7 @@ mod tests {
             let tables: Vec<TransitionTable> = (0..candidates)
                 .map(|i| TransitionTable::new(&mappings[if duplicate { 5 } else { 3 * i }], energy))
                 .collect();
-            for cells_per_block in [1usize, 2, 4, 8, 16, 32] {
+            for cells_per_block in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
                 let data = random_line(&mut rng);
                 // The data cells, then selector cells up to the longest line.
                 let mut old = PhysicalLine::from_states(
@@ -1165,10 +1164,12 @@ mod tests {
                     if selector_cells == 1 && candidates > 4 {
                         continue;
                     }
-                    // All but the last block, as far as the selector cells fit.
-                    let blocks = (LINE_CELLS / cells_per_block)
+                    // All but the last block, as far as the selector cells
+                    // fit, or the one block of a whole line.
+                    let blocks = ((LINE_CELLS / cells_per_block)
                         .min((MAX_LINE_CELLS - LINE_CELLS) / selector_cells.max(1))
-                        - 1;
+                        - 1)
+                    .max(1);
                     let selector_cost = |b: usize, idx: usize| match selector_cells {
                         0 => 0.0,
                         1 => energy.transition_energy_pj(stored(b), CellState::ALL[idx]),
@@ -1182,8 +1183,15 @@ mod tests {
                         let cells = b * cells_per_block..(b + 1) * cells_per_block;
                         let mut best = (0, f64::INFINITY);
                         for (idx, table) in tables.iter().enumerate() {
-                            let cost =
-                                block_cost(&dp, &op, cells.clone(), table) + selector_cost(b, idx);
+                            // A whole-word block sums from its selector cost,
+                            // word by word.
+                            let cost = if cells_per_block < 64 {
+                                block_cost(&dp, &op, cells.clone(), table) + selector_cost(b, idx)
+                            } else {
+                                cells.clone().step_by(64).fold(selector_cost(b, idx), |sum, c| {
+                                    sum + block_cost(&dp, &op, c..c + 64, table)
+                                })
+                            };
                             if cost < best.1 {
                                 best = (idx, cost);
                             }
@@ -1226,33 +1234,11 @@ mod tests {
         let old = random_stored(&mut rng);
         let (dp, op) = (SymbolPlanes::new(&data), old.state_planes());
         let full = block_cost(&dp, &op, 0..LINE_CELLS, &table);
-        assert_eq!(
-            block_cost_bounded(&dp, &op, 0..LINE_CELLS, &table, 0.0, f64::INFINITY),
-            Some(full)
-        );
-        assert_eq!(
-            block_cost_bounded(&dp, &op, 0..LINE_CELLS, &table, 10.0, f64::INFINITY),
-            Some(full + 10.0)
-        );
+        assert_eq!(block_cost_bounded(&dp, &op, 0..LINE_CELLS, &table, f64::INFINITY), Some(full));
         // A bound at or below the total must abort.
-        assert_eq!(block_cost_bounded(&dp, &op, 0..LINE_CELLS, &table, 0.0, full), None);
-        assert_eq!(block_cost_bounded(&dp, &op, 0..LINE_CELLS, &table, full, 1.0), None);
-    }
-
-    #[test]
-    fn write_block_matches_mapping() {
-        let energy = EnergyModel::paper_default();
-        let mapping = SymbolMapping::all_mappings()[7];
-        let table = TransitionTable::new(&mapping, &energy);
-        let mut rng = StdRng::seed_from_u64(7);
-        let data = random_line(&mut rng);
-        let mut out = PhysicalLine::all_reset(LINE_CELLS);
-        write_block(&data, &mut out, 10..200, &table);
-        for cell in 10..200 {
-            assert_eq!(out.state(cell), mapping.state_of(data.symbol(cell)));
-        }
-        assert_eq!(out.state(0), CellState::S1);
-        assert_eq!(out.state(200), CellState::S1);
+        assert_eq!(block_cost_bounded(&dp, &op, 0..LINE_CELLS, &table, full), None);
+        assert_eq!(block_cost_bounded(&dp, &op, 0..LINE_CELLS, &table, 1.0), None);
+        assert_eq!(block_cost_bounded(&dp, &op, 0..0, &table, 0.0), None);
     }
 
     #[test]

@@ -241,9 +241,9 @@ proptest! {
 
     #[test]
     fn fnw_kernel_matches_scalar(a in arb_biased_line(), b in arb_line(),
-                                 g in prop::sample::select(vec![16usize, 64, 128, 512]),
+                                 g in prop::sample::select(Granularity::SWEEP.to_vec()),
                                  energy in arb_energy()) {
-        let codec = FnwCodec::new(Granularity::new(g));
+        let codec = FnwCodec::new(g);
         let scalar = codec.clone();
         assert_kernel_equals_scalar(&codec, |d, o, e| scalar.encode_scalar(d, o, e), &a, &b, &energy);
     }
