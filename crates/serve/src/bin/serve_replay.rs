@@ -16,17 +16,49 @@
 //! the CI smoke gate that the service path cannot drift from the paper
 //! pipeline. `--scrape-out` saves the final metrics scrape for artifact
 //! upload; `--shutdown` stops the server afterwards.
+//!
+//! A command-line mistake (an unknown flag or workload, a missing or
+//! unparsable value) exits 2 before any connection is made; a runtime
+//! failure (an unreachable server, a cell that diverged) exits 1. Each is
+//! reported as a message on stderr.
 
+use std::process::ExitCode;
 use wlcrc::schemes::SchemeId;
 use wlcrc_memsim::{
     cell_seed, scaled_workload_lines, workload_stream_seed, ExperimentPlan, SchemeStats,
     SimulationOptions,
 };
 use wlcrc_pcm::config::PcmConfig;
-use wlcrc_serve::{ServeClient, ServeError};
+use wlcrc_serve::ServeClient;
 use wlcrc_trace::{Benchmark, TraceStream, WorkloadProfile};
 
-fn main() -> Result<(), ServeError> {
+/// Why the replay stopped: a command-line mistake or a runtime failure.
+enum Failure {
+    Usage(String),
+    Runtime(Box<dyn std::error::Error>),
+}
+
+impl<E: Into<Box<dyn std::error::Error>>> From<E> for Failure {
+    fn from(err: E) -> Failure {
+        Failure::Runtime(err.into())
+    }
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Failure::Usage(message)) => {
+            eprintln!("serve-replay: {message}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Runtime(err)) => {
+            eprintln!("serve-replay: {err}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Failure> {
     let mut addr = "127.0.0.1:7711".to_string();
     let mut workload_names = "gcc,lbm,mcf,omne".to_string();
     let mut lines: usize = 150;
@@ -36,26 +68,17 @@ fn main() -> Result<(), ServeError> {
     let mut want_shutdown = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| ServeError::Protocol(format!("{name} needs a value")))
-        };
+        let mut value =
+            |name: &str| args.next().ok_or_else(|| Failure::Usage(format!("{name} needs a value")));
         match arg.as_str() {
             "--addr" => addr = value("--addr")?,
             "--workloads" => workload_names = value("--workloads")?,
-            "--lines" => {
-                lines = value("--lines")?
-                    .parse()
-                    .map_err(|_| ServeError::Protocol("--lines: not a count".to_string()))?
-            }
-            "--seed" => {
-                seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| ServeError::Protocol("--seed: not a number".to_string()))?
-            }
+            "--lines" => lines = parse(&value("--lines")?, "--lines")?,
+            "--seed" => seed = parse(&value("--seed")?, "--seed")?,
             "--scrape-out" => scrape_out = Some(value("--scrape-out")?),
             "--direct" => direct = true,
             "--shutdown" => want_shutdown = true,
-            other => return Err(ServeError::Protocol(format!("unknown flag {other:?}"))),
+            other => return Err(Failure::Usage(format!("unknown flag {other:?}"))),
         }
     }
 
@@ -66,7 +89,7 @@ fn main() -> Result<(), ServeError> {
                 .iter()
                 .find(|b| b.short_name() == name.trim() || b.profile().name == name.trim())
                 .map(|b| b.profile())
-                .ok_or_else(|| ServeError::Protocol(format!("unknown workload {name:?}")))
+                .ok_or_else(|| Failure::Usage(format!("unknown workload {name:?}")))
         })
         .collect::<Result<_, _>>()?;
     let max_intensity = profiles.iter().map(|p| p.write_intensity).fold(1.0f64, f64::max);
@@ -137,9 +160,8 @@ fn main() -> Result<(), ServeError> {
             }
         }
         if mismatches > 0 {
-            return Err(ServeError::Protocol(format!(
-                "{mismatches} cells diverged from the direct ExperimentPlan run"
-            )));
+            let message = format!("{mismatches} cells diverged from the direct ExperimentPlan run");
+            return Err(message.into());
         }
         println!("serve-replay: all {} cells byte-identical to the direct run", served.len());
     }
@@ -149,4 +171,8 @@ fn main() -> Result<(), ServeError> {
         println!("serve-replay: server shutdown requested");
     }
     Ok(())
+}
+
+fn parse<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, Failure> {
+    text.parse().map_err(|_| Failure::Usage(format!("{flag}: not a number: {text:?}")))
 }

@@ -12,18 +12,48 @@
 //! until a client sends `Shutdown`. With `--store DIR`, closed sessions are
 //! looked up in / written back to the persistent result store, surfacing
 //! the cross-run hit rate in the metrics scrape.
+//!
+//! A command-line mistake (an unknown flag, a missing or unparsable value)
+//! exits 2 and a runtime failure (a refused configuration, a socket that
+//! cannot be bound) exits 1, each with a message on stderr.
 
-use wlcrc_serve::{ServeError, Server, ServerConfig};
+use std::process::ExitCode;
+use wlcrc_serve::{Server, ServerConfig};
 
-fn main() -> Result<(), ServeError> {
+/// Why the daemon stopped: a command-line mistake or a runtime failure.
+enum Failure {
+    Usage(String),
+    Runtime(Box<dyn std::error::Error>),
+}
+
+impl<E: Into<Box<dyn std::error::Error>>> From<E> for Failure {
+    fn from(err: E) -> Failure {
+        Failure::Runtime(err.into())
+    }
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Failure::Usage(message)) => {
+            eprintln!("wlcrc-serve: {message}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Runtime(err)) => {
+            eprintln!("wlcrc-serve: {err}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Failure> {
     let mut listen = "127.0.0.1:7711".to_string();
     let mut unix: Option<String> = None;
     let mut config = ServerConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().ok_or_else(|| ServeError::Protocol(format!("{name} needs a value")))
-        };
+        let mut value =
+            |name: &str| args.next().ok_or_else(|| Failure::Usage(format!("{name} needs a value")));
         match arg.as_str() {
             "--listen" => listen = value("--listen")?,
             "--unix" => unix = Some(value("--unix")?),
@@ -55,9 +85,11 @@ fn main() -> Result<(), ServeError> {
                 );
                 return Ok(());
             }
-            other => return Err(ServeError::Protocol(format!("unknown flag {other:?}"))),
+            other => return Err(Failure::Usage(format!("unknown flag {other:?}"))),
         }
     }
+    // A configuration the server refuses is reported before the store opens.
+    config.validate()?;
     let server = Server::new(config);
     let running = match unix {
         #[cfg(unix)]
@@ -67,9 +99,7 @@ fn main() -> Result<(), ServeError> {
             running
         }
         #[cfg(not(unix))]
-        Some(_) => {
-            return Err(ServeError::Protocol("--unix needs a unix platform".to_string()));
-        }
+        Some(_) => return Err("--unix needs a unix platform".into()),
         None => {
             let running = server.serve_tcp(&listen)?;
             match running.local_addr() {
@@ -83,6 +113,6 @@ fn main() -> Result<(), ServeError> {
     Ok(())
 }
 
-fn parse(text: &str, flag: &str) -> Result<usize, ServeError> {
-    text.parse().map_err(|_| ServeError::Protocol(format!("{flag}: not a count: {text:?}")))
+fn parse(text: &str, flag: &str) -> Result<usize, Failure> {
+    text.parse().map_err(|_| Failure::Usage(format!("{flag}: not a count: {text:?}")))
 }
