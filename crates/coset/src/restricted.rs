@@ -275,15 +275,12 @@ impl RestrictedCosetCodec {
         }
         if kernel_tables.is_some() {
             // Assemble the chosen blocks' target planes and store them at
-            // once; a block covers part of one plane word or whole words.
-            let block_mask = u64::MAX >> (64 - self.granularity.cells().min(64));
+            // once.
             let mut out0 = [0u64; PLANE_WORDS];
             let mut out1 = [0u64; PLANE_WORDS];
             for block in 0..blocks {
                 let idx = if (choices >> block) & 1 == 1 { alt } else { 0 };
-                let cells = self.granularity.block_cells(block);
-                let mask = block_mask << (cells.start % 64);
-                for w in cells.start / 64..cells.end.div_ceil(64) {
+                for (w, mask) in kernel::plane_words(self.granularity.block_cells(block)) {
                     out0[w] |= targets[idx].0[w] & mask;
                     out1[w] |= targets[idx].1[w] & mask;
                 }

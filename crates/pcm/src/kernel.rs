@@ -313,6 +313,16 @@ impl TransitionTable {
             | (m[3] & self.t1_select[3]);
         (t0, t1)
     }
+
+    /// The changed cells of plane word `w` under `mask` when this table
+    /// stores `data` over `old`, per target state: four popcounts replace up
+    /// to 64 scalar lookups.
+    #[inline]
+    fn word_counts(&self, data: &SymbolPlanes, old: &StatePlanes, w: usize, mask: u64) -> [u64; 4] {
+        let (t0, t1) = self.target_planes(data, w);
+        let changed = ((t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w])) & mask;
+        buckets(changed, t0, t1).map(|bucket| u64::from(bucket.count_ones()))
+    }
 }
 
 /// `write_pj` as exact integers when every entry is an integer below 2^20
@@ -327,9 +337,9 @@ pub(crate) fn integer_energies(write_pj: &[f64; 4]) -> Option<[u64; 4]> {
 }
 
 /// Iterates over the (plane-word index, in-word cell mask) pairs covering
-/// `cells`.
+/// `cells`, a range of the 256 data cells.
 #[inline]
-fn plane_words(cells: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
+pub fn plane_words(cells: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
     debug_assert!(cells.end <= LINE_CELLS);
     let (start, end) = (cells.start, cells.end);
     (start / 64..end.div_ceil(64)).map(move |w| {
@@ -454,21 +464,6 @@ impl LaneCounts {
     }
 }
 
-/// The changed cells of plane word `word` under `mask`, per target state:
-/// four popcounts replace up to 64 scalar lookups.
-#[inline]
-fn word_counts(
-    data: &SymbolPlanes,
-    old: &StatePlanes,
-    table: &TransitionTable,
-    word: usize,
-    mask: u64,
-) -> [u64; 4] {
-    let (t0, t1) = table.target_planes(data, word);
-    let changed = ((t0 ^ old.plane0[word]) | (t1 ^ old.plane1[word])) & mask;
-    buckets(changed, t0, t1).map(|bucket| u64::from(bucket.count_ones()))
-}
-
 /// Bit-parallel equivalent of `wlcrc_coset::cost::block_cost`: the
 /// differential-write energy (pJ) of storing the symbols in `cells` of `data`
 /// through `table`, given the states in `old`.
@@ -480,7 +475,7 @@ pub fn block_cost(
 ) -> f64 {
     let mut cost = 0.0;
     for (w, mask) in plane_words(cells) {
-        cost += bucket_cost(word_counts(data, old, table, w, mask), table);
+        cost += bucket_cost(table.word_counts(data, old, w, mask), table);
     }
     cost
 }
@@ -501,7 +496,7 @@ pub fn block_cost_bounded(
 ) -> Option<f64> {
     let mut cost = 0.0;
     for (w, mask) in plane_words(cells) {
-        cost += bucket_cost(word_counts(data, old, table, w, mask), table);
+        cost += bucket_cost(table.word_counts(data, old, w, mask), table);
         if cost >= bound {
             return None;
         }
@@ -547,7 +542,7 @@ pub fn block_costs_uniform_with_targets(
         (targets.0[w], targets.1[w]) = (t0, t1);
         if cells_per_block >= 64 {
             out[w * 64 / cells_per_block] +=
-                bucket_cost(word_counts(data, old, table, w, u64::MAX), table);
+                bucket_cost(table.word_counts(data, old, w, u64::MAX), table);
             continue;
         }
         let changed = (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]);
@@ -708,15 +703,14 @@ fn select_core<T: Cost, const N: usize>(
             let mut costs = selector_costs(&sweep.selectors, &weights, b);
             for w in words.clone() {
                 costs = core::array::from_fn(|i| {
-                    costs[i] + T::dot(word_counts(data, old, &tables[i], w, !0), &weights[i])
+                    costs[i] + T::dot(tables[i].word_counts(data, old, w, u64::MAX), &weights[i])
                 });
             }
             let best = first_minimum(&costs);
             *slot = best as u8;
             for w in words {
                 let (t0, t1) = tables[best].target_planes(data, w);
-                out0[w] |= t0;
-                out1[w] |= t1;
+                (out0[w], out1[w]) = (out0[w] | t0, out1[w] | t1);
             }
         }
         return;
@@ -752,7 +746,13 @@ fn select_core<T: Cost, const N: usize>(
 /// The index of the first strict minimum of `costs` (the scalar `<` scan).
 #[inline]
 fn first_minimum<T: Cost>(costs: &[T]) -> usize {
-    (1..costs.len()).fold(0, |best, idx| if costs[idx] < costs[best] { idx } else { best })
+    let mut best = (0, costs[0]);
+    for (idx, &cost) in costs.iter().enumerate().skip(1) {
+        if cost < best.1 {
+            best = (idx, cost);
+        }
+    }
+    best.0
 }
 
 /// The WLC word-pair sweep: per-block `(cost, updated cells)` of one
