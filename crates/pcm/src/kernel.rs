@@ -1225,6 +1225,45 @@ mod tests {
         }
     }
 
+    /// A whole-word block's `f64` total starts at the selector cost and adds
+    /// the block's words in ascending order. Candidate 0 costs 0.1 (its
+    /// selector), 0.2 (word 0) and 0.3 (word 1), candidate 1 costs 0.6 in
+    /// word 0 alone. In that order candidate 0's total rounds up to
+    /// `(0.1 + 0.2) + 0.3 = 0.6000000000000001` and candidate 1 wins; adding
+    /// the selector last, as the scalar oracle does, gives
+    /// `(0.2 + 0.3) + 0.1 = 0.6`, a tie that keeps candidate 0.
+    #[test]
+    fn whole_word_totals_add_the_selector_then_the_words_in_order() {
+        let energy = EnergyModel::new(0.0, [0.1, 0.2, 0.3, 0.7]);
+        let [s1, s2, s3, s4] = CellState::ALL;
+        let tables = [
+            TransitionTable::from_states([s1, s2, s3, s4], &energy),
+            TransitionTable::from_states([s1, s3, s1, s4], &energy),
+        ];
+        let mut data = MemoryLine::ZERO;
+        for (cell, symbol) in [(5, 1), (6, 1), (70, 2)] {
+            data.set_symbol(cell, Symbol::new(symbol));
+        }
+        let mut old = PhysicalLine::all_reset(LINE_CELLS + 1);
+        old.set_state(6, s2);
+        old.set_state(LINE_CELLS, s2);
+        let (dp, op) = (SymbolPlanes::new(&data), old.state_planes());
+        let mut winners = [u8::MAX];
+        let (mut out0, mut out1) = ([0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
+        select_blocks_uniform(
+            &dp,
+            &op,
+            128,
+            1,
+            &tables,
+            Selectors::OneCell(&old),
+            &mut winners,
+            &mut out0,
+            &mut out1,
+        );
+        assert_eq!(winners, [1]);
+    }
+
     #[test]
     fn bounded_cost_agrees_when_under_bound_and_aborts_otherwise() {
         let energy = EnergyModel::paper_default();
