@@ -1,188 +1,42 @@
 //! Runs every experiment of the paper's evaluation section in sequence and
 //! prints the corresponding tables. Use `--lines N` to trade accuracy for
 //! runtime (the default keeps the full run to a few minutes).
+//!
+//! After its header line the output is the figure binaries' outputs in
+//! sequence: `fig01`–`fig05`, `hw_overhead`, `fig08`–`fig10`,
+//! `multi_objective`, `fig11`–`fig14`. The Figure 8–10 grid and the
+//! Figure 11–13 sweep run once each and serve all three of their figures.
 
-use wlcrc::hardware::HardwareModel;
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::{
-    figure1, figure11_12_13, figure14, figure2_3, figure4, figure5, figure8_9_10,
-    multi_objective_study,
-};
+use wlcrc_bench::figures::*;
 use wlcrc_bench::table::Table;
 
 fn main() {
     let args = RunArgs::from_env();
+    let (lines, seed) = (args.lines, args.seed);
     let started = std::time::Instant::now();
     println!(
-        "WLCRC reproduction: running all experiments with {} lines per workload (seed {}, {} workers)\n",
-        args.lines,
-        args.seed,
+        "WLCRC reproduction: running all experiments with {lines} lines per workload (seed {seed}, {} workers)\n",
         wlcrc_memsim::resolve_worker_count(None)
     );
+    let print = |tables: Vec<Table>| tables.iter().for_each(Table::print);
 
-    // Figure 1.
-    for (biased, title) in [(false, "Figure 1(a) random"), (true, "Figure 1(b) biased")] {
-        let rows = figure1(args.lines, args.seed, biased);
-        let mut t = Table::new(title, &["granularity", "blk", "aux", "blk+aux"]);
-        for r in rows {
-            t.push_numeric_row(
-                &r.granularity.to_string(),
-                &[r.block_energy_pj, r.aux_energy_pj, r.total_energy_pj()],
-                1,
-            );
-        }
-        t.print();
-    }
-
-    // Figures 2 and 3.
-    for (biased, title) in [(false, "Figure 2 (random)"), (true, "Figure 3 (biased)")] {
-        let rows = figure2_3(args.lines, args.seed, biased);
-        let mut t = Table::new(title, &["granularity", "scheme", "aux", "blk", "total"]);
-        for r in rows {
-            t.push_row(vec![
-                r.granularity.to_string(),
-                r.scheme.clone(),
-                format!("{:.1}", r.aux_energy_pj),
-                format!("{:.1}", r.block_energy_pj),
-                format!("{:.1}", r.total_energy_pj()),
-            ]);
-        }
-        t.print();
-    }
-
-    // Figure 4.
-    let rows = figure4(args.lines, args.seed);
-    let mut t = Table::new(
-        "Figure 4: % compressed lines",
-        &["workload", "4", "5", "6", "7", "8", "9", "COC", "FPC+BDI"],
-    );
-    for r in &rows {
-        let mut v: Vec<f64> = r.wlc_coverage.iter().map(|x| x * 100.0).collect();
-        v.push(r.coc_coverage * 100.0);
-        v.push(r.fpc_bdi_coverage * 100.0);
-        t.push_numeric_row(&r.workload, &v, 1);
-    }
-    t.print();
-
-    // Figure 5.
-    let rows = figure5(args.lines, args.seed);
-    let mut t = Table::new(
-        "Figure 5: restricted cosets",
-        &["granularity", "scheme", "aux", "blk", "total"],
-    );
-    for r in rows {
-        t.push_row(vec![
-            r.granularity.to_string(),
-            r.scheme.clone(),
-            format!("{:.1}", r.aux_energy_pj),
-            format!("{:.1}", r.block_energy_pj),
-            format!("{:.1}", r.total_energy_pj()),
-        ]);
-    }
-    t.print();
-
-    // Section VI-B hardware overhead.
-    let model = HardwareModel::wlcrc16();
-    let mut t = Table::new("Section VI-B: hardware overhead", &["block", "mm^2", "ns", "pJ"]);
-    for (name, est) in
-        [("encoder", model.encoder()), ("decoder", model.decoder()), ("total", model.total())]
-    {
-        t.push_row(vec![
-            name.to_string(),
-            format!("{:.4}", est.area_mm2),
-            format!("{:.2}", est.delay_ns),
-            format!("{:.3}", est.energy_pj),
-        ]);
-    }
-    t.print();
-
-    // Figures 8-10.
-    let result = figure8_9_10(args.lines, args.seed);
-    let schemes = result.schemes();
-    for (title, metric) in [
-        ("Figure 8: write energy per line (pJ)", 0usize),
-        ("Figure 9: updated cells per line", 1),
-        ("Figure 10: disturbance errors per line", 2),
-    ] {
-        let mut headers: Vec<&str> = vec!["workload"];
-        headers.extend(schemes.iter().map(|s| s.as_str()));
-        let mut t = Table::new(title, &headers);
-        let mut workloads = result.workloads();
-        workloads.push("Ave.".to_string());
-        for workload in &workloads {
-            let values: Vec<f64> = schemes
-                .iter()
-                .map(|s| {
-                    let stats = if workload == "Ave." {
-                        result.average_for_scheme(s)
-                    } else {
-                        result.get(s, workload).cloned().unwrap_or_default()
-                    };
-                    match metric {
-                        0 => stats.mean_energy_pj(),
-                        1 => stats.mean_updated_cells(),
-                        _ => stats.mean_disturb_errors(),
-                    }
-                })
-                .collect();
-            t.push_numeric_row(workload, &values, 2);
-        }
-        t.print();
-    }
-
-    // Bank write balance of the streamed Figure 8-10 traces: skew here means
-    // intra-trace (per-bank) shard workers are loaded unevenly.
-    wlcrc_bench::figures::bank_balance_table(&result).print();
-
-    // Section VIII-D.
-    let rows = multi_objective_study(args.lines, args.seed);
-    let mut t = Table::new(
-        "Section VIII-D: multi-objective WLCRC-16 (T=1%)",
-        &["workload", "energy plain", "energy MO", "cells plain", "cells MO"],
-    );
-    for r in rows {
-        t.push_numeric_row(
-            &r.workload.clone(),
-            &[r.energy_plain_pj, r.energy_mo_pj, r.cells_plain, r.cells_mo],
-            1,
-        );
-    }
-    t.print();
-
-    // Figures 11-13.
-    let rows = figure11_12_13(args.lines, args.seed);
-    let mut t = Table::new(
-        "Figures 11-13: WLC-integrated schemes vs granularity",
-        &["granularity", "scheme", "blk pJ", "aux pJ", "total pJ", "cells", "disturb"],
-    );
-    for r in rows {
-        t.push_row(vec![
-            r.granularity.to_string(),
-            r.scheme.clone(),
-            format!("{:.1}", r.block_energy_pj),
-            format!("{:.1}", r.aux_energy_pj),
-            format!("{:.1}", r.total_energy_pj()),
-            format!("{:.1}", r.updated_cells),
-            format!("{:.2}", r.disturb_errors),
-        ]);
-    }
-    t.print();
-
-    // Figure 14.
-    let rows = figure14(args.lines, args.seed);
-    let mut t = Table::new(
-        "Figure 14: energy-level sensitivity",
-        &["S3/S4 SET pJ", "baseline pJ", "WLCRC-16 pJ", "improvement %"],
-    );
-    for r in rows {
-        t.push_row(vec![
-            format!("{:.0}/{:.0}", r.s3_set_pj, r.s4_set_pj),
-            format!("{:.1}", r.baseline_energy_pj),
-            format!("{:.1}", r.wlcrc_energy_pj),
-            format!("{:.1}", r.improvement() * 100.0),
-        ]);
-    }
-    t.print();
+    print(figure1_tables(lines, seed));
+    print(figure2_tables(lines, seed));
+    print(figure3_tables(lines, seed));
+    print(figure4_tables(lines, seed));
+    print(figure5_tables(lines, seed));
+    print(hw_overhead_tables());
+    let grid = figure8_9_10(lines, seed);
+    print(figure8_tables(&grid));
+    print(figure9_tables(&grid));
+    print(figure10_tables(&grid));
+    print(multi_objective_tables(lines, seed));
+    let sweep = figure11_12_13(lines, seed);
+    print(figure11_tables(&sweep));
+    print(figure12_tables(&sweep));
+    print(figure13_tables(&sweep));
+    print(figure14_tables(lines, seed));
 
     // Wall-clock summary: compare runs with WLCRC_THREADS=1 vs =N to see the
     // parallel engine's speedup on this grid (results are byte-identical).

@@ -3,24 +3,11 @@
 //! 512 to 8 bits, for random and biased workloads.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure1;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::figure1_tables;
 
 fn main() {
     let args = RunArgs::from_env();
-    for (biased, title) in [
-        (false, "Figure 1(a): 6cosets energy vs granularity, random workloads"),
-        (true, "Figure 1(b): 6cosets energy vs granularity, biased workloads"),
-    ] {
-        let rows = figure1(args.lines, args.seed, biased);
-        let mut table = Table::new(title, &["granularity", "blk (pJ)", "aux (pJ)", "blk+aux (pJ)"]);
-        for row in rows {
-            table.push_numeric_row(
-                &row.granularity.to_string(),
-                &[row.block_energy_pj, row.aux_energy_pj, row.total_energy_pj()],
-                1,
-            );
-        }
+    for table in figure1_tables(args.lines, args.seed) {
         table.print();
     }
 }

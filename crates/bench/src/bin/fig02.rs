@@ -2,24 +2,11 @@
 //! block and total) on random data, for granularities 8..128 bits.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure2_3;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::figure2_tables;
 
 fn main() {
     let args = RunArgs::from_env();
-    let rows = figure2_3(args.lines, args.seed, false);
-    let mut table = Table::new(
-        "Figure 2: 6cosets vs 4cosets on 200M-style random data blocks",
-        &["granularity", "scheme", "aux (pJ)", "blk (pJ)", "total (pJ)"],
-    );
-    for row in rows {
-        table.push_row(vec![
-            row.granularity.to_string(),
-            row.scheme.clone(),
-            format!("{:.1}", row.aux_energy_pj),
-            format!("{:.1}", row.block_energy_pj),
-            format!("{:.1}", row.total_energy_pj()),
-        ]);
+    for table in figure2_tables(args.lines, args.seed) {
+        table.print();
     }
-    table.print();
 }

@@ -2,24 +2,11 @@
 //! block and total) on the biased SPEC/PARSEC-like workloads.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure2_3;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::figure3_tables;
 
 fn main() {
     let args = RunArgs::from_env();
-    let rows = figure2_3(args.lines, args.seed, true);
-    let mut table = Table::new(
-        "Figure 3: 6cosets vs 4cosets on biased workloads",
-        &["granularity", "scheme", "aux (pJ)", "blk (pJ)", "total (pJ)"],
-    );
-    for row in rows {
-        table.push_row(vec![
-            row.granularity.to_string(),
-            row.scheme.clone(),
-            format!("{:.1}", row.aux_energy_pj),
-            format!("{:.1}", row.block_energy_pj),
-            format!("{:.1}", row.total_energy_pj()),
-        ]);
+    for table in figure3_tables(args.lines, args.seed) {
+        table.print();
     }
-    table.print();
 }

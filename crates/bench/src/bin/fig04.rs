@@ -2,32 +2,11 @@
 //! (k = 4..9 MSBs), COC and FPC+BDI, per benchmark and on average.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure4;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::figure4_tables;
 
 fn main() {
     let args = RunArgs::from_env();
-    let rows = figure4(args.lines, args.seed);
-    let mut table = Table::new(
-        "Figure 4: % of compressed memory lines (more is better)",
-        &["workload", "4-MSBs", "5-MSBs", "6-MSBs", "7-MSBs", "8-MSBs", "9-MSBs", "COC", "FPC+BDI"],
-    );
-    let mut sums = [0.0f64; 8];
-    for row in &rows {
-        let mut values = Vec::with_capacity(8);
-        values.extend(row.wlc_coverage.iter().copied());
-        values.push(row.coc_coverage);
-        values.push(row.fpc_bdi_coverage);
-        for (s, v) in sums.iter_mut().zip(values.iter()) {
-            *s += v;
-        }
-        table.push_numeric_row(
-            &row.workload,
-            &values.iter().map(|v| v * 100.0).collect::<Vec<_>>(),
-            1,
-        );
+    for table in figure4_tables(args.lines, args.seed) {
+        table.print();
     }
-    let averages: Vec<f64> = sums.iter().map(|s| s / rows.len() as f64 * 100.0).collect();
-    table.push_numeric_row("ave.", &averages, 1);
-    table.print();
 }

@@ -2,24 +2,11 @@
 //! (3-r-cosets) write-energy breakdown on the biased workloads.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure5;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::figure5_tables;
 
 fn main() {
     let args = RunArgs::from_env();
-    let rows = figure5(args.lines, args.seed);
-    let mut table = Table::new(
-        "Figure 5: restricted vs unrestricted coset coding, biased workloads",
-        &["granularity", "scheme", "aux (pJ)", "blk (pJ)", "total (pJ)"],
-    );
-    for row in rows {
-        table.push_row(vec![
-            row.granularity.to_string(),
-            row.scheme.clone(),
-            format!("{:.1}", row.aux_energy_pj),
-            format!("{:.1}", row.block_energy_pj),
-            format!("{:.1}", row.total_energy_pj()),
-        ]);
+    for table in figure5_tables(args.lines, args.seed) {
+        table.print();
     }
-    table.print();
 }

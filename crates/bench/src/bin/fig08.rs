@@ -3,61 +3,11 @@
 //! CPU2006 / PARSEC benchmark set, with HMI/LMI group averages.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure8_9_10;
-use wlcrc_bench::table::Table;
-use wlcrc_memsim::ExperimentResult;
-use wlcrc_trace::{Benchmark, IntensityClass};
-
-fn print_metric<F>(result: &ExperimentResult, title: &str, unit: &str, metric: F)
-where
-    F: Fn(&wlcrc_memsim::SchemeStats) -> f64,
-{
-    let schemes = result.schemes();
-    let mut headers: Vec<&str> = vec!["workload"];
-    headers.extend(schemes.iter().map(|s| s.as_str()));
-    let mut table = Table::new(format!("{title} [{unit}]"), &headers);
-
-    let group_rows = |class: IntensityClass| -> Vec<String> {
-        Benchmark::ALL
-            .iter()
-            .filter(|b| b.intensity() == class)
-            .map(|b| b.short_name().to_string())
-            .collect()
-    };
-    for (class, label) in [(IntensityClass::High, "HMI Ave."), (IntensityClass::Low, "LMI Ave.")] {
-        let workloads = group_rows(class);
-        for workload in &workloads {
-            let values: Vec<f64> = schemes
-                .iter()
-                .map(|s| result.get(s, workload).map(&metric).unwrap_or(0.0))
-                .collect();
-            table.push_numeric_row(workload, &values, 1);
-        }
-        // Group average (weighted by writes).
-        let values: Vec<f64> = schemes
-            .iter()
-            .map(|s| {
-                let mut merged = wlcrc_memsim::SchemeStats::new(s.clone(), label);
-                for workload in &workloads {
-                    if let Some(stats) = result.get(s, workload) {
-                        merged.merge(stats);
-                    }
-                }
-                metric(&merged)
-            })
-            .collect();
-        table.push_numeric_row(label, &values, 1);
-    }
-    let values: Vec<f64> = schemes.iter().map(|s| metric(&result.average_for_scheme(s))).collect();
-    table.push_numeric_row("(H+L)MI Ave.", &values, 1);
-    table.print();
-}
+use wlcrc_bench::figures::{figure8_9_10, figure8_tables};
 
 fn main() {
     let args = RunArgs::from_env();
-    let result = figure8_9_10(args.lines, args.seed);
-    print_metric(&result, "Figure 8: write energy per line write", "pJ", |s| s.mean_energy_pj());
-    // How evenly each streamed trace spreads over banks — and therefore over
-    // intra-trace shard workers (WLCRC_INTRA_SHARDS).
-    wlcrc_bench::figures::bank_balance_table(&result).print();
+    for table in figure8_tables(&figure8_9_10(args.lines, args.seed)) {
+        table.print();
+    }
 }

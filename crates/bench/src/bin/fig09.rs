@@ -2,30 +2,11 @@
 //! (the endurance metric) for every scheme across the benchmarks.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure8_9_10;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::{figure8_9_10, figure9_tables};
 
 fn main() {
     let args = RunArgs::from_env();
-    let result = figure8_9_10(args.lines, args.seed);
-    let schemes = result.schemes();
-    let mut headers: Vec<&str> = vec!["workload"];
-    headers.extend(schemes.iter().map(|s| s.as_str()));
-    let mut table = Table::new("Figure 9: average updated cells per line (blk+aux)", &headers);
-    let mut workloads = result.workloads();
-    workloads.push("Ave.".to_string());
-    for workload in &workloads {
-        let values: Vec<f64> = schemes
-            .iter()
-            .map(|s| {
-                if workload == "Ave." {
-                    result.average_for_scheme(s).mean_updated_cells()
-                } else {
-                    result.get(s, workload).map(|st| st.mean_updated_cells()).unwrap_or(0.0)
-                }
-            })
-            .collect();
-        table.push_numeric_row(workload, &values, 1);
+    for table in figure9_tables(&figure8_9_10(args.lines, args.seed)) {
+        table.print();
     }
-    table.print();
 }

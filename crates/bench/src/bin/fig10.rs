@@ -2,40 +2,11 @@
 //! line write for every scheme across the benchmarks.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure8_9_10;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::{figure10_tables, figure8_9_10};
 
 fn main() {
     let args = RunArgs::from_env();
-    let result = figure8_9_10(args.lines, args.seed);
-    let schemes = result.schemes();
-    let mut headers: Vec<&str> = vec!["workload"];
-    headers.extend(schemes.iter().map(|s| s.as_str()));
-    let mut table = Table::new("Figure 10: average write disturbance errors per line", &headers);
-    let mut workloads = result.workloads();
-    workloads.push("Ave.".to_string());
-    for workload in &workloads {
-        let values: Vec<f64> = schemes
-            .iter()
-            .map(|s| {
-                if workload == "Ave." {
-                    result.average_for_scheme(s).mean_disturb_errors()
-                } else {
-                    result.get(s, workload).map(|st| st.mean_disturb_errors()).unwrap_or(0.0)
-                }
-            })
-            .collect();
-        table.push_numeric_row(workload, &values, 2);
+    for table in figure10_tables(&figure8_9_10(args.lines, args.seed)) {
+        table.print();
     }
-    // The paper also notes the maximum number of disturbances per line barely
-    // changes across schemes; report it as a second table.
-    let mut max_table =
-        Table::new("Figure 10 (aux): maximum disturbance errors in a single write", &headers);
-    let values: Vec<f64> = schemes
-        .iter()
-        .map(|s| result.average_for_scheme(s).max_disturb_errors_per_write as f64)
-        .collect();
-    max_table.push_numeric_row("max", &values, 0);
-    table.print();
-    max_table.print();
 }

@@ -2,24 +2,11 @@
 //! at 8/16/32/64-bit block granularities (data-block and auxiliary parts).
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure11_12_13;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::{figure11_12_13, figure11_tables};
 
 fn main() {
     let args = RunArgs::from_env();
-    let rows = figure11_12_13(args.lines, args.seed);
-    let mut table = Table::new(
-        "Figure 11: WLC-integrated schemes, write energy vs granularity",
-        &["granularity", "scheme", "blk (pJ)", "aux (pJ)", "total (pJ)"],
-    );
-    for row in rows {
-        table.push_row(vec![
-            row.granularity.to_string(),
-            row.scheme.clone(),
-            format!("{:.1}", row.block_energy_pj),
-            format!("{:.1}", row.aux_energy_pj),
-            format!("{:.1}", row.total_energy_pj()),
-        ]);
+    for table in figure11_tables(&figure11_12_13(args.lines, args.seed)) {
+        table.print();
     }
-    table.print();
 }

@@ -2,24 +2,11 @@
 //! WLC-integrated schemes across 8/16/32/64-bit granularities.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure11_12_13;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::{figure11_12_13, figure12_tables};
 
 fn main() {
     let args = RunArgs::from_env();
-    let rows = figure11_12_13(args.lines, args.seed);
-    let mut table = Table::new(
-        "Figure 12: WLC-integrated schemes, updated cells vs granularity",
-        &["granularity", "scheme", "blk cells", "aux cells", "total cells"],
-    );
-    for row in rows {
-        table.push_row(vec![
-            row.granularity.to_string(),
-            row.scheme.clone(),
-            format!("{:.1}", row.updated_data_cells),
-            format!("{:.1}", row.updated_aux_cells),
-            format!("{:.1}", row.updated_cells),
-        ]);
+    for table in figure12_tables(&figure11_12_13(args.lines, args.seed)) {
+        table.print();
     }
-    table.print();
 }

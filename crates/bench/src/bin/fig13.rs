@@ -2,24 +2,11 @@
 //! WLC-integrated schemes across 8/16/32/64-bit granularities.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure11_12_13;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::{figure11_12_13, figure13_tables};
 
 fn main() {
     let args = RunArgs::from_env();
-    let rows = figure11_12_13(args.lines, args.seed);
-    let mut table = Table::new(
-        "Figure 13: WLC-integrated schemes, disturbance errors vs granularity",
-        &["granularity", "scheme", "blk errors", "aux errors", "total errors"],
-    );
-    for row in rows {
-        table.push_row(vec![
-            row.granularity.to_string(),
-            row.scheme.clone(),
-            format!("{:.2}", row.disturb_data_errors),
-            format!("{:.2}", row.disturb_aux_errors),
-            format!("{:.2}", row.disturb_errors),
-        ]);
+    for table in figure13_tables(&figure11_12_13(args.lines, args.seed)) {
+        table.print();
     }
-    table.print();
 }

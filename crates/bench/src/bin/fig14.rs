@@ -2,23 +2,11 @@
 //! the programming energy of the intermediate states S3/S4.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::figure14;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::figure14_tables;
 
 fn main() {
     let args = RunArgs::from_env();
-    let rows = figure14(args.lines, args.seed);
-    let mut table = Table::new(
-        "Figure 14: WLCRC-16 improvement vs intermediate-state energy",
-        &["S3/S4 SET (pJ)", "baseline (pJ)", "WLCRC-16 (pJ)", "improvement"],
-    );
-    for row in rows {
-        table.push_row(vec![
-            format!("{:.0}/{:.0}", row.s3_set_pj, row.s4_set_pj),
-            format!("{:.1}", row.baseline_energy_pj),
-            format!("{:.1}", row.wlcrc_energy_pj),
-            format!("{:.1}%", row.improvement() * 100.0),
-        ]);
+    for table in figure14_tables(args.lines, args.seed) {
+        table.print();
     }
-    table.print();
 }

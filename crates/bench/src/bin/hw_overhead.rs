@@ -1,34 +1,14 @@
 //! Regenerates the Section VI-B hardware-overhead numbers from the analytical
 //! model (substituting for the paper's Synopsys 45 nm synthesis).
 
-use wlcrc::hardware::HardwareModel;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::args::RunArgs;
+use wlcrc_bench::figures::hw_overhead_tables;
 
 fn main() {
-    let model = HardwareModel::wlcrc16();
-    let mut table = Table::new(
-        "Section VI-B: WLCRC-16 hardware overhead (analytical 45 nm estimate)",
-        &["block", "area (mm^2)", "delay (ns)", "energy (pJ)", "NAND2 gates"],
-    );
-    for (name, est) in [
-        ("WLC logic", model.wlc_logic()),
-        ("word encoder (x1)", model.word_encoder()),
-        ("word decoder (x1)", model.word_decoder()),
-        ("encoder path (write)", model.encoder()),
-        ("decoder path (read)", model.decoder()),
-        ("total WLCRC modules", model.total()),
-    ] {
-        table.push_row(vec![
-            name.to_string(),
-            format!("{:.4}", est.area_mm2),
-            format!("{:.2}", est.delay_ns),
-            format!("{:.3}", est.energy_pj),
-            format!("{:.0}", est.gate_count),
-        ]);
+    // The model reads no trace: `--lines` and `--seed` are accepted like in
+    // every figure binary, and a mistyped flag is refused the same way.
+    RunArgs::from_env();
+    for table in hw_overhead_tables() {
+        table.print();
     }
-    table.print();
-    println!(
-        "Paper (Synopsys DC, 45nm FreePDK): 0.0498 mm^2, 2.63 ns write / 0.89 ns read, \
-         0.94 pJ write / 0.27 pJ read; WLC portion 0.0002 mm^2, 0.13 ns, 0.0017 pJ."
-    );
 }

@@ -2,37 +2,11 @@
 //! without the T = 1% endurance-aware group selection.
 
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::figures::multi_objective_study;
-use wlcrc_bench::table::Table;
+use wlcrc_bench::figures::multi_objective_tables;
 
 fn main() {
     let args = RunArgs::from_env();
-    let rows = multi_objective_study(args.lines, args.seed);
-    let mut table = Table::new(
-        "Section VIII-D: multi-objective WLCRC-16 (T = 1%)",
-        &[
-            "workload",
-            "energy plain (pJ)",
-            "energy MO (pJ)",
-            "cells plain",
-            "cells MO",
-            "cell reduction",
-        ],
-    );
-    for row in rows {
-        let reduction = if row.cells_plain > 0.0 {
-            (1.0 - row.cells_mo / row.cells_plain) * 100.0
-        } else {
-            0.0
-        };
-        table.push_row(vec![
-            row.workload.clone(),
-            format!("{:.1}", row.energy_plain_pj),
-            format!("{:.1}", row.energy_mo_pj),
-            format!("{:.1}", row.cells_plain),
-            format!("{:.1}", row.cells_mo),
-            format!("{:.1}%", reduction),
-        ]);
+    for table in multi_objective_tables(args.lines, args.seed) {
+        table.print();
     }
-    table.print();
 }

@@ -1,19 +1,23 @@
-//! Measurement routines behind every table and figure of the evaluation.
+//! Measurement routines behind every table and figure of the evaluation,
+//! and the renderers that turn their rows into the figures' tables.
 //!
-//! Each function returns plain data (rows of numbers); the `src/bin/figNN`
-//! binaries print them as tables and the Criterion benches time them.
+//! Each measurement function returns plain data (rows of numbers); the
+//! `*_tables` function next to it renders them as finished [`Table`]s. The
+//! figure binaries in `src/bin/` and `experiments` print those tables and
+//! build none of their own, so every figure has one rendering.
 
 use crate::table::Table;
 use crate::workloads::{benchmark_profiles, biased_sources, biased_streams, random_source};
+use wlcrc::hardware::HardwareModel;
 use wlcrc::schemes::standard_factories;
 use wlcrc::{MultiObjectiveConfig, WlcCosetCodec};
-use wlcrc_compress::{Bdi, Coc, Compressor, Fpc, Wlc};
+use wlcrc_compress::{Coc, Compressor, Wlc};
 use wlcrc_coset::{Granularity, NCosetsCodec, RestrictedCosetCodec};
 use wlcrc_memsim::{ExperimentPlan, ExperimentResult, SchemeStats};
 use wlcrc_pcm::codec::{LineCodec, RawCodec};
 use wlcrc_pcm::config::PcmConfig;
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_trace::Benchmark;
+use wlcrc_trace::{Benchmark, IntensityClass};
 
 /// Granularities swept by Figures 1–3 and 5 (8 up to the full line for
 /// Figure 1, 8..128 for the coset comparisons).
@@ -129,6 +133,32 @@ fn run_sweep(
         .collect()
 }
 
+/// A granularity × scheme sweep as one table: a row per sweep point with
+/// the three `values` of its `columns`, at `precision` decimals.
+fn sweep_table(
+    title: &str,
+    columns: [&str; 3],
+    rows: &[EnergyBreakdownRow],
+    precision: usize,
+    values: fn(&EnergyBreakdownRow) -> [f64; 3],
+) -> Table {
+    let mut table =
+        Table::new(title, &["granularity", "scheme", columns[0], columns[1], columns[2]]);
+    for row in rows {
+        let mut cells = vec![row.granularity.to_string(), row.scheme.clone()];
+        cells.extend(values(row).iter().map(|v| format!("{v:.precision$}")));
+        table.push_row(cells);
+    }
+    table
+}
+
+/// The aux/blk/total energy table of Figures 2, 3 and 5.
+fn energy_breakdown_table(title: &str, rows: &[EnergyBreakdownRow]) -> Table {
+    sweep_table(title, ["aux (pJ)", "blk (pJ)", "total (pJ)"], rows, 1, |r| {
+        [r.aux_energy_pj, r.block_energy_pj, r.total_energy_pj()]
+    })
+}
+
 /// Figure 1: write-energy breakdown of the 6cosets encoding as the block
 /// granularity shrinks from 512 to 8 bits, on random (`biased = false`) or
 /// biased (`biased = true`) data.
@@ -136,6 +166,27 @@ pub fn figure1(lines: usize, seed: u64, biased: bool) -> Vec<EnergyBreakdownRow>
     let schemes: [SweepScheme; 1] =
         [("6cosets", |g| Box::new(NCosetsCodec::six_cosets(Granularity::new(g))))];
     run_sweep(lines, seed, biased, &FIG1_GRANULARITIES, &schemes)
+}
+
+/// Figure 1's tables: (a) on random data, (b) on biased data.
+pub fn figure1_tables(lines: usize, seed: u64) -> Vec<Table> {
+    [
+        (false, "Figure 1(a): 6cosets energy vs granularity, random workloads"),
+        (true, "Figure 1(b): 6cosets energy vs granularity, biased workloads"),
+    ]
+    .into_iter()
+    .map(|(biased, title)| {
+        let mut table = Table::new(title, &["granularity", "blk (pJ)", "aux (pJ)", "blk+aux (pJ)"]);
+        for row in figure1(lines, seed, biased) {
+            table.push_numeric_row(
+                &row.granularity.to_string(),
+                &[row.block_energy_pj, row.aux_energy_pj, row.total_energy_pj()],
+                1,
+            );
+        }
+        table
+    })
+    .collect()
 }
 
 /// Figures 2 and 3: 6cosets vs 4cosets across granularities, on random
@@ -146,6 +197,18 @@ pub fn figure2_3(lines: usize, seed: u64, biased: bool) -> Vec<EnergyBreakdownRo
         ("4cosets", |g| Box::new(NCosetsCodec::four_cosets(Granularity::new(g)))),
     ];
     run_sweep(lines, seed, biased, &FIG2_GRANULARITIES, &schemes)
+}
+
+/// Figure 2's table: 6cosets vs 4cosets on random data.
+pub fn figure2_tables(lines: usize, seed: u64) -> Vec<Table> {
+    let title = "Figure 2: 6cosets vs 4cosets on 200M-style random data blocks";
+    vec![energy_breakdown_table(title, &figure2_3(lines, seed, false))]
+}
+
+/// Figure 3's table: 6cosets vs 4cosets on biased data.
+pub fn figure3_tables(lines: usize, seed: u64) -> Vec<Table> {
+    let title = "Figure 3: 6cosets vs 4cosets on biased workloads";
+    vec![energy_breakdown_table(title, &figure2_3(lines, seed, true))]
 }
 
 /// One row of the Figure 4 compression-coverage study.
@@ -202,6 +265,29 @@ pub fn figure4(lines: usize, seed: u64) -> Vec<CompressionCoverageRow> {
     rows
 }
 
+/// Figure 4's table: the coverages in percent per benchmark, then their
+/// `ave.` row.
+pub fn figure4_tables(lines: usize, seed: u64) -> Vec<Table> {
+    let rows = figure4(lines, seed);
+    let mut table = Table::new(
+        "Figure 4: % of compressed memory lines (more is better)",
+        &["workload", "4-MSBs", "5-MSBs", "6-MSBs", "7-MSBs", "8-MSBs", "9-MSBs", "COC", "FPC+BDI"],
+    );
+    let mut sums = [0.0f64; 8];
+    for row in &rows {
+        let mut values = row.wlc_coverage.to_vec();
+        values.extend([row.coc_coverage, row.fpc_bdi_coverage]);
+        for (s, v) in sums.iter_mut().zip(&values) {
+            *s += v;
+        }
+        let percent: Vec<f64> = values.iter().map(|v| v * 100.0).collect();
+        table.push_numeric_row(&row.workload, &percent, 1);
+    }
+    let averages: Vec<f64> = sums.iter().map(|s| s / rows.len() as f64 * 100.0).collect();
+    table.push_numeric_row("ave.", &averages, 1);
+    vec![table]
+}
+
 /// Figure 5: 4cosets vs 3cosets vs restricted cosets (3-r-cosets) on the
 /// biased workloads.
 pub fn figure5(lines: usize, seed: u64) -> Vec<EnergyBreakdownRow> {
@@ -213,11 +299,174 @@ pub fn figure5(lines: usize, seed: u64) -> Vec<EnergyBreakdownRow> {
     run_sweep(lines, seed, true, &FIG2_GRANULARITIES, &schemes)
 }
 
+/// Figure 5's table.
+pub fn figure5_tables(lines: usize, seed: u64) -> Vec<Table> {
+    let title = "Figure 5: restricted vs unrestricted coset coding, biased workloads";
+    vec![energy_breakdown_table(title, &figure5(lines, seed))]
+}
+
+/// Section VI-B's table: the analytical hardware-overhead model of the
+/// WLCRC-16 modules (standing in for the paper's Synopsys 45 nm synthesis),
+/// with the paper's synthesised numbers as its note.
+pub fn hw_overhead_tables() -> Vec<Table> {
+    let model = HardwareModel::wlcrc16();
+    let mut table = Table::new(
+        "Section VI-B: WLCRC-16 hardware overhead (analytical 45 nm estimate)",
+        &["block", "area (mm^2)", "delay (ns)", "energy (pJ)", "NAND2 gates"],
+    );
+    for (name, est) in [
+        ("WLC logic", model.wlc_logic()),
+        ("word encoder (x1)", model.word_encoder()),
+        ("word decoder (x1)", model.word_decoder()),
+        ("encoder path (write)", model.encoder()),
+        ("decoder path (read)", model.decoder()),
+        ("total WLCRC modules", model.total()),
+    ] {
+        table.push_row(vec![
+            name.to_string(),
+            format!("{:.4}", est.area_mm2),
+            format!("{:.2}", est.delay_ns),
+            format!("{:.3}", est.energy_pj),
+            format!("{:.0}", est.gate_count),
+        ]);
+    }
+    vec![table.with_note(
+        "Paper (Synopsys DC, 45nm FreePDK): 0.0498 mm^2, 2.63 ns write / 0.89 ns read, \
+         0.94 pJ write / 0.27 pJ read; WLC portion 0.0002 mm^2, 0.13 ns, 0.0017 pJ.",
+    )]
+}
+
 /// Figures 8, 9 and 10: the full scheme comparison over all benchmarks.
-/// Returns the raw experiment result; the binaries derive the three figures
+/// Returns the raw experiment result; [`figure8_tables`],
+/// [`figure9_tables`] and [`figure10_tables`] render the three figures
 /// (energy, updated cells, disturbance errors) from it.
 pub fn figure8_9_10(lines: usize, seed: u64) -> ExperimentResult {
     standard_plan(lines, seed).run()
+}
+
+/// The `workload` column followed by one column per scheme of `result`.
+fn scheme_headers(schemes: &[String]) -> Vec<&str> {
+    let mut headers = vec!["workload"];
+    headers.extend(schemes.iter().map(String::as_str));
+    headers
+}
+
+/// `metric` of each scheme's cell for `workload` (0 where there is none).
+fn workload_values(
+    result: &ExperimentResult,
+    schemes: &[String],
+    workload: &str,
+    metric: fn(&SchemeStats) -> f64,
+) -> Vec<f64> {
+    schemes.iter().map(|s| result.get(s, workload).map(metric).unwrap_or(0.0)).collect()
+}
+
+/// `metric` of each scheme's cross-workload average.
+fn average_values(
+    result: &ExperimentResult,
+    schemes: &[String],
+    metric: fn(&SchemeStats) -> f64,
+) -> Vec<f64> {
+    schemes.iter().map(|s| metric(&result.average_for_scheme(s))).collect()
+}
+
+/// The per-workload table of Figures 9 and 10: a row of `metric` per
+/// workload, then the `Ave.` row.
+fn workload_table(
+    result: &ExperimentResult,
+    title: &str,
+    precision: usize,
+    metric: fn(&SchemeStats) -> f64,
+) -> Table {
+    let schemes = result.schemes();
+    let mut table = Table::new(title, &scheme_headers(&schemes));
+    for workload in result.workloads() {
+        table.push_numeric_row(
+            &workload,
+            &workload_values(result, &schemes, &workload, metric),
+            precision,
+        );
+    }
+    table.push_numeric_row("Ave.", &average_values(result, &schemes, metric), precision);
+    table
+}
+
+/// Per-workload bank-write balance of a result's streamed traces: how evenly
+/// each trace spreads over the memory banks — and therefore over intra-trace
+/// shard workers (`WLCRC_INTRA_SHARDS`). Every scheme replays the same
+/// records, so the first cell per workload is representative; the table is
+/// identical for any worker/shard count.
+fn bank_balance_table(result: &ExperimentResult) -> Table {
+    let mut table =
+        Table::new("Bank write balance (per-bank sharding)", &["workload", "banks hit", "max/min"]);
+    for workload in result.workloads() {
+        let stats = result.cells.iter().find(|s| s.workload == workload).expect("cell present");
+        table.push_row(vec![
+            workload,
+            stats.banks_touched().to_string(),
+            format!("{:.2}", stats.write_imbalance()),
+        ]);
+    }
+    table
+}
+
+/// Figure 8's tables: write energy per workload with the HMI, LMI and
+/// overall averages, then the bank write balance of the grid's traces.
+pub fn figure8_tables(result: &ExperimentResult) -> Vec<Table> {
+    let energy: fn(&SchemeStats) -> f64 = SchemeStats::mean_energy_pj;
+    let schemes = result.schemes();
+    let mut table =
+        Table::new("Figure 8: write energy per line write [pJ]", &scheme_headers(&schemes));
+    for (class, label) in [(IntensityClass::High, "HMI Ave."), (IntensityClass::Low, "LMI Ave.")] {
+        let workloads: Vec<&str> = Benchmark::ALL
+            .iter()
+            .filter(|b| b.intensity() == class)
+            .map(|b| b.short_name())
+            .collect();
+        for workload in &workloads {
+            table.push_numeric_row(
+                workload,
+                &workload_values(result, &schemes, workload, energy),
+                1,
+            );
+        }
+        // Group average (weighted by writes).
+        let values: Vec<f64> = schemes
+            .iter()
+            .map(|s| {
+                let mut merged = SchemeStats::new(s.clone(), label);
+                for stats in workloads.iter().filter_map(|workload| result.get(s, workload)) {
+                    merged.merge(stats);
+                }
+                energy(&merged)
+            })
+            .collect();
+        table.push_numeric_row(label, &values, 1);
+    }
+    table.push_numeric_row("(H+L)MI Ave.", &average_values(result, &schemes, energy), 1);
+    vec![table, bank_balance_table(result)]
+}
+
+/// Figure 9's table: updated cells per line write.
+pub fn figure9_tables(result: &ExperimentResult) -> Vec<Table> {
+    let title = "Figure 9: average updated cells per line (blk+aux)";
+    vec![workload_table(result, title, 1, SchemeStats::mean_updated_cells)]
+}
+
+/// Figure 10's tables: disturbance errors per line write, then the largest
+/// number in a single write, which the paper notes barely changes across
+/// schemes.
+pub fn figure10_tables(result: &ExperimentResult) -> Vec<Table> {
+    let title = "Figure 10: average write disturbance errors per line";
+    let errors = workload_table(result, title, 2, SchemeStats::mean_disturb_errors);
+    let schemes = result.schemes();
+    let mut max = Table::new(
+        "Figure 10 (aux): maximum disturbance errors in a single write",
+        &scheme_headers(&schemes),
+    );
+    let values = average_values(result, &schemes, |s| s.max_disturb_errors_per_write as f64);
+    max.push_numeric_row("max", &values, 0);
+    vec![errors, max]
 }
 
 /// A plan over the paper's full scheme registry and all twelve benchmark
@@ -264,6 +513,30 @@ pub fn figure11_12_13(lines: usize, seed: u64) -> Vec<EnergyBreakdownRow> {
         ("WLCRC", |g| Box::new(WlcCosetCodec::wlcrc(g))),
     ];
     run_sweep(lines, seed, true, &FIG11_GRANULARITIES, &schemes)
+}
+
+/// Figure 11's table, from the [`figure11_12_13`] sweep: write energy.
+pub fn figure11_tables(rows: &[EnergyBreakdownRow]) -> Vec<Table> {
+    let title = "Figure 11: WLC-integrated schemes, write energy vs granularity";
+    vec![sweep_table(title, ["blk (pJ)", "aux (pJ)", "total (pJ)"], rows, 1, |r| {
+        [r.block_energy_pj, r.aux_energy_pj, r.total_energy_pj()]
+    })]
+}
+
+/// Figure 12's table, from the [`figure11_12_13`] sweep: updated cells.
+pub fn figure12_tables(rows: &[EnergyBreakdownRow]) -> Vec<Table> {
+    let title = "Figure 12: WLC-integrated schemes, updated cells vs granularity";
+    vec![sweep_table(title, ["blk cells", "aux cells", "total cells"], rows, 1, |r| {
+        [r.updated_data_cells, r.updated_aux_cells, r.updated_cells]
+    })]
+}
+
+/// Figure 13's table, from the [`figure11_12_13`] sweep: disturbance errors.
+pub fn figure13_tables(rows: &[EnergyBreakdownRow]) -> Vec<Table> {
+    let title = "Figure 13: WLC-integrated schemes, disturbance errors vs granularity";
+    vec![sweep_table(title, ["blk errors", "aux errors", "total errors"], rows, 2, |r| {
+        [r.disturb_data_errors, r.disturb_aux_errors, r.disturb_errors]
+    })]
 }
 
 /// One row of the Figure 14 energy-level sensitivity study.
@@ -316,6 +589,23 @@ pub fn figure14(lines: usize, seed: u64) -> Vec<SensitivityRow> {
             wlcrc_energy_pj: result.average_for_scheme("WLCRC-16").mean_energy_pj(),
         })
         .collect()
+}
+
+/// Figure 14's table.
+pub fn figure14_tables(lines: usize, seed: u64) -> Vec<Table> {
+    let mut table = Table::new(
+        "Figure 14: WLCRC-16 improvement vs intermediate-state energy",
+        &["S3/S4 SET (pJ)", "baseline (pJ)", "WLCRC-16 (pJ)", "improvement"],
+    );
+    for row in figure14(lines, seed) {
+        table.push_row(vec![
+            format!("{:.0}/{:.0}", row.s3_set_pj, row.s4_set_pj),
+            format!("{:.1}", row.baseline_energy_pj),
+            format!("{:.1}", row.wlcrc_energy_pj),
+            format!("{:.1}%", row.improvement() * 100.0),
+        ]);
+    }
+    vec![table]
 }
 
 /// Result of the Section VIII-D multi-objective study.
@@ -372,6 +662,37 @@ pub fn multi_objective_study(lines: usize, seed: u64) -> Vec<MultiObjectiveRow> 
     rows
 }
 
+/// Section VIII-D's table, with each row's cell reduction in percent.
+pub fn multi_objective_tables(lines: usize, seed: u64) -> Vec<Table> {
+    let mut table = Table::new(
+        "Section VIII-D: multi-objective WLCRC-16 (T = 1%)",
+        &[
+            "workload",
+            "energy plain (pJ)",
+            "energy MO (pJ)",
+            "cells plain",
+            "cells MO",
+            "cell reduction",
+        ],
+    );
+    for row in multi_objective_study(lines, seed) {
+        let reduction = if row.cells_plain > 0.0 {
+            (1.0 - row.cells_mo / row.cells_plain) * 100.0
+        } else {
+            0.0
+        };
+        table.push_row(vec![
+            row.workload,
+            format!("{:.1}", row.energy_plain_pj),
+            format!("{:.1}", row.energy_mo_pj),
+            format!("{:.1}", row.cells_plain),
+            format!("{:.1}", row.cells_mo),
+            format!("{:.1}%", reduction),
+        ]);
+    }
+    vec![table]
+}
+
 /// Quick sanity comparison used by several tests and the quickstart example:
 /// mean write energy of the baseline vs WLCRC-16 over the biased workloads.
 pub fn headline_comparison(lines: usize, seed: u64) -> (f64, f64) {
@@ -386,64 +707,6 @@ pub fn headline_comparison(lines: usize, seed: u64) -> (f64, f64) {
         result.average_for_scheme("Baseline").mean_energy_pj(),
         result.average_for_scheme("WLCRC-16").mean_energy_pj(),
     )
-}
-
-/// Per-workload bank-write balance of a result's streamed traces: how evenly
-/// each trace spreads over the memory banks — and therefore over intra-trace
-/// shard workers (`WLCRC_INTRA_SHARDS`). Every scheme replays the same
-/// records, so the first cell per workload is representative; the table is
-/// identical for any worker/shard count.
-pub fn bank_balance_table(result: &ExperimentResult) -> Table {
-    let mut table =
-        Table::new("Bank write balance (per-bank sharding)", &["workload", "banks hit", "max/min"]);
-    for workload in result.workloads() {
-        let stats = result.cells.iter().find(|s| s.workload == workload).expect("cell present");
-        table.push_row(vec![
-            workload,
-            stats.banks_touched().to_string(),
-            format!("{:.2}", stats.write_imbalance()),
-        ]);
-    }
-    table
-}
-
-/// Compression-only statistic used by Figure 4's average bar and by tests:
-/// the average WLC(k) line coverage across all benchmarks (streamed).
-pub fn average_wlc_coverage(lines: usize, seed: u64, k: usize) -> f64 {
-    let wlc = Wlc::new(k);
-    let mut total = 0usize;
-    let mut covered = 0usize;
-    for stream in biased_streams(lines, seed) {
-        for record in stream {
-            total += 1;
-            if wlc.is_compressible(&record.new) {
-                covered += 1;
-            }
-        }
-    }
-    covered as f64 / total.max(1) as f64
-}
-
-/// Average FPC+BDI-to-369-bit coverage across benchmarks (the DIN gate),
-/// computed over the lazy benchmark streams.
-pub fn average_fpc_bdi_coverage(lines: usize, seed: u64) -> f64 {
-    let fpc = Fpc::new();
-    let bdi = Bdi::new();
-    let mut total = 0usize;
-    let mut covered = 0usize;
-    for stream in biased_streams(lines, seed) {
-        for record in stream {
-            total += 1;
-            let best = [fpc.compressed_bits(&record.new), bdi.compressed_bits(&record.new)]
-                .into_iter()
-                .flatten()
-                .min();
-            if best.is_some_and(|b| b <= 369) {
-                covered += 1;
-            }
-        }
-    }
-    covered as f64 / total.max(1) as f64
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ pub struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
+    note: Option<String>,
 }
 
 impl Table {
@@ -15,7 +16,15 @@ impl Table {
             title: title.into(),
             headers: headers.iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
+            note: None,
         }
+    }
+
+    /// Adds a line that [`Table::print`] prints below the table, after the
+    /// blank line that ends it.
+    pub fn with_note(mut self, note: impl Into<String>) -> Table {
+        self.note = Some(note.into());
+        self
     }
 
     /// Appends a row (converted to strings by the caller).
@@ -75,9 +84,12 @@ impl Table {
         out
     }
 
-    /// Prints the table to stdout.
+    /// Prints the table to stdout, followed by a blank line and its note.
     pub fn print(&self) {
         println!("{}", self.render());
+        if let Some(note) = &self.note {
+            println!("{note}");
+        }
     }
 }
 

@@ -136,17 +136,6 @@ impl FnwCodec {
     }
 }
 
-/// Sets line bits `start..end` in a fixed word buffer.
-fn set_bit_range(words: &mut [u64; wlcrc_pcm::LINE_WORDS], start: usize, end: usize) {
-    let mut b = start;
-    while b < end {
-        let (w, off) = (b / 64, b % 64);
-        let n = (64 - off).min(end - b);
-        words[w] |= (u64::MAX >> (64 - n)) << off;
-        b += n;
-    }
-}
-
 impl LineCodec for FnwCodec {
     fn name(&self) -> &str {
         &self.name
@@ -170,21 +159,22 @@ impl LineCodec for FnwCodec {
         // Bit-parallel inverse mapping of the data cells: a handful of word
         // shuffles on the stored planes.
         let states = stored.state_planes();
-        let (p0, p1) = kernel::symbol_planes_from_states(&states, self.mapping.symbols_per_state());
-        let encoded = kernel::line_from_planes(&p0, &p1);
-        // A flipped block stores the symbol complement, so un-flipping is an
-        // XOR with all-ones over the block's bits.
-        let mut flip_bits = [0u64; wlcrc_pcm::LINE_WORDS];
+        let (mut p0, mut p1) =
+            kernel::symbol_planes_from_states(&states, self.mapping.symbols_per_state());
+        // A flipped block stores the symbol complement, so un-flipping
+        // inverts both symbol planes over the block's cells.
         for i in 0..self.aux_cells() {
             let symbol = self.mapping.symbol_of(stored.state(LINE_CELLS + i));
             for (bit, flagged) in [(2 * i, symbol.msb()), (2 * i + 1, symbol.lsb())] {
                 if flagged && bit < blocks {
-                    let cells = self.granularity.block_cells(bit);
-                    set_bit_range(&mut flip_bits, 2 * cells.start, 2 * cells.end);
+                    for (w, mask) in kernel::plane_words(self.granularity.block_cells(bit)) {
+                        p0[w] ^= mask;
+                        p1[w] ^= mask;
+                    }
                 }
             }
         }
-        encoded.xor(&MemoryLine::from_words(flip_bits))
+        kernel::line_from_planes(&p0, &p1)
     }
 }
 

@@ -244,15 +244,9 @@ impl LineCodec for NCosetsCodec {
         for block in 0..self.granularity.blocks_per_line() {
             let index = self.read_selector(stored, block);
             let (c0, c1) = &inverses[index];
-            let cells = self.granularity.block_cells(block);
-            let (mut c, end) = (cells.start, cells.end);
-            while c < end {
-                let (w, off) = (c / 64, c % 64);
-                let n = (64 - off).min(end - c);
-                let mask = (u64::MAX >> (64 - n)) << off;
+            for (w, mask) in kernel::plane_words(self.granularity.block_cells(block)) {
                 p0[w] |= c0[w] & mask;
                 p1[w] |= c1[w] & mask;
-                c += n;
             }
         }
         kernel::line_from_planes(&p0, &p1)
