@@ -2,25 +2,21 @@
 //! Figure 5 auxiliary-region instrumentation (restricted vs unrestricted
 //! coset coding).
 
+use std::sync::Arc;
 use wlcrc::schemes::standard_factories;
 use wlcrc_bench::args::RunArgs;
-use wlcrc_bench::workloads::biased_sources;
+use wlcrc_bench::workloads::biased_traces;
 use wlcrc_coset::{Granularity, NCosetsCodec, RestrictedCosetCodec};
 use wlcrc_memsim::ExperimentPlan;
-use wlcrc_trace::{Benchmark, TraceSource, TraceStream};
+use wlcrc_trace::{Benchmark, TraceGenerator};
 
 fn main() {
     let args = RunArgs::from_env();
     for bench in [Benchmark::Gcc, Benchmark::Lbm, Benchmark::Astar] {
         println!("--- {} ---", bench.short_name());
-        let (seed, lines) = (args.seed, args.lines);
-        let mut plan = ExperimentPlan::new().seed(args.seed).verify_integrity(false).source(
-            bench.short_name(),
-            move |_base| {
-                Box::new(TraceStream::new(bench.profile(), seed, lines))
-                    as Box<dyn TraceSource + Send>
-            },
-        );
+        let trace = TraceGenerator::new(bench.profile(), args.seed).generate(args.lines);
+        let mut plan =
+            ExperimentPlan::new().seed(args.seed).verify_integrity(false).trace(Arc::new(trace));
         for (id, factory) in standard_factories() {
             plan = plan.scheme_factory(id.label(), factory);
         }
@@ -64,7 +60,7 @@ fn aux_region_diagnosis(args: RunArgs) {
         let result = ExperimentPlan::new()
             .seed(seed)
             .verify_integrity(false)
-            .sources(biased_sources(args.lines / 4, seed))
+            .traces(biased_traces(args.lines / 4, seed))
             .scheme("3cosets", move || Box::new(NCosetsCodec::three_cosets(g)))
             .scheme("3-r-cosets", move || Box::new(RestrictedCosetCodec::new(g)))
             .run();

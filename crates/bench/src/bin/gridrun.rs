@@ -30,6 +30,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use wlcrc_bench::args::{self, read_flags};
 use wlcrc_bench::figures::runner_plan;
 use wlcrc_memsim::{ExperimentPlan, ExperimentResult, STORE_ENV};
 
@@ -39,6 +40,49 @@ fn usage() -> ! {
          [--threads N] [--stale-secs N] [--no-plan-cache] [--direct]"
     );
     std::process::exit(2);
+}
+
+/// `wlcrc-gridrun`'s command line.
+struct GridArgs {
+    plan: String,
+    lines: usize,
+    seed: u64,
+    threads: Option<usize>,
+    stale_secs: u64,
+    plan_cache: bool,
+    direct: bool,
+    store: Option<String>,
+}
+
+impl GridArgs {
+    fn parse(args: impl Iterator<Item = String>) -> Result<GridArgs, String> {
+        let mut out = GridArgs {
+            plan: "perfsnap".to_string(),
+            lines: 40,
+            seed: 42,
+            threads: None,
+            stale_secs: 300,
+            plan_cache: true,
+            direct: false,
+            store: None,
+        };
+        read_flags(args, |flag, value| {
+            match flag {
+                "--plan" => out.plan = value.text()?,
+                "--lines" => out.lines = value.number()?,
+                "--seed" => out.seed = value.number()?,
+                "--threads" => out.threads = Some(value.number()?),
+                "--stale-secs" => out.stale_secs = value.number()?,
+                "--store" => out.store = Some(value.text()?),
+                "--no-plan-cache" => out.plan_cache = false,
+                "--direct" => out.direct = true,
+                "--help" | "-h" => usage(),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        Ok(out)
+    }
 }
 
 /// The plan shapes shared with `storectl inspect --why` (see
@@ -86,37 +130,23 @@ fn dump(results: &[ExperimentResult]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| -> Option<String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-    };
-    let has = |name: &str| args.iter().any(|a| a == name);
-    if has("--help") || has("-h") {
-        usage();
-    }
-
-    let kind = flag("--plan").unwrap_or_else(|| "perfsnap".to_string());
-    let lines: usize = flag("--lines").and_then(|v| v.parse().ok()).unwrap_or(40);
-    let seed: u64 = flag("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-    let stale_secs: u64 = flag("--stale-secs").and_then(|v| v.parse().ok()).unwrap_or(300);
-    let direct = has("--direct");
-
-    let mut plan = build_plan(&kind, lines, seed);
-    if let Some(threads) = flag("--threads").and_then(|v| v.parse().ok()) {
+    let args = args::from_env(GridArgs::parse);
+    let mut plan = build_plan(&args.plan, args.lines, args.seed);
+    if let Some(threads) = args.threads {
         plan = plan.threads(threads);
     }
-    if has("--no-plan-cache") {
+    if !args.plan_cache {
         plan = plan.plan_cache(false);
     }
 
-    if direct {
+    if args.direct {
         // Ground truth: the plain in-process engine with the store disabled.
         // Concurrent claimed workers must reproduce this dump byte for byte.
         dump(&plan.store_enabled(false).run_grid());
         return;
     }
 
-    let store = flag("--store").or_else(|| std::env::var(STORE_ENV).ok()).unwrap_or_else(|| {
+    let store = args.store.or_else(|| std::env::var(STORE_ENV).ok()).unwrap_or_else(|| {
         eprintln!("wlcrc-gridrun: no store directory (--store DIR or ${STORE_ENV})");
         std::process::exit(2);
     });
@@ -146,7 +176,7 @@ fn main() {
             }
         })
     };
-    let (results, report) = plan.store(&store).run_grid_claimed(stale_secs);
+    let (results, report) = plan.store(&store).run_grid_claimed(args.stale_secs);
     running.store(false, Ordering::Relaxed);
     let _ = ticker.join();
     eprintln!(

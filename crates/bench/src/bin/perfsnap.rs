@@ -32,6 +32,7 @@
 use std::time::Instant;
 use wlcrc::schemes::standard_factories;
 use wlcrc::{CocCosetCodec, WlcCosetCodec};
+use wlcrc_bench::args::{self, read_flags};
 use wlcrc_coset::{
     DinCodec, FlipMinCodec, FnwCodec, Granularity, NCosetsCodec, RestrictedCosetCodec,
 };
@@ -520,21 +521,45 @@ fn gate_passes(
     ok
 }
 
+/// `perfsnap`'s command line.
+struct SnapArgs {
+    check: bool,
+    check_against: Option<String>,
+    out: String,
+    note: Option<String>,
+}
+
+impl SnapArgs {
+    fn parse(args: impl Iterator<Item = String>) -> Result<SnapArgs, String> {
+        let mut out = SnapArgs {
+            check: false,
+            check_against: None,
+            out: "BENCH_codec.json".into(),
+            note: None,
+        };
+        read_flags(args, |flag, value| {
+            match flag {
+                "--check" => out.check = true,
+                "--check-against" => out.check_against = Some(value.text()?),
+                "--out" => out.out = value.text()?,
+                "--note" => out.note = Some(value.text()?),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        Ok(out)
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let flag = |name: &str| -> Option<String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-    };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_codec.json".to_string());
-    let note = flag("--note");
+    let SnapArgs { check, check_against, out: out_path, note } = args::from_env(SnapArgs::parse);
 
     let energy = EnergyModel::paper_default();
     let lines = wlcrc_bench::workloads::mixed_lines(256, SEED);
     let wlc_lines = wlc_compressible_lines(256, SEED + 1);
 
     if check {
-        let baseline_path = flag("--check-against").unwrap_or_else(|| out_path.clone());
+        let baseline_path = check_against.unwrap_or_else(|| out_path.clone());
         let ok = run_check(&baseline_path, &lines, &wlc_lines, &energy, ITERS, SERVE_BATCHES, SEED);
         std::process::exit(if ok { 0 } else { 1 });
     }

@@ -32,6 +32,7 @@
 //! Exit codes: 0 on success, 1 on failed assertion (`verify` with corrupt
 //! entries, `stats --min-hits` unmet), 2 on usage errors.
 
+use wlcrc_bench::args::{self, read_flags};
 use wlcrc_bench::figures::runner_plan;
 use wlcrc_memsim::cache::effective_salt;
 use wlcrc_store::{parse_byte_size, wire, EntryInfo, ResultStore, STORE_ENV};
@@ -47,41 +48,71 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// `storectl`'s command line: a command, at most one fingerprint prefix
+/// and the flags of every command (a command ignores the others' flags).
+struct StoreArgs {
+    command: Option<String>,
+    prefix: Option<String>,
+    store: Option<String>,
+    min_hits: Option<u64>,
+    max_bytes: Option<u64>,
+    older_than: Option<u64>,
+    stale_secs: u64,
+    plan: String,
+    lines: usize,
+    seed: u64,
+    all: bool,
+    latency: bool,
+    why: bool,
+}
+
+impl StoreArgs {
+    fn parse(args: impl Iterator<Item = String>) -> Result<StoreArgs, String> {
+        let mut out = StoreArgs {
+            command: None,
+            prefix: None,
+            store: None,
+            min_hits: None,
+            max_bytes: None,
+            older_than: None,
+            stale_secs: 3600,
+            plan: "perfsnap".to_string(),
+            lines: 40,
+            seed: 42,
+            all: false,
+            latency: false,
+            why: false,
+        };
+        read_flags(args, |arg, value| {
+            match arg {
+                "--store" => out.store = Some(value.text()?),
+                "--min-hits" => out.min_hits = Some(value.number()?),
+                "--max-bytes" => {
+                    out.max_bytes = Some(value.parsed("a size (e.g. 64m)", parse_byte_size)?);
+                }
+                "--older-than" => out.older_than = Some(value.number()?),
+                "--stale-secs" => out.stale_secs = value.number()?,
+                "--plan" => out.plan = value.text()?,
+                "--lines" => out.lines = value.number()?,
+                "--seed" => out.seed = value.number()?,
+                "--all" => out.all = true,
+                "--latency" => out.latency = true,
+                "--why" => out.why = true,
+                _ if arg.starts_with('-') => return Ok(false),
+                _ if out.command.is_none() => out.command = Some(arg.to_string()),
+                _ if out.prefix.is_none() => out.prefix = Some(arg.to_string()),
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        Ok(out)
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first().cloned() else { usage() };
-    let rest = &args[1..];
-
-    let flag = |name: &str| -> Option<String> {
-        rest.iter().position(|a| a == name).and_then(|i| rest.get(i + 1)).cloned()
-    };
-    let has = |name: &str| rest.iter().any(|a| a == name);
-    let positional: Vec<&String> = {
-        let mut skip_next = false;
-        rest.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if *a == "--store"
-                    || *a == "--min-hits"
-                    || *a == "--max-bytes"
-                    || *a == "--older-than"
-                    || *a == "--plan"
-                    || *a == "--lines"
-                    || *a == "--seed"
-                    || *a == "--stale-secs"
-                {
-                    skip_next = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .collect()
-    };
-
-    let root = flag("--store").or_else(|| std::env::var(STORE_ENV).ok()).unwrap_or_else(|| {
+    let args = args::from_env(StoreArgs::parse);
+    let Some(command) = args.command.as_deref() else { usage() };
+    let root = args.store.clone().or_else(|| std::env::var(STORE_ENV).ok()).unwrap_or_else(|| {
         eprintln!("storectl: no store directory (--store DIR or ${STORE_ENV})");
         std::process::exit(2);
     });
@@ -89,7 +120,7 @@ fn main() {
     // touch the filesystem directly for eviction.
     let store = ResultStore::open_read_only(&root);
 
-    match command.as_str() {
+    match command {
         "list" => {
             let entries = store.entries();
             for info in &entries {
@@ -98,23 +129,21 @@ fn main() {
             println!("{} entries", entries.len());
         }
         "inspect" => {
-            let Some(prefix) = positional.first() else { usage() };
+            let Some(prefix) = &args.prefix else { usage() };
             let matches = matching(&store, prefix);
             if matches.is_empty() {
                 eprintln!("storectl: no entry matches prefix {prefix:?}");
                 std::process::exit(1);
             }
-            if has("--why") {
-                let kind = flag("--plan").unwrap_or_else(|| "perfsnap".to_string());
-                let lines: usize = flag("--lines").and_then(|v| v.parse().ok()).unwrap_or(40);
-                let seed: u64 = flag("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-                let Some(plan) = runner_plan(&kind, lines, seed) else {
+            if args.why {
+                let kind = &args.plan;
+                let Some(plan) = runner_plan(kind, args.lines, args.seed) else {
                     eprintln!("storectl: unknown plan {kind:?} (expected perfsnap or fig08)");
                     std::process::exit(2);
                 };
                 let mut stale = false;
                 for info in matches {
-                    stale |= explain_plan_entry(&store, &info, &plan, &kind);
+                    stale |= explain_plan_entry(&store, &info, &plan, kind);
                 }
                 if stale {
                     std::process::exit(1);
@@ -137,8 +166,7 @@ fn main() {
                 eprintln!("storectl: cannot open store for repair: {err}");
                 std::process::exit(1);
             });
-            let stale_secs: u64 = flag("--stale-secs").and_then(|v| v.parse().ok()).unwrap_or(3600);
-            let report = writable.fsck(stale_secs).unwrap_or_else(|err| {
+            let report = writable.fsck(args.stale_secs).unwrap_or_else(|err| {
                 eprintln!("storectl: fsck failed: {err}");
                 std::process::exit(1);
             });
@@ -156,7 +184,7 @@ fn main() {
             }
             // The repair must converge: a second pass over the repaired
             // store has nothing left to fix, or something is deeply wrong.
-            let remaining = writable.fsck(stale_secs).unwrap_or_else(|err| {
+            let remaining = writable.fsck(args.stale_secs).unwrap_or_else(|err| {
                 eprintln!("storectl: post-repair check failed: {err}");
                 std::process::exit(1);
             });
@@ -177,11 +205,7 @@ fn main() {
             });
             // Policy-driven eviction: LRU down to a byte cap, or everything
             // unused for longer than a cutoff. Both report what they dropped.
-            if let Some(raw) = flag("--max-bytes") {
-                let Some(cap) = parse_byte_size(&raw) else {
-                    eprintln!("storectl: --max-bytes expects a size (e.g. 64m), got {raw:?}");
-                    std::process::exit(2);
-                };
+            if let Some(cap) = args.max_bytes {
                 let evicted = writable.evict_lru(cap).unwrap_or_else(|err| {
                     eprintln!("storectl: eviction failed: {err}");
                     std::process::exit(1);
@@ -192,11 +216,7 @@ fn main() {
                 println!("evicted {} entries (cap {cap} bytes)", evicted.len());
                 return;
             }
-            if let Some(raw) = flag("--older-than") {
-                let Ok(secs) = raw.parse::<u64>() else {
-                    eprintln!("storectl: --older-than expects seconds, got {raw:?}");
-                    std::process::exit(2);
-                };
+            if let Some(secs) = args.older_than {
                 let now = std::time::SystemTime::now()
                     .duration_since(std::time::UNIX_EPOCH)
                     .map(|d| d.as_secs())
@@ -212,10 +232,10 @@ fn main() {
                 println!("evicted {} entries (unused for {secs}s)", evicted.len());
                 return;
             }
-            let victims: Vec<EntryInfo> = if has("--all") {
+            let victims: Vec<EntryInfo> = if args.all {
                 store.entries()
             } else {
-                let Some(prefix) = positional.first() else { usage() };
+                let Some(prefix) = &args.prefix else { usage() };
                 matching(&store, prefix)
             };
             let mut evicted = 0usize;
@@ -244,7 +264,7 @@ fn main() {
             println!("entries: {}", entries.len());
             println!("bytes: {bytes}");
             println!("hits: {hits}");
-            if has("--latency") {
+            if args.latency {
                 // Metrics live in this process's registry, so measure by
                 // probe-reading every entry (full open + validate, the same
                 // path a cache lookup takes).
@@ -255,20 +275,9 @@ fn main() {
                 print_latency("read", store_metrics.read_seconds);
                 print_latency("write", store_metrics.write_seconds);
             }
-            if let Some(raw) = flag("--min-hits") {
-                // A malformed threshold must fail loudly: silently skipping
-                // the assertion would permanently disable the CI gate.
-                let Ok(min) = raw.parse::<u64>() else {
-                    eprintln!("storectl: --min-hits expects an integer, got {raw:?}");
-                    std::process::exit(2);
-                };
-                if hits < min {
-                    eprintln!("storectl: expected at least {min} journaled hits, found {hits}");
-                    std::process::exit(1);
-                }
-            } else if has("--min-hits") {
-                eprintln!("storectl: --min-hits requires a value");
-                std::process::exit(2);
+            if let Some(min) = args.min_hits.filter(|&min| hits < min) {
+                eprintln!("storectl: expected at least {min} journaled hits, found {hits}");
+                std::process::exit(1);
             }
         }
         _ => usage(),
@@ -327,7 +336,7 @@ fn explain_plan_entry(
 
     println!("entry {} (plan {kind:?}, config {config_index})", info.fingerprint);
     let current_plans = plan.plan_fingerprints();
-    let Some(Some(current_fp)) = current_plans.get(config_index) else {
+    let Some(current_fp) = current_plans.get(config_index) else {
         println!("  config {config_index} is outside the current plan's config axis");
         return true;
     };
@@ -338,11 +347,7 @@ fn explain_plan_entry(
     if stored_salt != effective_salt() {
         println!("  salt changed: recorded {stored_salt:?}, current {:?}", effective_salt());
     }
-    let current_cells = plan.plan_cell_fingerprints();
-    let Some(Some(now_cells)) = current_cells.get(config_index) else {
-        println!("  config {config_index} holds uncacheable cells in the current plan");
-        return true;
-    };
+    let now_cells = &plan.plan_cell_fingerprints()[config_index];
     if stored_cells.len() != now_cells.len() {
         println!(
             "  grid shape changed: {} recorded cells vs {} current \

@@ -13,6 +13,7 @@
 //! recorded its engine phases. Exit status: 0 valid, 1 invalid or missing a
 //! required span, 2 usage error.
 
+use wlcrc_bench::args::{self, read_flags};
 use wlcrc_obs::check::validate_trace;
 
 fn usage() -> ! {
@@ -20,31 +21,33 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-    }
-    let quiet = args.iter().any(|a| a == "--quiet");
-    let mut required: Vec<&str> = Vec::new();
-    let mut file: Option<&str> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--require-span" => match iter.next() {
-                Some(name) => required.push(name),
-                None => usage(),
-            },
-            "--quiet" => {}
-            name if name.starts_with('-') => usage(),
-            name => {
-                if file.replace(name).is_some() {
-                    usage();
-                }
+/// `tracecheck`'s command line.
+struct CheckArgs {
+    file: Option<String>,
+    required: Vec<String>,
+    quiet: bool,
+}
+
+impl CheckArgs {
+    fn parse(args: impl Iterator<Item = String>) -> Result<CheckArgs, String> {
+        let mut out = CheckArgs { file: None, required: Vec::new(), quiet: false };
+        read_flags(args, |arg, value| {
+            match arg {
+                "--require-span" => out.required.push(value.text()?),
+                "--quiet" => out.quiet = true,
+                "--help" | "-h" => usage(),
+                _ if arg.starts_with('-') || out.file.is_some() => return Ok(false),
+                _ => out.file = Some(arg.to_string()),
             }
-        }
+            Ok(true)
+        })?;
+        Ok(out)
     }
-    let Some(file) = file else { usage() };
+}
+
+fn main() {
+    let CheckArgs { file, required, quiet } = args::from_env(CheckArgs::parse);
+    let Some(file) = file.as_deref() else { usage() };
 
     let text = match std::fs::read_to_string(file) {
         Ok(text) => text,
@@ -70,7 +73,7 @@ fn main() {
         }
     }
     let mut missing = false;
-    for name in required {
+    for name in &required {
         if !summary.dur_us_by_name.iter().any(|(n, _)| n == name) {
             eprintln!("tracecheck: {file}: required span {name:?} not present");
             missing = true;

@@ -7,7 +7,7 @@
 //! build none of their own, so every figure has one rendering.
 
 use crate::table::Table;
-use crate::workloads::{benchmark_profiles, biased_sources, biased_streams, random_source};
+use crate::workloads::{benchmark_profiles, biased_traces, random_trace};
 use wlcrc::hardware::HardwareModel;
 use wlcrc::schemes::standard_factories;
 use wlcrc::{MultiObjectiveConfig, WlcCosetCodec};
@@ -94,14 +94,14 @@ fn sweep_label(scheme: &str, granularity: usize) -> String {
 type SweepScheme = (&'static str, fn(usize) -> Box<dyn LineCodec>);
 
 /// Runs a (granularity × scheme) sweep as one ExperimentPlan grid over
-/// either the twelve biased benchmark streams (tracked simulation) or one
-/// random stream (isolated simulation), and returns one merged
+/// either the twelve biased benchmark traces (tracked simulation) or one
+/// random trace (isolated simulation), and returns one merged
 /// [`EnergyBreakdownRow`] per sweep point in (granularity, scheme) order.
 ///
-/// Workloads enter as lazy [`TraceSource`](wlcrc_trace::TraceSource) streams,
-/// so the sweep's peak memory is independent of `lines`. Registration and
-/// row extraction both walk the same `schemes` slice, so a sweep point can
-/// never silently drop out of the output.
+/// Every scheme replays the same traces, and a result store keys them by
+/// content, so a rerun of the sweep is served from the store. Registration
+/// and row extraction both walk the same `schemes` slice, so a sweep point
+/// can never silently drop out of the output.
 fn run_sweep(
     lines: usize,
     seed: u64,
@@ -111,10 +111,9 @@ fn run_sweep(
 ) -> Vec<EnergyBreakdownRow> {
     let mut plan = ExperimentPlan::new().seed(seed).verify_integrity(false);
     plan = if biased {
-        plan.sources(biased_sources(lines / 4, seed))
+        plan.traces(biased_traces(lines / 4, seed))
     } else {
-        let (name, factory) = random_source(lines, seed);
-        plan.isolated(true).source_factory(name, factory)
+        plan.isolated(true).trace(random_trace(lines, seed))
     };
     for &g in granularities {
         for &(label, build) in schemes {
@@ -225,18 +224,18 @@ pub struct CompressionCoverageRow {
 }
 
 /// Figure 4: percentage of memory lines compressed by WLC (k = 4..9), COC and
-/// FPC+BDI, per benchmark. Consumes each benchmark's trace as a lazy stream.
+/// FPC+BDI, per benchmark, over each benchmark's trace.
 pub fn figure4(lines: usize, seed: u64) -> Vec<CompressionCoverageRow> {
     let coc = Coc::new();
     let fpc_bdi = wlcrc_compress::bdi::FpcBdi::new();
     let wlcs: Vec<Wlc> = (4..=9).map(Wlc::new).collect();
     let mut rows = Vec::new();
-    for (bench, stream) in Benchmark::ALL.iter().zip(biased_streams(lines, seed)) {
+    for (bench, trace) in Benchmark::ALL.iter().zip(biased_traces(lines, seed)) {
         let mut total = 0usize;
         let mut wlc_counts = [0usize; 6];
         let mut coc_count = 0usize;
         let mut fpc_bdi_count = 0usize;
-        for record in stream {
+        for record in trace.iter() {
             total += 1;
             for (i, wlc) in wlcs.iter().enumerate() {
                 if wlc.is_compressible(&record.new) {
@@ -570,7 +569,7 @@ pub fn figure14(lines: usize, seed: u64) -> Vec<SensitivityRow> {
     let results = ExperimentPlan::new()
         .seed(seed)
         .verify_integrity(false)
-        .sources(biased_sources(lines / 4, seed))
+        .traces(biased_traces(lines / 4, seed))
         .scheme("Baseline", || Box::new(RawCodec::new()))
         .scheme("WLCRC-16", || Box::new(WlcCosetCodec::wlcrc16()))
         .configs(models.iter().map(|model| {
@@ -691,22 +690,6 @@ pub fn multi_objective_tables(lines: usize, seed: u64) -> Vec<Table> {
         ]);
     }
     vec![table]
-}
-
-/// Quick sanity comparison used by several tests and the quickstart example:
-/// mean write energy of the baseline vs WLCRC-16 over the biased workloads.
-pub fn headline_comparison(lines: usize, seed: u64) -> (f64, f64) {
-    let result = ExperimentPlan::new()
-        .seed(seed)
-        .verify_integrity(false)
-        .sources(biased_sources(lines / 4, seed))
-        .scheme("Baseline", || Box::new(RawCodec::new()))
-        .scheme("WLCRC-16", || Box::new(WlcCosetCodec::wlcrc16()))
-        .run();
-    (
-        result.average_for_scheme("Baseline").mean_energy_pj(),
-        result.average_for_scheme("WLCRC-16").mean_energy_pj(),
-    )
 }
 
 #[cfg(test)]
@@ -852,7 +835,15 @@ mod tests {
 
     #[test]
     fn headline_numbers_are_in_the_paper_ballpark() {
-        let (baseline, wlcrc) = headline_comparison(LINES * 2, SEED);
+        let result = ExperimentPlan::new()
+            .seed(SEED)
+            .verify_integrity(false)
+            .traces(biased_traces(LINES / 2, SEED))
+            .scheme("Baseline", || Box::new(RawCodec::new()))
+            .scheme("WLCRC-16", || Box::new(WlcCosetCodec::wlcrc16()))
+            .run();
+        let baseline = result.average_for_scheme("Baseline").mean_energy_pj();
+        let wlcrc = result.average_for_scheme("WLCRC-16").mean_energy_pj();
         let saving = 1.0 - wlcrc / baseline;
         // The paper reports ~52% on its Simics traces; on the synthetic
         // traces the saving is smaller but must stay clearly substantial.

@@ -5,8 +5,9 @@
 //! multi-objective study), and `experiments` runs them all in sequence;
 //! they all build on the helpers in this crate:
 //!
-//! * [`args::RunArgs`] — `--lines N --seed S` command-line handling so every
-//!   experiment can be scaled up or down;
+//! * [`args`] — the one flag loop every bench binary reads its command line
+//!   through, and [`args::RunArgs`], the `--lines N --seed S` that scales
+//!   every experiment up or down;
 //! * [`table`] — plain-text table printing in the same row/series layout the
 //!   paper reports;
 //! * [`workloads`] — biased (SPEC/PARSEC-like) and random trace construction;

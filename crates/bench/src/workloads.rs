@@ -1,18 +1,13 @@
 //! Trace construction helpers shared by the experiments.
 //!
-//! Experiments prefer the *streaming* helpers ([`biased_sources`],
-//! [`random_source`]): they plug straight into
-//! [`ExperimentPlan::sources`](wlcrc_memsim::ExperimentPlan::sources), which
-//! builds each trace once per run, and a `Simulator` fed one directly
-//! generates records lazily. The materialising variants remain for callers
-//! that need to inspect a whole trace at once.
+//! The paper runs every scheme over the same records, so the helpers build
+//! each trace once and hand it out as an `Arc<Trace>`, ready for
+//! [`ExperimentPlan::traces`](wlcrc_memsim::ExperimentPlan::traces): the
+//! engine keys such a workload by its content digest, so a figure grid
+//! caches like a profile grid.
 
 use std::sync::Arc;
-use wlcrc_memsim::TraceSourceFactory;
-use wlcrc_trace::{
-    Benchmark, RandomTraceGenerator, RandomTraceStream, Trace, TraceGenerator, TraceSource,
-    TraceStream, WorkloadProfile,
-};
+use wlcrc_trace::{Benchmark, RandomTraceGenerator, Trace, TraceGenerator, WorkloadProfile};
 
 /// A deterministic mixed corpus of memory lines — zero words, all-ones
 /// words, small values, small negatives and random words — the content mix
@@ -41,59 +36,19 @@ pub fn mixed_lines(count: usize, seed: u64) -> Vec<wlcrc_pcm::line::MemoryLine> 
 
 /// Generates one synthetic trace per benchmark, `lines` writes each
 /// (unscaled), using deterministic per-benchmark seeds derived from `seed`.
-pub fn biased_traces(lines: usize, seed: u64) -> Vec<Trace> {
+pub fn biased_traces(lines: usize, seed: u64) -> Vec<Arc<Trace>> {
     Benchmark::ALL
         .iter()
         .map(|b| {
-            let profile = b.profile();
-            let mut generator = TraceGenerator::new(profile, seed ^ hash(b.short_name()));
-            generator.generate(lines)
-        })
-        .collect()
-}
-
-/// One lazy bounded stream per benchmark, yielding exactly the records of
-/// [`biased_traces`] (same per-benchmark seeds) without materialising them.
-pub fn biased_streams(lines: usize, seed: u64) -> Vec<TraceStream> {
-    Benchmark::ALL
-        .iter()
-        .map(|b| TraceStream::new(b.profile(), seed ^ hash(b.short_name()), lines))
-        .collect()
-}
-
-/// The streaming-workload axis of the paper's biased experiments: one
-/// `(name, factory)` pair per benchmark for
-/// [`ExperimentPlan::sources`](wlcrc_memsim::ExperimentPlan::sources), each
-/// factory replaying the benchmark's deterministic stream.
-pub fn biased_sources(lines: usize, seed: u64) -> Vec<(String, TraceSourceFactory)> {
-    Benchmark::ALL
-        .iter()
-        .map(|b| {
-            let benchmark = *b;
-            let factory: TraceSourceFactory = Arc::new(move |_base| {
-                Box::new(TraceStream::new(
-                    benchmark.profile(),
-                    seed ^ hash(benchmark.short_name()),
-                    lines,
-                )) as Box<dyn TraceSource + Send>
-            });
-            (b.short_name().to_string(), factory)
+            let mut generator = TraceGenerator::new(b.profile(), seed ^ hash(b.short_name()));
+            Arc::new(generator.generate(lines))
         })
         .collect()
 }
 
 /// Generates a single trace of uniformly random `(old, new)` line pairs.
-pub fn random_trace(lines: usize, seed: u64) -> Trace {
-    RandomTraceGenerator::new(seed).generate(lines)
-}
-
-/// The streaming form of [`random_trace`]: a `(name, factory)` pair whose
-/// factory replays the same deterministic random stream.
-pub fn random_source(lines: usize, seed: u64) -> (String, TraceSourceFactory) {
-    let factory: TraceSourceFactory = Arc::new(move |_base| {
-        Box::new(RandomTraceStream::new(seed, lines)) as Box<dyn TraceSource + Send>
-    });
-    ("random".to_string(), factory)
+pub fn random_trace(lines: usize, seed: u64) -> Arc<Trace> {
+    Arc::new(RandomTraceGenerator::new(seed).generate(lines))
 }
 
 /// The workload profiles of the paper's twelve benchmarks.
@@ -125,22 +80,5 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         assert_eq!(biased_traces(5, 7)[0], biased_traces(5, 7)[0]);
-    }
-
-    #[test]
-    fn streams_match_materialised_traces() {
-        // The streaming axis must replay byte-identical records for every
-        // benchmark, or streamed and materialised figures would diverge.
-        let materialised = biased_traces(8, 3);
-        for (stream, trace) in biased_streams(8, 3).into_iter().zip(&materialised) {
-            assert_eq!(&stream.collect_trace(), trace);
-        }
-        for ((name, factory), trace) in biased_sources(8, 3).into_iter().zip(&materialised) {
-            assert_eq!(&name, &trace.workload);
-            assert_eq!(&factory(99).collect_trace(), trace, "factory must ignore the base seed");
-        }
-        let (name, factory) = random_source(6, 5);
-        assert_eq!(name, "random");
-        assert_eq!(factory(0).collect_trace(), random_trace(6, 5));
     }
 }

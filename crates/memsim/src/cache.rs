@@ -15,8 +15,7 @@
 //!   codecs can share a name (e.g. `RawCodec::with_mapping`);
 //! * the **workload identity**: the full self-describing profile (plus the
 //!   derived stream seed and scaled trace length the engine will actually
-//!   generate), or the content digest of a trace the plan was given. Opaque
-//!   stream factories have no identity and bypass the cache;
+//!   generate), or the content digest of a trace the plan was given;
 //! * the **configuration**: the entire `PcmConfig` (energy model,
 //!   disturbance model, line/bank geometry) plus its index on the plan's
 //!   config axis — the index feeds the cell's disturbance-sampling seed, so
@@ -38,8 +37,7 @@
 //! some cell key changes — salt bumps, codec edits, workload or config
 //! changes all propagate through the cell fingerprints — while inheriting
 //! the same worker/shard independence. A fully warm rerun is
-//! then **one** store read per config instead of N cell reads plus a merge;
-//! a config with any uncacheable (opaque-stream) cell has no plan key.
+//! then **one** store read per config instead of N cell reads plus a merge.
 
 use crate::experiment::ExperimentResult;
 use crate::stats::SchemeStats;

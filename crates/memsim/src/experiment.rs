@@ -63,16 +63,6 @@ impl ExperimentResult {
     pub fn workloads(&self) -> Vec<String> {
         distinct(self.cells.iter().map(|cell| cell.workload.as_str()))
     }
-
-    /// The per-bank write imbalance of `workload`'s trace (max/min ratio over
-    /// [`SchemeStats::bank_writes`]; 1.0 = perfectly balanced, infinity =
-    /// some bank untouched), taken from the workload's first cell — every
-    /// scheme replays the same records, so the distribution is identical
-    /// across schemes. High values mean intra-trace bank-sharding loads the
-    /// shard workers unevenly; see `WLCRC_INTRA_SHARDS`.
-    pub fn write_imbalance(&self, workload: &str) -> Option<f64> {
-        self.cells.iter().find(|s| s.workload == workload).map(SchemeStats::write_imbalance)
-    }
 }
 
 /// First-seen-order dedup in O(n) (a seen-set instead of a `contains` scan).
@@ -141,14 +131,6 @@ mod tests {
         let total: u64 = result.for_scheme("Baseline").iter().map(|s| s.writes).sum();
         assert_eq!(avg.writes, total);
         assert_eq!(avg.workload, "Ave.");
-    }
-
-    #[test]
-    fn write_imbalance_is_reported_per_workload() {
-        let result = run_raw(&["Baseline", "Baseline2"], vec![Benchmark::Gcc.profile()], 200, 1);
-        let imbalance = result.write_imbalance("gcc").expect("workload present");
-        assert!(imbalance >= 1.0);
-        assert_eq!(result.write_imbalance("nope"), None);
     }
 
     #[test]

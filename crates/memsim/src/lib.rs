@@ -52,8 +52,8 @@ pub mod stats;
 pub use cache::{CellKey, PlanKey, SIMULATOR_VERSION_SALT, STORE_SALT_ENV};
 pub use engine::{
     cell_seed, grid_metrics, resolve_worker_count, scaled_workload_lines, workload_stream_seed,
-    ClaimedRunReport, ExperimentPlan, GridMetrics, TraceSourceFactory, CLAIM_CRASH_EXIT_CODE,
-    FAULT_CLAIM_CRASH, INTRA_SHARDS_ENV, STORE_ENV, STORE_READONLY_ENV, THREADS_ENV,
+    ClaimedRunReport, ExperimentPlan, GridMetrics, CLAIM_CRASH_EXIT_CODE, FAULT_CLAIM_CRASH,
+    INTRA_SHARDS_ENV, STORE_ENV, STORE_READONLY_ENV, THREADS_ENV,
 };
 pub use experiment::{ExperimentResult, RunMetadata};
 pub use memory::MemoryOrganization;

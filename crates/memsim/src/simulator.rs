@@ -504,10 +504,11 @@ mod tests {
     fn isolated_run_matches_record_count() {
         let sim = Simulator::new();
         let codec = RawCodec::new();
-        let records = wlcrc_trace::from_fn("isolated", 50, |i| {
+        let records = (0..50).map(|i| {
             WriteRecord::new(0, MemoryLine::from_words([i; 8]), MemoryLine::from_words([i + 1; 8]))
         });
-        let lanes = sim.run_isolated_shard(&codec, records, 0, 1);
+        let trace = Trace::from_records("isolated", records.collect());
+        let lanes = sim.run_isolated_shard(&codec, &trace, 0, 1);
         let stats = merge_bank_stats("Baseline", "isolated", sim.config().total_banks(), lanes);
         assert_eq!(stats.writes, 50);
         assert_eq!(stats.integrity_failures, 0);

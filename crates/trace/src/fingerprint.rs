@@ -14,10 +14,10 @@
 //!   hand-built trace caches correctly without the store ever storing the
 //!   trace itself.
 //!
-//! Custom [`TraceSource`](crate::source::TraceSource) streams built from
-//! closures have no inspectable identity and are deliberately *not*
-//! fingerprintable — the experiment engine bypasses the cache for them
-//! rather than risking a false hit.
+//! These are the only two workload shapes the experiment engine takes, so
+//! every cell it runs has a cache address. A custom
+//! [`TraceSource`](crate::source::TraceSource) joins a plan as the trace it
+//! drains into.
 
 use crate::profile::WorkloadProfile;
 use crate::record::Trace;

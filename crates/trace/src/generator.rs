@@ -68,22 +68,15 @@ impl TraceGenerator {
         WriteRecord::new(address, old, new)
     }
 
-    /// Generates a complete trace of `count` records.
-    ///
-    /// Thin materialising adapter over [`TraceGenerator::into_stream`], kept
-    /// for tests and small workloads; prefer the stream for anything large.
+    /// Generates the next `count` records as a materialised trace; a
+    /// [`TraceStream`](crate::source::TraceStream) over the same profile and
+    /// seed yields the same records one at a time.
     pub fn generate(&mut self, count: usize) -> Trace {
         let mut trace = Trace::new(self.profile.name.clone());
         for _ in 0..count {
             trace.push(self.next_record());
         }
         trace
-    }
-
-    /// Converts the generator into a lazy bounded stream of `count` records,
-    /// yielding exactly what [`TraceGenerator::generate`] would materialise.
-    pub fn into_stream(self, count: usize) -> crate::source::TraceStream {
-        crate::source::TraceStream::from_generator(self, count)
     }
 
     fn pick_class(&mut self) -> LineClass {
@@ -342,11 +335,6 @@ impl RandomTraceGenerator {
             trace.push(self.next_record());
         }
         trace
-    }
-
-    /// Converts the generator into a lazy bounded stream of `count` records.
-    pub fn into_stream(self, count: usize) -> crate::source::RandomTraceStream {
-        crate::source::RandomTraceStream::from_generator(self, count)
     }
 }
 

@@ -38,7 +38,4 @@ pub mod source;
 pub use generator::{RandomTraceGenerator, TraceGenerator};
 pub use profile::{Benchmark, IntensityClass, WorkloadProfile};
 pub use record::{Trace, WriteRecord};
-pub use source::{
-    from_fn, FnTraceSource, IntoTraceSource, RandomTraceStream, TraceRecords, TraceSource,
-    TraceStream,
-};
+pub use source::{IntoTraceSource, TraceRecords, TraceSource, TraceStream};

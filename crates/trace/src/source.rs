@@ -3,20 +3,18 @@
 //! A [`TraceSource`] is a trace as an *iterator* of [`WriteRecord`]s
 //! labelled with the workload that produced it, generated lazily one record
 //! at a time, so a simulator fed one holds O(working-set) memory however
-//! long the trace. [`Trace`] is the materialised form ([`Trace::source`]).
+//! long the trace. Two sources ship with the crate:
 //!
-//! Three families of sources ship with the crate:
+//! * [`TraceStream`] — a lazy, bounded, deterministic stream over a
+//!   [`TraceGenerator`]; it yields exactly the records `generate(count)`
+//!   would have materialised, in the same order, for the same seed;
+//! * [`TraceRecords`] — replays an already-materialised [`Trace`]
+//!   ([`Trace::source`]; `&Trace` converts through [`IntoTraceSource`]).
 //!
-//! * [`TraceStream`] / [`RandomTraceStream`] — lazy, bounded, deterministic
-//!   streams over [`TraceGenerator`] / [`RandomTraceGenerator`]; they yield
-//!   exactly the records `generate(count)` would have materialised, in the
-//!   same order, for the same seed;
-//! * [`Trace::source`] — replays an already-materialised trace;
-//! * [`from_fn`] — adapts a closure into a bounded source, the building block
-//!   for custom bounded-memory streams (replayed database logs, mmap'd trace
-//!   files, procedurally generated stress workloads).
+//! [`TraceSource::collect_trace`] drains any source into a [`Trace`], the
+//! form the experiment engine replays.
 
-use crate::generator::{RandomTraceGenerator, TraceGenerator};
+use crate::generator::TraceGenerator;
 use crate::profile::WorkloadProfile;
 use crate::record::{Trace, WriteRecord};
 
@@ -37,8 +35,8 @@ pub trait TraceSource: Iterator<Item = WriteRecord> {
         None
     }
 
-    /// Drains the stream into a materialised [`Trace`] (back-compat helper;
-    /// prefer feeding the source to a simulator directly).
+    /// Drains the stream into a materialised [`Trace`], which the experiment
+    /// engine builds once per (workload, seed) and replays for every scheme.
     fn collect_trace(mut self) -> Trace
     where
         Self: Sized,
@@ -50,16 +48,6 @@ pub trait TraceSource: Iterator<Item = WriteRecord> {
 }
 
 impl<S: TraceSource + ?Sized> TraceSource for &mut S {
-    fn workload(&self) -> &str {
-        (**self).workload()
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        (**self).remaining_hint()
-    }
-}
-
-impl<S: TraceSource + ?Sized> TraceSource for Box<S> {
     fn workload(&self) -> &str {
         (**self).workload()
     }
@@ -143,12 +131,7 @@ impl TraceStream {
     /// Creates a bounded stream for `profile`, seeded with `seed` (fully
     /// deterministic: same profile, seed and count → same records).
     pub fn new(profile: WorkloadProfile, seed: u64, count: usize) -> TraceStream {
-        TraceGenerator::new(profile, seed).into_stream(count)
-    }
-
-    /// Wraps an existing generator into a bounded stream.
-    pub(crate) fn from_generator(generator: TraceGenerator, count: usize) -> TraceStream {
-        TraceStream { generator, remaining: count }
+        TraceStream { generator: TraceGenerator::new(profile, seed), remaining: count }
     }
 }
 
@@ -178,120 +161,10 @@ impl TraceSource for TraceStream {
     }
 }
 
-/// Lazy, bounded stream of uniformly random `(old, new)` line pairs (the
-/// streaming form of [`RandomTraceGenerator::generate`]).
-#[derive(Debug)]
-pub struct RandomTraceStream {
-    generator: RandomTraceGenerator,
-    remaining: usize,
-}
-
-impl RandomTraceStream {
-    /// Creates a bounded random-data stream with the given seed.
-    pub fn new(seed: u64, count: usize) -> RandomTraceStream {
-        RandomTraceGenerator::new(seed).into_stream(count)
-    }
-
-    pub(crate) fn from_generator(
-        generator: RandomTraceGenerator,
-        count: usize,
-    ) -> RandomTraceStream {
-        RandomTraceStream { generator, remaining: count }
-    }
-}
-
-impl Iterator for RandomTraceStream {
-    type Item = WriteRecord;
-
-    fn next(&mut self) -> Option<WriteRecord> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(self.generator.next_record())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl TraceSource for RandomTraceStream {
-    fn workload(&self) -> &str {
-        "random"
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
-}
-
-/// A bounded source that computes each record from its index via a closure —
-/// the building block for custom bounded-memory streams (see [`from_fn`]).
-pub struct FnTraceSource<F> {
-    workload: String,
-    next_index: u64,
-    count: u64,
-    f: F,
-}
-
-/// Builds a bounded [`TraceSource`] named `workload` that yields
-/// `f(0), f(1), …, f(count - 1)`.
-///
-/// Peak memory is whatever `f` itself retains, so arbitrarily long traces can
-/// be streamed without materialisation:
-///
-/// ```
-/// use wlcrc_trace::{from_fn, TraceSource, WriteRecord};
-/// use wlcrc_pcm::line::MemoryLine;
-///
-/// let mut source = from_fn("counter", 1_000_000, |i| {
-///     let line = MemoryLine::from_words([i; 8]);
-///     WriteRecord::new((i % 64) * 64, line, line)
-/// });
-/// assert_eq!(source.remaining_hint(), Some(1_000_000));
-/// assert_eq!(source.next().unwrap().address, 0);
-/// ```
-pub fn from_fn<F>(workload: impl Into<String>, count: u64, f: F) -> FnTraceSource<F>
-where
-    F: FnMut(u64) -> WriteRecord,
-{
-    FnTraceSource { workload: workload.into(), next_index: 0, count, f }
-}
-
-impl<F: FnMut(u64) -> WriteRecord> Iterator for FnTraceSource<F> {
-    type Item = WriteRecord;
-
-    fn next(&mut self) -> Option<WriteRecord> {
-        if self.next_index >= self.count {
-            return None;
-        }
-        let record = (self.f)(self.next_index);
-        self.next_index += 1;
-        Some(record)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = usize::try_from(self.count - self.next_index).unwrap_or(usize::MAX);
-        (left, Some(left))
-    }
-}
-
-impl<F: FnMut(u64) -> WriteRecord> TraceSource for FnTraceSource<F> {
-    fn workload(&self) -> &str {
-        &self.workload
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        usize::try_from(self.count - self.next_index).ok()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::Benchmark;
-    use wlcrc_pcm::line::MemoryLine;
 
     #[test]
     fn stream_matches_generate_for_every_standard_workload() {
@@ -302,13 +175,6 @@ mod tests {
             let streamed = TraceStream::new(b.profile(), 42, 120).collect_trace();
             assert_eq!(materialised, streamed, "{b:?}");
         }
-    }
-
-    #[test]
-    fn random_stream_matches_generate() {
-        let materialised = RandomTraceGenerator::new(9).generate(80);
-        let streamed = RandomTraceStream::new(9, 80).collect_trace();
-        assert_eq!(materialised, streamed);
     }
 
     #[test]
@@ -334,26 +200,15 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_yields_count_records() {
-        let mut calls = 0u64;
-        let source = from_fn("synthetic", 10, |i| {
-            calls += 1;
-            WriteRecord::new(i * 64, MemoryLine::ZERO, MemoryLine::from_words([i; 8]))
-        });
-        let trace = source.collect_trace();
-        assert_eq!(trace.len(), 10);
-        assert_eq!(trace.workload, "synthetic");
-        assert_eq!(calls, 10);
-        assert_eq!(trace.records()[3].address, 3 * 64);
-    }
-
-    #[test]
     fn boxed_and_borrowed_sources_still_expose_the_workload() {
+        fn drain(source: impl TraceSource) -> (String, usize) {
+            (source.workload().to_string(), source.count())
+        }
+        let mut stream = TraceStream::new(Benchmark::Lbm.profile(), 2, 5);
+        assert_eq!(drain(&mut stream), ("lbm".to_string(), 5));
+        assert_eq!(stream.remaining_hint(), Some(0), "the borrow drained the stream");
         let mut boxed: Box<dyn TraceSource> =
             Box::new(TraceStream::new(Benchmark::Lbm.profile(), 2, 5));
-        assert_eq!(boxed.workload(), "lbm");
-        let by_ref = &mut boxed;
-        assert_eq!(by_ref.workload(), "lbm");
-        assert_eq!(by_ref.count(), 5);
+        assert_eq!(drain(&mut *boxed), ("lbm".to_string(), 5));
     }
 }

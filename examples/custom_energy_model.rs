@@ -3,9 +3,10 @@
 //!
 //! Run with `cargo run --release --example custom_energy_model`.
 
+use std::sync::Arc;
 use wlcrc_repro::{
-    Benchmark, DisturbanceModel, EnergyModel, ExperimentPlan, PcmConfig, RawCodec, TraceSource,
-    TraceStream, WlcCosetCodec,
+    Benchmark, DisturbanceModel, EnergyModel, ExperimentPlan, PcmConfig, RawCodec, TraceGenerator,
+    WlcCosetCodec,
 };
 
 fn main() {
@@ -22,13 +23,12 @@ fn main() {
 
     // The custom device plugs straight into an ExperimentPlan: the grid
     // (2 schemes × 4 workloads) runs on the worker pool against it, and
-    // both schemes replay each workload's trace, built once.
+    // both schemes replay each workload's trace.
     let benchmarks = [Benchmark::Leslie3d, Benchmark::Gcc, Benchmark::Mcf, Benchmark::Libquantum];
     let mut plan = ExperimentPlan::new().seed(3).config(config);
     for benchmark in benchmarks {
-        plan = plan.source(benchmark.short_name(), move |_base| {
-            Box::new(TraceStream::new(benchmark.profile(), 17, 1500)) as Box<dyn TraceSource + Send>
-        });
+        let trace = TraceGenerator::new(benchmark.profile(), 17).generate(1500);
+        plan = plan.trace(Arc::new(trace));
     }
     let result = plan
         .scheme("Baseline", || Box::new(RawCodec::new()))

@@ -4,22 +4,19 @@
 //!
 //! Run with `cargo run --release --example endurance_tradeoff`.
 
+use std::sync::Arc;
 use wlcrc_repro::{
-    Benchmark, ExperimentPlan, MultiObjectiveConfig, SchemeStats, TraceSource, TraceStream,
+    Benchmark, ExperimentPlan, MultiObjectiveConfig, SchemeStats, Trace, TraceGenerator,
     WlcCosetCodec,
 };
 
-fn run(threshold: Option<f64>) -> SchemeStats {
-    // One plan per threshold: 12 workloads streamed over the worker pool.
-    // Every run replays the same deterministic streams (same profile, seed
-    // and length), so the sweep stays paired without sharing any buffers.
-    let mut plan = ExperimentPlan::new().seed(11).verify_integrity(false);
-    for benchmark in Benchmark::ALL {
-        plan = plan.source(benchmark.short_name(), move |_base| {
-            Box::new(TraceStream::new(benchmark.profile(), 31, 800)) as Box<dyn TraceSource + Send>
-        });
-    }
-    let result = plan
+fn run(traces: &[Arc<Trace>], threshold: Option<f64>) -> SchemeStats {
+    // One plan per threshold: the 12 workloads run over the worker pool.
+    // Every run replays the same traces, so the sweep stays paired.
+    let result = ExperimentPlan::new()
+        .seed(11)
+        .verify_integrity(false)
+        .traces(traces.iter().cloned())
         .scheme("WLCRC-16", move || match threshold {
             None => Box::new(WlcCosetCodec::wlcrc16()),
             Some(t) => Box::new(
@@ -32,11 +29,15 @@ fn run(threshold: Option<f64>) -> SchemeStats {
 }
 
 fn main() {
+    let traces: Vec<Arc<Trace>> = Benchmark::ALL
+        .iter()
+        .map(|benchmark| Arc::new(TraceGenerator::new(benchmark.profile(), 31).generate(800)))
+        .collect();
     println!(
         "{:<12} {:>14} {:>16} {:>16}",
         "threshold T", "energy (pJ)", "updated cells", "vs plain"
     );
-    let plain = run(None);
+    let plain = run(&traces, None);
     println!(
         "{:<12} {:>14.1} {:>16.2} {:>16}",
         "off",
@@ -45,7 +46,7 @@ fn main() {
         "-"
     );
     for t in [0.005, 0.01, 0.02, 0.05, 0.10] {
-        let stats = run(Some(t));
+        let stats = run(&traces, Some(t));
         println!(
             "{:<12} {:>14.1} {:>16.2} {:>15.1}%",
             format!("{:.1}%", t * 100.0),

@@ -4,18 +4,17 @@
 //! Run with `cargo run --release --example scheme_comparison [-- <benchmark>]`
 //! where `<benchmark>` is one of the paper's short names (default: `gcc`).
 
-use wlcrc_repro::{standard_factories, Benchmark, ExperimentPlan, TraceSource, TraceStream};
+use std::sync::Arc;
+use wlcrc_repro::{standard_factories, Benchmark, ExperimentPlan, TraceGenerator};
 
 fn main() {
     let wanted = std::env::args().nth(1).unwrap_or_else(|| "gcc".to_string());
     let benchmark =
         Benchmark::ALL.into_iter().find(|b| b.short_name() == wanted).unwrap_or(Benchmark::Gcc);
 
-    // Nothing is materialised: the workload is a lazy TraceStream, replayed
-    // deterministically wherever a full pass over the records is needed.
-    let stream = move || TraceStream::new(benchmark.profile(), 2024, 3000);
+    let trace = Arc::new(TraceGenerator::new(benchmark.profile(), 2024).generate(3000));
     let (writes, changed_bits) =
-        stream().fold((0u64, 0u64), |(n, bits), r| (n + 1, bits + u64::from(r.changed_bits())));
+        trace.iter().fold((0u64, 0u64), |(n, bits), r| (n + 1, bits + u64::from(r.changed_bits())));
     println!(
         "workload {} ({}): {} writes, {:.1} changed bits per write on average\n",
         benchmark.short_name(),
@@ -27,10 +26,8 @@ fn main() {
     // All eight schemes run as one ExperimentPlan grid sharded across the
     // worker pool (WLCRC_THREADS) — and, with spare workers, across the
     // trace's banks (WLCRC_INTRA_SHARDS); every scheme replays the same
-    // deterministic stream, so the comparison stays paired.
-    let mut plan = ExperimentPlan::new().seed(7).source(benchmark.short_name(), move |_base| {
-        Box::new(stream()) as Box<dyn TraceSource + Send>
-    });
+    // trace, so the comparison stays paired.
+    let mut plan = ExperimentPlan::new().seed(7).trace(trace);
     for (id, factory) in standard_factories() {
         plan = plan.scheme_factory(id.label(), factory);
     }

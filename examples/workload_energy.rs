@@ -4,26 +4,24 @@
 //!
 //! Run with `cargo run --release --example workload_energy`.
 
+use std::sync::Arc;
 use wlcrc_repro::{
-    Benchmark, Compressor, ExperimentPlan, RawCodec, TraceSource, TraceStream, Wlc, WlcCosetCodec,
+    Benchmark, Compressor, ExperimentPlan, RawCodec, Trace, TraceGenerator, Wlc, WlcCosetCodec,
 };
 
-/// One lazy stream per benchmark: the engine builds its trace once, and
-/// every scheme (and bank-partition shard) replays it.
-fn stream(benchmark: Benchmark) -> TraceStream {
-    TraceStream::new(benchmark.profile(), 99, 1500)
-}
-
 fn main() {
+    // One trace per benchmark: every scheme (and bank-partition shard)
+    // replays it, and the breakdown below reads it again.
+    let traces: Vec<Arc<Trace>> = Benchmark::ALL
+        .iter()
+        .map(|benchmark| Arc::new(TraceGenerator::new(benchmark.profile(), 99).generate(1500)))
+        .collect();
     // Run the whole (2 schemes × 12 workloads) grid through the
     // ExperimentPlan engine before printing the per-benchmark breakdown.
-    let mut plan = ExperimentPlan::new().seed(5).verify_integrity(false);
-    for benchmark in Benchmark::ALL {
-        plan = plan.source(benchmark.short_name(), move |_base| {
-            Box::new(stream(benchmark)) as Box<dyn TraceSource + Send>
-        });
-    }
-    let result = plan
+    let result = ExperimentPlan::new()
+        .seed(5)
+        .verify_integrity(false)
+        .traces(traces.iter().cloned())
         .scheme("Baseline", || Box::new(RawCodec::new()))
         .scheme("WLCRC-16", || Box::new(WlcCosetCodec::wlcrc16()))
         .run();
@@ -41,14 +39,13 @@ fn main() {
         "wlcrc (pJ)",
         "saving"
     );
-    for benchmark in Benchmark::ALL {
-        // Symbol histogram of the written data, computed over a second pass
-        // of the same deterministic stream.
+    for (benchmark, trace) in Benchmark::ALL.into_iter().zip(&traces) {
+        // Symbol histogram of the written data, over the same trace.
         let mut hist = [0usize; 4];
         let mut wlc6 = 0usize;
         let mut wlc9 = 0usize;
         let mut lines = 0usize;
-        for record in stream(benchmark) {
+        for record in trace.iter() {
             lines += 1;
             let h = record.new.symbol_histogram();
             for i in 0..4 {

@@ -104,7 +104,7 @@ fn cached_results_are_byte_identical_across_store_states_workers_and_shards() {
     // Partially warm: evict a quarter of the *cell* entries (the plan entry
     // stays put) and rerun with the plan cache off, so the per-cell layer
     // recomputes and rewrites exactly the missing cells.
-    let plan_fp = registry_plan().plan_fingerprints()[0].expect("profile grid has a plan key");
+    let plan_fp = registry_plan().plan_fingerprints()[0];
     for info in store.entries().iter().filter(|i| i.fingerprint != plan_fp).step_by(4) {
         ResultStore::open(&scratch.0).unwrap().evict(info.fingerprint).unwrap();
     }
