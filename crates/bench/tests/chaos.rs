@@ -201,7 +201,7 @@ fn chaos_fleet_recovers_to_byte_identical_results() {
     let options = SimulationOptions { seed: 11, ..SimulationOptions::default() };
     let records: Vec<WriteRecord> =
         TraceStream::new(Benchmark::Gcc.profile(), 0xCAFE, 150).collect();
-    let mut client = RetryClient::connect(addr.to_string(), policy).expect("connect");
+    let mut client = RetryClient::connect_retrying(addr.to_string(), policy).expect("connect");
     let session = client
         .open(SchemeId::Wlcrc16.label(), "gcc", PcmConfig::table_ii(), options.clone())
         .expect("open");

@@ -30,12 +30,6 @@ impl Wlc {
         Wlc { k, name: format!("WLC-{k}MSB") }
     }
 
-    /// The WLC configuration used by WLCRC-16: `k = 6`, reclaiming 5 bits per
-    /// word (one restricted-group bit plus four per-block candidate bits).
-    pub fn for_wlcrc16() -> Wlc {
-        Wlc::new(6)
-    }
-
     /// The number of most-significant bits that must be identical.
     pub fn k(&self) -> usize {
         self.k
@@ -165,7 +159,9 @@ mod tests {
 
     #[test]
     fn wlcrc16_configuration() {
-        let wlc = Wlc::for_wlcrc16();
+        // WLCRC-16 runs k = 6, reclaiming 5 bits per word: one
+        // restricted-group bit plus four per-block candidate bits.
+        let wlc = Wlc::new(6);
         assert_eq!(wlc.k(), 6);
         assert_eq!(wlc.reclaimed_bits_per_word(), 5);
     }

@@ -164,11 +164,6 @@ impl WlcCosetCodec {
         self.layout
     }
 
-    /// `true` when this codec uses the restricted coset policy.
-    pub fn is_restricted(&self) -> bool {
-        self.restricted
-    }
-
     /// `true` when `line` passes the WLC test for this codec's layout and can
     /// therefore be stored in the compressed, coset-encoded format.
     pub fn is_compressible(&self, line: &MemoryLine) -> bool {

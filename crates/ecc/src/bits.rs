@@ -234,18 +234,6 @@ impl BitBuf {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// XORs `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn xor_with(&mut self, other: &BitBuf) {
-        assert_eq!(self.len(), other.len(), "xor requires equal lengths");
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a ^= b;
-        }
-    }
-
     /// Iterates over the bits, first bit first.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| (self.words[i / 64] >> (i % 64)) & 1 == 1)
@@ -336,16 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn xor_is_involutive() {
-        let a = BitBuf::from_u64(0b1100, 4);
-        let mut b = BitBuf::from_u64(0b1010, 4);
-        b.xor_with(&a);
-        assert_eq!(b.read_u64(0, 4), 0b0110);
-        b.xor_with(&a);
-        assert_eq!(b.read_u64(0, 4), 0b1010);
-    }
-
-    #[test]
     fn count_ones_counts() {
         assert_eq!(BitBuf::from_u64(0b1011, 4).count_ones(), 3);
         assert_eq!(BitBuf::zeros(100).count_ones(), 0);
@@ -433,13 +411,6 @@ mod tests {
         let v = BitBuf::from_u64(0b1, 1);
         assert_eq!(v.get_opt(0), Some(true));
         assert_eq!(v.get_opt(1), None);
-    }
-
-    #[test]
-    #[should_panic]
-    fn xor_length_mismatch_panics() {
-        let mut a = BitBuf::zeros(3);
-        a.xor_with(&BitBuf::zeros(4));
     }
 
     #[test]

@@ -475,7 +475,7 @@ impl ExperimentPlan {
     ///
     /// Claim races back off instead of spinning: a cell whose claim is held
     /// by a live worker is requeued with a bounded exponential delay
-    /// ([`claim_backoff`]), and transient claim-machinery errors are retried
+    /// (`claim_backoff`), and transient claim-machinery errors are retried
     /// a few times before coordination degrades to duplicate work. Chaos
     /// tests can kill a worker *while it holds a claim* through the
     /// [`FAULT_CLAIM_CRASH`] fault site, which is exactly the `kill -9` the

@@ -16,8 +16,9 @@
 //!   derived from.
 //!
 //! The memory organisation of Table II (channels, DIMMs, banks) is modelled
-//! in [`memory::MemoryOrganization`] for address mapping and per-bank
-//! accounting; it does not affect the energy metrics, matching the paper.
+//! in [`memory::MemoryOrganization`], which maps each address to the bank
+//! lane that simulates it; it does not affect the energy metrics, matching
+//! the paper.
 //!
 //! Simulation is *streaming*: the simulator consumes any
 //! [`wlcrc_trace::TraceSource`] one record at a time and routes each write to

@@ -26,19 +26,16 @@ pub struct MemoryOrganization {
     dimms_per_channel: usize,
     banks_per_dimm: usize,
     line_bytes: usize,
-    writes_per_bank: Vec<u64>,
 }
 
 impl MemoryOrganization {
     /// Creates the organisation described by `config`.
     pub fn new(config: &PcmConfig) -> MemoryOrganization {
-        let total = config.total_banks();
         MemoryOrganization {
             channels: config.channels,
             dimms_per_channel: config.dimms_per_channel,
             banks_per_dimm: config.banks_per_dimm,
             line_bytes: config.line_bytes,
-            writes_per_bank: vec![0; total],
         }
     }
 
@@ -62,28 +59,11 @@ impl MemoryOrganization {
         let loc = self.locate(address);
         (loc.channel * self.dimms_per_channel + loc.dimm) * self.banks_per_dimm + loc.bank
     }
-
-    /// Records one write to the bank holding `address`.
-    pub fn record_write(&mut self, address: u64) {
-        let idx = self.bank_index(address);
-        self.writes_per_bank[idx] += 1;
-    }
-
-    /// Per-bank write counts, indexed by flat bank index.
-    pub fn writes_per_bank(&self) -> &[u64] {
-        &self.writes_per_bank
-    }
-
-    /// The ratio between the most- and least-written banks (1.0 = perfectly
-    /// balanced); a quick check that address interleaving spreads the load.
-    pub fn write_imbalance(&self) -> f64 {
-        imbalance_of(&self.writes_per_bank)
-    }
 }
 
 /// Max/min ratio of a per-bank write-count vector: 1.0 means perfectly
 /// balanced, infinity means at least one bank saw writes while another saw
-/// none. Shared by [`MemoryOrganization::write_imbalance`] and the per-cell
+/// none. Behind the per-cell
 /// [`SchemeStats::write_imbalance`](crate::stats::SchemeStats::write_imbalance)
 /// the experiment engine surfaces for shard-count tuning.
 pub fn imbalance_of(writes_per_bank: &[u64]) -> f64 {
@@ -130,11 +110,12 @@ mod tests {
 
     #[test]
     fn sequential_writes_balance_across_banks() {
-        let mut org = MemoryOrganization::new(&PcmConfig::table_ii());
+        let org = MemoryOrganization::new(&PcmConfig::table_ii());
+        let mut writes_per_bank = vec![0u64; org.total_banks()];
         for line in 0..6400u64 {
-            org.record_write(line * 64);
+            writes_per_bank[org.bank_index(line * 64)] += 1;
         }
-        assert!(org.write_imbalance() <= 1.01);
+        assert!(imbalance_of(&writes_per_bank) <= 1.01);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   environment variable names an output file. The file loads directly
 //!   in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev), so a
 //!   whole `ExperimentPlan` run or gridrun worker becomes a flame chart.
-//! * [`metrics`] + [`registry`] — lock-free [`Counter`] / [`Gauge`] /
+//! * [`metrics`] + [`mod@registry`] — lock-free [`Counter`] / [`Gauge`] /
 //!   [`Histogram`] primitives (fixed log-spaced buckets, p50/p90/p99
 //!   extraction) and a process-global named registry that renders in
 //!   Prometheus text format. The serve scrape endpoint, the store's

@@ -72,11 +72,6 @@ impl PcmConfig {
         self.channels * self.dimms_per_channel * self.banks_per_dimm
     }
 
-    /// Total number of 64-byte lines in main memory.
-    pub fn total_lines(&self) -> u64 {
-        (self.capacity_gib as u64) * 1024 * 1024 * 1024 / self.line_bytes as u64
-    }
-
     /// Checks that the simulator can run this configuration: between one
     /// and 4,096 banks, a non-empty line, finite non-negative RESET
     /// and SET energies, and disturbance rates in `[0, 1]`. The constructors
@@ -128,12 +123,6 @@ mod tests {
         assert_eq!(c.line_bytes, 64);
         assert_eq!(c.capacity_gib, 32);
         assert_eq!(c.total_banks(), 2 * 2 * 16);
-    }
-
-    #[test]
-    fn total_lines_matches_capacity() {
-        let c = PcmConfig::table_ii();
-        assert_eq!(c.total_lines(), 32u64 * 1024 * 1024 * 1024 / 64);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   (Table II of the paper), configurable for the Figure 14 sensitivity study.
 //! * [`kernel`] — the bit-parallel candidate-evaluation kernel: transition
 //!   LUTs and plane-popcount block costs shared by every coset-style scheme.
-//! * [`write`] — differential write: only changed cells are programmed.
+//! * [`mod@write`] — differential write: only changed cells are programmed.
 //! * [`disturb`] — the write-disturbance error model (per-state disturbance
 //!   rates from Table II).
 //! * [`codec::LineCodec`] — the interface every encoding scheme implements

@@ -193,37 +193,6 @@ impl MemoryLine {
         }
         MemoryLine { words }
     }
-
-    /// Extracts `len` bits starting at line bit `start` (little-endian),
-    /// returning them in the low bits of a `u64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len > 64` or the range exceeds the line.
-    pub fn extract_bits(&self, start: usize, len: usize) -> u64 {
-        assert!(len <= 64, "cannot extract more than 64 bits at once");
-        assert!(start + len <= LINE_BITS, "bit range exceeds the line");
-        let mut out = 0u64;
-        for i in 0..len {
-            if self.bit(start + i) {
-                out |= 1 << i;
-            }
-        }
-        out
-    }
-
-    /// Writes the low `len` bits of `value` into the line starting at bit `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len > 64` or the range exceeds the line.
-    pub fn insert_bits(&mut self, start: usize, len: usize, value: u64) {
-        assert!(len <= 64, "cannot insert more than 64 bits at once");
-        assert!(start + len <= LINE_BITS, "bit range exceeds the line");
-        for i in 0..len {
-            self.set_bit(start + i, (value >> i) & 1 == 1);
-        }
-    }
 }
 
 impl fmt::Debug for MemoryLine {
@@ -271,18 +240,6 @@ pub mod word {
     pub fn symbol(word: u64, cell: usize) -> Symbol {
         assert!(cell < WORD_CELLS);
         Symbol::new(((word >> (cell * 2)) & 0b11) as u8)
-    }
-
-    /// Returns `word` with `symbol` stored in cell `cell` (0..32).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell >= 32`.
-    #[inline]
-    pub fn with_symbol(word: u64, cell: usize, symbol: Symbol) -> u64 {
-        assert!(cell < WORD_CELLS);
-        let shift = cell * 2;
-        (word & !(0b11u64 << shift)) | (u64::from(symbol.value()) << shift)
     }
 
     /// `true` if the `k` most-significant bits of `word` are all equal
@@ -373,16 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_insert_round_trip() {
-        let mut line = MemoryLine::new();
-        line.insert_bits(60, 16, 0xBEEF);
-        assert_eq!(line.extract_bits(60, 16), 0xBEEF);
-        // The range spans word 0 and word 1.
-        assert_ne!(line.word(0), 0);
-        assert_ne!(line.word(1), 0);
-    }
-
-    #[test]
     fn msbs_identical_detects_sign_extension() {
         assert!(word::msbs_identical(0x0000_0000_0000_1234, 6));
         assert!(word::msbs_identical(0xFFFF_FFFF_FFFF_F234, 6));
@@ -397,13 +344,6 @@ mod tests {
         assert_eq!(word::sign_extend_from(0x07FF_FFFF_FFFF_FFFF, 58), u64::MAX);
         assert_eq!(word::sign_extend_from(0x0000_0000_0000_1234, 58), 0x1234);
         assert_eq!(word::sign_extend_from(0xFFu64, 63), 0xFF);
-    }
-
-    #[test]
-    fn word_symbol_round_trip() {
-        let w = word::with_symbol(0, 31, Symbol::new(0b10));
-        assert_eq!(word::symbol(w, 31), Symbol::new(0b10));
-        assert_eq!(w, 0x8000_0000_0000_0000);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! A minimal blocking client for the serve protocol, used by the soak test,
-//! the `serve-replay` tool and in-process examples — plus the resilient
-//! [`RetryClient`] wrapper that reconnects and retries transient failures
-//! under a jittered-exponential [`RetryPolicy`].
+//! the `serve-replay` tool and in-process examples.
+//!
+//! [`ServeClient`] writes each typed request once, over any [`Exchange`]:
+//! a connected byte stream (TCP or Unix-domain), or the [`Reconnecting`]
+//! TCP transport of [`RetryClient`], which reconnects and retries transient
+//! failures under a jittered-exponential [`RetryPolicy`].
 
 use crate::error::ServeError;
 use crate::protocol::{read_frame, write_frame, Request, Response};
@@ -34,20 +37,45 @@ pub struct WriteReport {
     pub max_queued: u64,
 }
 
+/// The transport under a [`ServeClient`]: one request in, one response out.
+pub trait Exchange {
+    /// Sends `request` and reads the server's response to it.
+    fn exchange(&mut self, request: &Request) -> Result<Response, ServeError>;
+
+    /// Called by [`ServeClient::write_all`] after the `attempt`-th `Busy` in
+    /// a row (0-based), before the `Flush` that lets the server drain.
+    fn busy(&mut self, _attempt: u32) {}
+}
+
+/// Any connected bidirectional byte stream exchanges one frame each way.
+impl<S: Read + Write> Exchange for S {
+    fn exchange(&mut self, request: &Request) -> Result<Response, ServeError> {
+        write_frame(self, &request.to_value())?;
+        let value = read_frame(self)?
+            .ok_or_else(|| ServeError::Protocol("server hung up mid-exchange".to_string()))?;
+        Response::from_value(&value)
+    }
+}
+
 /// A connected client driving one request/response exchange at a time over
-/// any bidirectional byte stream.
-pub struct ServeClient<S: Read + Write> {
-    stream: S,
+/// an [`Exchange`] transport.
+pub struct ServeClient<S> {
+    transport: S,
+}
+
+/// Connects over TCP with `TCP_NODELAY` set.
+fn connect_tcp(addr: impl ToSocketAddrs) -> Result<TcpStream, ServeError> {
+    let stream = TcpStream::connect(addr)?;
+    // Requests and responses strictly alternate, so Nagle's algorithm
+    // would stall every exchange by a delayed-ACK interval.
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 impl ServeClient<TcpStream> {
     /// Connects over TCP.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<ServeClient<TcpStream>, ServeError> {
-        let stream = TcpStream::connect(addr)?;
-        // Requests and responses strictly alternate, so Nagle's algorithm
-        // would stall every exchange by a delayed-ACK interval.
-        stream.set_nodelay(true)?;
-        Ok(ServeClient::over(stream))
+        Ok(ServeClient::over(connect_tcp(addr)?))
     }
 }
 
@@ -59,19 +87,16 @@ impl ServeClient<UnixStream> {
     }
 }
 
-impl<S: Read + Write> ServeClient<S> {
-    /// Wraps an already-connected bidirectional stream.
-    pub fn over(stream: S) -> ServeClient<S> {
-        ServeClient { stream }
+impl<S: Exchange> ServeClient<S> {
+    /// Wraps an already-connected transport.
+    pub fn over(transport: S) -> ServeClient<S> {
+        ServeClient { transport }
     }
 
     /// One request/response exchange. Protocol-level `Error` responses are
     /// surfaced as [`ServeError::Remote`].
     pub fn call(&mut self, request: &Request) -> Result<Response, ServeError> {
-        write_frame(&mut self.stream, &request.to_value())?;
-        let value = read_frame(&mut self.stream)?
-            .ok_or_else(|| ServeError::Protocol("server hung up mid-exchange".to_string()))?;
-        match Response::from_value(&value)? {
+        match self.transport.exchange(request)? {
             Response::Error { message } => Err(ServeError::Remote(message)),
             response => Ok(response),
         }
@@ -103,8 +128,9 @@ impl<S: Read + Write> ServeClient<S> {
     }
 
     /// Delivers *all* records, resubmitting whatever a `Busy` response left
-    /// over (after a `Flush` to let the server drain). Chunks the batch so
-    /// no frame exceeds the protocol cap.
+    /// over (after the transport's [`Exchange::busy`] pause and a `Flush` to
+    /// let the server drain). Chunks the batch so no frame exceeds the
+    /// protocol cap.
     pub fn write_all(
         &mut self,
         session: u64,
@@ -114,19 +140,24 @@ impl<S: Read + Write> ServeClient<S> {
         let mut report = WriteReport { written: 0, busy_responses: 0, max_queued: 0 };
         for chunk in records.chunks(CHUNK) {
             let mut rest = chunk;
+            let mut busy_attempt = 0u32;
             while !rest.is_empty() {
                 match self.write(session, rest)? {
                     Response::Accepted { accepted, queued } => {
                         rest = unaccepted(rest, accepted)?;
                         report.written += accepted;
                         report.max_queued = report.max_queued.max(queued);
+                        busy_attempt = 0;
                     }
                     Response::Busy { accepted, queued } => {
                         rest = unaccepted(rest, accepted)?;
                         report.written += accepted;
                         report.busy_responses += 1;
                         report.max_queued = report.max_queued.max(queued);
-                        // Nothing was dropped; give the server room.
+                        // Nothing was dropped; pause (escalating while the
+                        // server stays busy), let it drain, resubmit.
+                        self.transport.busy(busy_attempt);
+                        busy_attempt = busy_attempt.saturating_add(1);
                         self.flush(session)?;
                     }
                     other => return Err(unexpected("Accepted|Busy", &other)),
@@ -238,7 +269,11 @@ fn jitter_unit(seed: u64, attempt: u32) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// A reconnecting TCP client that absorbs transient failures under a
+/// A [`ServeClient`] that reconnects and absorbs transient failures under a
+/// [`RetryPolicy`].
+pub type RetryClient = ServeClient<Reconnecting>;
+
+/// A reconnecting TCP transport that retries transient failures under a
 /// [`RetryPolicy`].
 ///
 /// Retried failures are strictly **exactly-once safe**:
@@ -253,75 +288,80 @@ fn jitter_unit(seed: u64, attempt: u32) -> f64 {
 ///   client cannot know whether the server applied it.
 ///
 /// `Busy` answered to a non-`Write` request means the server refused the
-/// connection at its cap; the client backs off, reconnects and retries.
-pub struct RetryClient {
+/// connection at its cap; the transport backs off, reconnects and retries.
+/// `Busy` answered to a `Write` is backpressure: [`ServeClient::write_all`]
+/// pauses through [`Exchange::busy`] (jittered, escalating while the server
+/// stays busy) before it flushes and resubmits.
+pub struct Reconnecting {
     addr: String,
     policy: RetryPolicy,
-    client: Option<ServeClient<TcpStream>>,
+    stream: Option<TcpStream>,
     retries: u64,
     busy_waits: u64,
 }
 
-impl RetryClient {
+impl ServeClient<Reconnecting> {
     /// Connects to `addr`, retrying the initial connect under `policy`.
-    pub fn connect(
+    pub fn connect_retrying(
         addr: impl Into<String>,
         policy: RetryPolicy,
     ) -> Result<RetryClient, ServeError> {
-        let mut client =
-            RetryClient { addr: addr.into(), policy, client: None, retries: 0, busy_waits: 0 };
-        let mut attempt = 0u32;
-        loop {
-            match client.ensure_connected() {
-                Ok(_) => return Ok(client),
-                Err(err) => {
-                    if attempt + 1 >= client.policy.max_attempts {
-                        return Err(err);
-                    }
-                    client.retries += 1;
-                    std::thread::sleep(client.policy.delay(attempt));
-                    attempt += 1;
+        let max_attempts = policy.max_attempts;
+        let mut transport =
+            Reconnecting { addr: addr.into(), policy, stream: None, retries: 0, busy_waits: 0 };
+        for attempt in 0.. {
+            match transport.stream() {
+                Ok(_) => break,
+                Err(err) if attempt + 1 >= max_attempts => return Err(err),
+                Err(_) => {
+                    transport.retries += 1;
+                    std::thread::sleep(transport.policy.delay(attempt));
                 }
             }
         }
+        Ok(ServeClient::over(transport))
     }
 
     /// Transient failures absorbed so far (reconnects and injected faults).
     pub fn retries(&self) -> u64 {
-        self.retries
+        self.transport.retries
     }
 
     /// Backoff pauses taken for `Busy` responses so far.
     pub fn busy_waits(&self) -> u64 {
-        self.busy_waits
+        self.transport.busy_waits
     }
+}
 
-    fn ensure_connected(&mut self) -> Result<&mut ServeClient<TcpStream>, ServeError> {
-        if let Some(ref mut client) = self.client {
-            return Ok(client);
+impl Reconnecting {
+    fn stream(&mut self) -> Result<&mut TcpStream, ServeError> {
+        if let Some(ref mut stream) = self.stream {
+            return Ok(stream);
         }
-        let client = ServeClient::connect(&*self.addr)?;
-        Ok(self.client.insert(client))
+        let stream = connect_tcp(&*self.addr)?;
+        Ok(self.stream.insert(stream))
     }
+}
 
+impl Exchange for Reconnecting {
     /// One exchange with retry: transient failures reconnect and resend
     /// under the policy (see the type docs for the exactly-once rules).
-    pub fn call(&mut self, request: &Request) -> Result<Response, ServeError> {
+    fn exchange(&mut self, request: &Request) -> Result<Response, ServeError> {
         let mut attempt = 0u32;
         loop {
             let injected = wlcrc_faults::should_fire(FAULT_CLIENT_FLAKY);
             let outcome = if injected {
-                self.client = None;
+                self.stream = None;
                 Err(ServeError::Io(std::io::Error::new(
                     std::io::ErrorKind::ConnectionReset,
                     "injected transient client fault",
                 )))
             } else {
-                let result = self.ensure_connected().and_then(|client| client.call(request));
+                let result = self.stream().and_then(|stream| stream.exchange(request));
                 if matches!(result, Err(ServeError::Io(_) | ServeError::Protocol(_))) {
                     // The connection is in an unknown framing state; any
                     // retry must start from a fresh one.
-                    self.client = None;
+                    self.stream = None;
                 }
                 result
             };
@@ -331,9 +371,8 @@ impl RetryClient {
                     if !matches!(request, Request::Write { .. }) && !out_of_attempts =>
                 {
                     // Refused at the connection cap: back off and reconnect.
-                    self.client = None;
-                    self.busy_waits += 1;
-                    std::thread::sleep(self.policy.delay(attempt));
+                    self.stream = None;
+                    self.busy(attempt);
                     attempt += 1;
                 }
                 Err(err)
@@ -348,103 +387,10 @@ impl RetryClient {
         }
     }
 
-    /// Opens a session; returns its id.
-    pub fn open(
-        &mut self,
-        scheme: &str,
-        workload: &str,
-        config: PcmConfig,
-        options: SimulationOptions,
-    ) -> Result<u64, ServeError> {
-        match self.call(&Request::Open {
-            scheme: scheme.to_string(),
-            workload: workload.to_string(),
-            config,
-            options,
-        })? {
-            Response::Opened { session } => Ok(session),
-            other => Err(unexpected("Opened", &other)),
-        }
-    }
-
-    /// Delivers *all* records, absorbing transient client faults and
-    /// backing off (jittered, exponential) on `Busy` backpressure.
-    pub fn write_all(
-        &mut self,
-        session: u64,
-        records: &[WriteRecord],
-    ) -> Result<WriteReport, ServeError> {
-        const CHUNK: usize = 4096;
-        let mut report = WriteReport { written: 0, busy_responses: 0, max_queued: 0 };
-        for chunk in records.chunks(CHUNK) {
-            let mut rest = chunk;
-            let mut busy_attempt = 0u32;
-            while !rest.is_empty() {
-                let request = Request::Write { session, records: rest.to_vec() };
-                match self.call(&request)? {
-                    Response::Accepted { accepted, queued } => {
-                        rest = unaccepted(rest, accepted)?;
-                        report.written += accepted;
-                        report.max_queued = report.max_queued.max(queued);
-                        busy_attempt = 0;
-                    }
-                    Response::Busy { accepted, queued } => {
-                        rest = unaccepted(rest, accepted)?;
-                        report.written += accepted;
-                        report.busy_responses += 1;
-                        report.max_queued = report.max_queued.max(queued);
-                        // Nothing was dropped; pause (escalating while the
-                        // server stays busy), let it drain, resubmit.
-                        self.busy_waits += 1;
-                        std::thread::sleep(self.policy.delay(busy_attempt));
-                        busy_attempt = busy_attempt.saturating_add(1);
-                        self.flush(session)?;
-                    }
-                    other => return Err(unexpected("Accepted|Busy", &other)),
-                }
-            }
-        }
-        Ok(report)
-    }
-
-    /// Blocks until the session's backlog is fully simulated.
-    pub fn flush(&mut self, session: u64) -> Result<u64, ServeError> {
-        match self.call(&Request::Flush { session })? {
-            Response::Flushed { writes } => Ok(writes),
-            other => Err(unexpected("Flushed", &other)),
-        }
-    }
-
-    /// Snapshots the session's statistics (drains first server-side).
-    pub fn stats(&mut self, session: u64) -> Result<(SchemeStats, bool), ServeError> {
-        match self.call(&Request::Stats { session })? {
-            Response::Stats { stats, degraded } => Ok((stats, degraded)),
-            other => Err(unexpected("Stats", &other)),
-        }
-    }
-
-    /// Closes the session, returning its final statistics and store outcome.
-    pub fn close(&mut self, session: u64) -> Result<(SchemeStats, Option<bool>), ServeError> {
-        match self.call(&Request::Close { session })? {
-            Response::Closed { stats, store_hit } => Ok((stats, store_hit)),
-            other => Err(unexpected("Closed", &other)),
-        }
-    }
-
-    /// Scrapes the plain-text metrics.
-    pub fn metrics_text(&mut self) -> Result<String, ServeError> {
-        match self.call(&Request::Metrics)? {
-            Response::MetricsText { text } => Ok(text),
-            other => Err(unexpected("MetricsText", &other)),
-        }
-    }
-
-    /// Asks the server to shut down.
-    pub fn shutdown(&mut self) -> Result<(), ServeError> {
-        match self.call(&Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            other => Err(unexpected("ShuttingDown", &other)),
-        }
+    /// Counts the pause and sleeps the policy's delay for `attempt`.
+    fn busy(&mut self, attempt: u32) {
+        self.busy_waits += 1;
+        std::thread::sleep(self.policy.delay(attempt));
     }
 }
 
@@ -512,7 +458,8 @@ mod tests {
 
             let (addr, server) = fake_server(response.clone());
             let mut client =
-                RetryClient::connect(addr.to_string(), RetryPolicy::default()).expect("connect");
+                RetryClient::connect_retrying(addr.to_string(), RetryPolicy::default())
+                    .expect("connect");
             assert!(is_overcount(client.write_all(1, &records)), "RetryClient took {response:?}");
             drop(client);
             server.join().expect("fake server");

@@ -7,7 +7,9 @@
 //! Unix-domain sockets, with a worker pool draining bounded per-bank queues
 //! in the background ([`server`]), explicit backpressure (`Busy`, never
 //! unbounded growth, never a silent drop), graceful degradation under load,
-//! and live plain-text metrics ([`metrics`]).
+//! and live plain-text metrics ([`metrics`]). The client side ([`client`])
+//! is one [`ServeClient`] over any [`Exchange`] transport: a TCP or
+//! Unix-domain stream, or the reconnecting TCP transport of [`RetryClient`].
 //!
 //! The determinism contract of the batch engine carries over verbatim: the
 //! statistics a session reports are **byte-identical** to running
@@ -25,7 +27,9 @@ pub mod metrics;
 pub mod protocol;
 pub mod server;
 
-pub use client::{RetryClient, RetryPolicy, ServeClient, WriteReport, FAULT_CLIENT_FLAKY};
+pub use client::{
+    Exchange, RetryClient, RetryPolicy, ServeClient, WriteReport, FAULT_CLIENT_FLAKY,
+};
 pub use error::ServeError;
 pub use metrics::scrape_value;
 pub use protocol::{Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};

@@ -90,14 +90,16 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// Refuses the settings under which the server cannot make progress: a
     /// zero `lane_capacity` or `session_queue_cap` answers every `Write`
-    /// with `Busy { accepted: 0 }`, so a client resubmits forever, and a
-    /// zero `drain_batch` re-queues a dirty session without draining it.
+    /// with `Busy { accepted: 0 }`, so a client resubmits forever, a zero
+    /// `drain_batch` re-queues a dirty session without draining it, and a
+    /// zero `max_connections` refuses every connection.
     /// (`workers: 0` is legal; see above.)
     pub fn validate(&self) -> Result<(), ServeError> {
         let bounds = [
             ("lane_capacity", self.lane_capacity),
             ("session_queue_cap", self.session_queue_cap),
             ("drain_batch", self.drain_batch),
+            ("max_connections", self.max_connections),
         ];
         match bounds.into_iter().find(|&(_, value)| value == 0) {
             Some((name, _)) => Err(ServeError::Config(format!("{name} must be at least 1"))),
@@ -130,7 +132,8 @@ struct SessionInner {
     backlog: usize,
     /// Running digest of every accepted record's packed wire form, in
     /// accept order — the stream identity in the session's store key.
-    digest: StableHasher,
+    /// `None` on a server without a store, which never reads it.
+    digest: Option<StableHasher>,
     scheme: String,
     workload: String,
     config: PcmConfig,
@@ -536,7 +539,7 @@ fn open_session(
             sim,
             queues,
             backlog: 0,
-            digest: StableHasher::new(),
+            digest: shared.store.as_ref().map(|_| StableHasher::new()),
             scheme,
             workload,
             config,
@@ -568,7 +571,9 @@ fn write_records(
             busy = true;
             break;
         }
-        inner.digest.update(&pack_record(record));
+        if let Some(digest) = inner.digest.as_mut() {
+            digest.update(&pack_record(record));
+        }
         inner.queues[bank].push_back(*record);
         inner.backlog += 1;
         accepted += 1;
@@ -599,9 +604,9 @@ fn close_session(shared: &Shared, session: u64) -> Result<Response, ServeError> 
     let mut inner = lock_recover(&slot.inner);
     drain(&mut inner, shared, usize::MAX);
     let stats = inner.sim.stats();
-    let store = shared.store.as_ref().filter(|_| !inner.shed);
-    let store_hit = store.map(|store| {
-        let key = session_key(&inner);
+    let store = shared.store.as_ref().zip(inner.digest.as_ref()).filter(|_| !inner.shed);
+    let store_hit = store.map(|(store, digest)| {
+        let key = session_key(&inner, digest);
         let hit = store.get(&key).is_some_and(|cached| cached == stats.to_value());
         if hit {
             shared.counters.store_hits_total.inc();
@@ -616,8 +621,8 @@ fn close_session(shared: &Shared, session: u64) -> Result<Response, ServeError> 
 
 /// The store key of a finished session: everything its statistics are a
 /// function of. Mirrors the batch engine's cell key, with the accepted
-/// stream's digest standing in for the workload identity.
-fn session_key(inner: &SessionInner) -> Value {
+/// stream's `digest` standing in for the workload identity.
+fn session_key(inner: &SessionInner, digest: &StableHasher) -> Value {
     Value::record(
         "ServeSessionKey",
         vec![
@@ -630,7 +635,7 @@ fn session_key(inner: &SessionInner) -> Value {
             ("workload", inner.workload.to_value()),
             ("config", inner.config.to_value()),
             ("options", inner.options.to_value()),
-            ("stream_digest", inner.digest.finish().to_hex().to_value()),
+            ("stream_digest", digest.finish().to_hex().to_value()),
             ("writes", (inner.sim.writes() + inner.backlog as u64).to_value()),
         ],
     )
@@ -672,6 +677,7 @@ mod tests {
             ("lane_capacity", ServerConfig { lane_capacity: 0, ..base.clone() }),
             ("session_queue_cap", ServerConfig { session_queue_cap: 0, ..base.clone() }),
             ("drain_batch", ServerConfig { drain_batch: 0, ..base.clone() }),
+            ("max_connections", ServerConfig { max_connections: 0, ..base.clone() }),
         ];
         for (name, config) in refused {
             match config.validate() {

@@ -45,8 +45,14 @@ fn assert_reports(output: &Output, code: i32, program: &str, message: &str) {
 
 #[test]
 fn serve_refuses_a_zero_lane_capacity_with_exit_1() {
-    let output = run(SERVE, &["--listen", "127.0.0.1:0", "--lane-capacity", "0"]);
-    assert_reports(&output, 1, "wlcrc-serve", "lane_capacity must be at least 1");
+    for (flag, message) in [
+        ("--lane-capacity", "lane_capacity must be at least 1"),
+        ("--max-connections", "max_connections must be at least 1"),
+    ] {
+        let output = run(SERVE, &["--listen", "127.0.0.1:0", flag, "0"]);
+        assert_reports(&output, 1, "wlcrc-serve", message);
+        assert!(output.stdout.is_empty(), "{flag} 0 got as far as listening");
+    }
 }
 
 #[test]

@@ -56,7 +56,8 @@ fn connection_cap_refuses_with_busy_then_recovers() {
 
     // A second client is refused with a single `Busy` frame; with one
     // attempt the refusal surfaces instead of being retried away.
-    let mut refused = RetryClient::connect(addr.to_string(), quick_policy(1)).expect("tcp connect");
+    let mut refused =
+        RetryClient::connect_retrying(addr.to_string(), quick_policy(1)).expect("tcp connect");
     assert!(refused.metrics_text().is_err(), "past the cap must not be served");
 
     let text = holder.metrics_text().expect("metrics");
@@ -66,7 +67,8 @@ fn connection_cap_refuses_with_busy_then_recovers() {
     // Once the slot frees up, a patient client's backoff-and-reconnect loop
     // gets through.
     drop(holder);
-    let mut patient = RetryClient::connect(addr.to_string(), quick_policy(10)).expect("connect");
+    let mut patient =
+        RetryClient::connect_retrying(addr.to_string(), quick_policy(10)).expect("connect");
     let text = patient.metrics_text().expect("retries outlast the freed slot");
     assert_eq!(scrape_value(&text, "wlcrc_serve_connections_active"), Some(1.0));
 
@@ -242,7 +244,8 @@ fn flaky_client_retries_are_byte_identical_to_a_clean_run() {
 
     let options = SimulationOptions { seed: 9, ..SimulationOptions::default() };
     let records = records_for(Benchmark::Mcf, 0xFA17, 200);
-    let mut client = RetryClient::connect(addr.to_string(), quick_policy(8)).expect("connect");
+    let mut client =
+        RetryClient::connect_retrying(addr.to_string(), quick_policy(8)).expect("connect");
     let session = client
         .open(SchemeId::Wlcrc16.label(), "mcf", PcmConfig::table_ii(), options.clone())
         .expect("open");

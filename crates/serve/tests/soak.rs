@@ -1,6 +1,6 @@
 //! Soak test: sustained mixed traffic against a live `wlcrc-serve` instance.
 //!
-//! Pins the three service guarantees end to end over a real TCP socket:
+//! Pins the three service guarantees end to end over real sockets:
 //!
 //! * **(a) byte-identity** — statistics served over the wire equal a direct
 //!   [`Simulator`] run over the same records, bit for bit, despite chunked
@@ -8,15 +8,21 @@
 //! * **(b) bounded queues** — under deliberate overload the server answers
 //!   `Busy` (backpressure observed), queue depth never exceeds the
 //!   configured caps, and nothing is dropped silently (every record is
-//!   eventually simulated exactly once);
+//!   eventually simulated exactly once), through every client: a
+//!   [`ServeClient`] over TCP and over a Unix-domain socket, and a
+//!   [`RetryClient`];
 //! * **(c) metrics reconcile** — the scrape's counters and per-session
 //!   gauges agree with the sessions' own [`SchemeStats`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 use wlcrc::schemes::SchemeId;
-use wlcrc_memsim::{SimulationOptions, Simulator};
+use wlcrc_memsim::{SchemeStats, SimulationOptions, Simulator};
 use wlcrc_pcm::config::PcmConfig;
-use wlcrc_serve::{scrape_value, Response, ServeClient, Server, ServerConfig};
+use wlcrc_serve::{
+    scrape_value, Exchange, Response, RetryClient, RetryPolicy, RunningServer, ServeClient, Server,
+    ServerConfig,
+};
 use wlcrc_trace::{Benchmark, TraceStream, WriteRecord};
 
 fn records_for(benchmark: Benchmark, seed: u64, count: usize) -> Vec<WriteRecord> {
@@ -152,10 +158,42 @@ fn overload_is_bounded_backpressured_and_lossless() {
         degraded_threshold: 16,
         ..ServerConfig::default()
     };
-    let server = Server::new(config.clone());
-    let running = server.serve_tcp("127.0.0.1:0").expect("bind");
+    let serve_tcp = || Server::new(config.clone()).serve_tcp("127.0.0.1:0").expect("bind");
+
+    let running = serve_tcp();
     let addr = running.local_addr().expect("tcp addr");
-    let mut client = ServeClient::connect(addr).expect("connect");
+    let over_tcp = overload(&mut ServeClient::connect(addr).expect("connect"), &config);
+    stop(running);
+
+    #[cfg(unix)]
+    {
+        let scratch = Scratch::new("unix");
+        std::fs::create_dir_all(&scratch.0).expect("scratch dir");
+        let path = scratch.0.join("serve.sock");
+        let running = Server::new(config.clone()).serve_unix(&path).expect("bind");
+        let mut client = ServeClient::connect_unix(&path).expect("connect");
+        assert_eq!(overload(&mut client, &config), over_tcp, "Unix socket diverged from TCP");
+        stop(running);
+    }
+
+    // The retrying client pauses through its transport after each `Busy`.
+    let running = serve_tcp();
+    let addr = running.local_addr().expect("tcp addr");
+    let policy = RetryPolicy {
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(4),
+        ..RetryPolicy::default()
+    };
+    let mut client = RetryClient::connect_retrying(addr.to_string(), policy).expect("connect");
+    assert_eq!(overload(&mut client, &config), over_tcp, "RetryClient diverged from TCP");
+    assert!(client.busy_waits() > 0, "backpressure must pause the retrying client");
+    stop(running);
+}
+
+/// Overloads one bank lane of a server running `config` through `client`
+/// and checks the backpressure is bounded and lossless; returns the
+/// session's statistics.
+fn overload<S: Exchange>(client: &mut ServeClient<S>, config: &ServerConfig) -> SchemeStats {
     let session = client
         .open(
             SchemeId::Baseline.label(),
@@ -210,7 +248,11 @@ fn overload_is_bounded_backpressured_and_lossless() {
     // 8 accepted into a lane is below the 16-record degraded threshold, so
     // this workload never degraded — and the counter proves it.
     assert_eq!(scrape_value(&text, "wlcrc_serve_degraded_entered_total"), Some(0.0));
+    stats
+}
 
+/// Stops a server and waits for its threads.
+fn stop(running: RunningServer) {
     running.shutdown();
     running.join();
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`Fingerprint`] is a 128-bit FNV-1a hash of a value's wire encoding —
 //! stable across processes, platforms and releases (it depends only on the
-//! [`wire`](crate::wire) byte layout, never on `std`'s randomized hashers).
+//! [`wire`] byte layout, never on `std`'s randomized hashers).
 //! The store addresses entries by the fingerprint of their *key*: anything
 //! that should invalidate a cached result (config, scheme, workload, seed,
 //! simulator version salt) must be part of the key value, so a change in any

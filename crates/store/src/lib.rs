@@ -9,9 +9,9 @@
 //! later run — another figure binary, a CI job, a perfsnap — that derives
 //! the same key is served the recorded result instead of re-simulating.
 //!
-//! The crate is deliberately generic: it stores [`Value`] trees, not
-//! simulator types, so it sits below `wlcrc_trace`/`wlcrc_memsim` in the
-//! dependency graph and `storectl` can inspect any entry without the
+//! The crate is deliberately generic: it stores [`Value`](serde::Value)
+//! trees, not simulator types, so it sits below `wlcrc_trace`/`wlcrc_memsim`
+//! in the dependency graph and `storectl` can inspect any entry without the
 //! producing code. The typed layer (cell keys, `SchemeStats` payloads) lives
 //! in `wlcrc_memsim::cache`.
 //!
@@ -27,7 +27,7 @@
 //!   ([`store::FAULT_TORN_WRITE`], [`store::FAULT_READ_CORRUPT`]) let chaos
 //!   tests inject torn writes and media corruption deterministically via
 //!   `wlcrc_faults`;
-//! * [`metrics`] — read/write/hit/miss/evict/quarantine counters and
+//! * [`mod@metrics`] — read/write/hit/miss/evict/quarantine counters and
 //!   read/write latency histograms, published through the process-global
 //!   `wlcrc_obs` registry (scraped by serve, printed by
 //!   `storectl stats --latency`).

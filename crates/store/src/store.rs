@@ -272,9 +272,8 @@ impl ResultStore {
 
     /// Opens a store at `root`, read-only when asked; a writable store whose
     /// directory cannot be created degrades to read-only rather than
-    /// failing — the cache is an accelerator, not a dependency. This is the
-    /// one resolution policy shared by [`ResultStore::from_env`] and the
-    /// experiment engine.
+    /// failing — the cache is an accelerator, not a dependency. The
+    /// experiment engine and the memory service open their stores here.
     pub fn open_or_read_only(root: impl Into<PathBuf>, readonly: bool) -> ResultStore {
         let root = root.into();
         if readonly {
@@ -284,16 +283,6 @@ impl ResultStore {
             Ok(store) => store,
             Err(_) => ResultStore::open_read_only(root),
         }
-    }
-
-    /// Opens the store named by `WLCRC_STORE` / `WLCRC_STORE_READONLY`, if
-    /// set.
-    pub fn from_env() -> Option<ResultStore> {
-        let root = std::env::var_os(STORE_ENV)?;
-        if root.is_empty() {
-            return None;
-        }
-        Some(ResultStore::open_or_read_only(PathBuf::from(root), readonly_from_env()))
     }
 
     /// The store's root directory.
@@ -1214,14 +1203,6 @@ mod tests {
         // the recomputed fingerprint exposes the mismatch.
         assert_eq!(store.get(&key(2)), None);
         assert_eq!(store.get(&key(1)), None);
-    }
-
-    #[test]
-    fn from_env_is_disabled_without_the_variable() {
-        // The test runner may set WLCRC_STORE for child processes it spawns,
-        // but within this process the variable is controlled here.
-        std::env::remove_var(STORE_ENV);
-        assert!(ResultStore::from_env().is_none());
     }
 
     #[test]

@@ -29,12 +29,6 @@ pub trait TraceSource: Iterator<Item = WriteRecord> {
     /// Name of the workload producing this stream.
     fn workload(&self) -> &str;
 
-    /// Number of records still to come, when known (used for diagnostics and
-    /// pre-sizing only — correctness never depends on it).
-    fn remaining_hint(&self) -> Option<usize> {
-        None
-    }
-
     /// Drains the stream into a materialised [`Trace`], which the experiment
     /// engine builds once per (workload, seed) and replays for every scheme.
     fn collect_trace(mut self) -> Trace
@@ -44,16 +38,6 @@ pub trait TraceSource: Iterator<Item = WriteRecord> {
         let mut trace = Trace::new(self.workload().to_string());
         trace.extend(&mut self);
         trace
-    }
-}
-
-impl<S: TraceSource + ?Sized> TraceSource for &mut S {
-    fn workload(&self) -> &str {
-        (**self).workload()
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        (**self).remaining_hint()
     }
 }
 
@@ -112,10 +96,6 @@ impl TraceSource for TraceRecords<'_> {
     fn workload(&self) -> &str {
         self.workload
     }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        Some(self.records.len())
-    }
 }
 
 /// Lazy, bounded stream over a [`TraceGenerator`]: yields exactly the records
@@ -155,10 +135,6 @@ impl TraceSource for TraceStream {
     fn workload(&self) -> &str {
         &self.generator.profile().name
     }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
 }
 
 #[cfg(test)]
@@ -181,13 +157,10 @@ mod tests {
     fn stream_is_bounded_and_reports_progress() {
         let mut stream = TraceStream::new(Benchmark::Gcc.profile(), 1, 3);
         assert_eq!(stream.workload(), "gcc");
-        assert_eq!(stream.remaining_hint(), Some(3));
         assert_eq!(stream.size_hint(), (3, Some(3)));
         assert!(stream.next().is_some());
-        assert_eq!(stream.remaining_hint(), Some(2));
         assert_eq!(stream.by_ref().count(), 2);
         assert_eq!(stream.next(), None);
-        assert_eq!(stream.remaining_hint(), Some(0));
     }
 
     #[test]
@@ -196,19 +169,5 @@ mod tests {
         let replayed = trace.source().collect_trace();
         assert_eq!(trace, replayed);
         assert_eq!(trace.source().workload(), "mcf");
-        assert_eq!(trace.source().remaining_hint(), Some(40));
-    }
-
-    #[test]
-    fn boxed_and_borrowed_sources_still_expose_the_workload() {
-        fn drain(source: impl TraceSource) -> (String, usize) {
-            (source.workload().to_string(), source.count())
-        }
-        let mut stream = TraceStream::new(Benchmark::Lbm.profile(), 2, 5);
-        assert_eq!(drain(&mut stream), ("lbm".to_string(), 5));
-        assert_eq!(stream.remaining_hint(), Some(0), "the borrow drained the stream");
-        let mut boxed: Box<dyn TraceSource> =
-            Box::new(TraceStream::new(Benchmark::Lbm.profile(), 2, 5));
-        assert_eq!(drain(&mut *boxed), ("lbm".to_string(), 5));
     }
 }
