@@ -4,15 +4,15 @@
 //! unowned cells through claim markers in the shared result store, simulates
 //! what it claims, and serves everything else from the store once the owning
 //! worker has written it back. Any number of concurrent workers converge on
-//! the same store contents, and every worker ends with the complete merged
-//! grid — byte-identical to a single-process `run_grid` of the same plan.
+//! the same store contents, and every worker ends with the complete grid —
+//! byte-identical to a single-process `run` of the same plan.
 //!
 //! ```text
 //! wlcrc-gridrun --store DIR [--plan perfsnap|fig08] [--lines N] [--seed N]
 //!               [--threads N] [--stale-secs N] [--no-plan-cache] [--direct]
 //! ```
 //!
-//! The merged grid is dumped to **stdout** (one full-precision line per cell,
+//! The grid is dumped to **stdout** (one full-precision line per cell,
 //! shortest-roundtrip floats); **stderr** carries a progress report — a
 //! periodic line while the run is live plus a final claim report (cells
 //! computed / served / stolen / plan_hits), both fed by the engine's
@@ -94,38 +94,37 @@ fn build_plan(kind: &str, lines: usize, seed: u64) -> ExperimentPlan {
     })
 }
 
-/// Deterministic full-precision dump of the merged grid: `{:?}` floats are
+/// Deterministic full-precision dump of the grid: `{:?}` floats are
 /// shortest-roundtrip, so two byte-identical result grids produce
 /// byte-identical dumps and nothing less.
-fn dump(results: &[ExperimentResult]) {
-    for (config, result) in results.iter().enumerate() {
+fn dump(result: &ExperimentResult) {
+    println!(
+        "config {} seeds={:?} lines={} cells={}",
+        result.meta.config_index,
+        result.meta.seeds,
+        result.meta.lines_per_workload,
+        result.cells.len()
+    );
+    for s in &result.cells {
         println!(
-            "config {config} seeds={:?} lines={} cells={}",
-            result.meta.seeds,
-            result.meta.lines_per_workload,
-            result.cells.len()
+            "{}|{}|writes={} data_pj={:?} aux_pj={:?} data_cells={} aux_cells={} \
+             data_dist={} aux_dist={} exp_dist={:?} max_dist={} encoded={} integrity={} \
+             banks={:?}",
+            s.scheme,
+            s.workload,
+            s.writes,
+            s.data_energy_pj,
+            s.aux_energy_pj,
+            s.data_cells_updated,
+            s.aux_cells_updated,
+            s.data_disturb_errors,
+            s.aux_disturb_errors,
+            s.expected_disturb_errors,
+            s.max_disturb_errors_per_write,
+            s.encoded_lines,
+            s.integrity_failures,
+            s.bank_writes,
         );
-        for s in &result.cells {
-            println!(
-                "{}|{}|writes={} data_pj={:?} aux_pj={:?} data_cells={} aux_cells={} \
-                 data_dist={} aux_dist={} exp_dist={:?} max_dist={} encoded={} integrity={} \
-                 banks={:?}",
-                s.scheme,
-                s.workload,
-                s.writes,
-                s.data_energy_pj,
-                s.aux_energy_pj,
-                s.data_cells_updated,
-                s.aux_cells_updated,
-                s.data_disturb_errors,
-                s.aux_disturb_errors,
-                s.expected_disturb_errors,
-                s.max_disturb_errors_per_write,
-                s.encoded_lines,
-                s.integrity_failures,
-                s.bank_writes,
-            );
-        }
     }
 }
 
@@ -142,7 +141,7 @@ fn main() {
     if args.direct {
         // Ground truth: the plain in-process engine with the store disabled.
         // Concurrent claimed workers must reproduce this dump byte for byte.
-        dump(&plan.store_enabled(false).run_grid());
+        dump(&plan.store_enabled(false).run());
         return;
     }
 
@@ -176,12 +175,12 @@ fn main() {
             }
         })
     };
-    let (results, report) = plan.store(&store).run_grid_claimed(args.stale_secs);
+    let (result, report) = plan.store(&store).run_grid_claimed(args.stale_secs);
     running.store(false, Ordering::Relaxed);
     let _ = ticker.join();
     eprintln!(
         "wlcrc-gridrun: cells computed {} served {} stolen {} plan_hits {}",
         report.computed, report.loaded, report.taken_over, report.plan_hits
     );
-    dump(&results);
+    dump(&result);
 }

@@ -38,6 +38,7 @@ use wlcrc_coset::{
 };
 use wlcrc_memsim::{ExperimentPlan, SimulationOptions};
 use wlcrc_obs::check::{parse_json, Json};
+use wlcrc_obs::trace::escape_json_into;
 use wlcrc_pcm::codec::LineCodec;
 use wlcrc_pcm::config::PcmConfig;
 use wlcrc_pcm::energy::EnergyModel;
@@ -639,7 +640,7 @@ fn main() {
         if note.is_some() { "," } else { "" }
     ));
     if let Some(note) = &note {
-        entry.push_str(&format!("    \"note\": \"{}\"\n", note.replace('"', "'")));
+        entry.push_str(&note_member(note));
     }
     entry.push_str("  }");
 
@@ -652,9 +653,24 @@ fn main() {
     }
 }
 
+/// The entry's `"note"` member line, with the note escaped as a JSON string.
+fn note_member(note: &str) -> String {
+    let mut line = String::from("    \"note\": \"");
+    escape_json_into(&mut line, note);
+    line.push_str("\"\n");
+    line
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_note_round_trips_through_the_json_reader() {
+        let note = "C:\\runs\\x \"quoted\"\nsecond line";
+        let entry = parse_json(&format!("{{\n{}}}", note_member(note))).expect("valid JSON");
+        assert_eq!(entry.get("note").and_then(Json::as_str), Some(note));
+    }
 
     fn row(name: &str, encode_wps: f64, decode_rps: f64) -> CodecRow {
         CodecRow { name: name.to_string(), encode_wps, decode_rps, scalar_wps: None, speedup: None }

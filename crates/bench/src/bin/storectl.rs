@@ -309,13 +309,6 @@ fn explain_plan_entry(
         );
         return false;
     };
-    let config_index = match record.raw("config_index") {
-        Some(Value::U64(index)) => *index as usize,
-        _ => {
-            println!("entry {}: plan key has no config index", info.fingerprint);
-            return true;
-        }
-    };
     let stored_salt = match record.raw("salt") {
         Some(Value::Str(salt)) => salt.clone(),
         _ => "?".to_string(),
@@ -334,24 +327,25 @@ fn explain_plan_entry(
         }
     };
 
-    println!("entry {} (plan {kind:?}, config {config_index})", info.fingerprint);
-    let current_plans = plan.plan_fingerprints();
-    let Some(current_fp) = current_plans.get(config_index) else {
-        println!("  config {config_index} is outside the current plan's config axis");
+    println!("entry {} (plan {kind:?})", info.fingerprint);
+    // A plan runs one config and records it as index 0; any other index
+    // came from a plan that still carried a config axis.
+    if let Some(&Value::U64(index @ 1..)) = record.raw("config_index") {
+        println!("  config {index}: an old multi-config plan's entry; no plan today looks it up");
         return true;
-    };
-    if *current_fp == info.fingerprint {
+    }
+    if plan.plan_fingerprint() == info.fingerprint {
         println!("  current: this is exactly the entry today's run would look up");
         return false;
     }
     if stored_salt != effective_salt() {
         println!("  salt changed: recorded {stored_salt:?}, current {:?}", effective_salt());
     }
-    let now_cells = &plan.plan_cell_fingerprints()[config_index];
+    let now_cells = plan.plan_cell_fingerprints();
     if stored_cells.len() != now_cells.len() {
         println!(
             "  grid shape changed: {} recorded cells vs {} current \
-             (different --plan/--lines/--seed axes?)",
+             (a different --plan?)",
             stored_cells.len(),
             now_cells.len()
         );
@@ -359,7 +353,7 @@ fn explain_plan_entry(
     }
     let labels = plan.cell_labels();
     let mut changed = 0usize;
-    for (index, (recorded, now)) in stored_cells.iter().zip(now_cells).enumerate() {
+    for (index, (recorded, now)) in stored_cells.iter().zip(&now_cells).enumerate() {
         if *recorded != now.to_hex() {
             changed += 1;
             let label = labels.get(index).map(String::as_str).unwrap_or("?");
@@ -371,7 +365,7 @@ fn explain_plan_entry(
     if changed == 0 {
         println!(
             "  every cell fingerprint matches; the miss is in plan metadata \
-             (seed axis, lines per workload, or salt)"
+             (seed, lines per workload, or salt)"
         );
     } else {
         println!("  {changed} of {} cells changed", stored_cells.len());

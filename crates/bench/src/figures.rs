@@ -564,28 +564,29 @@ impl SensitivityRow {
 
 /// Figure 14: WLCRC-16 energy improvement as the intermediate-state energies
 /// shrink from the default (307/547 pJ) down to 6× lower values.
+///
+/// The traces are built once; each energy model runs its own plan over them.
 pub fn figure14(lines: usize, seed: u64) -> Vec<SensitivityRow> {
-    let models = EnergyModel::figure14_configurations();
-    let results = ExperimentPlan::new()
-        .seed(seed)
-        .verify_integrity(false)
-        .traces(biased_traces(lines / 4, seed))
-        .scheme("Baseline", || Box::new(RawCodec::new()))
-        .scheme("WLCRC-16", || Box::new(WlcCosetCodec::wlcrc16()))
-        .configs(models.iter().map(|model| {
+    let traces = biased_traces(lines / 4, seed);
+    EnergyModel::figure14_configurations()
+        .into_iter()
+        .map(|model| {
             let mut config = PcmConfig::table_ii();
             config.energy = model.clone();
-            config
-        }))
-        .run_grid();
-    models
-        .into_iter()
-        .zip(results)
-        .map(|(model, result)| SensitivityRow {
-            s3_set_pj: model.set_pj(wlcrc_pcm::state::CellState::S3),
-            s4_set_pj: model.set_pj(wlcrc_pcm::state::CellState::S4),
-            baseline_energy_pj: result.average_for_scheme("Baseline").mean_energy_pj(),
-            wlcrc_energy_pj: result.average_for_scheme("WLCRC-16").mean_energy_pj(),
+            let result = ExperimentPlan::new()
+                .seed(seed)
+                .config(config)
+                .verify_integrity(false)
+                .traces(traces.iter().cloned())
+                .scheme("Baseline", || Box::new(RawCodec::new()))
+                .scheme("WLCRC-16", || Box::new(WlcCosetCodec::wlcrc16()))
+                .run();
+            SensitivityRow {
+                s3_set_pj: model.set_pj(wlcrc_pcm::state::CellState::S3),
+                s4_set_pj: model.set_pj(wlcrc_pcm::state::CellState::S4),
+                baseline_energy_pj: result.average_for_scheme("Baseline").mean_energy_pj(),
+                wlcrc_energy_pj: result.average_for_scheme("WLCRC-16").mean_energy_pj(),
+            }
         })
         .collect()
 }

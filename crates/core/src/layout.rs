@@ -127,25 +127,27 @@ impl WordLayout {
         };
         WordLayout::new(granularity_bits, reclaimed)
     }
-
-    /// Number of auxiliary bits the encoding actually needs (group/selector
-    /// bits); always at most [`WordLayout::reclaimed_bits`].
-    pub fn aux_bits_needed(&self, restricted: bool) -> usize {
-        if restricted {
-            if self.granularity_bits == 64 {
-                2
-            } else {
-                1 + self.blocks()
-            }
-        } else {
-            2 * self.blocks()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WordLayout {
+        /// The oracle for "the aux bits fit the reclaimed space": the number
+        /// of auxiliary bits the encoding needs (group/selector bits).
+        fn aux_bits_needed(&self, restricted: bool) -> usize {
+            if restricted {
+                if self.granularity_bits == 64 {
+                    2
+                } else {
+                    1 + self.blocks()
+                }
+            } else {
+                2 * self.blocks()
+            }
+        }
+    }
 
     #[test]
     fn wlcrc16_layout_matches_paper() {

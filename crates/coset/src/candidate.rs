@@ -193,11 +193,6 @@ impl CandidateSet {
     pub fn candidate(&self, index: usize) -> &CosetCandidate {
         &self.candidates[index]
     }
-
-    /// Number of auxiliary bits needed to identify a candidate of this set.
-    pub fn selector_bits(&self) -> usize {
-        (usize::BITS - (self.candidates.len() - 1).leading_zeros()) as usize
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +232,6 @@ mod tests {
     fn four_cosets_has_four_distinct_candidates() {
         let set = CandidateSet::four_cosets();
         assert_eq!(set.len(), 4);
-        assert_eq!(set.selector_bits(), 2);
         assert_eq!(set.candidate(0).name(), "C1");
     }
 
@@ -245,14 +239,12 @@ mod tests {
     fn three_cosets_selector_still_needs_two_bits() {
         let set = CandidateSet::three_cosets();
         assert_eq!(set.len(), 3);
-        assert_eq!(set.selector_bits(), 2);
     }
 
     #[test]
     fn six_cosets_put_every_symbol_pair_in_low_states() {
         let set = CandidateSet::six_cosets();
         assert_eq!(set.len(), 6);
-        assert_eq!(set.selector_bits(), 3);
         // For every pair of symbols there must be a candidate mapping both to
         // low-energy states.
         for a in 0..4u8 {

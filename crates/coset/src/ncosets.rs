@@ -102,11 +102,6 @@ impl NCosetsCodec {
         NCosetsCodec::new(CandidateSet::six_cosets(), granularity)
     }
 
-    /// The candidate set used by this codec.
-    pub fn candidate_set(&self) -> &CandidateSet {
-        &self.set
-    }
-
     /// The block granularity of this codec.
     pub fn granularity(&self) -> Granularity {
         self.granularity
@@ -446,12 +441,7 @@ mod tests {
                     for block in 0..codec.granularity().blocks_per_line() {
                         let index = codec.read_selector(&enc, block);
                         let cells = codec.granularity().block_cells(block);
-                        read_block(
-                            &enc,
-                            &mut expected,
-                            cells,
-                            codec.candidate_set().candidate(index),
-                        );
+                        read_block(&enc, &mut expected, cells, set.candidate(index));
                     }
                     assert_eq!(codec.decode(&enc), expected, "{} g={}", set.name(), g);
                     old = enc;

@@ -17,9 +17,7 @@
 //!   derived stream seed and scaled trace length the engine will actually
 //!   generate), or the content digest of a trace the plan was given;
 //! * the **configuration**: the entire `PcmConfig` (energy model,
-//!   disturbance model, line/bank geometry) plus its index on the plan's
-//!   config axis — the index feeds the cell's disturbance-sampling seed, so
-//!   the same config at a different index is a different cell;
+//!   disturbance model, line/bank geometry);
 //! * the **seeds**: the plan's base seed and the derived per-cell
 //!   disturbance seed;
 //! * the **simulation options**: integrity verification and isolated mode.
@@ -30,14 +28,22 @@
 //!
 //! # Plan-level keys
 //!
-//! On top of per-cell entries, the engine caches each config's *whole merged
-//! [`ExperimentResult`]* under a [`PlanKey`]: the run metadata (seed axis,
-//! trace length, config index, grid shape) plus the ordered fingerprints of
-//! every cell key in that config. A plan key therefore changes exactly when
-//! some cell key changes — salt bumps, codec edits, workload or config
-//! changes all propagate through the cell fingerprints — while inheriting
-//! the same worker/shard independence. A fully warm rerun is
-//! then **one** store read per config instead of N cell reads plus a merge.
+//! On top of per-cell entries, the engine caches a plan's *whole
+//! [`ExperimentResult`]* under a [`PlanKey`]: the run metadata (base seed,
+//! trace length, grid shape) plus the ordered fingerprints of every cell
+//! key in the grid. A plan key therefore changes exactly when some cell key
+//! changes — salt bumps, codec edits, workload or config changes all
+//! propagate through the cell fingerprints — while inheriting the same
+//! worker/shard independence. A fully warm rerun is then **one** store read
+//! instead of N cell reads.
+//!
+//! # Key bytes kept from the config and seed axes
+//!
+//! A plan once carried a config axis and a seed axis; it now runs one
+//! config and one seed. The keys keep the bytes they had for such a plan,
+//! so every entry stored before keeps its address: [`CellKey::to_value`]
+//! still writes `config_index: 0`, and [`PlanKey::to_value`] still writes
+//! `config_index: 0` and `seeds: [seed]`.
 
 use crate::experiment::ExperimentResult;
 use crate::stats::SchemeStats;
@@ -117,9 +123,6 @@ pub struct CellKey {
     pub workload: WorkloadIdentity,
     /// The full machine configuration.
     pub config: PcmConfig,
-    /// The config's index on the plan's config axis (feeds the disturbance
-    /// seed derivation).
-    pub config_index: u64,
     /// The plan's base seed for this cell.
     pub base_seed: u64,
     /// The derived per-cell disturbance-sampling seed.
@@ -131,7 +134,8 @@ pub struct CellKey {
 }
 
 impl CellKey {
-    /// The self-describing key value the store addresses this cell by.
+    /// The self-describing key value the store addresses this cell by. Its
+    /// `config_index` is always 0 (see the module docs).
     pub fn to_value(&self) -> Value {
         Value::Record {
             name: "CellKey".to_string(),
@@ -141,7 +145,7 @@ impl CellKey {
                 ("codec".to_string(), Value::Str(self.codec.to_hex())),
                 ("workload".to_string(), self.workload.to_value()),
                 ("config".to_string(), self.config.to_value()),
-                ("config_index".to_string(), Value::U64(self.config_index)),
+                ("config_index".to_string(), Value::U64(0)),
                 ("base_seed".to_string(), Value::U64(self.base_seed)),
                 ("cell_seed".to_string(), Value::U64(self.cell_seed)),
                 ("verify_integrity".to_string(), Value::Bool(self.verify_integrity)),
@@ -151,40 +155,37 @@ impl CellKey {
     }
 }
 
-/// Everything that addresses one config's merged [`ExperimentResult`] in the
-/// store: the run metadata plus the ordered fingerprints of every cell key
-/// in the config. See the module docs, "Plan-level keys".
+/// Everything that addresses a plan's [`ExperimentResult`] in the store: the
+/// run metadata plus the ordered fingerprints of every cell key in the grid.
+/// See the module docs, "Plan-level keys".
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanKey {
     /// Version salt (shared with the cell keys the fingerprints came from).
     pub salt: String,
-    /// The config's index on the plan's config axis.
-    pub config_index: u64,
-    /// The plan's seed axis, in declaration order.
-    pub seeds: Vec<u64>,
+    /// The plan's base seed.
+    pub seed: u64,
     /// The plan's unscaled trace length per workload.
     pub lines_per_workload: u64,
     /// Workload-axis length (fixes how the cell fingerprints factor).
     pub workloads: u64,
     /// Scheme-axis length.
     pub schemes: u64,
-    /// The fingerprint of every cell key in this config, in grid order
-    /// (workload-major, then scheme, then seed).
+    /// The fingerprint of every cell key in the grid, in grid order
+    /// (workload-major, then scheme).
     pub cells: Vec<Fingerprint>,
 }
 
 impl PlanKey {
-    /// The self-describing key value the store addresses this plan by.
+    /// The self-describing key value the store addresses this plan by. Its
+    /// `config_index` is always 0 and its `seeds` is `[seed]` (see the module
+    /// docs).
     pub fn to_value(&self) -> Value {
         Value::Record {
             name: "PlanKey".to_string(),
             fields: vec![
                 ("salt".to_string(), Value::Str(self.salt.clone())),
-                ("config_index".to_string(), Value::U64(self.config_index)),
-                (
-                    "seeds".to_string(),
-                    Value::Seq(self.seeds.iter().map(|&s| Value::U64(s)).collect()),
-                ),
+                ("config_index".to_string(), Value::U64(0)),
+                ("seeds".to_string(), Value::Seq(vec![Value::U64(self.seed)])),
                 ("lines_per_workload".to_string(), Value::U64(self.lines_per_workload)),
                 ("workloads".to_string(), Value::U64(self.workloads)),
                 ("schemes".to_string(), Value::U64(self.schemes)),
@@ -202,15 +203,15 @@ impl PlanKey {
     }
 }
 
-/// Looks up a config's cached merged result. Any miss reason — absent
-/// entry, corrupt file, wrong salt, undecodable payload — yields `None`.
+/// Looks up a plan's cached result. Any miss reason — absent entry, corrupt
+/// file, wrong salt, undecodable payload — yields `None`.
 pub fn load_plan(store: &ResultStore, key: &PlanKey) -> Option<ExperimentResult> {
     let payload = store.get(&key.to_value())?;
     ExperimentResult::from_value(&payload).ok()
 }
 
-/// Writes a config's merged result back to the store; failures are
-/// swallowed, like [`save_cell`].
+/// Writes a plan's result back to the store; failures are swallowed, like
+/// [`save_cell`].
 pub fn save_plan(store: &ResultStore, key: &PlanKey, result: &ExperimentResult) {
     let _ = store.put(&key.to_value(), &result.to_value());
 }
@@ -334,7 +335,6 @@ mod tests {
             ),
             workload: WorkloadIdentity::Trace { name: "t".to_string(), digest: Fingerprint(42) },
             config: PcmConfig::table_ii(),
-            config_index: 0,
             base_seed: 1,
             cell_seed: 2,
             verify_integrity: true,
@@ -351,9 +351,6 @@ mod tests {
         reconfigured.config.energy =
             wlcrc_pcm::energy::EnergyModel::with_intermediate_states(50.0, 80.0);
         assert_ne!(base_fp, Fingerprint::of_value(&reconfigured.to_value()));
-        let mut reindexed = key.clone();
-        reindexed.config_index = 1;
-        assert_ne!(base_fp, Fingerprint::of_value(&reindexed.to_value()));
         let mut unverified = key.clone();
         unverified.verify_integrity = false;
         assert_ne!(base_fp, Fingerprint::of_value(&unverified.to_value()));

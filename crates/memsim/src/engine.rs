@@ -1,28 +1,30 @@
 //! The parallel sharded experiment engine.
 //!
-//! [`ExperimentPlan`] declares a grid of experiment cells — every combination
-//! of *scheme × workload × config × seed* — and executes them on a pool of
-//! scoped worker threads. The paper's evaluation (and every figure binary in
-//! this workspace) is exactly this shape: a large set of mutually independent
-//! simulations followed by a deterministic merge.
+//! [`ExperimentPlan`] declares a grid of experiment cells — every
+//! *workload × scheme* pair under one [`PcmConfig`] and one base seed — and
+//! executes them on a pool of scoped worker threads. The paper's evaluation
+//! (and every figure binary in this workspace) is exactly this shape: a
+//! large set of mutually independent simulations whose results land in grid
+//! order. A study that varies the configuration (Figure 14's energy models)
+//! runs one plan per configuration.
 //!
 //! # One cell pipeline
 //!
-//! [`ExperimentPlan::run_grid`] and [`ExperimentPlan::run_grid_claimed`] are
+//! [`ExperimentPlan::run`] and [`ExperimentPlan::run_grid_claimed`] are
 //! thin wrappers over one pipeline. A preamble resolves the store, derives
 //! the cell keys and probes the plan-level cache. Then a pool of workers
-//! takes each remaining cell through the same steps: serve it from the
-//! store; otherwise claim it (claimed runs with a writable store only),
-//! simulate its intra-trace shards, save it and release the claim. Finally
-//! the cells merge in grid order.
+//! takes each cell through the same steps: serve it from the store;
+//! otherwise claim it (claimed runs with a writable store only), simulate
+//! its intra-trace shards, save it and release the claim. Finally the cells
+//! move into the result in grid order.
 //!
 //! A workload is either a profile ([`ExperimentPlan::workload`]) or a
-//! trace ([`ExperimentPlan::trace`]). Each profile's (workload, seed) trace
-//! is built once per run, on first use, by draining a [`TraceStream`];
-//! given traces are used as they are. Every scheme and shard that needs a
-//! trace replays that one [`Trace`], so a run holds its traces in memory;
-//! [`Simulator::run`] and
-//! [`SimulatorSession`](crate::simulator::SimulatorSession) still stream.
+//! trace ([`ExperimentPlan::trace`]). Each profile's trace is built once
+//! per run, on first use, by draining a [`TraceStream`]; given traces are
+//! used as they are. Every scheme and shard that needs a trace replays that
+//! one [`Trace`], so a run holds its traces in memory; [`Simulator::run`]
+//! and [`SimulatorSession`](crate::simulator::SimulatorSession) still
+//! stream.
 //!
 //! # Intra-trace (per-bank) sharding
 //!
@@ -42,21 +44,20 @@
 //! # Persistent result store (cross-run caching)
 //!
 //! When a store is configured — [`ExperimentPlan::store`], or the
-//! `WLCRC_STORE` environment variable — every cacheable cell first consults
-//! an on-disk content-addressed cache (`wlcrc_store`): the cell's full
-//! identity (simulator version salt, scheme label + behavioral codec
-//! fingerprint, workload identity, config + geometry, seeds, simulation
-//! options; see [`crate::cache`]) is hashed into the entry address, hits
-//! skip simulation entirely, and misses are written back atomically as
-//! soon as they are simulated. `WLCRC_STORE_READONLY` serves hits without
-//! writing. Results are **byte-identical with the store disabled, cold,
-//! warm, or partially warm** — worker count and shard count are excluded
-//! from the key for the same reason they cannot affect results. Bumping the
-//! version salt ([`crate::cache::SIMULATOR_VERSION_SALT`]) makes every old
-//! entry unreachable, forcing recomputation after simulator-behaviour
-//! changes. Every cell is cacheable: a profile workload is keyed by its
-//! profile, stream seed and scaled length, a given trace by its content
-//! digest.
+//! `WLCRC_STORE` environment variable — every cell first consults an
+//! on-disk content-addressed cache (`wlcrc_store`): the cell's full identity
+//! (simulator version salt, scheme label + behavioral codec fingerprint,
+//! workload identity, config + geometry, seeds, simulation options; see
+//! [`crate::cache`]) is hashed into the entry address, hits skip simulation
+//! entirely, and misses are written back atomically as soon as they are
+//! simulated. `WLCRC_STORE_READONLY` serves hits without writing. Results
+//! are **byte-identical with the store disabled, cold, warm, or partially
+//! warm** — worker count and shard count are excluded from the key for the
+//! same reason they cannot affect results. Bumping the version salt
+//! ([`crate::cache::SIMULATOR_VERSION_SALT`]) makes every old entry
+//! unreachable, forcing recomputation after simulator-behaviour changes. A
+//! profile workload is keyed by its profile, stream seed and scaled length,
+//! a given trace by its content digest.
 //!
 //! # Determinism guarantee
 //!
@@ -64,16 +65,16 @@
 //! Three rules make that hold:
 //!
 //! 1. every cell derives its disturbance-sampling seed purely from
-//!    `(base seed, config index, scheme label, workload name)`, and every
-//!    bank lane derives its RNG stream from `(cell seed, bank index)` —
-//!    never from thread identity, scheduling order or shard count;
+//!    `(base seed, scheme label, workload name)`, and every bank lane
+//!    derives its RNG stream from `(cell seed, bank index)` — never from
+//!    thread identity, scheduling order or shard count;
 //! 2. traces are deterministic: a cell's trace derives only from the base
 //!    seed and the workload, and every scheme and every shard replays that
 //!    one trace (comparisons stay paired, exactly as in the paper);
-//! 3. per-bank partials merge in ascending bank order, cell results land in
-//!    slots indexed by their grid position and merge in grid order, so
-//!    floating-point accumulation order never depends on which worker
-//!    finished first.
+//! 3. per-bank partials merge in ascending bank order, and each cell result
+//!    lands in the slot of its grid position, so no floating-point sum ever
+//!    depends on which worker finished first. Cells are never merged with
+//!    each other.
 //!
 //! # Worker count
 //!
@@ -151,36 +152,25 @@ impl WorkloadSource {
 /// Declarative description of an experiment grid, executed by a worker pool.
 ///
 /// See the [module documentation](self) for the determinism rules. Build a
-/// plan with the chained setters, then call [`ExperimentPlan::run`] (single
-/// config) or [`ExperimentPlan::run_grid`] (one [`ExperimentResult`] per
-/// config).
+/// plan with the chained setters, then call [`ExperimentPlan::run`].
 pub struct ExperimentPlan {
     schemes: Vec<(String, CodecFactoryFn)>,
     workloads: Vec<WorkloadSource>,
-    configs: Vec<PcmConfig>,
-    seeds: Vec<u64>,
+    config: PcmConfig,
+    seed: u64,
     lines_per_workload: usize,
     verify_integrity: bool,
     isolated: bool,
     threads: Option<usize>,
     intra_shards: Option<usize>,
-    store: StoreChoice,
+    store_path: Option<PathBuf>,
+    store_enabled: bool,
     store_readonly: Option<bool>,
     store_salt: Option<String>,
-    plan_cache: Option<bool>,
+    plan_cache: bool,
     /// Traces built by [`ExperimentPlan::build_trace`], counted for tests.
     #[cfg(test)]
     trace_builds: AtomicUsize,
-}
-
-/// Where the plan's persistent result store comes from.
-enum StoreChoice {
-    /// Use `WLCRC_STORE` / `WLCRC_STORE_READONLY` when set (the default).
-    Auto,
-    /// Never consult a store, whatever the environment says.
-    Disabled,
-    /// Use this directory.
-    At(PathBuf),
 }
 
 impl Default for ExperimentPlan {
@@ -196,17 +186,18 @@ impl ExperimentPlan {
         ExperimentPlan {
             schemes: Vec::new(),
             workloads: Vec::new(),
-            configs: vec![PcmConfig::table_ii()],
-            seeds: vec![0],
+            config: PcmConfig::table_ii(),
+            seed: 0,
             lines_per_workload: 1000,
             verify_integrity: true,
             isolated: false,
             threads: None,
             intra_shards: None,
-            store: StoreChoice::Auto,
+            store_path: None,
+            store_enabled: true,
             store_readonly: None,
             store_salt: None,
-            plan_cache: None,
+            plan_cache: true,
             #[cfg(test)]
             trace_builds: AtomicUsize::new(0),
         }
@@ -266,29 +257,16 @@ impl ExperimentPlan {
         self
     }
 
-    /// Sets the single PCM configuration of the grid.
+    /// Sets the PCM configuration every cell of the grid runs under.
     pub fn config(mut self, config: PcmConfig) -> ExperimentPlan {
-        self.configs = vec![config];
+        self.config = config;
         self
     }
 
-    /// Sets the configuration axis of the grid (one [`ExperimentResult`] per
-    /// entry; use [`ExperimentPlan::run_grid`]).
-    pub fn configs(mut self, configs: impl IntoIterator<Item = PcmConfig>) -> ExperimentPlan {
-        self.configs = configs.into_iter().collect();
-        self
-    }
-
-    /// Sets the single base seed of the grid.
+    /// Sets the base seed every cell's trace and disturbance seed derive
+    /// from.
     pub fn seed(mut self, seed: u64) -> ExperimentPlan {
-        self.seeds = vec![seed];
-        self
-    }
-
-    /// Sets the seed axis of the grid; per-cell statistics are merged across
-    /// seeds in seed order, so the result shape stays scheme × workload.
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> ExperimentPlan {
-        self.seeds = seeds.into_iter().collect();
+        self.seed = seed;
         self
     }
 
@@ -329,14 +307,16 @@ impl ExperimentPlan {
     }
 
     /// Caches cell results in the persistent store at `path` (see
-    /// [`crate::cache`] for what addresses a cell). Without this call the
-    /// plan still honours the `WLCRC_STORE` environment variable; use
-    /// [`ExperimentPlan::store_enabled`]`(false)` to opt out entirely.
+    /// [`crate::cache`] for what addresses a cell), and turns the store on.
+    /// Without this call the plan still honours the `WLCRC_STORE`
+    /// environment variable; use [`ExperimentPlan::store_enabled`]`(false)`
+    /// to opt out entirely.
     ///
     /// The cache never changes results: hits are byte-identical to
     /// recomputation for any worker count, shard count and hit/miss mix.
     pub fn store(mut self, path: impl Into<PathBuf>) -> ExperimentPlan {
-        self.store = StoreChoice::At(path.into());
+        self.store_path = Some(path.into());
+        self.store_enabled = true;
         self
     }
 
@@ -349,7 +329,7 @@ impl ExperimentPlan {
     /// explicit [`ExperimentPlan::store`] path, otherwise the `WLCRC_STORE`
     /// environment variable, otherwise no store).
     pub fn store_enabled(mut self, enabled: bool) -> ExperimentPlan {
-        self.store = if enabled { StoreChoice::Auto } else { StoreChoice::Disabled };
+        self.store_enabled = enabled;
         self
     }
 
@@ -361,13 +341,13 @@ impl ExperimentPlan {
     }
 
     /// Enables or disables plan-level result caching (default on). When on
-    /// and a store is configured, each config's merged [`ExperimentResult`]
-    /// is cached under a [`PlanKey`] on top of the per-cell entries, so a
-    /// fully warm rerun is one store read per config — no per-cell lookups,
-    /// no merge. Like the cell cache, the plan cache can never change a
-    /// result: its key covers every cell fingerprint in the config.
+    /// and a store is configured, the whole [`ExperimentResult`] is cached
+    /// under a [`PlanKey`] on top of the per-cell entries, so a fully warm
+    /// rerun is one store read — no per-cell lookups. Like the cell cache,
+    /// the plan cache can never change a result: its key covers every cell
+    /// fingerprint in the grid.
     pub fn plan_cache(mut self, enabled: bool) -> ExperimentPlan {
-        self.plan_cache = Some(enabled);
+        self.plan_cache = enabled;
         self
     }
 
@@ -381,19 +361,18 @@ impl ExperimentPlan {
         self
     }
 
-    /// Resolves the plan's result store: the explicit choice first, then the
-    /// `WLCRC_STORE` environment; read-only from the explicit override, then
-    /// `WLCRC_STORE_READONLY`. A store directory that cannot be created
-    /// degrades to read-only (the cache is an accelerator, not a
-    /// dependency).
+    /// Resolves the plan's result store: none when switched off, otherwise
+    /// the explicit path, then the `WLCRC_STORE` environment; read-only from
+    /// the explicit override, then `WLCRC_STORE_READONLY`. A store directory
+    /// that cannot be created degrades to read-only (the cache is an
+    /// accelerator, not a dependency).
     fn resolve_store(&self) -> Option<ResultStore> {
-        let path = match &self.store {
-            StoreChoice::Disabled => return None,
-            StoreChoice::At(path) => path.clone(),
-            StoreChoice::Auto => {
-                let root = std::env::var_os(STORE_ENV).filter(|root| !root.is_empty())?;
-                PathBuf::from(root)
-            }
+        if !self.store_enabled {
+            return None;
+        }
+        let path = match &self.store_path {
+            Some(path) => path.clone(),
+            None => PathBuf::from(std::env::var_os(STORE_ENV).filter(|root| !root.is_empty())?),
         };
         let readonly = self.store_readonly.unwrap_or_else(wlcrc_store::readonly_from_env);
         Some(ResultStore::open_or_read_only(path, readonly))
@@ -407,60 +386,41 @@ impl ExperimentPlan {
     /// The intra-trace shard count this plan will run with: explicit
     /// override, then `WLCRC_INTRA_SHARDS`, then spare-worker policy (idle
     /// workers divided over the grid's cells, 1 when the grid alone fills
-    /// the pool). Always clamped to the largest bank count on the config
-    /// axis — a shard that owns no bank would replay its trace only to
-    /// discard every record.
+    /// the pool). Always clamped to the config's bank count — a shard that
+    /// owns no bank would replay its trace only to discard every record.
     pub fn intra_shard_count(&self) -> usize {
-        let max_banks = self.configs.iter().map(PcmConfig::total_banks).max().unwrap_or(1).max(1);
+        let banks = self.config.total_banks().max(1);
         if let Some(shards) = self.intra_shards {
-            return shards.clamp(1, max_banks);
+            return shards.clamp(1, banks);
         }
         if let Some(shards) =
             std::env::var(INTRA_SHARDS_ENV).ok().as_deref().and_then(parse_thread_count)
         {
-            return shards.min(max_banks);
+            return shards.min(banks);
         }
-        let cell_count = self.configs.len() * self.cells_per_config();
-        if cell_count == 0 {
-            return 1;
+        match self.cell_count() {
+            0 => 1,
+            cells => (self.worker_count() / cells).clamp(1, banks),
         }
-        (self.worker_count() / cell_count).clamp(1, max_banks)
     }
 
-    /// Executes a single-config plan.
+    /// Executes the grid and returns one cell per (workload, scheme) pair in
+    /// declaration order (workload-major).
     ///
     /// # Panics
     ///
-    /// Panics if the plan has no schemes or workloads, or if more than one
-    /// config was set (use [`ExperimentPlan::run_grid`] for a config axis).
+    /// Panics if the plan has no schemes or workloads.
     pub fn run(&self) -> ExperimentResult {
-        assert_eq!(
-            self.configs.len(),
-            1,
-            "plan has {} configs; use run_grid() for a config axis",
-            self.configs.len()
-        );
-        self.run_grid().remove(0)
-    }
-
-    /// Executes the full grid and returns one [`ExperimentResult`] per
-    /// config, each holding one merged cell per (workload, scheme) pair in
-    /// declaration order (workload-major, matching the sequential layout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan has no schemes, workloads, configs or seeds.
-    pub fn run_grid(&self) -> Vec<ExperimentResult> {
         self.run_cells(None).0
     }
 
     /// Executes the grid cooperatively with other processes sharing the
-    /// plan's store: every cacheable cell is *claimed* through the store
-    /// before being simulated, so independent workers — on this machine or
-    /// any machine sharing the directory — divide the grid between them
-    /// instead of each computing all of it. The returned results are
-    /// byte-identical to [`ExperimentPlan::run_grid`] for any process
-    /// count, worker count and interleaving.
+    /// plan's store: every cell is *claimed* through the store before being
+    /// simulated, so independent workers — on this machine or any machine
+    /// sharing the directory — divide the grid between them instead of each
+    /// computing all of it. The returned result is byte-identical to
+    /// [`ExperimentPlan::run`] for any process count, worker count and
+    /// interleaving.
     ///
     /// The loop per cell: serve it from the store if present; otherwise
     /// claim it (`O_EXCL` marker — exactly one racing process wins),
@@ -482,72 +442,53 @@ impl ExperimentPlan {
     /// stale/dead-owner takeover exists for.
     ///
     /// Without a writable store there is nothing to coordinate through:
-    /// the run is a plain [`ExperimentPlan::run_grid`], and the report
-    /// counts what it computed, loaded and served from plan entries.
-    pub fn run_grid_claimed(
-        &self,
-        stale_after_secs: u64,
-    ) -> (Vec<ExperimentResult>, ClaimedRunReport) {
+    /// the run is a plain [`ExperimentPlan::run`], and the report counts
+    /// what it computed, loaded and served from the plan entry.
+    pub fn run_grid_claimed(&self, stale_after_secs: u64) -> (ExperimentResult, ClaimedRunReport) {
         self.run_cells(Some(stale_after_secs))
     }
 
-    /// The one cell pipeline behind [`ExperimentPlan::run_grid`] and
+    /// The one cell pipeline behind [`ExperimentPlan::run`] and
     /// [`ExperimentPlan::run_grid_claimed`] (`stale_after_secs` is `Some`
     /// for claimed runs).
-    fn run_cells(
-        &self,
-        stale_after_secs: Option<u64>,
-    ) -> (Vec<ExperimentResult>, ClaimedRunReport) {
+    fn run_cells(&self, stale_after_secs: Option<u64>) -> (ExperimentResult, ClaimedRunReport) {
         assert!(!self.schemes.is_empty(), "plan declares no schemes");
         assert!(!self.workloads.is_empty(), "plan declares no workloads");
-        assert!(!self.configs.is_empty(), "plan declares no configs");
-        assert!(!self.seeds.is_empty(), "plan declares no seeds");
-        let cell_count = self.configs.len() * self.cells_per_config();
+        let cell_count = self.cell_count();
 
-        // Preamble: every cacheable cell derives a content-addressed key,
-        // and each config's merged result is cached whole under a key
-        // covering every cell fingerprint in the config. A fully warm rerun
-        // is one store read per config and returns here; a config that hits
-        // drops out of the cell loop. The cache can never change a result —
-        // a hit is the byte-identical record of an identical cell.
+        // Preamble: every cell derives a content-addressed key, and the
+        // whole result is cached under a key covering every cell
+        // fingerprint. A fully warm rerun is one store read and returns
+        // here. The cache can never change a result — a hit is the
+        // byte-identical record of an identical grid.
         let store = self.resolve_store();
         let keys: Vec<CellKey> = if store.is_some() { self.cell_keys() } else { Vec::new() };
-        let plan_cache = store.is_some() && self.resolve_plan_cache();
-        let plan_keys: Vec<Option<PlanKey>> = (0..self.configs.len())
-            .map(|config| plan_cache.then(|| self.plan_key(config, &keys)))
-            .collect();
-        let plan_hits: Vec<Option<ExperimentResult>> = {
+        let plan_key = (store.is_some() && self.plan_cache).then(|| self.plan_key(&keys));
+        let plan_hit = {
             let _span = wlcrc_obs::span("engine.plan_cache_probe");
-            plan_keys.iter().map(|key| cache::load_plan(store.as_ref()?, key.as_ref()?)).collect()
+            store.as_ref().zip(plan_key.as_ref()).and_then(|(s, key)| cache::load_plan(s, key))
         };
-        let report = ClaimedRunReport {
-            plan_hits: plan_hits.iter().filter(|hit| hit.is_some()).count(),
-            ..ClaimedRunReport::default()
-        };
-        if plan_hits.iter().all(Option::is_some) {
-            return (
-                plan_hits.into_iter().map(|hit| hit.expect("checked all hits")).collect(),
-                report,
-            );
+        if let Some(hit) = plan_hit {
+            return (hit, ClaimedRunReport { plan_hits: 1, ..ClaimedRunReport::default() });
         }
 
         // The cell loop. Claims coordinate through a writable store only.
         let stale_after_secs =
             stale_after_secs.filter(|_| store.as_ref().is_some_and(|s| !s.is_read_only()));
-        let pending: VecDeque<(usize, u32)> = (0..cell_count)
-            .filter(|&cell| plan_hits[CellCoord::of(self, cell).config].is_none())
-            .map(|cell| (cell, 0))
-            .collect();
         // Each loop worker owns one cell at a time; spare workers go to its
         // intra-trace shards.
         let pool = self.worker_count();
-        let workers = pool.min(pending.len());
+        let workers = pool.min(cell_count);
         let shard_workers = (pool / workers).max(1);
         let shards = self.intra_shard_count();
-        let pending = Mutex::new(pending);
+        let pending: Mutex<VecDeque<(usize, u32)>> =
+            Mutex::new((0..cell_count).map(|cell| (cell, 0)).collect());
         let traces: Vec<OnceLock<Arc<Trace>>> =
-            (0..self.workloads.len() * self.seeds.len()).map(|_| OnceLock::new()).collect();
-        let done = Mutex::new(((0..cell_count).map(|_| None).collect::<Vec<_>>(), report));
+            self.workloads.iter().map(|_| OnceLock::new()).collect();
+        let done = Mutex::new((
+            (0..cell_count).map(|_| None).collect::<Vec<_>>(),
+            ClaimedRunReport::default(),
+        ));
         let metrics = grid_metrics();
         let worker = || {
             let _span = wlcrc_obs::span("engine.worker");
@@ -598,8 +539,7 @@ impl ExperimentPlan {
                 }
                 let served = hit.is_some();
                 let stats = hit.unwrap_or_else(|| {
-                    let trace =
-                        traces[coord.trace_index(self)].get_or_init(|| self.build_trace(coord));
+                    let trace = traces[coord.workload].get_or_init(|| self.build_trace(coord));
                     let stats = self.simulate_cell(coord, trace, shards, shard_workers);
                     if let Some((store, key)) = key {
                         cache::save_cell(store, key, &stats);
@@ -630,63 +570,28 @@ impl ExperimentPlan {
             parallel_tasks(workers, workers, |_| worker());
         }
 
-        // Deterministic merge, seed-minor so replicate order is fixed by the
-        // plan, not by scheduling.
+        // Each cell sits in the slot of its grid position, so the result's
+        // order is fixed by the plan, not by scheduling. The plan entry
+        // makes the next identical run one read.
         let (cells, report) = done.into_inner().expect("cell mutex poisoned");
-        (self.merge_grid(&cells, &plan_hits, &plan_keys, store.as_ref()), report)
-    }
-
-    /// The one canonical grid merge: merges each config's per-cell
-    /// statistics seed-minor in grid order, substitutes plan-level hits
-    /// verbatim, and writes plan entries for freshly merged configs so the
-    /// next identical run is one read.
-    fn merge_grid(
-        &self,
-        cells: &[Option<SchemeStats>],
-        plan_hits: &[Option<ExperimentResult>],
-        plan_keys: &[Option<PlanKey>],
-        store: Option<&ResultStore>,
-    ) -> Vec<ExperimentResult> {
-        let _span = wlcrc_obs::span("engine.merge_grid");
-        let configs = cells.chunks(self.cells_per_config()).zip(plan_hits).zip(plan_keys);
-        let mut results = Vec::with_capacity(self.configs.len());
-        for (config, ((cells, plan_hit), plan_key)) in configs.enumerate() {
-            if let Some(hit) = plan_hit {
-                results.push(hit.clone());
-                continue;
-            }
-            let mut result = ExperimentResult {
-                meta: RunMetadata {
-                    seeds: self.seeds.clone(),
-                    lines_per_workload: self.lines_per_workload,
-                    config_index: config,
-                    grid_cells: cells.len(),
-                },
-                ..ExperimentResult::default()
-            };
-            // Seeds vary fastest, so each chunk holds one (workload, scheme)
-            // pair's replicates in seed order.
-            for replicates in cells.chunks(self.seeds.len()) {
-                let mut replicates = replicates
-                    .iter()
-                    .map(|cell| cell.as_ref().expect("cells of missed configs are built"));
-                let mut merged = replicates.next().expect("seed axis is not empty").clone();
-                for replicate in replicates {
-                    merged.merge(replicate);
-                }
-                result.cells.push(merged);
-            }
-            if let (Some(store), Some(key)) = (store, plan_key) {
-                cache::save_plan(store, key, &result);
-            }
-            results.push(result);
+        let result = ExperimentResult {
+            cells: cells.into_iter().map(|cell| cell.expect("every cell is built")).collect(),
+            meta: RunMetadata {
+                seeds: vec![self.seed],
+                lines_per_workload: self.lines_per_workload,
+                config_index: 0,
+                grid_cells: cell_count,
+            },
+        };
+        if let (Some(store), Some(key)) = (&store, &plan_key) {
+            cache::save_plan(store, key, &result);
         }
-        results
+        (result, report)
     }
 
-    /// Number of cells per config (workload × scheme × seed).
-    fn cells_per_config(&self) -> usize {
-        self.workloads.len() * self.schemes.len() * self.seeds.len()
+    /// Number of cells in the grid (workload × scheme).
+    fn cell_count(&self) -> usize {
+        self.workloads.len() * self.schemes.len()
     }
 
     /// Highest write intensity among the profile workloads (1.0 minimum,
@@ -701,16 +606,16 @@ impl ExperimentPlan {
             .fold(1.0, f64::max)
     }
 
-    /// Builds the trace that every cell of `coord`'s (workload, seed) pair
-    /// replays. Deterministic: it derives only from the plan and the base
-    /// seed. Traces added with [`ExperimentPlan::trace`] are used as given.
+    /// Builds the trace that every cell of `coord`'s workload replays.
+    /// Deterministic: it derives only from the plan and the base seed.
+    /// Traces added with [`ExperimentPlan::trace`] are used as given.
     fn build_trace(&self, coord: CellCoord) -> Arc<Trace> {
         match &self.workloads[coord.workload] {
             WorkloadSource::Trace(trace) => Arc::clone(trace),
             WorkloadSource::Profile(profile) => {
                 #[cfg(test)]
                 self.trace_builds.fetch_add(1, Ordering::Relaxed);
-                let seed = workload_stream_seed(self.seeds[coord.seed], &profile.name);
+                let seed = workload_stream_seed(self.seed, &profile.name);
                 Arc::new(
                     TraceStream::new(profile.clone(), seed, self.scaled_lines(profile))
                         .collect_trace(),
@@ -727,31 +632,29 @@ impl ExperimentPlan {
         scaled_workload_lines(self.lines_per_workload, profile, self.max_intensity())
     }
 
+    /// The version salt of every key this plan derives.
+    fn salt(&self) -> String {
+        self.store_salt.clone().unwrap_or_else(cache::effective_salt)
+    }
+
     /// Derives the store key of every cell. Codec fingerprints are probed
-    /// once per (scheme, config) — candidate selection depends on the
-    /// config's energy model — and workload identities (profile values,
+    /// once per scheme — under the config's energy model, which candidate
+    /// selection depends on — and workload identities (profile values,
     /// trace digests) computed once per workload, not once per cell.
     fn cell_keys(&self) -> Vec<CellKey> {
-        let salt = self.store_salt.clone().unwrap_or_else(cache::effective_salt);
-        // `codec_fps[scheme * configs + config]`.
+        let salt = self.salt();
         let codec_fps: Vec<Fingerprint> = self
             .schemes
             .iter()
-            .flat_map(|(_, factory)| {
-                self.configs
-                    .iter()
-                    .map(|config| cache::codec_fingerprint(factory().as_ref(), &config.energy))
-                    .collect::<Vec<_>>()
-            })
+            .map(|(_, factory)| cache::codec_fingerprint(factory().as_ref(), &self.config.energy))
             .collect();
-        // Per-workload identity; a profile's stream seed is set per cell.
         let identities: Vec<WorkloadIdentity> = self
             .workloads
             .iter()
             .map(|workload| match workload {
                 WorkloadSource::Profile(profile) => WorkloadIdentity::Profile {
                     profile: profile.identity_value(),
-                    stream_seed: 0,
+                    stream_seed: workload_stream_seed(self.seed, &profile.name),
                     scaled_lines: self.scaled_lines(profile) as u64,
                 },
                 WorkloadSource::Trace(trace) => WorkloadIdentity::Trace {
@@ -760,25 +663,18 @@ impl ExperimentPlan {
                 },
             })
             .collect();
-        (0..self.configs.len() * self.cells_per_config())
+        (0..self.cell_count())
             .map(|cell| {
                 let coord = CellCoord::of(self, cell);
-                let base_seed = self.seeds[coord.seed];
-                let name = self.workloads[coord.workload].name();
-                let mut workload = identities[coord.workload].clone();
-                if let WorkloadIdentity::Profile { stream_seed, .. } = &mut workload {
-                    *stream_seed = workload_stream_seed(base_seed, name);
-                }
                 let label = &self.schemes[coord.scheme].0;
                 CellKey {
                     salt: salt.clone(),
                     scheme: label.clone(),
-                    codec: codec_fps[coord.scheme * self.configs.len() + coord.config],
-                    workload,
-                    config: self.configs[coord.config].clone(),
-                    config_index: coord.config as u64,
-                    base_seed,
-                    cell_seed: cell_seed(base_seed, coord.config, label, name),
+                    codec: codec_fps[coord.scheme],
+                    workload: identities[coord.workload].clone(),
+                    config: self.config.clone(),
+                    base_seed: self.seed,
+                    cell_seed: cell_seed(self.seed, label, self.workloads[coord.workload].name()),
                     verify_integrity: self.verify_integrity,
                     isolated: self.isolated,
                 }
@@ -786,55 +682,42 @@ impl ExperimentPlan {
             .collect()
     }
 
-    /// Resolves plan-level caching: explicit override, otherwise on.
-    fn resolve_plan_cache(&self) -> bool {
-        self.plan_cache.unwrap_or(true)
-    }
-
-    /// Derives config `config`'s plan key from the full grid's cell keys.
-    fn plan_key(&self, config: usize, keys: &[CellKey]) -> PlanKey {
-        let cells_per_config = self.cells_per_config();
-        let slice = &keys[config * cells_per_config..(config + 1) * cells_per_config];
+    /// Derives the plan key from the grid's cell keys.
+    fn plan_key(&self, keys: &[CellKey]) -> PlanKey {
         PlanKey {
-            salt: self.store_salt.clone().unwrap_or_else(cache::effective_salt),
-            config_index: config as u64,
-            seeds: self.seeds.clone(),
+            salt: self.salt(),
+            seed: self.seed,
             lines_per_workload: self.lines_per_workload as u64,
             workloads: self.workloads.len() as u64,
             schemes: self.schemes.len() as u64,
-            cells: slice.iter().map(|key| Fingerprint::of_value(&key.to_value())).collect(),
+            cells: keys.iter().map(|key| Fingerprint::of_value(&key.to_value())).collect(),
         }
     }
 
-    /// The plan-level store fingerprint of every config on the axis.
-    /// Exposed so tests — and operators debugging cache behaviour — can
-    /// check two plans will share plan entries without running either:
-    /// worker and shard knobs must never move these, while salt, scheme,
-    /// workload, seed and config edits must.
-    pub fn plan_fingerprints(&self) -> Vec<Fingerprint> {
-        let keys = self.cell_keys();
-        (0..self.configs.len()).map(|config| self.plan_key(config, &keys).fingerprint()).collect()
+    /// The plan-level store fingerprint. Exposed so tests — and operators
+    /// debugging cache behaviour — can check two plans will share a plan
+    /// entry without running either: worker and shard knobs must never move
+    /// it, while salt, scheme, workload, seed and config edits must.
+    pub fn plan_fingerprint(&self) -> Fingerprint {
+        self.plan_key(&self.cell_keys()).fingerprint()
     }
 
-    /// The per-cell store fingerprints behind each config's plan key, in
-    /// recorded order. This is the list a plan *entry* records under its
-    /// `cells` field, so diffing it against a stored entry names exactly
-    /// which cells moved — the `storectl why` plan-cache-miss post-mortem.
-    pub fn plan_cell_fingerprints(&self) -> Vec<Vec<Fingerprint>> {
-        let keys = self.cell_keys();
-        (0..self.configs.len()).map(|config| self.plan_key(config, &keys).cells).collect()
+    /// The per-cell store fingerprints behind the plan key, in recorded
+    /// order. This is the list a plan *entry* records under its `cells`
+    /// field, so diffing it against a stored entry names exactly which cells
+    /// moved — the `storectl why` plan-cache-miss post-mortem.
+    pub fn plan_cell_fingerprints(&self) -> Vec<Fingerprint> {
+        self.plan_key(&self.cell_keys()).cells
     }
 
-    /// Human-readable labels for one config's cell positions, in the same
+    /// Human-readable labels for the grid's cell positions, in the same
     /// order as a plan key's recorded `cells` list (workload-major, then
-    /// scheme, then seed — the grid order everywhere in the engine).
+    /// scheme — the grid order everywhere in the engine).
     pub fn cell_labels(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.cells_per_config());
+        let mut out = Vec::with_capacity(self.cell_count());
         for workload in &self.workloads {
             for (label, _) in &self.schemes {
-                for seed in &self.seeds {
-                    out.push(format!("{} / {} / seed {}", workload.name(), label, seed));
-                }
+                out.push(format!("{} / {} / seed {}", workload.name(), label, self.seed));
             }
         }
         out
@@ -853,16 +736,15 @@ impl ExperimentPlan {
     ) -> SchemeStats {
         let (label, factory) = &self.schemes[coord.scheme];
         let workload = self.workloads[coord.workload].name();
-        let base_seed = self.seeds[coord.seed];
-        let config = &self.configs[coord.config];
-        let simulator = Simulator::with_config(config.clone()).with_options(SimulationOptions {
-            seed: cell_seed(base_seed, coord.config, label, workload),
-            verify_integrity: self.verify_integrity,
-            sample_disturbance: true,
-        });
+        let simulator =
+            Simulator::with_config(self.config.clone()).with_options(SimulationOptions {
+                seed: cell_seed(self.seed, label, workload),
+                verify_integrity: self.verify_integrity,
+                sample_disturbance: true,
+            });
         let partials = parallel_tasks(shards, workers, |shard| {
             let _span = wlcrc_obs::span_with("engine.cell", || {
-                let mut cell_label = format!("{label}×{workload}×seed{base_seed}");
+                let mut cell_label = format!("{label}×{workload}×seed{}", self.seed);
                 if shards > 1 {
                     cell_label.push_str(&format!("×shard{shard}/{shards}"));
                 }
@@ -876,38 +758,24 @@ impl ExperimentPlan {
             }
         });
         let _span = wlcrc_obs::span("engine.merge");
-        merge_bank_stats(label, workload, config.total_banks(), partials.into_iter().flatten())
+        merge_bank_stats(label, workload, self.config.total_banks(), partials.into_iter().flatten())
     }
 }
 
-/// A grid cell's coordinates. Cells are numbered config-major, then by
-/// workload and scheme, with the seed varying fastest: the order of the
-/// merged results and of a plan key's recorded cells.
+/// A grid cell's coordinates. Cells are numbered workload-major, then by
+/// scheme: the order of the result's cells and of a plan key's recorded
+/// cells.
 #[derive(Debug, Clone, Copy)]
 struct CellCoord {
-    config: usize,
     workload: usize,
     scheme: usize,
-    seed: usize,
 }
 
 impl CellCoord {
     /// The coordinates of cell index `cell` in `plan`'s grid.
     fn of(plan: &ExperimentPlan, cell: usize) -> CellCoord {
-        let seeds = plan.seeds.len();
         let schemes = plan.schemes.len();
-        let workloads = plan.workloads.len();
-        CellCoord {
-            config: cell / (seeds * schemes * workloads),
-            workload: cell / (seeds * schemes) % workloads,
-            scheme: cell / seeds % schemes,
-            seed: cell % seeds,
-        }
-    }
-
-    /// The index of the cell's (workload, seed) trace among `plan`'s.
-    fn trace_index(self, plan: &ExperimentPlan) -> usize {
-        self.workload * plan.seeds.len() + self.seed
+        CellCoord { workload: cell / schemes, scheme: cell % schemes }
     }
 }
 
@@ -923,14 +791,14 @@ pub struct ClaimedRunReport {
     pub loaded: usize,
     /// Of the computed cells, how many came from stale-claim takeovers.
     pub taken_over: usize,
-    /// Configs served whole from plan-level entries.
+    /// 1 when the whole grid was served from its plan-level entry, else 0.
     pub plan_hits: usize,
 }
 
 /// Grid-runner counters, published through the process-global
 /// `wlcrc_obs` registry as the `wlcrc_grid_*` families.
 ///
-/// Every grid run — [`ExperimentPlan::run_grid`] and
+/// Every grid run — [`ExperimentPlan::run`] and
 /// [`ExperimentPlan::run_grid_claimed`] alike — bumps these as its workers
 /// make progress, so a long run can be watched live — `wlcrc-gridrun`
 /// prints a periodic stderr progress report from them — and a scrape in the
@@ -1109,10 +977,8 @@ pub fn scaled_workload_lines(
 /// — never from worker identity — so parallelism cannot change any figure.
 /// Public so a long-lived session replaying one grid cell (the serve layer)
 /// can be seeded byte-identically to the batch engine.
-pub fn cell_seed(base: u64, config_index: usize, scheme: &str, workload: &str) -> u64 {
-    let mut h = 0x517c_c1b7_2722_0a95u64
-        ^ base.rotate_left(17)
-        ^ (config_index as u64).wrapping_mul(0xa24b_aed4_963e_e407);
+pub fn cell_seed(base: u64, scheme: &str, workload: &str) -> u64 {
+    let mut h = 0x517c_c1b7_2722_0a95u64 ^ base.rotate_left(17);
     for b in scheme.bytes() {
         h = (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
     }
@@ -1193,7 +1059,7 @@ mod tests {
                 scaled_workload_lines(30, &profile, max_intensity),
             );
             let options = SimulationOptions {
-                seed: cell_seed(5, 0, "Baseline", &profile.name),
+                seed: cell_seed(5, "Baseline", &profile.name),
                 ..SimulationOptions::default()
             };
             let mut streamed = Simulator::new().with_options(options).run(&RawCodec::new(), stream);
@@ -1269,12 +1135,12 @@ mod tests {
 
     #[test]
     fn each_encoder_is_built_once_per_cell_shard_and_session() {
-        // Two workloads, two seeds, four shards on two workers: four cells
-        // and 16 shard runs, each building its tables once.
+        // Two workloads, four shards on two workers: two cells and eight
+        // shard runs, each building its tables once.
         let plan = |encoders: Arc<AtomicUsize>| {
             ExperimentPlan::new()
                 .store_enabled(false)
-                .seeds([3, 4])
+                .seed(3)
                 .lines_per_workload(40)
                 .workload(Benchmark::Gcc.profile())
                 .workload(Benchmark::Mcf.profile())
@@ -1285,7 +1151,7 @@ mod tests {
         };
         let encoders = Arc::new(AtomicUsize::new(0));
         let sharded = plan(Arc::clone(&encoders)).threads(2).intra_trace_shards(4).run();
-        assert_eq!(encoders.load(Ordering::Relaxed), 16, "one encoder per (cell, shard)");
+        assert_eq!(encoders.load(Ordering::Relaxed), 8, "one encoder per (cell, shard)");
         let sequential = plan(Arc::default()).threads(1).intra_trace_shards(1).run();
         assert_eq!(sharded, sequential);
 
@@ -1303,25 +1169,22 @@ mod tests {
 
     #[test]
     fn each_trace_is_built_once_per_run() {
-        // Three schemes, two seeds, four shards on two workers: twelve
-        // cells and 48 shard replays share two traces, one per seed.
+        // Three schemes, two workloads, four shards on two workers: six
+        // cells and 24 shard replays share two traces, one per workload.
         let plan = || {
             ExperimentPlan::new()
                 .store_enabled(false)
-                .seeds([3, 4])
+                .seed(3)
                 .lines_per_workload(40)
                 .workload(Benchmark::Gcc.profile())
+                .workload(Benchmark::Mcf.profile())
                 .scheme("Baseline", || Box::new(RawCodec::new()))
                 .scheme("Shared", || Box::new(RawCodec::new()))
                 .scheme("Remapped", remapped_raw)
         };
         let sharded_plan = plan().threads(2).intra_trace_shards(4);
         let sharded = sharded_plan.run();
-        assert_eq!(
-            sharded_plan.trace_builds.load(Ordering::Relaxed),
-            2,
-            "one trace per (workload, seed) pair"
-        );
+        assert_eq!(sharded_plan.trace_builds.load(Ordering::Relaxed), 2, "one trace per workload");
         let sequential = plan().threads(1).intra_trace_shards(1).run();
         assert_eq!(sharded, sequential);
     }
@@ -1358,33 +1221,18 @@ mod tests {
     }
 
     #[test]
-    fn seed_axis_merges_replicates() {
-        let single = small_plan().run();
-        let double = small_plan().seeds([3, 4]).run();
-        assert_eq!(double.cells.len(), single.cells.len());
-        let one = single.get("Baseline", "gcc").unwrap();
-        let two = double.get("Baseline", "gcc").unwrap();
-        assert_eq!(two.writes, 2 * one.writes);
-        assert_eq!(double.meta.seeds, vec![3, 4]);
-    }
-
-    #[test]
     fn run_grid_returns_one_result_per_config() {
+        // A study over several configs runs one plan per config, as
+        // Figure 14 does.
         let mut cheap = PcmConfig::table_ii();
         cheap.energy = EnergyModel::figure14_configurations().last().unwrap().clone();
-        let results = small_plan().configs([PcmConfig::table_ii(), cheap]).run_grid();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].meta.config_index, 0);
-        assert_eq!(results[1].meta.config_index, 1);
-        let default_energy = results[0].get("Baseline", "gcc").unwrap().total_energy_pj();
-        let cheap_energy = results[1].get("Baseline", "gcc").unwrap().total_energy_pj();
+        let default = small_plan().run();
+        let cheap = small_plan().config(cheap).run();
+        assert_eq!(default.meta.config_index, 0);
+        assert_eq!(cheap.meta.config_index, 0);
+        let default_energy = default.get("Baseline", "gcc").unwrap().total_energy_pj();
+        let cheap_energy = cheap.get("Baseline", "gcc").unwrap().total_energy_pj();
         assert!(cheap_energy < default_energy, "{cheap_energy} vs {default_energy}");
-    }
-
-    #[test]
-    #[should_panic(expected = "use run_grid()")]
-    fn run_rejects_config_axes() {
-        small_plan().configs([PcmConfig::table_ii(), PcmConfig::table_ii()]).run();
     }
 
     #[test]
@@ -1473,7 +1321,7 @@ mod tests {
     #[test]
     fn store_disabled_cold_and_warm_runs_are_byte_identical() {
         let scratch = Scratch::new("cold-warm");
-        let plan = || small_plan().seeds([3, 4]).threads(2);
+        let plan = || small_plan().threads(2);
         let disabled = plan().store_enabled(false).run();
         let cold = plan().store(&scratch.0).store_readonly(false).run();
         let warm = plan().store(&scratch.0).store_readonly(false).run();
@@ -1484,10 +1332,10 @@ mod tests {
         assert_eq!(disabled, warm);
         assert_eq!(disabled, warm_parallel);
         assert_eq!(disabled, warm_sharded);
-        // 3 workloads × 2 schemes × 2 seeds cells were recorded once, plus
-        // the config's plan-level entry.
+        // 3 workloads × 2 schemes cells were recorded once, plus the
+        // plan-level entry.
         let store = ResultStore::open_read_only(&scratch.0);
-        assert_eq!(store.entries().len(), 13);
+        assert_eq!(store.entries().len(), 7);
         // Each warm run was served by exactly one plan-level hit — no
         // per-cell entry was touched.
         assert_eq!(store.hit_count(), 3);
@@ -1501,7 +1349,7 @@ mod tests {
         let store = ResultStore::open_read_only(&scratch.0);
         assert_eq!(store.entries().len(), 7, "6 cells + 1 plan entry");
         assert_eq!(store.hit_count(), 0);
-        let plan_fp = plan().plan_fingerprints()[0];
+        let plan_fp = plan().plan_fingerprint();
         let warm = plan().run();
         assert_eq!(cold, warm);
         // The journal proves the warm run touched exactly one entry: the
@@ -1537,7 +1385,7 @@ mod tests {
         let scratch = Scratch::new("plan-corrupt");
         let plan = || small_plan().store(&scratch.0).store_readonly(false);
         let cold = plan().run();
-        let plan_fp = plan().plan_fingerprints()[0];
+        let plan_fp = plan().plan_fingerprint();
         let store = ResultStore::open(&scratch.0).unwrap();
         std::fs::write(store.entry_path(plan_fp), b"garbage").unwrap();
         let rewarmed = plan().run();
@@ -1552,21 +1400,23 @@ mod tests {
 
     #[test]
     fn plan_fingerprints_ignore_execution_knobs_but_track_identity() {
-        let base = small_plan().plan_fingerprints();
-        assert_eq!(base.len(), 1);
+        let base = small_plan().plan_fingerprint();
         // Execution knobs must not move the plan key (they cannot change
         // results, so they must not fragment the cache).
-        assert_eq!(base, small_plan().threads(7).plan_fingerprints());
-        assert_eq!(base, small_plan().intra_trace_shards(4).plan_fingerprints());
+        assert_eq!(base, small_plan().threads(7).plan_fingerprint());
+        assert_eq!(base, small_plan().intra_trace_shards(4).plan_fingerprint());
         // Identity edits must move it.
-        assert_ne!(base, small_plan().seed(4).plan_fingerprints());
-        assert_ne!(base, small_plan().lines_per_workload(41).plan_fingerprints());
-        assert_ne!(base, small_plan().store_version_salt("bumped").plan_fingerprints());
-        assert_ne!(base, small_plan().workload(Benchmark::Lbm.profile()).plan_fingerprints());
+        assert_ne!(base, small_plan().seed(4).plan_fingerprint());
+        assert_ne!(base, small_plan().lines_per_workload(41).plan_fingerprint());
+        assert_ne!(base, small_plan().store_version_salt("bumped").plan_fingerprint());
+        assert_ne!(base, small_plan().workload(Benchmark::Lbm.profile()).plan_fingerprint());
         assert_ne!(
             base,
-            small_plan().scheme("Extra", || Box::new(RawCodec::new())).plan_fingerprints()
+            small_plan().scheme("Extra", || Box::new(RawCodec::new())).plan_fingerprint()
         );
+        let mut cheap = PcmConfig::table_ii();
+        cheap.energy = EnergyModel::with_intermediate_states(50.0, 80.0);
+        assert_ne!(base, small_plan().config(cheap).plan_fingerprint());
     }
 
     #[test]
@@ -1672,6 +1522,16 @@ mod tests {
     }
 
     #[test]
+    fn re_enabling_the_store_keeps_its_explicit_path() {
+        let scratch = Scratch::new("re-enabled");
+        let plan = || small_plan().store(&scratch.0).store_readonly(false);
+        let reenabled = plan().store_enabled(false).store_enabled(true).run();
+        assert_eq!(reenabled, small_plan().run());
+        let store = ResultStore::open_read_only(&scratch.0);
+        assert_eq!(store.entries().len(), 7, "6 cells + 1 plan entry in the explicit store");
+    }
+
+    #[test]
     fn readonly_stores_serve_hits_but_never_write() {
         let scratch = Scratch::new("readonly");
         // A read-only store over a missing directory: every cell misses and
@@ -1721,17 +1581,17 @@ mod tests {
     #[test]
     fn claimed_runs_match_run_grid_and_divide_work() {
         let scratch = Scratch::new("claimed");
-        let plan = || small_plan().seeds([3, 4]).threads(2).store(&scratch.0);
-        let direct = plan().store_enabled(false).run_grid();
+        let plan = || small_plan().threads(2).store(&scratch.0);
+        let direct = plan().store_enabled(false).run();
         // Cold claimed run: every cell claimed, computed and written back.
         let (cold, cold_report) = plan().run_grid_claimed(60);
         assert_eq!(direct, cold);
-        assert_eq!(cold_report.computed, 12);
+        assert_eq!(cold_report.computed, 6);
         assert_eq!(cold_report.loaded, 0);
         assert_eq!(cold_report.taken_over, 0);
         let store = ResultStore::open_read_only(&scratch.0);
         assert!(store.claims().is_empty(), "all claims released after compute");
-        assert_eq!(store.entries().len(), 13, "12 cells + 1 plan entry");
+        assert_eq!(store.entries().len(), 7, "6 cells + 1 plan entry");
         // Warm claimed run: one plan-level hit, nothing claimed or computed.
         let (warm, warm_report) = plan().run_grid_claimed(60);
         assert_eq!(direct, warm);
@@ -1743,7 +1603,7 @@ mod tests {
         let (served, served_report) = plan().plan_cache(false).run_grid_claimed(60);
         assert_eq!(direct, served);
         assert_eq!(served_report.computed, 0);
-        assert_eq!(served_report.loaded, 12);
+        assert_eq!(served_report.loaded, 6);
     }
 
     #[test]
@@ -1767,7 +1627,7 @@ mod tests {
         std::fs::write(&path, b"999999@elsewhere.invalid 5\n").unwrap();
         // stale_after 0 with a claim from unix time 5: immediately stale.
         let (claimed, report) = plan().run_grid_claimed(0);
-        assert_eq!(claimed, plan().store_enabled(false).run_grid());
+        assert_eq!(claimed, plan().store_enabled(false).run());
         assert_eq!(report.computed, 1);
         assert_eq!(report.taken_over, 1);
         assert!(store.claims().is_empty(), "the taken-over claim was released");
@@ -1775,19 +1635,18 @@ mod tests {
 
     #[test]
     fn claimed_runs_without_a_store_fall_back_to_run_grid() {
-        let plan = || small_plan().seeds([3, 4]);
-        let (results, report) = plan().run_grid_claimed(60);
-        assert_eq!(results, plan().run_grid());
-        // 3 workloads × 2 schemes × 2 seeds grid cells, not merged cells.
-        assert_eq!(report.computed, 12);
+        let (result, report) = small_plan().run_grid_claimed(60);
+        assert_eq!(result, small_plan().run());
+        // 3 workloads × 2 schemes grid cells.
+        assert_eq!(report.computed, 6);
         assert_eq!(report.loaded, 0);
     }
 
     #[test]
     fn claimed_runs_on_a_warm_read_only_store_count_the_plan_hit() {
         let scratch = Scratch::new("claimed-readonly");
-        let plan = || small_plan().seeds([3, 4]).store(&scratch.0);
-        let cold = plan().store_readonly(false).run_grid();
+        let plan = || small_plan().store(&scratch.0);
+        let cold = plan().store_readonly(false).run();
         let (warm, report) = plan().store_readonly(true).run_grid_claimed(60);
         assert_eq!(cold, warm);
         assert_eq!(
@@ -1798,12 +1657,11 @@ mod tests {
 
     #[test]
     fn cell_seeds_separate_grid_coordinates() {
-        let base = cell_seed(1, 0, "A", "w");
-        assert_ne!(base, cell_seed(2, 0, "A", "w"), "base seed must matter");
-        assert_ne!(base, cell_seed(1, 1, "A", "w"), "config must matter");
-        assert_ne!(base, cell_seed(1, 0, "B", "w"), "scheme must matter");
-        assert_ne!(base, cell_seed(1, 0, "A", "x"), "workload must matter");
+        let base = cell_seed(1, "A", "w");
+        assert_ne!(base, cell_seed(2, "A", "w"), "base seed must matter");
+        assert_ne!(base, cell_seed(1, "B", "w"), "scheme must matter");
+        assert_ne!(base, cell_seed(1, "A", "x"), "workload must matter");
         // Concatenation ambiguity: ("AB", "C") vs ("A", "BC").
-        assert_ne!(cell_seed(1, 0, "AB", "C"), cell_seed(1, 0, "A", "BC"));
+        assert_ne!(cell_seed(1, "AB", "C"), cell_seed(1, "A", "BC"));
     }
 }

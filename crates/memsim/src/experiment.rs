@@ -13,14 +13,15 @@ use std::collections::HashSet;
 /// parallelism.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunMetadata {
-    /// Base seeds of the grid (cells are merged across them, in this order).
+    /// The grid's base seed, as a one-element list: the layout of the
+    /// stored plan entries, which keep their bytes.
     pub seeds: Vec<u64>,
     /// Unscaled trace length per profile workload.
     pub lines_per_workload: usize,
-    /// Index of this result's config on the plan's config axis.
+    /// Always 0: a plan runs one config. Kept so stored plan entries keep
+    /// their bytes.
     pub config_index: usize,
-    /// Number of simulated cells behind this result
-    /// (workloads × schemes × seeds).
+    /// Number of simulated cells behind this result (workloads × schemes).
     pub grid_cells: usize,
 }
 

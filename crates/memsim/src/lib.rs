@@ -26,12 +26,12 @@
 //! memory is O(working-set) — never O(trace-length) — and the per-bank lanes
 //! merge in a canonical bank order whatever the parallelism.
 //!
-//! Experiment grids (scheme × workload × config × seed) are executed by the
-//! parallel sharded engine in [`engine`]: declare the grid with
-//! [`engine::ExperimentPlan`], and the cells — and, within each cell, the
-//! per-bank partitions of its trace — are spread over a scoped worker pool
-//! (`WLCRC_THREADS`, `WLCRC_INTRA_SHARDS`) with bit-identical results for
-//! any worker or shard count.
+//! Experiment grids (workload × scheme, under one config and one base seed)
+//! are executed by the parallel sharded engine in [`engine`]: declare the
+//! grid with [`engine::ExperimentPlan`], and the cells — and, within each
+//! cell, the per-bank partitions of its trace — are spread over a scoped
+//! worker pool (`WLCRC_THREADS`, `WLCRC_INTRA_SHARDS`) with bit-identical
+//! results for any worker or shard count.
 //!
 //! Cell results can additionally be cached **across processes** in a
 //! persistent content-addressed store (`WLCRC_STORE`, or

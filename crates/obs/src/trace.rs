@@ -190,7 +190,9 @@ fn write_line(line: &str) {
 }
 
 /// Escape `text` as the inside of a JSON string literal, appending to `out`.
-pub(crate) fn escape_json_into(out: &mut String, text: &str) {
+/// The workspace's one JSON string escaper: the trace writer and `perfsnap`'s
+/// snapshot entries both write through it.
+pub fn escape_json_into(out: &mut String, text: &str) {
     for ch in text.chars() {
         match ch {
             '"' => out.push_str("\\\""),

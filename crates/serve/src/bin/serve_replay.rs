@@ -103,7 +103,7 @@ fn run() -> Result<(), Failure> {
     for profile in &profiles {
         for id in SchemeId::ALL {
             let options = SimulationOptions {
-                seed: cell_seed(seed, 0, id.label(), &profile.name),
+                seed: cell_seed(seed, id.label(), &profile.name),
                 ..SimulationOptions::default()
             };
             let session = client.open(id.label(), &profile.name, PcmConfig::table_ii(), options)?;

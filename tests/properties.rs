@@ -253,7 +253,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The plan-level cache key must be a pure function of the grid's
-    /// *identity* (salt, seeds, trace length, workloads, schemes) and blind
+    /// *identity* (salt, seed, trace length, workloads, schemes) and blind
     /// to every *execution* knob (workers, intra-trace shards) — otherwise a
     /// rerun at different parallelism would miss the plan entry, or worse,
     /// two distinct grids would collide on one.
@@ -278,23 +278,23 @@ proptest! {
             }
             plan
         };
-        let base = build(seed, lines, 2, 2).plan_fingerprints()[0];
+        let base = build(seed, lines, 2, 2).plan_fingerprint();
         let knobs = build(seed, lines, 2, 2)
             .threads(threads)
             .intra_trace_shards(shards)
-            .plan_fingerprints()[0];
+            .plan_fingerprint();
         prop_assert_eq!(base, knobs, "execution knobs must not change the plan key");
 
         let edits = [
-            ("seed", build(seed + 1, lines, 2, 2).plan_fingerprints()[0]),
-            ("trace length", build(seed, lines + 1, 2, 2).plan_fingerprints()[0]),
-            ("scheme set", build(seed, lines, 1, 2).plan_fingerprints()[0]),
-            ("workload set", build(seed, lines, 2, 1).plan_fingerprints()[0]),
+            ("seed", build(seed + 1, lines, 2, 2).plan_fingerprint()),
+            ("trace length", build(seed, lines + 1, 2, 2).plan_fingerprint()),
+            ("scheme set", build(seed, lines, 1, 2).plan_fingerprint()),
+            ("workload set", build(seed, lines, 2, 1).plan_fingerprint()),
             (
                 "version salt",
                 build(seed, lines, 2, 2)
                     .store_version_salt("plan-key-proptest")
-                    .plan_fingerprints()[0],
+                    .plan_fingerprint(),
             ),
         ];
         for (what, edited) in edits {

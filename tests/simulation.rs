@@ -176,7 +176,7 @@ fn streaming_pipeline_matches_materialised_baseline_for_every_scheme() {
                 scaled_workload_lines(40, profile, max_intensity),
             );
             let options = SimulationOptions {
-                seed: cell_seed(42, 0, id.label(), &profile.name),
+                seed: cell_seed(42, id.label(), &profile.name),
                 ..SimulationOptions::default()
             };
             let mut streamed = Simulator::with_config(PcmConfig::table_ii())

@@ -104,7 +104,7 @@ fn cached_results_are_byte_identical_across_store_states_workers_and_shards() {
     // Partially warm: evict a quarter of the *cell* entries (the plan entry
     // stays put) and rerun with the plan cache off, so the per-cell layer
     // recomputes and rewrites exactly the missing cells.
-    let plan_fp = registry_plan().plan_fingerprints()[0];
+    let plan_fp = registry_plan().plan_fingerprint();
     for info in store.entries().iter().filter(|i| i.fingerprint != plan_fp).step_by(4) {
         ResultStore::open(&scratch.0).unwrap().evict(info.fingerprint).unwrap();
     }
@@ -179,12 +179,13 @@ fn config_axis_cells_cache_independently() {
     let scratch = Scratch::new("configs");
     let mut cheap = PcmConfig::table_ii();
     cheap.energy = EnergyModel::with_intermediate_states(50.0, 80.0);
-    let plan = |store: bool| {
+    // One plan per config, both on one store.
+    let plan = |config: &PcmConfig, store: bool| {
         let mut plan = ExperimentPlan::new()
             .seed(2)
             .lines_per_workload(30)
             .workload(Benchmark::Lbm.profile())
-            .configs([PcmConfig::table_ii(), cheap.clone()]);
+            .config(config.clone());
         for (id, factory) in standard_factories().into_iter().take(3) {
             plan = plan.scheme_factory(id.label(), factory);
         }
@@ -194,14 +195,17 @@ fn config_axis_cells_cache_independently() {
             plan.store_enabled(false)
         }
     };
-    let disabled = plan(false).run_grid();
-    let cold = plan(true).run_grid();
-    let warm = plan(true).run_grid();
-    assert_eq!(disabled, cold);
-    assert_eq!(disabled, warm);
+    for config in [PcmConfig::table_ii(), cheap.clone()] {
+        let disabled = plan(&config, false).run();
+        assert_eq!(disabled, plan(&config, true).run(), "cold");
+    }
     let store = ResultStore::open_read_only(&scratch.0);
     assert_eq!(store.entries().len(), 8, "3 schemes x 1 workload x 2 configs, plus 2 plan entries");
-    assert_eq!(store.hit_count(), 2, "the warm grid is two plan-level hits");
+    for config in [PcmConfig::table_ii(), cheap] {
+        assert_eq!(plan(&config, false).run(), plan(&config, true).run(), "warm");
+    }
+    assert_eq!(store.entries().len(), 8, "warm runs write nothing new");
+    assert_eq!(store.hit_count(), 2, "the warm runs are two plan-level hits");
 }
 
 /// Every cell's store key carries its codec's behavioural fingerprint
@@ -234,4 +238,27 @@ fn codec_fingerprints_match_the_golden() {
         }
     }
     assert_eq!(hasher.finish().to_hex(), GOLDEN, "codec fingerprints:{listing}");
+}
+
+/// A plan's store key covers its metadata and the fingerprint of every cell
+/// key, so these goldens pin the bytes of both. A change that moves them
+/// orphans every stored plan entry; the warm rerun then misses its one
+/// plan-level read and writes a second plan entry. Recorded for the Figure 8
+/// grid and the `perfsnap` runner grid, both under the default salt.
+#[test]
+fn plan_fingerprints_match_the_golden() {
+    use wlcrc_repro::memsim::SIMULATOR_VERSION_SALT;
+    use wlcrc_repro::trace::WorkloadProfile;
+
+    let fingerprint = |seed: u64, workloads: Vec<WorkloadProfile>| {
+        let mut plan = ExperimentPlan::new().seed(seed).lines_per_workload(40).workloads(workloads);
+        for (id, factory) in standard_factories() {
+            plan = plan.scheme_factory(id.label(), factory);
+        }
+        plan.store_version_salt(SIMULATOR_VERSION_SALT).plan_fingerprint().to_hex()
+    };
+    let fig08 = fingerprint(7, WorkloadProfile::all_benchmarks());
+    let perfsnap = fingerprint(42, vec![Benchmark::Gcc.profile(), Benchmark::Lbm.profile()]);
+    assert_eq!(fig08, "f0204e5d3b6b9e0d1f714fcc73a1e5bf", "the Figure 8 plan");
+    assert_eq!(perfsnap, "cb0413ac06aa41e61d5e51719606fd0d", "the perfsnap plan");
 }

@@ -25,16 +25,15 @@ fn traced_run_produces_a_valid_chrome_trace() {
 
     // A small two-cell grid, store disabled: enough to cross every engine
     // phase (simulate, per-cell shards, merge) without I/O.
-    let results = ExperimentPlan::new()
+    let result = ExperimentPlan::new()
         .seed(7)
         .lines_per_workload(20)
         .workload(Benchmark::Gcc.profile())
         .workload(Benchmark::Milc.profile())
         .scheme_factory("WLCRC-16", std::sync::Arc::new(|| Box::new(WlcCosetCodec::wlcrc16()) as _))
         .store_enabled(false)
-        .run_grid();
-    assert_eq!(results.len(), 1);
-    assert_eq!(results[0].cells.len(), 2);
+        .run();
+    assert_eq!(result.cells.len(), 2);
 
     // Spans write through unbuffered on close, so the file is complete as
     // soon as the grid returns.
