@@ -1,7 +1,7 @@
 //! `wlcrc-gridrun` — a multi-process grid runner over the persistent store.
 //!
 //! Each invocation is one *worker*: it walks the plan's cell grid, claims
-//! unowned cells through claim markers in the shared result store, simulates
+//! unowned cells through claim files in the shared result store, simulates
 //! what it claims, and serves everything else from the store once the owning
 //! worker has written it back. Any number of concurrent workers converge on
 //! the same store contents, and every worker ends with the complete grid —
@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! wlcrc-gridrun --store DIR [--plan perfsnap|fig08] [--lines N] [--seed N]
-//!               [--threads N] [--stale-secs N] [--no-plan-cache] [--direct]
+//!               [--threads N] [--no-plan-cache] [--direct]
 //! ```
 //!
 //! The grid is dumped to **stdout** (one full-precision line per cell,
@@ -22,10 +22,10 @@
 //! protocol must reproduce exactly. Set `WLCRC_TRACE=<file>` to also record
 //! this worker's claim/compute spans as a Chrome trace.
 //!
-//! `--stale-secs` bounds how long a crashed worker's claim blocks progress
-//! (default 300 s; claims of dead same-host processes are taken over
-//! immediately). The store directory comes from `--store`, else
-//! `$WLCRC_STORE`.
+//! A claim is a file its worker keeps locked, so a worker that exits or dies
+//! frees its claims at once for the next worker to take over. A store shared
+//! across machines needs working file locks (NFSv4, or NFSv3 with lockd).
+//! The store directory comes from `--store`, else `$WLCRC_STORE`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,7 +37,7 @@ use wlcrc_memsim::{ExperimentPlan, ExperimentResult, STORE_ENV};
 fn usage() -> ! {
     eprintln!(
         "usage: wlcrc-gridrun [--store DIR] [--plan perfsnap|fig08] [--lines N] [--seed N] \
-         [--threads N] [--stale-secs N] [--no-plan-cache] [--direct]"
+         [--threads N] [--no-plan-cache] [--direct]"
     );
     std::process::exit(2);
 }
@@ -48,7 +48,6 @@ struct GridArgs {
     lines: usize,
     seed: u64,
     threads: Option<usize>,
-    stale_secs: u64,
     plan_cache: bool,
     direct: bool,
     store: Option<String>,
@@ -61,7 +60,6 @@ impl GridArgs {
             lines: 40,
             seed: 42,
             threads: None,
-            stale_secs: 300,
             plan_cache: true,
             direct: false,
             store: None,
@@ -72,7 +70,6 @@ impl GridArgs {
                 "--lines" => out.lines = value.number()?,
                 "--seed" => out.seed = value.number()?,
                 "--threads" => out.threads = Some(value.number()?),
-                "--stale-secs" => out.stale_secs = value.number()?,
                 "--store" => out.store = Some(value.text()?),
                 "--no-plan-cache" => out.plan_cache = false,
                 "--direct" => out.direct = true,
@@ -175,7 +172,7 @@ fn main() {
             }
         })
     };
-    let (result, report) = plan.store(&store).run_grid_claimed(args.stale_secs);
+    let (result, report) = plan.store(&store).run_grid_claimed();
     running.store(false, Ordering::Relaxed);
     let _ = ticker.join();
     eprintln!(

@@ -9,8 +9,9 @@
 //!                                               naming the cells that changed
 //! storectl fsck    [--store DIR] [--stale-secs N]  quarantine corrupt
 //!                                               entries, drop torn journal
-//!                                               tails, clear stale claims and
-//!                                               orphaned temp files
+//!                                               tails, clear claims no live
+//!                                               worker holds and temp files
+//!                                               older than N s (default 3600)
 //! storectl evict   [--store DIR] <fp-prefix>    delete matching entries
 //! storectl evict   [--store DIR] --all          delete every entry
 //! storectl evict   [--store DIR] --max-bytes N  LRU-evict down to N bytes
@@ -30,14 +31,23 @@
 //! environment variable. Every subcommand works on the self-describing
 //! on-disk records alone — no knowledge of the producing plan is needed.
 //! Exit codes: 0 on success, 1 on failed assertion (`verify` with corrupt
-//! entries, `stats --min-hits` unmet), 2 on usage errors.
+//! entries, `stats --min-hits` unmet), 2 on usage errors, also when stdout
+//! closes early (`storectl list | head`): the output just ends.
 
 use wlcrc_bench::args::{self, read_flags};
 use wlcrc_bench::figures::runner_plan;
-use wlcrc_memsim::cache::effective_salt;
+use wlcrc_memsim::SIMULATOR_VERSION_SALT;
 use wlcrc_store::{parse_byte_size, wire, EntryInfo, ResultStore, STORE_ENV};
 
 use serde::Value;
+
+/// `println!` that ignores a closed stdout instead of panicking.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -124,9 +134,9 @@ fn main() {
         "list" => {
             let entries = store.entries();
             for info in &entries {
-                println!("{}", describe(&store, info));
+                say!("{}", describe(&store, info));
             }
-            println!("{} entries", entries.len());
+            say!("{} entries", entries.len());
         }
         "inspect" => {
             let Some(prefix) = &args.prefix else { usage() };
@@ -153,11 +163,11 @@ fn main() {
             for info in matches {
                 match store.read_entry(info.fingerprint) {
                     Ok(entry) => {
-                        println!("entry {} ({} bytes)", info.fingerprint, info.bytes);
-                        println!("key:\n{}", indent(&wire::render(&entry.key)));
-                        println!("payload:\n{}", indent(&wire::render(&entry.payload)));
+                        say!("entry {} ({} bytes)", info.fingerprint, info.bytes);
+                        say!("key:\n{}", indent(&wire::render(&entry.key)));
+                        say!("payload:\n{}", indent(&wire::render(&entry.payload)));
                     }
-                    Err(err) => println!("entry {}: CORRUPT ({err})", info.fingerprint),
+                    Err(err) => say!("entry {}: CORRUPT ({err})", info.fingerprint),
                 }
             }
         }
@@ -171,16 +181,16 @@ fn main() {
                 std::process::exit(1);
             });
             for (info, err) in &report.quarantined {
-                println!("quarantined {} ({err})", info.fingerprint);
+                say!("quarantined {} ({err})", info.fingerprint);
             }
             for fp in &report.cleared_claims {
-                println!("cleared stale claim {fp}");
+                say!("cleared abandoned claim {fp}");
             }
             if report.dropped_journal_lines > 0 {
-                println!("dropped {} malformed journal line(s)", report.dropped_journal_lines);
+                say!("dropped {} malformed journal line(s)", report.dropped_journal_lines);
             }
             if report.removed_temp_files > 0 {
-                println!("removed {} orphaned temp file(s)", report.removed_temp_files);
+                say!("removed {} orphaned temp file(s)", report.removed_temp_files);
             }
             // The repair must converge: a second pass over the repaired
             // store has nothing left to fix, or something is deeply wrong.
@@ -192,7 +202,7 @@ fn main() {
                 eprintln!("storectl: store still dirty after repair");
                 std::process::exit(1);
             }
-            println!(
+            say!(
                 "{} valid entries, {} quarantined, 0 bad entries remaining",
                 report.valid,
                 writable.quarantined().len()
@@ -211,9 +221,9 @@ fn main() {
                     std::process::exit(1);
                 });
                 for info in &evicted {
-                    println!("evicted {}  {:>6}B", info.fingerprint, info.bytes);
+                    say!("evicted {}  {:>6}B", info.fingerprint, info.bytes);
                 }
-                println!("evicted {} entries (cap {cap} bytes)", evicted.len());
+                say!("evicted {} entries (cap {cap} bytes)", evicted.len());
                 return;
             }
             if let Some(secs) = args.older_than {
@@ -227,9 +237,9 @@ fn main() {
                         std::process::exit(1);
                     });
                 for info in &evicted {
-                    println!("evicted {}  {:>6}B", info.fingerprint, info.bytes);
+                    say!("evicted {}  {:>6}B", info.fingerprint, info.bytes);
                 }
-                println!("evicted {} entries (unused for {secs}s)", evicted.len());
+                say!("evicted {} entries (unused for {secs}s)", evicted.len());
                 return;
             }
             let victims: Vec<EntryInfo> = if args.all {
@@ -244,14 +254,14 @@ fn main() {
                     evicted += 1;
                 }
             }
-            println!("evicted {evicted} entries");
+            say!("evicted {evicted} entries");
         }
         "verify" => {
             let report = store.verify();
             for (info, err) in &report.corrupt {
-                println!("CORRUPT {} ({err})", info.fingerprint);
+                say!("CORRUPT {} ({err})", info.fingerprint);
             }
-            println!("{} valid, {} corrupt", report.valid.len(), report.corrupt.len());
+            say!("{} valid, {} corrupt", report.valid.len(), report.corrupt.len());
             if !report.corrupt.is_empty() {
                 std::process::exit(1);
             }
@@ -260,10 +270,10 @@ fn main() {
             let entries = store.entries();
             let bytes: u64 = entries.iter().map(|info| info.bytes).sum();
             let hits = store.hit_count();
-            println!("store: {root}");
-            println!("entries: {}", entries.len());
-            println!("bytes: {bytes}");
-            println!("hits: {hits}");
+            say!("store: {root}");
+            say!("entries: {}", entries.len());
+            say!("bytes: {bytes}");
+            say!("hits: {hits}");
             if args.latency {
                 // Metrics live in this process's registry, so measure by
                 // probe-reading every entry (full open + validate, the same
@@ -297,12 +307,12 @@ fn explain_plan_entry(
     let entry = match store.read_entry(info.fingerprint) {
         Ok(entry) => entry,
         Err(err) => {
-            println!("entry {}: CORRUPT ({err})", info.fingerprint);
+            say!("entry {}: CORRUPT ({err})", info.fingerprint);
             return true;
         }
     };
     let Ok(record) = entry.key.as_record("PlanKey") else {
-        println!(
+        say!(
             "entry {}: not a plan entry (--why explains PlanKey entries; use plain \
              inspect for cell entries)",
             info.fingerprint
@@ -322,28 +332,28 @@ fn explain_plan_entry(
             })
             .collect(),
         _ => {
-            println!("entry {}: plan key has no cell list", info.fingerprint);
+            say!("entry {}: plan key has no cell list", info.fingerprint);
             return true;
         }
     };
 
-    println!("entry {} (plan {kind:?})", info.fingerprint);
+    say!("entry {} (plan {kind:?})", info.fingerprint);
     // A plan runs one config and records it as index 0; any other index
     // came from a plan that still carried a config axis.
     if let Some(&Value::U64(index @ 1..)) = record.raw("config_index") {
-        println!("  config {index}: an old multi-config plan's entry; no plan today looks it up");
+        say!("  config {index}: an old multi-config plan's entry; no plan today looks it up");
         return true;
     }
     if plan.plan_fingerprint() == info.fingerprint {
-        println!("  current: this is exactly the entry today's run would look up");
+        say!("  current: this is exactly the entry today's run would look up");
         return false;
     }
-    if stored_salt != effective_salt() {
-        println!("  salt changed: recorded {stored_salt:?}, current {:?}", effective_salt());
+    if stored_salt != SIMULATOR_VERSION_SALT {
+        say!("  salt changed: recorded {stored_salt:?}, current {SIMULATOR_VERSION_SALT:?}");
     }
     let now_cells = plan.plan_cell_fingerprints();
     if stored_cells.len() != now_cells.len() {
-        println!(
+        say!(
             "  grid shape changed: {} recorded cells vs {} current \
              (a different --plan?)",
             stored_cells.len(),
@@ -357,18 +367,18 @@ fn explain_plan_entry(
         if *recorded != now.to_hex() {
             changed += 1;
             let label = labels.get(index).map(String::as_str).unwrap_or("?");
-            println!("  changed cell {index}: {label}");
-            println!("    recorded {recorded}");
-            println!("    current  {}", now.to_hex());
+            say!("  changed cell {index}: {label}");
+            say!("    recorded {recorded}");
+            say!("    current  {}", now.to_hex());
         }
     }
     if changed == 0 {
-        println!(
+        say!(
             "  every cell fingerprint matches; the miss is in plan metadata \
              (seed, lines per workload, or salt)"
         );
     } else {
-        println!("  {changed} of {} cells changed", stored_cells.len());
+        say!("  {changed} of {} cells changed", stored_cells.len());
     }
     true
 }
@@ -453,7 +463,7 @@ fn indent(text: &str) -> String {
 
 /// One `stats --latency` line: `read latency: count=… p50=… p99=… max=…`.
 fn print_latency(kind: &str, histogram: &wlcrc_obs::Histogram) {
-    println!(
+    say!(
         "{kind} latency: count={} p50={} p99={} max={}",
         histogram.count(),
         format_ns(histogram.quantile_ns(0.5)),

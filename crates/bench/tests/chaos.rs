@@ -94,7 +94,8 @@ fn chaos_fleet_recovers_to_byte_identical_results() {
     assert!(abandoned_claims >= 1, "the crashed worker left at least one claim behind");
 
     // Two clean workers inherit the half-done store; the dead owner's claims
-    // are taken over (same-host dead pid) and both finish the exact grid.
+    // lost their locks with it, are taken over, and both workers finish the
+    // exact grid.
     let mut taken_over_total = 0;
     let mut computed_total = crashed_cells; // cells the crashed worker finished
     for _ in 0..2 {

@@ -1,9 +1,12 @@
 //! The bench binaries refuse a command line they cannot read: an unknown
 //! flag, a flag without its value or an unparsable value exits 2 with a
 //! message naming the flag, before any table is printed or file written.
+//! `storectl` also outlives a reader that stops early.
 
+use serde::Value;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use wlcrc_store::ResultStore;
 
 const FIG04: &str = env!("CARGO_BIN_EXE_fig04");
 const GRIDRUN: &str = env!("CARGO_BIN_EXE_wlcrc-gridrun");
@@ -38,7 +41,7 @@ fn refuses_what_it_cannot_read_with_exit_2() {
     let scratch = Scratch::new("refused");
     let store = scratch.0.join("store").to_string_lossy().into_owned();
     let out = scratch.0.join("snapshot.json").to_string_lossy().into_owned();
-    let cases: [(&str, &[&str], &str); 12] = [
+    let cases: [(&str, &[&str], &str); 13] = [
         (FIG04, &["--lines", "abc", "--seed", "7"], "fig04: --lines: not a number: \"abc\""),
         (FIG04, &["--lines", "--seed", "7"], "fig04: --lines: not a number: \"--seed\""),
         (FIG04, &["--line", "40"], "fig04: unknown flag \"--line\""),
@@ -56,6 +59,11 @@ fn refuses_what_it_cannot_read_with_exit_2() {
             GRIDRUN,
             &["--plan", "fig08", "--threads", "many", "--direct"],
             "wlcrc-gridrun: --threads: not a number: \"many\"",
+        ),
+        (
+            GRIDRUN,
+            &["--stale-secs", "5", "--direct"],
+            "wlcrc-gridrun: unknown flag \"--stale-secs\"",
         ),
         (
             STORECTL,
@@ -103,4 +111,28 @@ fn runs_a_command_line_it_can_read() {
     assert!(stats.status.success(), "{}", String::from_utf8_lossy(&stats.stderr));
     let gated = run(STORECTL, &["stats", "--store", &store, "--min-hits", "5"]);
     assert_eq!(gated.status.code(), Some(1), "{}", String::from_utf8_lossy(&gated.stderr));
+}
+
+#[test]
+fn storectl_ends_quietly_when_its_stdout_closes() {
+    let scratch = Scratch::new("closed-stdout");
+    let store = ResultStore::open(&scratch.0).expect("open store");
+    // About 85 bytes a `list` line: 2,000 entries overflow a 64 KiB pipe.
+    for n in 0..2_000 {
+        let key = Value::record("Key", vec![("n", Value::U64(n))]);
+        store.put(&key, &Value::U64(n)).expect("put entry");
+    }
+    let mut child = Command::new(STORECTL)
+        .args(["list", "--store"])
+        .arg(&scratch.0)
+        .env_remove("WLCRC_STORE")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("storectl starts");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("storectl exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

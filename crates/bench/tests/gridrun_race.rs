@@ -81,7 +81,7 @@ fn concurrent_workers_partition_the_grid_and_merge_identically() {
     // The claim protocol hands each cell to exactly one live worker; with no
     // crashed owners there is nothing to take over.
     assert_eq!(computed_total, 16, "every cell simulated exactly once across the fleet");
-    assert_eq!(taken_over_total, 0, "no stale claims among live workers");
+    assert_eq!(taken_over_total, 0, "live workers take nothing over");
 
     // A fourth worker on the now-warm store is served the whole grid from
     // the plan-level entry without simulating anything.

@@ -3,7 +3,7 @@
 //! Production code sprinkles named *fault sites* through its fragile paths —
 //! `faults::should_fire("store.read.corrupt")` just before trusting bytes
 //! read from disk, `faults::should_fire("grid.claim.crash")` just after
-//! acquiring a claim marker, and so on. With no configuration the whole
+//! acquiring a claim, and so on. With no configuration the whole
 //! layer is inert: every site check is a single relaxed atomic load that the
 //! branch predictor learns immediately, so the hooks cost nothing on the
 //! paths that matter and never perturb simulated results.

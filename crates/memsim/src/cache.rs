@@ -51,7 +51,7 @@ use serde::{Deserialize, Serialize, Value};
 use wlcrc_pcm::codec::LineCodec;
 use wlcrc_pcm::config::PcmConfig;
 use wlcrc_pcm::line::MemoryLine;
-use wlcrc_store::{Fingerprint, ResultStore, StableHasher};
+use wlcrc_store::{Claim, Fingerprint, ResultStore, StableHasher};
 
 /// The simulator-behaviour version salt baked into every cell key.
 ///
@@ -63,10 +63,6 @@ use wlcrc_store::{Fingerprint, ResultStore, StableHasher};
 /// bump, because the wire-level key comparison already rejects entries whose
 /// key shape changed.
 pub const SIMULATOR_VERSION_SALT: &str = "wlcrc-sim-v1";
-
-/// Environment variable overriding the version salt (testing / emergency
-/// cache invalidation without a rebuild).
-pub const STORE_SALT_ENV: &str = "WLCRC_STORE_SALT";
 
 /// The workload half of a cell key: what the cell will actually replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -277,15 +273,6 @@ fn hash_line(hasher: &mut StableHasher, line: &wlcrc_pcm::physical::PhysicalLine
     }
 }
 
-/// The version salt in effect: `WLCRC_STORE_SALT` if set, otherwise
-/// [`SIMULATOR_VERSION_SALT`].
-pub fn effective_salt() -> String {
-    std::env::var(STORE_SALT_ENV)
-        .ok()
-        .filter(|s| !s.trim().is_empty())
-        .unwrap_or_else(|| SIMULATOR_VERSION_SALT.to_string())
-}
-
 /// Looks up a cell's cached statistics. Any miss reason — absent entry,
 /// corrupt file, wrong salt, undecodable payload — yields `None`.
 pub fn load_cell(store: &ResultStore, key: &CellKey) -> Option<SchemeStats> {
@@ -293,11 +280,12 @@ pub fn load_cell(store: &ResultStore, key: &CellKey) -> Option<SchemeStats> {
     SchemeStats::from_value(&payload).ok()
 }
 
-/// Writes a cell's statistics back to the store. Failures are swallowed: a
-/// full disk or permission problem costs future recomputation, never the
-/// current run.
-pub fn save_cell(store: &ResultStore, key: &CellKey, stats: &SchemeStats) {
-    let _ = store.put(&key.to_value(), &stats.to_value());
+/// Writes a cell's statistics back to the store, through the cell's claim
+/// when this process holds one (see [`ResultStore::put_claimed`]). Failures
+/// are swallowed: a full disk or permission problem costs future
+/// recomputation, never the current run.
+pub fn save_cell(store: &ResultStore, key: &CellKey, stats: &SchemeStats, claim: Option<Claim>) {
+    let _ = store.put_claimed(&key.to_value(), &stats.to_value(), claim);
 }
 
 #[cfg(test)]

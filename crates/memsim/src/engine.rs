@@ -15,8 +15,8 @@
 //! the cell keys and probes the plan-level cache. Then a pool of workers
 //! takes each cell through the same steps: serve it from the store;
 //! otherwise claim it (claimed runs with a writable store only), simulate
-//! its intra-trace shards, save it and release the claim. Finally the cells
-//! move into the result in grid order.
+//! its intra-trace shards, and save it, which releases the claim. Finally
+//! the cells move into the result in grid order.
 //!
 //! A workload is either a profile ([`ExperimentPlan::workload`]) or a
 //! trace ([`ExperimentPlan::trace`]). Each profile's trace is built once
@@ -110,7 +110,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use wlcrc_pcm::codec::LineCodec;
 use wlcrc_pcm::config::PcmConfig;
-use wlcrc_store::{claim_is_stale, ClaimOutcome, Fingerprint, ResultStore};
+use wlcrc_store::{Claim, Fingerprint, ResultStore, StoreError};
 use wlcrc_trace::{Trace, TraceSource, TraceStream, WorkloadProfile};
 
 /// Environment variable overriding the worker-pool size (a positive integer).
@@ -352,7 +352,7 @@ impl ExperimentPlan {
     }
 
     /// Overrides the simulator version salt baked into every cache key
-    /// (default [`cache::SIMULATOR_VERSION_SALT`], or `WLCRC_STORE_SALT`).
+    /// (default [`cache::SIMULATOR_VERSION_SALT`]).
     /// Bumping the salt makes every previously cached cell unreachable, so
     /// results are recomputed — the invalidation path for simulator
     /// behaviour changes.
@@ -411,7 +411,7 @@ impl ExperimentPlan {
     ///
     /// Panics if the plan has no schemes or workloads.
     pub fn run(&self) -> ExperimentResult {
-        self.run_cells(None).0
+        self.run_cells(false).0
     }
 
     /// Executes the grid cooperatively with other processes sharing the
@@ -423,15 +423,16 @@ impl ExperimentPlan {
     /// interleaving.
     ///
     /// The loop per cell: serve it from the store if present; otherwise
-    /// claim it (`O_EXCL` marker — exactly one racing process wins),
-    /// simulate, write the entry back, release the claim. A cell whose
-    /// claim is held by someone else is requeued and retried until its
-    /// entry appears — or until the claim goes *stale* (older than
-    /// `stale_after_secs`, or held by a dead same-host process), in which
-    /// case it is taken over and computed here. Claims divide work; they
-    /// never gate correctness — entry writes stay atomic and deterministic,
-    /// so the worst case of any takeover race is a duplicated computation
-    /// of identical bytes.
+    /// claim it (a locked claim file — exactly one live worker holds it),
+    /// simulate, and write the entry back through the claim file, whose
+    /// rename into place releases the claim (so no crash leaves a saved cell
+    /// claimed). A cell whose claim a live worker holds is requeued and
+    /// retried until its entry appears. A claim whose holder exited or died
+    /// is free at once: the kernel dropped its lock, and the next worker
+    /// takes it over and computes the cell. Claims divide work; they never
+    /// gate correctness — entry writes stay atomic and deterministic, so the
+    /// worst case of any race is a duplicated computation of identical
+    /// bytes.
     ///
     /// Claim races back off instead of spinning: a cell whose claim is held
     /// by a live worker is requeued with a bounded exponential delay
@@ -439,19 +440,18 @@ impl ExperimentPlan {
     /// a few times before coordination degrades to duplicate work. Chaos
     /// tests can kill a worker *while it holds a claim* through the
     /// [`FAULT_CLAIM_CRASH`] fault site, which is exactly the `kill -9` the
-    /// stale/dead-owner takeover exists for.
+    /// takeover exists for.
     ///
     /// Without a writable store there is nothing to coordinate through:
     /// the run is a plain [`ExperimentPlan::run`], and the report counts
     /// what it computed, loaded and served from the plan entry.
-    pub fn run_grid_claimed(&self, stale_after_secs: u64) -> (ExperimentResult, ClaimedRunReport) {
-        self.run_cells(Some(stale_after_secs))
+    pub fn run_grid_claimed(&self) -> (ExperimentResult, ClaimedRunReport) {
+        self.run_cells(true)
     }
 
     /// The one cell pipeline behind [`ExperimentPlan::run`] and
-    /// [`ExperimentPlan::run_grid_claimed`] (`stale_after_secs` is `Some`
-    /// for claimed runs).
-    fn run_cells(&self, stale_after_secs: Option<u64>) -> (ExperimentResult, ClaimedRunReport) {
+    /// [`ExperimentPlan::run_grid_claimed`] (`claimed` for the latter).
+    fn run_cells(&self, claimed: bool) -> (ExperimentResult, ClaimedRunReport) {
         assert!(!self.schemes.is_empty(), "plan declares no schemes");
         assert!(!self.workloads.is_empty(), "plan declares no workloads");
         let cell_count = self.cell_count();
@@ -473,8 +473,7 @@ impl ExperimentPlan {
         }
 
         // The cell loop. Claims coordinate through a writable store only.
-        let stale_after_secs =
-            stale_after_secs.filter(|_| store.as_ref().is_some_and(|s| !s.is_read_only()));
+        let claimed = claimed && store.as_ref().is_some_and(|s| !s.is_read_only());
         // Each loop worker owns one cell at a time; spare workers go to its
         // intra-trace shards.
         let pool = self.worker_count();
@@ -501,14 +500,13 @@ impl ExperimentPlan {
                 let coord = CellCoord::of(self, cell);
                 let key = store.as_ref().map(|store| (store, &keys[cell]));
                 // Serve-first: a finished cell always wins over any claim
-                // state (a claimant writes the entry before releasing).
+                // state (a claimant's entry lands as its claim is released).
                 let mut hit = key.and_then(|(store, key)| cache::load_cell(store, key));
                 let mut claim = None;
-                if let (None, Some(stale_after_secs), Some((store, key))) =
-                    (&hit, stale_after_secs, key)
-                {
+                if let (None, true, Some((store, key))) = (&hit, claimed, key) {
                     let fp = Fingerprint::of_value(&key.to_value());
-                    let Some(took_over) = claim_cell(store, fp, stale_after_secs) else {
+                    let held = claim_cell(store, fp);
+                    if matches!(held, Ok(None)) {
                         // Someone live is computing this cell: requeue it
                         // with a progressively longer backoff, and serve it
                         // from the store once the holder's entry lands.
@@ -518,12 +516,12 @@ impl ExperimentPlan {
                             .push_back((cell, attempts.saturating_add(1)));
                         std::thread::sleep(claim_backoff(attempts));
                         continue;
-                    };
+                    }
                     // Chaos hook: die *while holding the claim* — the
                     // injected equivalent of `kill -9` mid-compute. The
-                    // marker is left behind for surviving or later workers
-                    // to judge stale (dead same-host pid) and take over.
-                    // Inert without an explicit WLCRC_FAULTS plan.
+                    // claim file stays behind, unlocked, for surviving or
+                    // later workers to take over. Inert without an
+                    // explicit WLCRC_FAULTS plan.
                     if wlcrc_faults::should_fire(FAULT_CLAIM_CRASH) {
                         eprintln!(
                             "wlcrc_faults: injected worker crash holding claim {} (cell {cell})",
@@ -533,22 +531,24 @@ impl ExperimentPlan {
                     }
                     // Double-check under the claim: the previous holder may
                     // have finished between the lookup above and the claim,
-                    // and its entry must win.
+                    // and its entry must win. If the claim machinery stayed
+                    // unavailable, the cell is computed unclaimed: duplicate
+                    // work at worst, never a missing result.
                     hit = cache::load_cell(store, key);
-                    claim = Some((store, fp, took_over));
+                    claim = held.ok().flatten();
                 }
                 let served = hit.is_some();
+                let taken_over = claim.as_ref().is_some_and(Claim::taken_over);
+                // Saving the entry releases the claim with it; a served
+                // cell's claim is released at the end of this iteration.
                 let stats = hit.unwrap_or_else(|| {
                     let trace = traces[coord.workload].get_or_init(|| self.build_trace(coord));
                     let stats = self.simulate_cell(coord, trace, shards, shard_workers);
                     if let Some((store, key)) = key {
-                        cache::save_cell(store, key, &stats);
+                        cache::save_cell(store, key, &stats, claim.take());
                     }
                     stats
                 });
-                if let Some((store, fp, _)) = claim {
-                    let _ = store.release_claim(fp);
-                }
                 let mut done = done.lock().expect("cell mutex poisoned");
                 let (cells, report) = &mut *done;
                 cells[cell] = Some(stats);
@@ -558,7 +558,7 @@ impl ExperimentPlan {
                 } else {
                     report.computed += 1;
                     metrics.computed.inc();
-                    if claim.is_some_and(|(_, _, took_over)| took_over) {
+                    if taken_over {
                         report.taken_over += 1;
                         metrics.stolen.inc();
                     }
@@ -634,7 +634,7 @@ impl ExperimentPlan {
 
     /// The version salt of every key this plan derives.
     fn salt(&self) -> String {
-        self.store_salt.clone().unwrap_or_else(cache::effective_salt)
+        self.store_salt.clone().unwrap_or_else(|| cache::SIMULATOR_VERSION_SALT.to_string())
     }
 
     /// Derives the store key of every cell. Codec fingerprints are probed
@@ -789,7 +789,7 @@ pub struct ClaimedRunReport {
     /// Cells served from the store — computed in an earlier run or by
     /// another worker process.
     pub loaded: usize,
-    /// Of the computed cells, how many came from stale-claim takeovers.
+    /// Of the computed cells, how many had abandoned claims taken over.
     pub taken_over: usize,
     /// 1 when the whole grid was served from its plan-level entry, else 0.
     pub plan_hits: usize,
@@ -808,7 +808,7 @@ pub struct GridMetrics {
     pub computed: &'static wlcrc_obs::Counter,
     /// Cells served from the store (computed earlier or by another worker).
     pub served: &'static wlcrc_obs::Counter,
-    /// Stale claims taken over from crashed workers ("stolen" cells).
+    /// Claims taken over from workers that exited or died ("stolen" cells).
     pub stolen: &'static wlcrc_obs::Counter,
 }
 
@@ -825,9 +825,9 @@ pub fn grid_metrics() -> &'static GridMetrics {
     &METRICS
 }
 
-/// Fault site: a claimed-grid worker dies while still holding a claim
-/// marker — the injected equivalent of `kill -9` mid-compute. Exercises the
-/// stale/dead-owner takeover in [`ExperimentPlan::run_grid_claimed`]. See
+/// Fault site: a claimed-grid worker dies while still holding a claim —
+/// the injected equivalent of `kill -9` mid-compute. Exercises the takeover
+/// of an abandoned claim in [`ExperimentPlan::run_grid_claimed`]. See
 /// [`wlcrc_faults`] for how sites are toggled.
 pub const FAULT_CLAIM_CRASH: &str = "grid.claim.crash";
 
@@ -846,12 +846,10 @@ fn claim_backoff(attempt: u32) -> Duration {
     Duration::from_millis((2u64 << attempt.min(6)).min(128))
 }
 
-/// Claims the cell whose key fingerprint is `fp`. `Some(took_over)` means
-/// this process computes the cell: the claim was acquired, a stale claim
-/// was taken over, or the claim machinery stayed unavailable after retries
-/// (coordination then degrades to duplicate work, never to a missing
-/// result). `None` means a live worker holds the claim.
-fn claim_cell(store: &ResultStore, fp: Fingerprint, stale_after_secs: u64) -> Option<bool> {
+/// Claims the cell whose key fingerprint is `fp`. `Ok(None)` means a live
+/// worker holds the claim; an error means the claim machinery stayed
+/// unavailable after retries.
+fn claim_cell(store: &ResultStore, fp: Fingerprint) -> Result<Option<Claim>, StoreError> {
     let _span = wlcrc_obs::span_with("engine.claim", || fp.to_hex());
     // Transient claim-machinery errors get a short bounded retry before
     // coordination degrades to duplicate work — an NFS hiccup should not
@@ -864,27 +862,7 @@ fn claim_cell(store: &ResultStore, fp: Fingerprint, stale_after_secs: u64) -> Op
         std::thread::sleep(claim_backoff(retry));
         claim = store.try_claim(fp);
     }
-    match claim {
-        Ok(ClaimOutcome::Acquired) | Err(_) => Some(false),
-        Ok(ClaimOutcome::Held(holder)) => {
-            let stale = match &holder {
-                Some(info) => claim_is_stale(info, stale_after_secs),
-                // Unreadable marker: judge by its file age so a claimant
-                // that died mid-create still ages out.
-                None => {
-                    marker_age_secs(&store.claim_path(fp)).is_some_and(|age| age > stale_after_secs)
-                }
-            };
-            (stale && store.takeover_claim(fp).is_ok()).then_some(true)
-        }
-    }
-}
-
-/// Age in seconds of a claim-marker file, from its mtime; `None` when the
-/// marker vanished or the filesystem cannot say.
-fn marker_age_secs(path: &std::path::Path) -> Option<u64> {
-    let modified = std::fs::metadata(path).ok()?.modified().ok()?;
-    Some(modified.elapsed().unwrap_or_default().as_secs())
+    claim
 }
 
 /// Resolves the worker count: explicit override, then `WLCRC_THREADS`, then
@@ -1584,7 +1562,7 @@ mod tests {
         let plan = || small_plan().threads(2).store(&scratch.0);
         let direct = plan().store_enabled(false).run();
         // Cold claimed run: every cell claimed, computed and written back.
-        let (cold, cold_report) = plan().run_grid_claimed(60);
+        let (cold, cold_report) = plan().run_grid_claimed();
         assert_eq!(direct, cold);
         assert_eq!(cold_report.computed, 6);
         assert_eq!(cold_report.loaded, 0);
@@ -1593,14 +1571,14 @@ mod tests {
         assert!(store.claims().is_empty(), "all claims released after compute");
         assert_eq!(store.entries().len(), 7, "6 cells + 1 plan entry");
         // Warm claimed run: one plan-level hit, nothing claimed or computed.
-        let (warm, warm_report) = plan().run_grid_claimed(60);
+        let (warm, warm_report) = plan().run_grid_claimed();
         assert_eq!(direct, warm);
         assert_eq!(
             warm_report,
             ClaimedRunReport { computed: 0, loaded: 0, taken_over: 0, plan_hits: 1 }
         );
         // Per-cell-warm (plan cache off): every cell served from the store.
-        let (served, served_report) = plan().plan_cache(false).run_grid_claimed(60);
+        let (served, served_report) = plan().plan_cache(false).run_grid_claimed();
         assert_eq!(direct, served);
         assert_eq!(served_report.computed, 0);
         assert_eq!(served_report.loaded, 6);
@@ -1618,15 +1596,15 @@ mod tests {
                 .threads(1)
                 .store(&scratch.0)
         };
-        // Plant an aged foreign claim on the grid's one cell.
+        // Plant an unlocked claim file on the grid's one cell: what a
+        // worker that died holding it leaves behind.
         let store = ResultStore::open(&scratch.0).unwrap();
         let keys = plan().cell_keys();
         let fp = Fingerprint::of_value(&keys[0].to_value());
         let path = store.claim_path(fp);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, b"999999@elsewhere.invalid 5\n").unwrap();
-        // stale_after 0 with a claim from unix time 5: immediately stale.
-        let (claimed, report) = plan().run_grid_claimed(0);
+        std::fs::write(&path, b"").unwrap();
+        let (claimed, report) = plan().run_grid_claimed();
         assert_eq!(claimed, plan().store_enabled(false).run());
         assert_eq!(report.computed, 1);
         assert_eq!(report.taken_over, 1);
@@ -1635,7 +1613,7 @@ mod tests {
 
     #[test]
     fn claimed_runs_without_a_store_fall_back_to_run_grid() {
-        let (result, report) = small_plan().run_grid_claimed(60);
+        let (result, report) = small_plan().run_grid_claimed();
         assert_eq!(result, small_plan().run());
         // 3 workloads × 2 schemes grid cells.
         assert_eq!(report.computed, 6);
@@ -1647,7 +1625,7 @@ mod tests {
         let scratch = Scratch::new("claimed-readonly");
         let plan = || small_plan().store(&scratch.0);
         let cold = plan().store_readonly(false).run();
-        let (warm, report) = plan().store_readonly(true).run_grid_claimed(60);
+        let (warm, report) = plan().store_readonly(true).run_grid_claimed();
         assert_eq!(cold, warm);
         assert_eq!(
             report,

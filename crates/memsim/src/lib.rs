@@ -50,7 +50,7 @@ pub mod memory;
 pub mod simulator;
 pub mod stats;
 
-pub use cache::{CellKey, PlanKey, SIMULATOR_VERSION_SALT, STORE_SALT_ENV};
+pub use cache::{CellKey, PlanKey, SIMULATOR_VERSION_SALT};
 pub use engine::{
     cell_seed, grid_metrics, resolve_worker_count, scaled_workload_lines, workload_stream_seed,
     ClaimedRunReport, ExperimentPlan, GridMetrics, CLAIM_CRASH_EXIT_CODE, FAULT_CLAIM_CRASH,

@@ -41,7 +41,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wlcrc::schemes::SchemeId;
-use wlcrc_memsim::cache::{codec_fingerprint, effective_salt};
+use wlcrc_memsim::cache::{codec_fingerprint, SIMULATOR_VERSION_SALT};
 use wlcrc_memsim::{SimulationOptions, Simulator, SimulatorSession};
 use wlcrc_pcm::config::PcmConfig;
 use wlcrc_store::{ResultStore, StableHasher};
@@ -626,7 +626,7 @@ fn session_key(inner: &SessionInner, digest: &StableHasher) -> Value {
     Value::record(
         "ServeSessionKey",
         vec![
-            ("salt", effective_salt().to_value()),
+            ("salt", SIMULATOR_VERSION_SALT.to_value()),
             ("scheme", inner.scheme.to_value()),
             (
                 "codec",

@@ -22,8 +22,8 @@
 //! * [`fingerprint`] — stable FNV-1a-128 content hashing;
 //! * [`store`] — the on-disk store: atomic writes, validated reads, hit
 //!   journal (timestamped + self-compacting), list/evict/verify, LRU
-//!   eviction, corrupt-entry quarantine + `fsck` repair, and the claim
-//!   markers multi-process grid runners coordinate through. Fault sites
+//!   eviction, corrupt-entry quarantine + `fsck` repair, and the locked
+//!   claim files multi-process grid runners coordinate through. Fault sites
 //!   ([`store::FAULT_TORN_WRITE`], [`store::FAULT_READ_CORRUPT`]) let chaos
 //!   tests inject torn writes and media corruption deterministically via
 //!   `wlcrc_faults`;
@@ -43,8 +43,8 @@ pub mod wire;
 pub use fingerprint::{Fingerprint, StableHasher};
 pub use metrics::{metrics, StoreMetrics};
 pub use store::{
-    claim_is_stale, parse_byte_size, readonly_from_env, ClaimInfo, ClaimOutcome, Entry, EntryInfo,
-    FsckReport, ResultStore, StoreError, VerifyReport, FAULT_READ_CORRUPT, FAULT_TORN_WRITE,
-    FORMAT_VERSION, HITS_COMPACT_THRESHOLD, MAX_BYTES_ENV, STORE_ENV, STORE_READONLY_ENV,
+    parse_byte_size, readonly_from_env, Claim, Entry, EntryInfo, FsckReport, ResultStore,
+    StoreError, VerifyReport, FAULT_READ_CORRUPT, FAULT_TORN_WRITE, FORMAT_VERSION,
+    HITS_COMPACT_THRESHOLD, STORE_ENV, STORE_READONLY_ENV,
 };
 pub use wire::{WireError, WIRE_VERSION};

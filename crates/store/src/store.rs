@@ -28,14 +28,16 @@
 //!   down to one last-hit line per fingerprint once it grows past
 //!   [`HITS_COMPACT_THRESHOLD`] lines — exactly the information eviction
 //!   needs, so compaction never loses LRU ordering;
-//! * **cells are claimable**: a *claim* is a marker file under `claims/`
-//!   created with `O_EXCL` (atomic: exactly one creator wins), carrying the
-//!   owner's pid, host and claim time. Independent worker processes use
-//!   claims to divide a grid between them — see [`ResultStore::try_claim`].
-//!   Claims are a work-division optimisation, never a correctness
-//!   mechanism: entry writes stay atomic and content-addressed, so a stale
-//!   claim taken over by two racing workers costs a duplicate computation
-//!   of the same bytes, not a wrong result.
+//! * **cells are claimable**: a *claim* is a file under `claims/` that its
+//!   holder keeps exclusively locked; the kernel drops the lock when the
+//!   holder exits or dies. Worker processes use claims to divide a grid —
+//!   see [`ResultStore::try_claim`]. A claimant publishes its cell's entry
+//!   by renaming the claim file into place ([`ResultStore::put_claimed`]),
+//!   so no crash leaves a saved cell claimed. Claims divide work and never
+//!   gate correctness: entry writes stay atomic and content-addressed, so a
+//!   cell computed twice costs duplicate work, not a wrong result. A
+//!   directory shared across machines needs working file locks (NFSv4, or
+//!   NFSv3 with lockd).
 
 use crate::fingerprint::Fingerprint;
 use crate::metrics;
@@ -43,7 +45,7 @@ use crate::wire::{self, WireError};
 use serde::Value;
 use std::collections::HashMap;
 use std::fmt;
-use std::fs;
+use std::fs::{self, TryLockError};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -66,11 +68,6 @@ pub const STORE_ENV: &str = "WLCRC_STORE";
 /// hits are served but misses are not written back and no journal is kept.
 pub const STORE_READONLY_ENV: &str = "WLCRC_STORE_READONLY";
 
-/// Environment variable capping the store size in bytes (optional `k`/`m`/`g`
-/// suffix). When set, opening a writable store evicts least-recently-used
-/// entries until the cap holds — see [`ResultStore::evict_lru`].
-pub const MAX_BYTES_ENV: &str = "WLCRC_STORE_MAX_BYTES";
-
 /// Name of the advisory hit journal inside the store root.
 const HITS_LOG: &str = "hits.log";
 
@@ -84,10 +81,10 @@ pub const HITS_COMPACT_THRESHOLD: usize = 65_536;
 /// format): used as a size floor so `open` can skip reading a small journal.
 const MIN_HIT_LINE_BYTES: u64 = 33;
 
-/// Subdirectory of the store root holding claim markers.
+/// Subdirectory of the store root holding claim files.
 const CLAIMS_DIR: &str = "claims";
 
-/// File extension of claim markers.
+/// File extension of claim files.
 const CLAIM_EXTENSION: &str = "claim";
 
 /// Subdirectory of the store root where corrupt entries are moved aside.
@@ -177,27 +174,34 @@ pub struct EntryInfo {
     pub bytes: u64,
 }
 
-/// The recorded owner of a claim marker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClaimInfo {
-    /// Process id of the claimant.
-    pub pid: u32,
-    /// Hostname of the claimant (so multi-machine stores can tell whether a
-    /// liveness check is even meaningful).
-    pub host: String,
-    /// Unix seconds at claim time.
-    pub since_unix: u64,
+/// A held claim on one cell: the locked file `claims/<fp>.claim`, from
+/// [`ResultStore::try_claim`]. [`ResultStore::put_claimed`] publishes the
+/// cell's entry through it; dropping it unpublished removes the file, then
+/// releases the lock with the handle.
+#[derive(Debug)]
+pub struct Claim {
+    path: PathBuf,
+    file: fs::File,
+    taken_over: bool,
 }
 
-/// Result of [`ResultStore::try_claim`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClaimOutcome {
-    /// This process created the claim marker; it owns the cell.
-    Acquired,
-    /// Another claim already exists. `None` when the marker file exists but
-    /// its contents are unreadable or corrupt (treat as held: the holder may
-    /// be mid-write).
-    Held(Option<ClaimInfo>),
+impl Claim {
+    /// `true` when the claim file was left by a holder that exited or died
+    /// without releasing it.
+    pub fn taken_over(&self) -> bool {
+        self.taken_over
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        // The name goes while the lock is still held, so a lock anyone wins
+        // afterwards on this file is on an unlinked file, never a takeover.
+        // A published claim's file is its cell's entry: the name is gone.
+        if names_file(&self.path, &self.file) {
+            let _ = fs::remove_file(&self.path);
+        }
+    }
 }
 
 /// Outcome of [`ResultStore::verify`].
@@ -222,7 +226,7 @@ pub struct FsckReport {
     /// garbage tails). Ordinary duplicate hit lines are not damage and are
     /// not counted, even though the repairing rewrite collapses them too.
     pub dropped_journal_lines: usize,
-    /// Stale or unreadable claim markers removed.
+    /// Abandoned claim files removed: claims no live worker held.
     pub cleared_claims: Vec<Fingerprint>,
     /// Leftover `.tmp-*` files from crashed writers removed.
     pub removed_temp_files: usize,
@@ -247,19 +251,14 @@ pub struct ResultStore {
 
 impl ResultStore {
     /// Opens (creating if needed) a writable store at `root`. Opening also
-    /// runs the cheap maintenance passes: the hit journal is compacted once
-    /// it exceeds [`HITS_COMPACT_THRESHOLD`] lines, and when
-    /// [`MAX_BYTES_ENV`] is set the store is LRU-evicted down to that cap.
-    /// Maintenance failures are swallowed — an unmaintainable cache still
-    /// serves hits.
+    /// compacts the hit journal once it exceeds [`HITS_COMPACT_THRESHOLD`]
+    /// lines; a failed compaction is swallowed — an unmaintainable cache
+    /// still serves hits.
     pub fn open(root: impl Into<PathBuf>) -> Result<ResultStore, StoreError> {
         let root = root.into();
         fs::create_dir_all(&root)?;
         let store = ResultStore { root, readonly: false };
         store.maybe_compact_hits_log();
-        if let Some(cap) = std::env::var(MAX_BYTES_ENV).ok().and_then(|v| parse_byte_size(&v)) {
-            let _ = store.evict_lru(cap);
-        }
         Ok(store)
     }
 
@@ -338,6 +337,18 @@ impl ResultStore {
     /// Stores `payload` under `key`, atomically (tmp file + rename). In a
     /// read-only store this is a no-op returning `Ok(false)`.
     pub fn put(&self, key: &Value, payload: &Value) -> Result<bool, StoreError> {
+        self.put_claimed(key, payload, None)
+    }
+
+    /// [`ResultStore::put`] through `claim`, the claim on `key`'s cell: its
+    /// file is the temp file, so the rename that publishes the entry also
+    /// releases the claim, and no crash leaves a saved cell claimed.
+    pub fn put_claimed(
+        &self,
+        key: &Value,
+        payload: &Value,
+        claim: Option<Claim>,
+    ) -> Result<bool, StoreError> {
         if self.readonly {
             return Ok(false);
         }
@@ -373,11 +384,22 @@ impl ResultStore {
         let started = std::time::Instant::now();
         let _span = wlcrc_obs::span("store.write");
         fs::create_dir_all(dir)?;
-        // The temp file lives in the final directory so the rename cannot
-        // cross filesystems; the name is per-process so concurrent writers
-        // of the same entry race only at the (atomic) rename.
-        let tmp = dir.join(format!(".tmp-{}-{}", std::process::id(), fingerprint.to_hex()));
-        fs::write(&tmp, &file_bytes)?;
+        let tmp = match &claim {
+            Some(claim) => {
+                assert_eq!(claim.path, self.claim_path(fingerprint), "not the key's own claim");
+                claim.file.set_len(0)?;
+                (&claim.file).write_all(&file_bytes)?;
+                claim.path.clone()
+            }
+            // The temp file lives in the final directory so the rename cannot
+            // cross filesystems; the name is per-process so concurrent
+            // writers of the same entry race only at the (atomic) rename.
+            None => {
+                let tmp = dir.join(format!(".tmp-{}-{}", std::process::id(), fingerprint.to_hex()));
+                fs::write(&tmp, &file_bytes)?;
+                tmp
+            }
+        };
         match fs::rename(&tmp, &path) {
             Ok(()) => {
                 let store_metrics = metrics::metrics();
@@ -386,7 +408,9 @@ impl ResultStore {
                 Ok(true)
             }
             Err(err) => {
-                let _ = fs::remove_file(&tmp);
+                if claim.is_none() {
+                    let _ = fs::remove_file(&tmp);
+                }
                 Err(err.into())
             }
         }
@@ -649,101 +673,62 @@ impl ResultStore {
         let _ = file.write_all(format!("{} {}\n", fingerprint.to_hex(), unix_now()).as_bytes());
     }
 
-    /// The path a claim marker for `fingerprint` would live at.
+    /// The path of the claim file for `fingerprint`.
     pub fn claim_path(&self, fingerprint: Fingerprint) -> PathBuf {
         self.root.join(CLAIMS_DIR).join(format!("{}.{CLAIM_EXTENSION}", fingerprint.to_hex()))
     }
 
-    /// Tries to claim the cell `fingerprint` for this process. The marker is
-    /// created with `create_new` (`O_EXCL`), so exactly one racing process
-    /// acquires a fresh claim; everyone else sees [`ClaimOutcome::Held`]
-    /// with the recorded owner. A read-only store never claims (it has no
+    /// Tries to claim the cell `fingerprint` for this process: `Some` while
+    /// this process holds it, `None` while a live worker does. A claim file
+    /// whose holder exited or died is unlocked, and is taken over
+    /// ([`Claim::taken_over`]). A read-only store never claims (it has no
     /// work to divide — it cannot write results back).
-    pub fn try_claim(&self, fingerprint: Fingerprint) -> Result<ClaimOutcome, StoreError> {
+    pub fn try_claim(&self, fingerprint: Fingerprint) -> Result<Option<Claim>, StoreError> {
         if self.readonly {
-            return Ok(ClaimOutcome::Held(None));
+            return Ok(None);
         }
         let path = self.claim_path(fingerprint);
         let dir = path.parent().expect("claim path has a parent directory");
         fs::create_dir_all(dir)?;
-        match fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-            Ok(mut file) => {
-                // Losing the content write is fine: an empty marker still
-                // excludes other claimants, and readers treat it as
-                // Held(None).
-                let _ = file.write_all(claim_line().as_bytes());
-                Ok(ClaimOutcome::Acquired)
-            }
-            Err(err) if err.kind() == std::io::ErrorKind::AlreadyExists => {
-                Ok(ClaimOutcome::Held(self.read_claim(fingerprint)))
-            }
-            Err(err) => Err(err.into()),
-        }
-    }
-
-    /// Reads the owner recorded in a claim marker; `None` when the marker is
-    /// missing, unreadable or malformed.
-    pub fn read_claim(&self, fingerprint: Fingerprint) -> Option<ClaimInfo> {
-        parse_claim(&fs::read_to_string(self.claim_path(fingerprint)).ok()?)
-    }
-
-    /// Replaces an existing claim with this process's own (tmp + rename —
-    /// atomic, but *not* exclusive: two workers that both judged the same
-    /// claim stale can both take it over and both compute the cell). Call
-    /// only after [`claim_is_stale`] says the current holder is gone; the
-    /// worst case is duplicate work, never a wrong result, because entry
-    /// writes stay atomic and deterministic.
-    pub fn takeover_claim(&self, fingerprint: Fingerprint) -> Result<(), StoreError> {
-        if self.readonly {
-            return Ok(());
-        }
-        let path = self.claim_path(fingerprint);
-        let dir = path.parent().expect("claim path has a parent directory");
-        fs::create_dir_all(dir)?;
+        // Lock a private temp file, then publish it under the claim's name
+        // (`hard_link` fails when the name exists): a claim file is never
+        // visible unlocked while its creator lives.
         let tmp = dir.join(format!(".tmp-{}-{}", std::process::id(), fingerprint.to_hex()));
-        fs::write(&tmp, claim_line().as_bytes())?;
-        match fs::rename(&tmp, &path) {
-            Ok(()) => Ok(()),
-            Err(err) => {
-                let _ = fs::remove_file(&tmp);
-                Err(err.into())
-            }
+        let file = fs::File::create(&tmp)?;
+        let published =
+            file.try_lock().map_err(std::io::Error::from).and_then(|()| fs::hard_link(&tmp, &path));
+        let _ = fs::remove_file(&tmp);
+        match published {
+            Ok(()) => return Ok(Some(Claim { path, file, taken_over: false })),
+            Err(err) if err.kind() == std::io::ErrorKind::AlreadyExists => {}
+            Err(err) => return Err(err.into()),
         }
-    }
-
-    /// Removes the claim marker for `fingerprint`, returning whether one
-    /// existed. Workers release after the entry write lands, so a visible
-    /// entry file always wins over any claim state.
-    pub fn release_claim(&self, fingerprint: Fingerprint) -> Result<bool, StoreError> {
-        if self.readonly {
-            return Ok(false);
-        }
-        match fs::remove_file(self.claim_path(fingerprint)) {
-            Ok(()) => Ok(true),
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(err) => Err(err.into()),
-        }
-    }
-
-    /// Lists the outstanding claim markers, sorted by fingerprint.
-    pub fn claims(&self) -> Vec<(Fingerprint, Option<ClaimInfo>)> {
-        let mut out = Vec::new();
-        let Ok(files) = fs::read_dir(self.root.join(CLAIMS_DIR)) else {
-            return out;
+        // Opened for writing: NFS grants exclusive locks on writable handles
+        // only. A file that vanished is being released by its holder.
+        let file = match fs::OpenOptions::new().write(true).open(&path) {
+            Ok(file) => file,
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(err) => return Err(err.into()),
         };
-        for file in files.flatten() {
-            let path = file.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(CLAIM_EXTENSION) {
-                continue;
-            }
-            let Some(fingerprint) =
-                path.file_stem().and_then(|s| s.to_str()).and_then(Fingerprint::from_hex)
-            else {
-                continue;
-            };
-            out.push((fingerprint, self.read_claim(fingerprint)));
+        match file.try_lock() {
+            Ok(()) if names_file(&path, &file) => Ok(Some(Claim { path, file, taken_over: true })),
+            Ok(()) | Err(TryLockError::WouldBlock) => Ok(None),
+            Err(TryLockError::Error(err)) => Err(err.into()),
         }
-        out.sort_by_key(|(fingerprint, _)| *fingerprint);
+    }
+
+    /// Lists the outstanding claim files, sorted by fingerprint.
+    pub fn claims(&self) -> Vec<Fingerprint> {
+        let Ok(files) = fs::read_dir(self.root.join(CLAIMS_DIR)) else {
+            return Vec::new();
+        };
+        let mut out: Vec<Fingerprint> = files
+            .flatten()
+            .map(|file| file.path())
+            .filter(|path| path.extension().and_then(|e| e.to_str()) == Some(CLAIM_EXTENSION))
+            .filter_map(|path| path.file_stem()?.to_str().and_then(Fingerprint::from_hex))
+            .collect();
+        out.sort();
         out
     }
 
@@ -802,9 +787,7 @@ impl ResultStore {
     ///    the next run — `fsck` cannot recompute payloads itself);
     /// 2. unparseable `hits.log` lines (torn appends) are dropped by
     ///    rewriting the journal through compaction;
-    /// 3. claim markers whose holder is stale (per [`claim_is_stale`] with
-    ///    `stale_after_secs`) or whose contents are unreadable *and* old
-    ///    enough are removed;
+    /// 3. claim files no live worker holds are taken over and removed;
     /// 4. `.tmp-*` leftovers from crashed writers older than
     ///    `stale_after_secs` are deleted.
     ///
@@ -829,14 +812,9 @@ impl ResultStore {
             self.compact_hits_log()?;
         }
 
-        for (fingerprint, info) in self.claims() {
-            let stale = match info {
-                Some(info) => claim_is_stale(&info, stale_after_secs),
-                // Unreadable markers: the holder may be mid-write, so only
-                // age them out on mtime like any other stale artifact.
-                None => self.marker_older_than(fingerprint, stale_after_secs),
-            };
-            if stale && self.release_claim(fingerprint)? {
+        for fingerprint in self.claims() {
+            // Dropping the taken-over claim removes its file.
+            if self.try_claim(fingerprint)?.is_some_and(|claim| claim.taken_over()) {
                 report.cleared_claims.push(fingerprint);
             }
         }
@@ -857,27 +835,11 @@ impl ResultStore {
             .count()
     }
 
-    /// Whether the claim marker for `fingerprint` is older than
-    /// `stale_after_secs` by file mtime (used for markers whose contents do
-    /// not parse).
-    fn marker_older_than(&self, fingerprint: Fingerprint, stale_after_secs: u64) -> bool {
-        let Ok(meta) = fs::metadata(self.claim_path(fingerprint)) else {
-            return false;
-        };
-        let mtime = meta
-            .modified()
-            .ok()
-            .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        unix_now().saturating_sub(mtime) > stale_after_secs
-    }
-
-    /// Removes `.tmp-*` files older than `stale_after_secs` from the root,
-    /// the shard directories and the claims directory. Recent temp files are
-    /// left alone — a live writer may still be about to rename one.
+    /// Removes `.tmp-*` files older than `stale_after_secs` from the root and
+    /// every directory in it (the shards and `claims/`). Recent temp files
+    /// are left alone — a live writer may still be about to rename one.
     fn remove_stale_temp_files(&self, stale_after_secs: u64) -> usize {
-        let mut dirs = vec![self.root.clone(), self.root.join(CLAIMS_DIR)];
+        let mut dirs = vec![self.root.clone()];
         if let Ok(shards) = fs::read_dir(&self.root) {
             dirs.extend(shards.flatten().map(|e| e.path()).filter(|p| p.is_dir()));
         }
@@ -911,32 +873,19 @@ impl ResultStore {
     }
 }
 
-/// Whether a claim's holder should be presumed dead: the claim is older than
-/// `stale_after_secs`, or it was made on *this* host by a process that no
-/// longer exists (checked via `/proc`, so the liveness shortcut only applies
-/// where `/proc` is real). Cross-host claims age out on time alone.
-pub fn claim_is_stale(info: &ClaimInfo, stale_after_secs: u64) -> bool {
-    if unix_now().saturating_sub(info.since_unix) > stale_after_secs {
-        return true;
-    }
-    info.pid != 0
-        && info.host == hostname()
-        && Path::new("/proc/self").exists()
-        && !Path::new(&format!("/proc/{}", info.pid)).exists()
+/// Whether `path` still names the open `file`. A holder removes its claim's
+/// name before its lock goes, so a lock won on a handle opened just before
+/// that is on an unlinked file, and the name may already be a new claim's.
+#[cfg(unix)]
+fn names_file(path: &Path, file: &fs::File) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    let id = |meta: &fs::Metadata| (meta.dev(), meta.ino());
+    matches!((fs::metadata(path), file.metadata()), (Ok(a), Ok(b)) if id(&a) == id(&b))
 }
 
-/// The claim line this process writes: `<pid>@<host> <unix-seconds>`.
-fn claim_line() -> String {
-    format!("{}@{} {}\n", std::process::id(), hostname(), unix_now())
-}
-
-/// Parses a claim line written by [`claim_line`].
-fn parse_claim(text: &str) -> Option<ClaimInfo> {
-    let mut tokens = text.split_whitespace();
-    let owner = tokens.next()?;
-    let since_unix: u64 = tokens.next()?.parse().ok()?;
-    let (pid, host) = owner.split_once('@')?;
-    Some(ClaimInfo { pid: pid.parse().ok()?, host: host.to_string(), since_unix })
+#[cfg(not(unix))]
+fn names_file(path: &Path, _file: &fs::File) -> bool {
+    path.exists()
 }
 
 /// Current unix time in seconds (0 on a pre-epoch clock).
@@ -944,24 +893,8 @@ fn unix_now() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
 }
 
-/// Best-effort hostname: `/proc/sys/kernel/hostname`, then `$HOSTNAME`,
-/// then `"?"`. Only used to label claims and scope the dead-pid check.
-fn hostname() -> String {
-    if let Ok(host) = fs::read_to_string("/proc/sys/kernel/hostname") {
-        let host = host.trim();
-        if !host.is_empty() {
-            return host.to_string();
-        }
-    }
-    match std::env::var("HOSTNAME") {
-        Ok(host) if !host.trim().is_empty() => host.trim().to_string(),
-        _ => "?".to_string(),
-    }
-}
-
 /// Parses a byte size with an optional `k`/`m`/`g` suffix (binary
-/// multiples): `"900k"` → 921600. Used by [`MAX_BYTES_ENV`] and
-/// `storectl evict --max-bytes`.
+/// multiples): `"900k"` → 921600. Used by `storectl evict --max-bytes`.
 pub fn parse_byte_size(text: &str) -> Option<u64> {
     let text = text.trim();
     let (digits, multiplier) = match text.chars().last()? {
@@ -1337,61 +1270,35 @@ mod tests {
         let scratch = Scratch::new("claims");
         let store = ResultStore::open(&scratch.0).unwrap();
         let fp = Fingerprint::of_value(&key(1));
-        assert_eq!(store.try_claim(fp).unwrap(), ClaimOutcome::Acquired);
-        match store.try_claim(fp).unwrap() {
-            ClaimOutcome::Held(Some(info)) => {
-                assert_eq!(info.pid, std::process::id());
-                assert_eq!(info.host, hostname());
-                assert!(!claim_is_stale(&info, 60), "own live claim is not stale");
-            }
-            other => panic!("expected Held(Some(..)), got {other:?}"),
-        }
-        assert_eq!(store.claims().len(), 1);
-        assert!(store.release_claim(fp).unwrap());
-        assert!(!store.release_claim(fp).unwrap());
-        assert_eq!(store.try_claim(fp).unwrap(), ClaimOutcome::Acquired);
+        let claim = store.try_claim(fp).unwrap().expect("a free cell is claimed");
+        assert!(!claim.taken_over());
+        // A second handle on the claim file conflicts, in this process too.
+        assert!(store.try_claim(fp).unwrap().is_none(), "a held claim is not granted twice");
+        assert_eq!(store.claims(), vec![fp]);
+        drop(claim);
+        assert!(store.claims().is_empty(), "dropping the claim removes its file");
+        let again = store.try_claim(fp).unwrap().expect("a released cell is free");
+        assert!(!again.taken_over());
+        // Publishing the cell's entry through its claim releases the claim.
+        assert!(store.put_claimed(&key(1), &payload(1.0), Some(again)).unwrap());
+        assert_eq!(store.get(&key(1)), Some(payload(1.0)));
+        assert!(store.claims().is_empty());
     }
 
     #[test]
-    fn stale_claims_age_out_or_die_with_their_pid() {
-        let aged = ClaimInfo {
-            pid: std::process::id(),
-            host: hostname(),
-            since_unix: unix_now().saturating_sub(100),
-        };
-        assert!(claim_is_stale(&aged, 50), "old enough claims age out");
-        assert!(!claim_is_stale(&aged, 1000), "a live same-host pid keeps a recent claim");
-        if Path::new("/proc/self").exists() {
-            let dead = ClaimInfo { pid: u32::MAX, host: hostname(), since_unix: unix_now() };
-            assert!(claim_is_stale(&dead, 1000), "a dead same-host pid is stale immediately");
-        }
-        let remote = ClaimInfo {
-            pid: u32::MAX,
-            host: "elsewhere.invalid".to_string(),
-            since_unix: unix_now(),
-        };
-        assert!(!claim_is_stale(&remote, 1000), "cross-host claims only age out");
-    }
-
-    #[test]
-    fn takeover_replaces_the_recorded_owner() {
+    fn an_unlocked_claim_file_is_taken_over() {
         let scratch = Scratch::new("takeover");
         let store = ResultStore::open(&scratch.0).unwrap();
         let fp = Fingerprint::of_value(&key(1));
-        // Plant a foreign claim by hand.
+        // What a worker that died right after creating its claim leaves.
         let path = store.claim_path(fp);
         fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, b"999999@elsewhere.invalid 5\n").unwrap();
-        let foreign = store.read_claim(fp).unwrap();
-        assert_eq!(foreign.pid, 999_999);
-        assert!(claim_is_stale(&foreign, 60), "a claim from unix time 5 has aged out");
-        store.takeover_claim(fp).unwrap();
-        let ours = store.read_claim(fp).unwrap();
-        assert_eq!(ours.pid, std::process::id());
-        assert_eq!(ours.host, hostname());
-        // A corrupt marker reads as Held(None), never a panic.
-        fs::write(&path, b"not a claim line").unwrap();
-        assert_eq!(store.try_claim(fp).unwrap(), ClaimOutcome::Held(None));
+        fs::write(&path, b"").unwrap();
+        let claim = store.try_claim(fp).unwrap().expect("an unlocked claim is taken over");
+        assert!(claim.taken_over());
+        assert!(store.try_claim(fp).unwrap().is_none(), "the taken-over claim is held");
+        drop(claim);
+        assert!(!path.exists());
     }
 
     #[test]
@@ -1401,7 +1308,7 @@ mod tests {
         writer.put(&key(1), &payload(1.0)).unwrap();
         let reader = ResultStore::open_read_only(&scratch.0);
         let fp = Fingerprint::of_value(&key(1));
-        assert_eq!(reader.try_claim(fp).unwrap(), ClaimOutcome::Held(None));
+        assert!(reader.try_claim(fp).unwrap().is_none());
         assert!(reader.evict_lru(0).unwrap().is_empty());
         assert!(reader.evict_older_than(u64::MAX).unwrap().is_empty());
         assert_eq!(reader.compact_hits_log().unwrap(), 0);

@@ -119,11 +119,15 @@ fn fsck_repairs_journal_tails_stale_claims_and_temp_litter() {
     journal.write_all(b"deadbeef-not-a-fingerprint 12\ntorn").unwrap();
     drop(journal);
 
-    // A claim whose recorded time has long passed (stale by age).
+    // A claim file no live worker holds: what a worker that died right
+    // after creating it leaves.
     let fp = Fingerprint::of_value(&key(2));
     let claim = store.claim_path(fp);
     fs::create_dir_all(claim.parent().unwrap()).unwrap();
-    fs::write(&claim, b"999999@elsewhere.invalid 5\n").unwrap();
+    fs::write(&claim, b"").unwrap();
+    // A live worker's claim, which fsck must leave alone.
+    let live = Fingerprint::of_value(&key(3));
+    let held = store.try_claim(live).unwrap().expect("a free cell is claimed");
 
     // Temp litter from a crashed writer, pre-aged past the staleness cutoff
     // by sleeping across a clock second.
@@ -136,8 +140,10 @@ fn fsck_repairs_journal_tails_stale_claims_and_temp_litter() {
     assert_eq!(report.valid, 1);
     assert!(report.quarantined.is_empty());
     assert_eq!(report.dropped_journal_lines, 2);
-    assert_eq!(report.cleared_claims, vec![fp]);
+    assert_eq!(report.cleared_claims, vec![fp], "only the unlocked claim is cleared");
     assert_eq!(report.removed_temp_files, 1);
+    assert!(store.try_claim(live).unwrap().is_none(), "the live claim is still held");
+    drop(held);
 
     // The journal survives with its one good line; the claim and litter are
     // gone; a second pass is clean.
