@@ -493,25 +493,7 @@ proptest! {
 fn non_integer_energy_encodes_match_the_golden_fingerprint() {
     const GOLDEN: &str = "69afe6a850f563cb433f74c9db010b88";
     let energy = EnergyModel::new(36.5, [0.1, 20.3, 307.7, 547.25]);
-    let mut rng = StdRng::seed_from_u64(2018);
-    let lines: Vec<MemoryLine> = (0..240)
-        .map(|i| {
-            MemoryLine::from_words(std::array::from_fn(|_| {
-                let raw: u64 = rng.gen();
-                let wide = raw & ((1 << 54) - 1);
-                match (i % 6, rng.gen_range(0..6)) {
-                    (5, _) => raw,
-                    (4, _) if raw >> 63 == 1 => wide,
-                    (4, _) | (_, 4) => (-(wide as i64)) as u64,
-                    (_, 0) => 0,
-                    (_, 1) => u64::MAX,
-                    (_, 2) => raw & 0xFFFF,
-                    (_, 3) => (-(i64::from(raw as u16))) as u64,
-                    _ => raw & 0xFFFF_FFFF,
-                }
-            }))
-        })
-        .collect();
+    let lines = wlc_lines(2018);
     // Each codec with its number of line formats (encoded ones and the raw
     // fallback), all of which the lines must reach.
     let codecs: Vec<(Box<dyn LineCodec>, usize)> = vec![
@@ -536,6 +518,75 @@ fn non_integer_energy_encodes_match_the_golden_fingerprint() {
         assert_eq!(reached, *format_count, "{}: lines per flag state {formats:?}", codec.name());
     }
     assert_eq!(hasher.finish().to_hex(), GOLDEN);
+}
+
+/// The WLC-integrated layouts and policies the golden above leaves out
+/// (WLCRC-32, WLCRC-64, WLCRC-16+MO, WLC+3cosets-16 and WLC+4cosets-8)
+/// under the same non-integer energy model: chained encodes from the
+/// all-RESET initial line, and a first touch of every line over that line,
+/// through each codec's prepared encoder. Both line formats must be
+/// reached. Together with the golden above this pins every layout and
+/// policy of the codec's `f64` selection; it was computed while the
+/// selection still read `(f64, usize)` block costs and priced the aux cells
+/// through a closure.
+#[test]
+fn non_integer_energy_wlc_layouts_match_the_golden_fingerprint() {
+    const GOLDEN: &str = "af46ca29bef0b7f63fecd12dbd4229c2";
+    let energy = EnergyModel::new(36.5, [0.1, 20.3, 307.7, 547.25]);
+    let lines = wlc_lines(2021);
+    let codecs = [
+        WlcCosetCodec::wlcrc(32),
+        WlcCosetCodec::wlcrc(64),
+        WlcCosetCodec::wlcrc16().with_multi_objective(MultiObjectiveConfig::paper_default()),
+        WlcCosetCodec::wlc_three_cosets(16),
+        WlcCosetCodec::wlc_four_cosets(8),
+    ];
+    let mut hasher = StableHasher::new();
+    for codec in &codecs {
+        let encoder = codec.encoder(&energy);
+        let mut formats = [0usize; 4];
+        let mut old = codec.initial_line();
+        for line in &lines {
+            let first = encoder.encode(line, &codec.initial_line());
+            old = encoder.encode(line, &old);
+            for stored in [&first, &old] {
+                assert_eq!(codec.decode(stored), *line, "{}", codec.name());
+                formats[stored.state(LINE_CELLS).index()] += 1;
+                for (_, state, class) in stored.iter() {
+                    hasher.update(&[state.index() as u8, u8::from(class == CellClass::Aux)]);
+                }
+            }
+        }
+        let reached = formats.iter().filter(|&&lines| lines > 0).count();
+        assert_eq!(reached, 2, "{}: lines per flag state {formats:?}", codec.name());
+    }
+    assert_eq!(hasher.finish().to_hex(), GOLDEN);
+}
+
+/// 240 lines drawn from `seed` for the WLC-integrated goldens: every sixth
+/// line is random, every sixth sign-extends 54-bit values, and the rest mix
+/// zero, all-ones, 16- and 32-bit words with the occasional wide one, so
+/// every layout's WLC test both passes and fails.
+fn wlc_lines(seed: u64) -> Vec<MemoryLine> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..240)
+        .map(|i| {
+            MemoryLine::from_words(std::array::from_fn(|_| {
+                let raw: u64 = rng.gen();
+                let wide = raw & ((1 << 54) - 1);
+                match (i % 6, rng.gen_range(0..6)) {
+                    (5, _) => raw,
+                    (4, _) if raw >> 63 == 1 => wide,
+                    (4, _) | (_, 4) => (-(wide as i64)) as u64,
+                    (_, 0) => 0,
+                    (_, 1) => u64::MAX,
+                    (_, 2) => raw & 0xFFFF,
+                    (_, 3) => (-(i64::from(raw as u16))) as u64,
+                    _ => raw & 0xFFFF_FFFF,
+                }
+            }))
+        })
+        .collect()
 }
 
 /// Chained encodes of the n-cosets codecs at sub-word granularity, which
