@@ -73,8 +73,16 @@ fn concurrent_workers_partition_the_grid_and_merge_identically() {
         assert!(out.status.success(), "worker failed: {out:?}");
         let dump = String::from_utf8(out.stdout).expect("utf-8 dump");
         assert_eq!(dump, truth, "every worker must end with the direct engine's exact dump");
-        let (computed, loaded, taken_over, _) = parse_report(&String::from_utf8_lossy(&out.stderr));
-        assert_eq!(computed + loaded, 16, "each worker accounts for the whole grid");
+        let (computed, loaded, taken_over, plan_hits) =
+            parse_report(&String::from_utf8_lossy(&out.stderr));
+        // A worker that starts after the other two saved the plan entry is
+        // served the whole grid from it, like the warm worker below: its one
+        // plan-level hit accounts for all 16 cells.
+        assert_eq!(
+            computed + loaded + 16 * plan_hits,
+            16,
+            "each worker accounts for the whole grid"
+        );
         computed_total += computed;
         taken_over_total += taken_over;
     }

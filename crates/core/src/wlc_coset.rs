@@ -5,7 +5,7 @@ use crate::layout::WordLayout;
 use wlcrc_coset::candidate::{c1, c2, c3, CandidateSet, CosetCandidate};
 use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_pcm::kernel::{self, TransitionTable, PLANE_WORDS};
+use wlcrc_pcm::kernel::{self, Cost, LaneSweep, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::{word as wordutil, MemoryLine};
 use wlcrc_pcm::mapping::SymbolMapping;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
@@ -20,26 +20,101 @@ const MAX_WORD_CANDIDATES: usize = 4;
 /// 8-bit granularity).
 const MAX_AUX_CELLS: usize = 8;
 
-/// `(differential-write cost, updated cells)` of every data block of one
-/// word under every candidate, indexed `[candidate][block]`.
-type BlockCosts = [[(f64, usize); MAX_WORD_BLOCKS]; MAX_WORD_CANDIDATES];
-
-/// The transition tables of both line formats, built once for a prepared
-/// encoder.
+/// The tables of both line formats, built once for a prepared encoder.
 pub struct Tables {
     /// The default mapping's table, which stores an incompressible line.
     raw: TransitionTable,
     coset: CosetTables,
 }
 
-/// The transition tables of the coset-encoded format.
-struct CosetTables {
+/// The coset-encoded format's tables in the arithmetic the energy model
+/// allows: exact `u64` when it is integer-valued (Table II and every
+/// Figure 14 model), `f64` otherwise.
+enum CosetTables {
+    Exact(Priced<u64>),
+    Float(Priced<f64>),
+}
+
+/// The coset-encoded format's transition tables, their costs in arithmetic
+/// `T`, and the word layout as the encode body reads it.
+struct Priced<T> {
     candidates: [TransitionTable; MAX_WORD_CANDIDATES],
-    /// The auxiliary region's mapping.
-    aux: TransitionTable,
-    /// `aux`'s transition cost by old state index and symbol value: the
-    /// rows of each word's aux-cell cost table.
-    aux_rows: [[f64; 4]; 4],
+    /// Each candidate's programming energy per target state.
+    weights: [[T; 4]; MAX_WORD_CANDIDATES],
+    /// The aux mapping's transition cost by old state index and symbol
+    /// value: the rows of a word's aux-cell costs.
+    aux_rows: [[T; 4]; 4],
+    /// The aux mapping's target state index by symbol value.
+    aux_states: [u64; 4],
+    shape: Shape,
+}
+
+/// The word layout as masks and shifts, derived once from the
+/// [`WordLayout`] and the policy: what the encode body and
+/// [`WlcCosetCodec::choose`] read instead of redoing the layout arithmetic.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// Cells per block: the lane width of the sweeps.
+    width: usize,
+    /// Data blocks per word.
+    blocks: usize,
+    candidates: usize,
+    /// Block `j`'s cells of a data word.
+    block_masks: [u64; MAX_WORD_BLOCKS],
+    /// Where block `j`'s choice sits among the reclaimed bits.
+    choice_shifts: [u32; MAX_WORD_BLOCKS],
+    /// One choice field's bits: one bit when grouped, two otherwise.
+    choice_mask: u64,
+    /// The group bit among the reclaimed bits of a grouped codec.
+    group_bit: Option<u64>,
+    /// The pass-through data bits (zero or one), which sit below the
+    /// reclaimed bits in a word's aux field.
+    pass_through: u32,
+    /// A word's first aux cell (its full data cells come first).
+    first_aux: usize,
+    aux_cells: usize,
+    /// The full data cells of a plane word, both data words.
+    data_mask: u64,
+}
+
+impl Shape {
+    /// The choice block `j` records in the reclaimed bits `bits`.
+    #[inline]
+    fn choice(&self, bits: u64, j: usize) -> usize {
+        ((bits >> self.choice_shifts[j]) & self.choice_mask) as usize
+    }
+
+    /// The candidate index a choice names ([`candidate_index`]).
+    #[inline]
+    fn resolve(&self, group_b: bool, choice: usize) -> usize {
+        candidate_index(self.group_bit.is_some(), group_b, choice)
+    }
+}
+
+/// The candidate index (into the codec's candidates) a block's choice
+/// names: a grouped choice is `C1` (0) or the group's alternative (1), `C2`
+/// in group A and `C3` in group B; a plain choice is the index itself.
+#[inline]
+fn candidate_index(grouped: bool, group_b: bool, choice: usize) -> usize {
+    if grouped {
+        choice * (1 + usize::from(group_b))
+    } else {
+        choice
+    }
+}
+
+/// One data word's prices in arithmetic `T` beside the candidates' sweeps
+/// of its plane word: what [`WlcCosetCodec::choose`] selects from.
+struct WordCosts<T> {
+    /// The word's first lane in the sweeps: block `j` is lane
+    /// `first_lane + j`.
+    first_lane: usize,
+    /// The word's first cell in the sweeps' `changed` masks.
+    base: usize,
+    /// `aux[k][v]`: the cost of aux cell `k` storing symbol value `v`.
+    aux: [[T; 4]; MAX_AUX_CELLS],
+    /// The word's pass-through data bits.
+    pass_through: u64,
 }
 
 /// How coset candidates may be combined within a 64-bit word.
@@ -180,7 +255,8 @@ impl WlcCosetCodec {
     }
 
     /// Differential-write cost of encoding block `cells` (word-relative, in
-    /// word `word`) of `data` with `candidate` against the stored `old`.
+    /// word `word`) of `data` with `candidate` against the stored `old`, and
+    /// the block's cells it reprograms as a word-relative mask.
     fn block_cost(
         &self,
         data: &MemoryLine,
@@ -189,18 +265,18 @@ impl WlcCosetCodec {
         cells: std::ops::Range<usize>,
         candidate: &CosetCandidate,
         energy: &EnergyModel,
-    ) -> (f64, usize) {
+    ) -> (f64, u64) {
         let mut cost = 0.0;
-        let mut updated = 0;
+        let mut changed = 0;
         for cell in cells {
             let global = Self::global_cell(word, cell);
             let target = candidate.state_of(data.symbol(global));
             if old.state(global) != target {
                 cost += energy.write_energy_pj(target);
-                updated += 1;
+                changed |= 1 << cell;
             }
         }
-        (cost, updated)
+        (cost, changed)
     }
 
     /// Encodes the auxiliary/pass-through region of word `word` given the
@@ -287,67 +363,57 @@ impl WlcCosetCodec {
         for (j, slot) in out.iter_mut().enumerate().take(self.layout.blocks()) {
             let (shift, width) = self.choice_field(j);
             let choice = ((aux_bits >> shift) & ((1 << width) - 1)) as usize;
-            *slot = self.resolve_candidate_index(group_b, choice).min(self.candidates.len() - 1);
+            *slot = candidate_index(self.grouped(), group_b, choice).min(self.candidates.len() - 1);
         }
         out
     }
 
-    /// Differential-write cost of the word's auxiliary/pass-through region for
-    /// a given assignment of the reclaimed bits.
-    fn aux_region_cost(
-        &self,
-        data: &MemoryLine,
-        old: &PhysicalLine,
-        word: usize,
-        aux_bits: u64,
-        energy: &EnergyModel,
-    ) -> f64 {
-        let fdc = self.layout.full_data_cells();
-        let boundary_bit = self.layout.data_bits();
-        let mut cost = 0.0;
-        for cell in fdc..WORD_CELLS {
-            let bit_value = |bit: usize| -> bool {
-                if bit >= boundary_bit {
-                    (aux_bits >> (bit - boundary_bit)) & 1 == 1
-                } else {
-                    data.bit(word * 64 + bit)
-                }
-            };
-            let symbol = Symbol::from_bits(bit_value(2 * cell + 1), bit_value(2 * cell));
-            let target = self.aux_mapping.state_of(symbol);
-            let global = Self::global_cell(word, cell);
-            cost += energy.transition_energy_pj(old.state(global), target);
+    /// The word layout as masks and shifts ([`Shape`]).
+    fn shape(&self) -> Shape {
+        let layout = self.layout;
+        let fdc = layout.full_data_cells();
+        let data_cells = (1u64 << fdc) - 1;
+        let mut block_masks = [0; MAX_WORD_BLOCKS];
+        let mut choice_shifts = [0; MAX_WORD_BLOCKS];
+        let fields = block_masks.iter_mut().zip(&mut choice_shifts);
+        for (j, (mask, shift)) in fields.enumerate().take(layout.blocks()) {
+            let cells = layout.block_cells(j);
+            *mask = ((1 << cells.len()) - 1) << cells.start;
+            *shift = self.choice_field(j).0 as u32;
+        }
+        Shape {
+            width: layout.granularity_bits / 2,
+            blocks: layout.blocks(),
+            candidates: self.candidates.len(),
+            block_masks,
+            choice_shifts,
+            choice_mask: if self.grouped() { 1 } else { 3 },
+            group_bit: self.grouped().then(|| self.group_bit()),
+            pass_through: (layout.data_bits() - 2 * fdc) as u32,
+            first_aux: fdc,
+            aux_cells: WORD_CELLS - fdc,
+            data_mask: data_cells | data_cells << WORD_CELLS,
+        }
+    }
+
+    /// The aux cells' cost when the word's reclaimed bits are `bits`: aux
+    /// cell `k` stores bits `2k` and `2k + 1` of the aux field, the
+    /// pass-through data bits followed by the reclaimed bits. Summed in
+    /// ascending `k` from zero.
+    #[inline]
+    fn aux_cost<T: Cost>(shape: &Shape, word: &WordCosts<T>, bits: u64) -> T {
+        let mut field = word.pass_through | bits << shape.pass_through;
+        let mut cost = T::ZERO;
+        for row in word.aux.iter().take(shape.aux_cells) {
+            cost = cost + row[(field & 3) as usize];
+            field >>= 2;
         }
         cost
     }
 
-    /// Candidate index (into `self.candidates`) of a grouped (group,
-    /// per-block) choice or a plain selector index.
-    fn resolve_candidate_index(&self, group_b: bool, choice: usize) -> usize {
-        if self.grouped() {
-            match (choice, group_b) {
-                (0, _) => 0,
-                (_, false) => 1,
-                (_, true) => 2,
-            }
-        } else {
-            choice
-        }
-    }
-
-    /// The bits of word `word`'s auxiliary region (its cells from
-    /// `full_data_cells` on) for the reclaimed-bit assignment `aux_bits`:
-    /// bits `2k` and `2k + 1` are the low and high bit of the region's cell
-    /// `k`. The pass-through data bit, if any, is bit 0.
-    fn aux_field(&self, data: &MemoryLine, word: usize, aux_bits: u64) -> u64 {
-        let first = 2 * self.layout.full_data_cells();
-        let pass_through = self.layout.data_bits() - first;
-        ((data.word(word) >> first) & ((1 << pass_through) - 1)) | (aux_bits << pass_through)
-    }
-
-    /// Chooses a word's group and per-block candidates from the candidates'
-    /// block costs; `aux_cost` prices an assignment of the reclaimed bits.
-    /// Returns the group, the per-block choices and their reclaimed bits.
+    /// Chooses a word's group and per-block candidates from its prices in
+    /// arithmetic `T`, `sweeps` holding one sweep per candidate. Returns the
+    /// group and the reclaimed bits that record the choices.
     ///
     /// Candidate selection follows Algorithm 1 (data-block cost first), then
     /// accounts for the auxiliary-region write cost: the group is chosen on
@@ -356,88 +422,103 @@ impl WlcCosetCodec {
     /// auxiliary-cell writes than it saves in the data block. This is what
     /// keeps the auxiliary part in the low-energy states, as the paper notes
     /// in Section IX-A.
-    fn choose(
+    ///
+    /// Every comparison is a strict `<` that keeps the first minimum, group
+    /// totals add the blocks' costs in block order and then the aux cost,
+    /// and the multi-objective threshold is tested in `f64` on the exactly
+    /// converted totals, so `u64` and `f64` prices of an integer-valued
+    /// table choose alike.
+    fn choose<T: Cost>(
         &self,
-        costs: &BlockCosts,
-        aux_cost: impl Fn(u64) -> f64,
-    ) -> (bool, [usize; MAX_WORD_BLOCKS], u64) {
-        let blocks = self.layout.blocks();
-        debug_assert!(blocks <= MAX_WORD_BLOCKS);
-        let ncand = self.candidates.len();
-        let (group_b, mut choices, mut bits) = if self.grouped() {
-            // Algorithm 1: evaluate both groups, pick the cheaper. Group 0's
-            // alternative is C2 (candidate 1), group 1's is C3 (candidate 2).
-            let mut totals = [0.0f64; 2];
-            let mut updates = [0usize; 2];
-            let mut per_group_choices = [[0usize; MAX_WORD_BLOCKS]; 2];
-            let mut per_group_bits = [0, self.group_bit()];
-            for g in 0..2 {
-                let alt = 1 + g;
-                for j in 0..blocks {
-                    let pick = if costs[alt][j].0 < costs[0][j].0 {
-                        per_group_choices[g][j] = 1;
-                        per_group_bits[g] |= 1 << self.choice_field(j).0;
-                        costs[alt][j]
-                    } else {
-                        costs[0][j]
-                    };
-                    totals[g] += pick.0;
-                    updates[g] += pick.1;
-                }
-                totals[g] += aux_cost(per_group_bits[g]);
-            }
-            let mut pick_b = totals[1] < totals[0];
-            if let Some(mo) = self.multi_objective {
-                let max = totals[0].max(totals[1]).max(f64::EPSILON);
-                if (totals[0] - totals[1]).abs() <= mo.threshold * max {
-                    pick_b = updates[1] < updates[0];
-                }
-            }
-            let g = usize::from(pick_b);
-            (pick_b, per_group_choices[g], per_group_bits[g])
-        } else {
+        shape: &Shape,
+        sweeps: &[LaneSweep<T>],
+        word: &WordCosts<T>,
+    ) -> (bool, u64) {
+        let blocks = shape.blocks;
+        let cost = |candidate: usize, j: usize| sweeps[candidate].costs[word.first_lane + j];
+        let aux_cost = |bits: u64| Self::aux_cost(shape, word, bits);
+        let Some(group_bit) = shape.group_bit else {
             // Plain selectors (unrestricted, or 64-bit restricted, which
             // degenerates to unrestricted 3cosets): best candidate per block
-            // by data cost.
-            let mut choices = [0usize; MAX_WORD_BLOCKS];
+            // by data cost, then a refinement pass that tries every
+            // candidate of each block with the aux cost of recording it.
             let mut bits = 0u64;
-            for (j, choice) in choices.iter_mut().enumerate().take(blocks) {
-                let mut best = 0usize;
-                let mut best_cost = f64::INFINITY;
-                for (idx, per_block) in costs.iter().enumerate().take(ncand) {
-                    if per_block[j].0 < best_cost {
-                        best_cost = per_block[j].0;
-                        best = idx;
-                    }
+            for j in 0..blocks {
+                let mut best = 0;
+                for candidate in 1..shape.candidates {
+                    best = if cost(candidate, j) < cost(best, j) { candidate } else { best };
                 }
-                *choice = best;
-                bits |= (best as u64) << self.choice_field(j).0;
+                bits |= (best as u64) << shape.choice_shifts[j];
             }
-            (false, choices, bits)
+            for j in 0..blocks {
+                let shift = shape.choice_shifts[j];
+                let rest = bits & !(shape.choice_mask << shift);
+                let price = |candidate: usize| {
+                    cost(candidate, j) + aux_cost(rest | (candidate as u64) << shift)
+                };
+                let (mut best, mut best_total) = (0, price(0));
+                for candidate in 1..shape.candidates {
+                    let total = price(candidate);
+                    let better = total < best_total;
+                    best = if better { candidate } else { best };
+                    best_total = if better { total } else { best_total };
+                }
+                bits = rest | (best as u64) << shift;
+            }
+            return (false, bits);
         };
+
+        // Algorithm 1: evaluate both groups, pick the cheaper. Group 0's
+        // alternative is C2 (candidate 1), group 1's is C3 (candidate 2).
+        let mut totals = [T::ZERO; 2];
+        let mut aux = [T::ZERO; 2];
+        let mut bits = [0, group_bit];
+        for g in 0..2 {
+            for j in 0..blocks {
+                let (frequent, alternative) = (cost(0, j), cost(1 + g, j));
+                let switch = alternative < frequent;
+                bits[g] |= u64::from(switch) << shape.choice_shifts[j];
+                totals[g] = totals[g] + if switch { alternative } else { frequent };
+            }
+            aux[g] = aux_cost(bits[g]);
+            totals[g] = totals[g] + aux[g];
+        }
+        let mut pick_b = totals[1] < totals[0];
+        if let Some(mo) = self.multi_objective {
+            let (a, b) = (totals[0].to_f64(), totals[1].to_f64());
+            let max = a.max(b).max(f64::EPSILON);
+            if (a - b).abs() <= mo.threshold * max {
+                // The cells each group would reprogram.
+                let updated = |g: usize| -> u32 {
+                    (0..blocks)
+                        .map(|j| {
+                            let candidate = shape.choice(bits[g], j) * (1 + g);
+                            let changed = sweeps[candidate].changed >> word.base;
+                            (changed & shape.block_masks[j]).count_ones()
+                        })
+                        .sum()
+                };
+                pick_b = updated(1) < updated(0);
+            }
+        }
 
         // Refinement: revisit each block and keep/alter its candidate when the
         // auxiliary-cell cost of recording the switch outweighs the data
-        // saving (or vice versa). A trial differs from the current bits only
-        // in the block's own field.
-        let candidate_options = if self.grouped() { 2 } else { ncand };
+        // saving (or vice versa). A block's options are C1 and the group's
+        // alternative, recorded by one bit; the current bits' aux cost is
+        // known, so only the flipped bit's is computed.
+        let g = usize::from(pick_b);
+        let (mut bits, mut aux) = (bits[g], aux[g]);
         for j in 0..blocks {
-            let (shift, width) = self.choice_field(j);
-            let rest = bits & !(((1u64 << width) - 1) << shift);
-            let mut best_choice = choices[j];
-            let mut best_total = f64::INFINITY;
-            for option in 0..candidate_options {
-                let data_cost = costs[self.resolve_candidate_index(group_b, option)][j].0;
-                let total = data_cost + aux_cost(rest | ((option as u64) << shift));
-                if total < best_total {
-                    best_total = total;
-                    best_choice = option;
-                }
-            }
-            choices[j] = best_choice;
-            bits = rest | ((best_choice as u64) << shift);
+            let flip = 1 << shape.choice_shifts[j];
+            let flipped = aux_cost(bits ^ flip);
+            let (frequent, alternative) =
+                if bits & flip == 0 { (aux, flipped) } else { (flipped, aux) };
+            let switch = cost(1 + g, j) + alternative < cost(0, j) + frequent;
+            bits = if switch { bits | flip } else { bits & !flip };
+            aux = if switch { alternative } else { frequent };
         }
-        (group_b, choices, bits)
+        (pick_b, bits)
     }
 
     /// A fresh encoded line with the format flag set to `flag`.
@@ -462,78 +543,75 @@ impl WlcCosetCodec {
         out
     }
 
-    /// Encodes a compressible line on the kernel. Each plane word holds two
-    /// data words: one word-pair sweep per candidate prices every block of
-    /// both, each aux cell's cost per symbol comes from a per-word table, and
-    /// the winners' target planes and the aux states are merged into one
-    /// plane-assembled write.
-    fn encode_compressed(
+    /// Encodes a compressible line on the kernel, in arithmetic `T`. Each
+    /// plane word holds two data words: one lane sweep per candidate prices
+    /// every block of both, each word's aux cells are priced from the aux
+    /// rows by their stored states, and each candidate's target planes are
+    /// merged through the mask of the blocks that chose it, with the aux
+    /// states, into one plane-assembled write.
+    fn encode_compressed<T: Cost>(
         &self,
+        tables: &Priced<T>,
         data: &MemoryLine,
         old: &PhysicalLine,
-        tables: &CosetTables,
     ) -> PhysicalLine {
         let (planes, stored) = (data.symbol_planes(), old.state_planes());
-        let mut out = self.new_line(old, CellState::S1);
-        let layout = self.layout;
-        let (fdc, blocks) = (layout.full_data_cells(), layout.blocks());
-        let aux_cells = WORD_CELLS - fdc;
-        let mut out0 = [0u64; PLANE_WORDS];
-        let mut out1 = [0u64; PLANE_WORDS];
+        let shape = &tables.shape;
+        let candidates = shape.candidates;
+        let (mut out0, mut out1) = ([0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
+        let mut sweeps = [LaneSweep::EMPTY; MAX_WORD_CANDIDATES];
+        let mut word = WordCosts {
+            first_lane: 0,
+            base: 0,
+            aux: [[T::ZERO; 4]; MAX_AUX_CELLS],
+            pass_through: 0,
+        };
         for pw in 0..PLANE_WORDS {
-            let mut pair = [[[(0.0f64, 0usize); MAX_WORD_BLOCKS]; MAX_WORD_CANDIDATES]; 2];
-            let mut targets = [(0u64, 0u64); MAX_WORD_CANDIDATES];
-            let [low, high] = &mut pair;
-            for (idx, target) in targets.iter_mut().enumerate().take(self.candidates.len()) {
-                *target = kernel::word_pair_block_costs(
+            for (c, sweep) in sweeps.iter_mut().enumerate().take(candidates) {
+                let (table, weights) = (&tables.candidates[c], &tables.weights[c]);
+                kernel::sweep_lanes(
                     &planes,
                     &stored,
-                    &tables.candidates[idx],
+                    table,
+                    weights,
                     pw,
-                    fdc,
-                    layout.granularity_bits / 2,
-                    &mut low[idx],
-                    &mut high[idx],
+                    shape.data_mask,
+                    shape.width,
+                    sweep,
                 );
             }
-            for (half, costs) in pair.iter().enumerate() {
-                let word = 2 * pw + half;
+            let mut selected = [0u64; MAX_WORD_CANDIDATES];
+            for half in 0..2 {
                 let base = WORD_CELLS * half;
-                let mut aux_table = [[0.0f64; 4]; MAX_AUX_CELLS];
-                for (k, row) in aux_table.iter_mut().enumerate().take(aux_cells) {
-                    *row = tables.aux_rows[old.state(word * WORD_CELLS + fdc + k).index()];
+                let first_aux = base + shape.first_aux;
+                let (lo, hi) = (stored.plane0()[pw] >> first_aux, stored.plane1()[pw] >> first_aux);
+                for (k, row) in word.aux.iter_mut().enumerate().take(shape.aux_cells) {
+                    *row = tables.aux_rows[(((lo >> k) & 1) | ((hi >> k) & 1) << 1) as usize];
                 }
-                let (group_b, choices, aux_bits) = self.choose(costs, |aux_bits| {
-                    let field = self.aux_field(data, word, aux_bits);
-                    let mut cost = 0.0;
-                    for (k, row) in aux_table.iter().enumerate().take(aux_cells) {
-                        cost += row[((field >> (2 * k)) & 3) as usize];
-                    }
-                    cost
-                });
-                for (j, &choice) in choices.iter().enumerate().take(blocks) {
-                    let (t0, t1) = targets[self.resolve_candidate_index(group_b, choice)];
-                    let cells = layout.block_cells(j);
-                    let mask = ((1u64 << cells.len()) - 1) << (base + cells.start);
-                    out0[pw] |= t0 & mask;
-                    out1[pw] |= t1 & mask;
+                word.first_lane = half * (WORD_CELLS / shape.width);
+                word.base = base;
+                word.pass_through = (data.word(2 * pw + half) >> (2 * shape.first_aux))
+                    & ((1 << shape.pass_through) - 1);
+                let (group_b, bits) = self.choose(shape, &sweeps[..candidates], &word);
+                for j in 0..shape.blocks {
+                    selected[shape.resolve(group_b, shape.choice(bits, j))] |=
+                        shape.block_masks[j] << base;
                 }
-                let field = self.aux_field(data, word, aux_bits);
-                for k in 0..aux_cells {
-                    let symbol = Symbol::new(((field >> (2 * k)) & 3) as u8);
-                    let state = tables.aux.state_of(symbol).index() as u64;
-                    let bit = base + fdc + k;
-                    out0[pw] |= (state & 1) << bit;
-                    out1[pw] |= (state >> 1) << bit;
+                let field = word.pass_through | bits << shape.pass_through;
+                for k in 0..shape.aux_cells {
+                    let state = tables.aux_states[((field >> (2 * k)) & 3) as usize];
+                    out0[pw] |= (state & 1) << (first_aux + k);
+                    out1[pw] |= (state >> 1) << (first_aux + k);
                 }
             }
+            for (sweep, mask) in sweeps.iter().zip(selected) {
+                out0[pw] |= sweep.targets.0 & mask;
+                out1[pw] |= sweep.targets.1 & mask;
+            }
         }
+        let mut out = self.new_line(old, CellState::S1);
         out.set_data_planes(&out0, &out1);
-        for word in 0..LINE_WORDS {
-            for cell in fdc..WORD_CELLS {
-                out.set_class(Self::global_cell(word, cell), CellClass::Aux);
-            }
-        }
+        out.set_data_classes(&[!shape.data_mask; PLANE_WORDS]);
         out
     }
 
@@ -543,13 +621,55 @@ impl WlcCosetCodec {
             *table = TransitionTable::new(&candidate.mapping(), energy);
         }
         let aux = TransitionTable::new(&self.aux_mapping, energy);
-        let aux_rows = CellState::ALL.map(|old| Symbol::ALL.map(|symbol| aux.cost_pj(old, symbol)));
-        CosetTables { candidates, aux, aux_rows }
+        if candidates.iter().chain([&aux]).all(TransitionTable::integer_valued) {
+            CosetTables::Exact(self.priced(candidates, &aux))
+        } else {
+            CosetTables::Float(self.priced(candidates, &aux))
+        }
     }
 
-    /// The scalar reference encoder: per-cell block and aux-region costs and
-    /// per-cell writes, with the selection logic shared with the kernel
-    /// path. Kept callable for the equivalence tests and the perf snapshot.
+    /// The coset format's tables with their costs in arithmetic `T`.
+    fn priced<T: Cost>(
+        &self,
+        candidates: [TransitionTable; MAX_WORD_CANDIDATES],
+        aux: &TransitionTable,
+    ) -> Priced<T> {
+        let aux_weights = T::weights(aux);
+        Priced {
+            weights: candidates.each_ref().map(T::weights),
+            candidates,
+            aux_rows: CellState::ALL.map(|old| {
+                Symbol::ALL.map(|symbol| {
+                    let target = aux.state_of(symbol);
+                    if target == old {
+                        T::ZERO
+                    } else {
+                        aux_weights[target.index()]
+                    }
+                })
+            }),
+            aux_states: Symbol::ALL.map(|symbol| aux.state_of(symbol).index() as u64),
+            shape: self.shape(),
+        }
+    }
+
+    /// Encodes a compressible line in the arithmetic its tables hold.
+    fn encode_coset(
+        &self,
+        tables: &CosetTables,
+        data: &MemoryLine,
+        old: &PhysicalLine,
+    ) -> PhysicalLine {
+        match tables {
+            CosetTables::Exact(priced) => self.encode_compressed(priced, data, old),
+            CosetTables::Float(priced) => self.encode_compressed(priced, data, old),
+        }
+    }
+
+    /// The scalar reference encoder: per-cell block and aux-cell costs and
+    /// per-cell writes, with the selection ([`Self::choose`]) shared with
+    /// the kernel path at `f64`. Kept callable for the equivalence tests and
+    /// the perf snapshot.
     #[doc(hidden)]
     pub fn encode_scalar(
         &self,
@@ -561,19 +681,38 @@ impl WlcCosetCodec {
             let raw = TransitionTable::new(&SymbolMapping::default_mapping(), energy);
             return self.encode_raw(data, old, &raw);
         }
+        let shape = self.shape();
+        let (fdc, blocks) = (self.layout.full_data_cells(), self.layout.blocks());
         let mut out = self.new_line(old, CellState::S1);
         for word in 0..LINE_WORDS {
-            let mut costs = [[(0.0f64, 0usize); MAX_WORD_BLOCKS]; MAX_WORD_CANDIDATES];
-            for (row, candidate) in costs.iter_mut().zip(&self.candidates) {
-                for (j, slot) in row.iter_mut().enumerate().take(self.layout.blocks()) {
+            let mut sweeps = [LaneSweep::EMPTY; MAX_WORD_CANDIDATES];
+            for (sweep, candidate) in sweeps.iter_mut().zip(&self.candidates) {
+                for j in 0..blocks {
                     let cells = self.layout.block_cells(j);
-                    *slot = self.block_cost(data, old, word, cells, candidate, energy);
+                    let (cost, changed) =
+                        self.block_cost(data, old, word, cells, candidate, energy);
+                    sweep.costs[j] = cost;
+                    sweep.changed |= changed;
                 }
             }
-            let (group_b, choices, aux_bits) = self
-                .choose(&costs, |aux_bits| self.aux_region_cost(data, old, word, aux_bits, energy));
-            for (j, &choice) in choices.iter().enumerate().take(self.layout.blocks()) {
-                let candidate = &self.candidates[self.resolve_candidate_index(group_b, choice)];
+            let mut costs = WordCosts {
+                first_lane: 0,
+                base: 0,
+                aux: [[0.0; 4]; MAX_AUX_CELLS],
+                pass_through: self
+                    .layout
+                    .pass_through_bit()
+                    .map_or(0, |bit| u64::from(data.bit(word * 64 + bit))),
+            };
+            for (row, cell) in costs.aux.iter_mut().zip(fdc..WORD_CELLS) {
+                let stored = old.state(Self::global_cell(word, cell));
+                *row = Symbol::ALL.map(|symbol| {
+                    energy.transition_energy_pj(stored, self.aux_mapping.state_of(symbol))
+                });
+            }
+            let (group_b, aux_bits) = self.choose(&shape, &sweeps[..self.candidates.len()], &costs);
+            for j in 0..blocks {
+                let candidate = &self.candidates[shape.resolve(group_b, shape.choice(aux_bits, j))];
                 for cell in self.layout.block_cells(j) {
                     let global = Self::global_cell(word, cell);
                     out.set_state(global, candidate.state_of(data.symbol(global)));
@@ -637,7 +776,7 @@ impl LineCodec for WlcCosetCodec {
             let raw = TransitionTable::new(&SymbolMapping::default_mapping(), energy);
             return self.encode_raw(data, old, &raw);
         }
-        self.encode_compressed(data, old, &self.coset_tables(energy))
+        self.encode_coset(&self.coset_tables(energy), data, old)
     }
 
     fn encoder(&self, energy: &EnergyModel) -> Box<dyn LineEncoder> {
@@ -694,7 +833,7 @@ impl TableCodec for WlcCosetCodec {
         if !self.is_compressible(data) {
             return self.encode_raw(data, old, &tables.raw);
         }
-        self.encode_compressed(data, old, &tables.coset)
+        self.encode_coset(&tables.coset, data, old)
     }
 }
 

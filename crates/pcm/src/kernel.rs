@@ -21,16 +21,23 @@
 //!   AND/OR/XOR operations, isolate the cells whose state would change, and
 //!   reduce each target-state bucket with one `popcount` — a few dozen word
 //!   operations per 64 cells instead of hundreds of scalar steps.
-//! * Sweeps over sub-word blocks ([`select_blocks_uniform`],
-//!   [`word_pair_block_costs`]) count every block of a plane word at once:
-//!   a lane-wise partial popcount, the SWAR popcount stopped at the block
-//!   width, leaves each block's count in its own lane.
+//! * Sweeps over sub-word blocks ([`select_blocks_uniform`], [`sweep_lanes`])
+//!   count every block of a plane word at once: a lane-wise partial
+//!   popcount, the SWAR popcount stopped at the block width, leaves each
+//!   block's count in its own lane.
+//! * Costs are totalled in one of two [`Cost`] arithmetics, read off the
+//!   tables: exact `u64` picojoules when every table is integer-valued
+//!   ([`TransitionTable::integer_valued`]), `f64` otherwise. In `u64`,
+//!   [`Cost::lane_costs`] prices every block of a plane word with one
+//!   lane-wise multiply-add per target-state bucket.
 //! * [`select_blocks_uniform`] is the one block-selection entry point of the
-//!   coset codecs, at every block width. It reads its arithmetic off the
-//!   candidates' tables — exact `u64` totals when every table is
-//!   integer-valued, `f64` otherwise — prices the selector cells the caller
-//!   describes ([`Selectors`]) in that arithmetic, so no codec asks whether
-//!   its energy table is integer, and hands back the winners' target planes.
+//!   coset codecs whose blocks tile the line, at every block width. It
+//!   prices the selector cells the caller describes ([`Selectors`]) in its
+//!   arithmetic, so no codec asks whether its energy table is integer, and
+//!   hands back the winners' target planes.
+//! * [`sweep_lanes`] is the sweep of the WLC-integrated codecs, whose 32-cell
+//!   data words end in aux cells: one candidate's cost of every block of a
+//!   plane word, in the arithmetic the codec's selection is generic over.
 //!
 //! The kernel is numerically exact with respect to the scalar path whenever
 //! the energy table holds integer-valued picojoule costs (as the paper's
@@ -296,6 +303,14 @@ impl TransitionTable {
         self.states[symbol.value() as usize]
     }
 
+    /// `true` when every programming energy is an integer below 2^20 (the
+    /// paper's Table II and every Figure 14 configuration): costs under the
+    /// table then total exactly in the `u64` [`Cost`] arithmetic.
+    #[inline]
+    pub fn integer_valued(&self) -> bool {
+        self.write_int.is_some()
+    }
+
     /// The target-state planes of a block of symbols: bit `c` of the returned
     /// `(plane0, plane1)` is the low/high bit of the state that would store
     /// cell `c`'s symbol.
@@ -359,17 +374,47 @@ fn buckets(changed: u64, t0: u64, t1: u64) -> [u64; 4] {
     [changed & !t1 & !t0, changed & !t1 & t0, changed & t1 & !t0, changed & t1 & t0]
 }
 
-/// The arithmetic costs are totalled in: exact `u64` picojoules when a
-/// table is integer-valued, `f64` otherwise.
-trait Cost: Copy + PartialOrd + core::ops::Add<Output = Self> {
+/// The arithmetic costs are totalled in: exact `u64` picojoules when every
+/// table is integer-valued ([`TransitionTable::integer_valued`]), `f64`
+/// otherwise. A codec that selects in either arithmetic is generic over
+/// this trait and reads which one off its tables.
+pub trait Cost: Copy + PartialOrd + core::ops::Add<Output = Self> {
+    /// The cost of no programmed cell.
     const ZERO: Self;
 
     /// The programming energy of each target state under `table`.
+    ///
+    /// # Panics
+    ///
+    /// The `u64` arithmetic panics unless the table is integer-valued.
     fn weights(table: &TransitionTable) -> [Self; 4];
 
     /// The energy of `counts[s]` changed cells per target state `S(s+1)`,
     /// summed as `((c0·w0 + c1·w1) + c2·w2) + c3·w3`.
     fn dot(counts: [u64; 4], weights: &[Self; 4]) -> Self;
+
+    /// Every block's energy in one plane word: lane `i` of `lanes[s]` (bits
+    /// `i·WIDTH..(i + 1)·WIDTH`) counts the changed cells of the block of
+    /// cells `i·WIDTH..(i + 1)·WIDTH` whose target is state `S(s+1)`, and
+    /// `out[i]` receives that block's [`Cost::dot`], for each of the word's
+    /// `64 / WIDTH` blocks. Later entries are left as they are.
+    ///
+    /// The `u64` arithmetic widens each bucket's lanes to 32 bits and
+    /// multiplies them by the state's energy, every block of the word at
+    /// once: a lane holds at most 32 cells and an integer-valued table's
+    /// energies are below 2^20, so each block's sum stays below 2^25 and
+    /// never carries into the next lane. The `f64` arithmetic takes the dot
+    /// product block by block.
+    ///
+    /// `WIDTH` must be 4, 8, 16 or 32.
+    fn lane_costs<const WIDTH: usize>(
+        lanes: &[u64; 4],
+        weights: &[Self; 4],
+        out: &mut [Self; MAX_LANES],
+    );
+
+    /// The cost as `f64`; exact for `u64` totals, which stay below 2^53.
+    fn to_f64(self) -> f64;
 }
 
 impl Cost for u64 {
@@ -383,6 +428,27 @@ impl Cost for u64 {
     fn dot(c: [u64; 4], w: &[u64; 4]) -> u64 {
         c[0] * w[0] + c[1] * w[1] + c[2] * w[2] + c[3] * w[3]
     }
+
+    #[inline]
+    fn lane_costs<const WIDTH: usize>(lanes: &[u64; 4], w: &[u64; 4], out: &mut [u64; MAX_LANES]) {
+        // Word `q` below holds blocks `q` and `q + words` in its two 32-bit
+        // lanes: the lanes that start at bit `q·WIDTH` of each half.
+        let words = 32 / WIDTH;
+        let lane = u64::MAX >> (64 - WIDTH);
+        let spread = lane | lane << 32;
+        for q in 0..words {
+            let shift = q * WIDTH;
+            let widened = lanes.map(|bucket| (bucket >> shift) & spread);
+            let sum = widened[0] * w[0] + widened[1] * w[1] + widened[2] * w[2] + widened[3] * w[3];
+            out[q] = sum & 0xFFFF_FFFF;
+            out[q + words] = sum >> 32;
+        }
+    }
+
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
 }
 
 impl Cost for f64 {
@@ -395,6 +461,19 @@ impl Cost for f64 {
     #[inline]
     fn dot(c: [u64; 4], w: &[f64; 4]) -> f64 {
         c[0] as f64 * w[0] + c[1] as f64 * w[1] + c[2] as f64 * w[2] + c[3] as f64 * w[3]
+    }
+
+    #[inline]
+    fn lane_costs<const WIDTH: usize>(lanes: &[u64; 4], w: &[f64; 4], out: &mut [f64; MAX_LANES]) {
+        let lane = u64::MAX >> (64 - WIDTH);
+        for (i, slot) in out.iter_mut().enumerate().take(64 / WIDTH) {
+            *slot = f64::dot(lanes.map(|bucket| (bucket >> (i * WIDTH)) & lane), w);
+        }
+    }
+
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self
     }
 }
 
@@ -755,48 +834,75 @@ fn first_minimum<T: Cost>(costs: &[T]) -> usize {
     best.0
 }
 
-/// The WLC word-pair sweep: per-block `(cost, updated cells)` of one
-/// candidate over plane word `word`, which holds two 32-cell data words.
-/// Each data word keeps its coset-encoded blocks in its first `data_cells`
-/// cells, tiled by `cells_per_block` (the final block may be shorter); block
-/// `j` of the low word (cells `0..32`) goes to `low[j]`, of the high word
-/// (cells `32..64`) to `high[j]`. Returns the candidate's target planes
-/// `(plane0, plane1)` of the word, from which the caller merges the winning
-/// blocks.
+/// Most blocks of one plane word a lane sweep prices: 16, at 4 cells each.
+pub const MAX_LANES: usize = 16;
+
+/// One candidate's prices of one plane word, written by [`sweep_lanes`].
+#[derive(Debug, Clone, Copy)]
+pub struct LaneSweep<T> {
+    /// The candidate's target planes of the word: low and high state bit.
+    pub targets: (u64, u64),
+    /// The priced cells the candidate would reprogram.
+    pub changed: u64,
+    /// `costs[i]`: the energy of the changed cells of lane `i`, the block of
+    /// cells `i·width..(i + 1)·width`.
+    pub costs: [T; MAX_LANES],
+}
+
+impl<T: Cost> LaneSweep<T> {
+    /// A sweep that prices nothing: the value a sweep array starts from.
+    pub const EMPTY: LaneSweep<T> =
+        LaneSweep { targets: (0, 0), changed: 0, costs: [T::ZERO; MAX_LANES] };
+}
+
+/// The lane sweep: one candidate's differential-write energy, in arithmetic
+/// `T`, of every `width`-cell block of plane word `word`, counting only the
+/// `priced` cells, with its target planes, written into `out` (costs past
+/// the word's `64 / width` blocks are left as they are). One lane-wise
+/// popcount per target-state bucket counts every block of the word, and
+/// [`Cost::lane_costs`] turns the counts into energies: in `u64`, one
+/// lane-wise multiply-add per bucket prices every block. `weights` are the
+/// table's [`Cost::weights`].
 ///
-/// Every block starts on a lane boundary of width `cells_per_block`, so one
-/// lane-wise popcount per target-state bucket counts all blocks of both
-/// words; the cells past `data_cells` are masked out first.
+/// A codec whose blocks do not tile the word (the WLC word pairs, whose
+/// 32-cell data words end in aux cells) masks those cells out of `priced`.
 ///
 /// # Panics
 ///
-/// Panics if `cells_per_block` is not 4, 8, 16 or 32, `data_cells` exceeds
-/// 32, or `low` or `high` is shorter than the block count.
+/// Panics if `width` is not 4, 8, 16 or 32.
 #[allow(clippy::too_many_arguments)]
-pub fn word_pair_block_costs(
+#[inline]
+pub fn sweep_lanes<T: Cost>(
     data: &SymbolPlanes,
     old: &StatePlanes,
     table: &TransitionTable,
+    weights: &[T; 4],
     word: usize,
-    data_cells: usize,
-    cells_per_block: usize,
-    low: &mut [(f64, usize)],
-    high: &mut [(f64, usize)],
-) -> (u64, u64) {
-    assert!(matches!(cells_per_block, 4 | 8 | 16 | 32), "blocks must start on lane boundaries");
-    assert!(data_cells <= 32, "a data word holds 32 cells");
-    let blocks = data_cells.div_ceil(cells_per_block);
-    let half = (1u64 << data_cells) - 1;
+    priced: u64,
+    width: usize,
+    out: &mut LaneSweep<T>,
+) {
     let (t0, t1) = table.target_planes(data, word);
-    let changed = ((t0 ^ old.plane0[word]) | (t1 ^ old.plane1[word])) & (half | (half << 32));
-    let lanes = LaneCounts::new(changed, t0, t1, cells_per_block);
-    for (base, out) in [(0, low), (32, high)] {
-        for (j, slot) in out[..blocks].iter_mut().enumerate() {
-            let counts = lanes.counts(base + j * cells_per_block);
-            *slot = (bucket_cost(counts, table), counts.iter().sum::<u64>() as usize);
-        }
+    let changed = ((t0 ^ old.plane0[word]) | (t1 ^ old.plane1[word])) & priced;
+    (out.targets, out.changed) = ((t0, t1), changed);
+    let buckets = buckets(changed, t0, t1);
+    match width {
+        4 => price_lanes::<T, 4>(&buckets, weights, &mut out.costs),
+        8 => price_lanes::<T, 8>(&buckets, weights, &mut out.costs),
+        16 => price_lanes::<T, 16>(&buckets, weights, &mut out.costs),
+        32 => price_lanes::<T, 32>(&buckets, weights, &mut out.costs),
+        _ => panic!("lanes are 4, 8, 16 or 32 cells wide, not {width}"),
     }
-    (t0, t1)
+}
+
+/// [`sweep_lanes`]' pricing at one lane width, so the lane loops unroll.
+#[inline(always)]
+fn price_lanes<T: Cost, const WIDTH: usize>(
+    buckets: &[u64; 4],
+    weights: &[T; 4],
+    costs: &mut [T; MAX_LANES],
+) {
+    T::lane_costs::<WIDTH>(&buckets.map(|bucket| lane_popcounts(bucket, WIDTH)), weights, costs);
 }
 
 /// Bit-parallel equivalent of `wlcrc_coset::cost::block_updated_cells`: the
@@ -1079,48 +1185,100 @@ mod tests {
         }
     }
 
+    /// Both arithmetics' lane sweeps of one plane word against
+    /// [`block_cost`] and [`block_updated_cells`] per block.
+    fn assert_lane_sweep_matches_per_block(
+        data: &MemoryLine,
+        old: &PhysicalLine,
+        table: &TransitionTable,
+        width: usize,
+        data_cells: usize,
+    ) {
+        let (dp, op) = (SymbolPlanes::new(data), old.state_planes());
+        let half = u64::MAX >> (64 - data_cells);
+        let priced = half | half << 32;
+        for word in 0..PLANE_WORDS {
+            let mut float = LaneSweep::EMPTY;
+            sweep_lanes(&dp, &op, table, &f64::weights(table), word, priced, width, &mut float);
+            let exact = table.integer_valued().then(|| {
+                let mut exact = LaneSweep::EMPTY;
+                sweep_lanes(&dp, &op, table, &u64::weights(table), word, priced, width, &mut exact);
+                exact
+            });
+            assert_eq!(float.targets, table.target_planes(&dp, word));
+            for lane in 0..MAX_LANES {
+                let start = 64 * word + lane * width;
+                let base = 64 * word + 32 * (lane * width / 32);
+                let cells = if lane < 64 / width {
+                    start.min(base + data_cells)..(start + width).min(base + data_cells)
+                } else {
+                    0..0
+                };
+                let context = format!("width {width}, data cells {data_cells}, lane {lane}");
+                let expect = block_cost(&dp, &op, cells.clone(), table);
+                assert_eq!(float.costs[lane], expect, "{context}");
+                if let Some(exact) = &exact {
+                    assert_eq!(exact.costs[lane] as f64, expect, "{context}");
+                    assert_eq!(exact.targets, float.targets);
+                    assert_eq!(exact.changed, float.changed);
+                }
+                if lane < 64 / width {
+                    let mask = (u64::MAX >> (64 - width)) << (lane * width);
+                    let updated = block_updated_cells(&dp, &op, cells, table);
+                    assert_eq!((float.changed & mask).count_ones() as usize, updated, "{context}");
+                }
+            }
+        }
+    }
+
     #[test]
-    fn word_pair_sweep_matches_per_block_cost() {
+    fn lane_sweep_matches_per_block_cost() {
         let mut rng = StdRng::seed_from_u64(17);
         let energies = [EnergyModel::paper_default(), EnergyModel::new(1.3, [0.7, 2.9, 4.1, 5.3])];
         for energy in &energies {
             let table = TransitionTable::new(&SymbolMapping::all_mappings()[9], energy);
             let data = random_line(&mut rng);
             let old = random_stored(&mut rng);
-            let (dp, op) = (SymbolPlanes::new(&data), old.state_planes());
-            for cells_per_block in [4usize, 8, 16, 32] {
+            for width in [4usize, 8, 16, 32] {
                 for data_cells in [24usize, 28, 29, 30, 31, 32] {
-                    for word in 0..PLANE_WORDS {
-                        let mut out = [[(f64::NAN, usize::MAX); 8]; 2];
-                        let [low, high] = &mut out;
-                        let targets = word_pair_block_costs(
-                            &dp,
-                            &op,
-                            &table,
-                            word,
-                            data_cells,
-                            cells_per_block,
-                            low,
-                            high,
-                        );
-                        assert_eq!(targets, table.target_planes(&dp, word));
-                        for (half, row) in out.iter().enumerate() {
-                            let base = 64 * word + 32 * half;
-                            for (j, &got) in
-                                row.iter().enumerate().take(data_cells.div_ceil(cells_per_block))
-                            {
-                                let start = base + j * cells_per_block;
-                                let cells = start..(start + cells_per_block).min(base + data_cells);
-                                let expect = (
-                                    block_cost(&dp, &op, cells.clone(), &table),
-                                    block_updated_cells(&dp, &op, cells, &table),
-                                );
-                                assert_eq!(got, expect, "cpb {cells_per_block} dc {data_cells}");
-                            }
-                        }
-                    }
+                    assert_lane_sweep_matches_per_block(&data, &old, &table, width, data_cells);
                 }
             }
+        }
+    }
+
+    /// The `u64` lane costs at the integer bound: write energies of
+    /// 2^20 − 1, the largest an integer-valued table holds, over an
+    /// all-RESET line (a first touch) whose every cell is programmed to that
+    /// costliest state, so every lane sums its whole width of it; then random
+    /// content over the same line and over a random one.
+    #[test]
+    fn integer_lane_costs_equal_the_f64_dot_up_to_the_integer_bound() {
+        let top = f64::from((1u32 << 20) - 1);
+        let energy = EnergyModel::new(0.0, [top - 3.0, top - 2.0, top - 1.0, top]);
+        let table = TransitionTable::new(&SymbolMapping::default_mapping(), &energy);
+        assert!(table.integer_valued());
+        let costliest = Symbol::ALL
+            .into_iter()
+            .find(|&symbol| table.state_of(symbol) == CellState::S4)
+            .expect("a symbol maps to S4");
+        let mut full = MemoryLine::ZERO;
+        for cell in 0..LINE_CELLS {
+            full.set_symbol(cell, costliest);
+        }
+        let reset = PhysicalLine::all_reset(LINE_CELLS);
+        let mut rng = StdRng::seed_from_u64(19);
+        for width in [4usize, 8, 16, 32] {
+            let (dp, op) = (SymbolPlanes::new(&full), reset.state_planes());
+            let mut exact = LaneSweep::EMPTY;
+            sweep_lanes(&dp, &op, &table, &u64::weights(&table), 0, u64::MAX, width, &mut exact);
+            for lane in 0..64 / width {
+                assert_eq!(exact.costs[lane], width as u64 * ((1 << 20) - 1), "width {width}");
+            }
+            assert_lane_sweep_matches_per_block(&full, &reset, &table, width, 32);
+            let data = random_line(&mut rng);
+            assert_lane_sweep_matches_per_block(&data, &reset, &table, width, 32);
+            assert_lane_sweep_matches_per_block(&data, &random_stored(&mut rng), &table, width, 29);
         }
     }
 

@@ -206,6 +206,20 @@ impl PhysicalLine {
         self.plane1[..PLANE_WORDS].copy_from_slice(plane1);
     }
 
+    /// Classifies the first 256 cells from a plane: bit `c` of word `c / 64`
+    /// set marks cell `c` auxiliary, clear marks it data. The companion of
+    /// [`Self::set_data_planes`] for a codec that knows its aux cells as
+    /// masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line has fewer than 256 cells.
+    #[inline]
+    pub fn set_data_classes(&mut self, aux: &[u64; PLANE_WORDS]) {
+        assert!(self.len >= LINE_CELLS, "the data planes cover {LINE_CELLS} cells");
+        self.aux[..PLANE_WORDS].copy_from_slice(aux);
+    }
+
     /// The whole line as `(plane0, plane1, aux)` plane words: what the
     /// accounting in [`crate::write`] and [`crate::disturb`] scans.
     #[inline]
