@@ -46,12 +46,12 @@ struct Priced<T> {
     aux_rows: [[T; 4]; 4],
     /// The aux mapping's target state index by symbol value.
     aux_states: [u64; 4],
-    shape: Shape,
 }
 
 /// The word layout as masks and shifts, derived once from the
-/// [`WordLayout`] and the policy: what the encode body and
-/// [`WlcCosetCodec::choose`] read instead of redoing the layout arithmetic.
+/// [`WordLayout`] and the policy: what the encode body,
+/// [`WlcCosetCodec::choose`] and the decoders read instead of redoing the
+/// layout arithmetic.
 #[derive(Debug, Clone, Copy)]
 struct Shape {
     /// Cells per block: the lane width of the sweeps.
@@ -78,28 +78,55 @@ struct Shape {
 }
 
 impl Shape {
+    /// The shape of `layout` under a policy with `candidates` candidates.
+    /// Restricted codecs below 64-bit granularity are grouped: every block
+    /// picks within one group, `{C1, C2}` or `{C1, C3}`, recorded by a group
+    /// bit, the top reclaimed bit (word bit 63), and block `j` by one bit
+    /// below it, downwards. The others record two-bit candidate indices
+    /// from the top down.
+    fn new(layout: WordLayout, restricted: bool, candidates: usize) -> Shape {
+        let grouped = restricted && layout.granularity_bits < 64;
+        let (fdc, reclaimed) = (layout.full_data_cells(), layout.reclaimed_bits);
+        let data_cells = (1u64 << fdc) - 1;
+        let mut block_masks = [0; MAX_WORD_BLOCKS];
+        let mut choice_shifts = [0; MAX_WORD_BLOCKS];
+        let fields = block_masks.iter_mut().zip(&mut choice_shifts);
+        for (j, (mask, shift)) in fields.enumerate().take(layout.blocks()) {
+            let cells = layout.block_cells(j);
+            *mask = ((1 << cells.len()) - 1) << cells.start;
+            *shift = (reclaimed - 2 - if grouped { j } else { 2 * j }) as u32;
+        }
+        Shape {
+            width: layout.granularity_bits / 2,
+            blocks: layout.blocks(),
+            candidates,
+            block_masks,
+            choice_shifts,
+            choice_mask: if grouped { 1 } else { 3 },
+            group_bit: grouped.then_some(1 << (reclaimed - 1)),
+            pass_through: (layout.data_bits() - 2 * fdc) as u32,
+            first_aux: fdc,
+            aux_cells: WORD_CELLS - fdc,
+            data_mask: data_cells | data_cells << WORD_CELLS,
+        }
+    }
+
     /// The choice block `j` records in the reclaimed bits `bits`.
     #[inline]
     fn choice(&self, bits: u64, j: usize) -> usize {
         ((bits >> self.choice_shifts[j]) & self.choice_mask) as usize
     }
 
-    /// The candidate index a choice names ([`candidate_index`]).
+    /// The candidate index a choice names: a grouped choice is `C1` (0) or
+    /// the group's alternative (1), `C2` in group A and `C3` in group B; a
+    /// plain choice is the index itself.
     #[inline]
     fn resolve(&self, group_b: bool, choice: usize) -> usize {
-        candidate_index(self.group_bit.is_some(), group_b, choice)
-    }
-}
-
-/// The candidate index (into the codec's candidates) a block's choice
-/// names: a grouped choice is `C1` (0) or the group's alternative (1), `C2`
-/// in group A and `C3` in group B; a plain choice is the index itself.
-#[inline]
-fn candidate_index(grouped: bool, group_b: bool, choice: usize) -> usize {
-    if grouped {
-        choice * (1 + usize::from(group_b))
-    } else {
-        choice
+        if self.group_bit.is_some() {
+            choice * (1 + usize::from(group_b))
+        } else {
+            choice
+        }
     }
 }
 
@@ -162,6 +189,7 @@ pub struct WlcCosetCodec {
     multi_objective: Option<MultiObjectiveConfig>,
     aux_mapping: SymbolMapping,
     name: String,
+    shape: Shape,
 }
 
 impl WlcCosetCodec {
@@ -182,6 +210,7 @@ impl WlcCosetCodec {
                     multi_objective: None,
                     aux_mapping: SymbolMapping::default_mapping(),
                     name: format!("WLCRC-{granularity_bits}"),
+                    shape: Shape::new(layout, true, 3),
                 }
             }
             CosetPolicy::Unrestricted(set) => {
@@ -195,6 +224,7 @@ impl WlcCosetCodec {
                     multi_objective: None,
                     aux_mapping: SymbolMapping::default_mapping(),
                     name,
+                    shape: Shape::new(layout, false, set.len()),
                 }
             }
         }
@@ -330,70 +360,14 @@ impl WlcCosetCodec {
         (aux_bits, pass_through)
     }
 
-    /// `true` when every block picks within one group, `{C1, C2}` or
-    /// `{C1, C3}`, recorded by a group bit: restricted codecs below 64-bit
-    /// granularity. The others record plain candidate indices.
-    fn grouped(&self) -> bool {
-        self.restricted && self.layout.granularity_bits < 64
-    }
-
-    /// The group bit among the reclaimed bits: the top one (word bit 63).
-    fn group_bit(&self) -> u64 {
-        1 << (self.layout.reclaimed_bits - 1)
-    }
-
-    /// Where block `block`'s choice sits among the reclaimed bits, as
-    /// `(shift, width)`. Grouped codecs give block `j` the bit just below the
-    /// group bit, downwards; the others store two-bit candidate indices from
-    /// the top down.
-    fn choice_field(&self, block: usize) -> (usize, usize) {
-        let r = self.layout.reclaimed_bits;
-        if self.grouped() {
-            (r - 2 - block, 1)
-        } else {
-            (r - 2 - 2 * block, 2)
-        }
-    }
-
     /// Recovers the per-block candidate indices from the reclaimed bits for
     /// decoding (only the first `layout.blocks()` entries are meaningful).
     fn unpack_candidates(&self, aux_bits: u64) -> [usize; MAX_WORD_BLOCKS] {
-        let group_b = self.grouped() && aux_bits & self.group_bit() != 0;
-        let mut out = [0usize; MAX_WORD_BLOCKS];
-        for (j, slot) in out.iter_mut().enumerate().take(self.layout.blocks()) {
-            let (shift, width) = self.choice_field(j);
-            let choice = ((aux_bits >> shift) & ((1 << width) - 1)) as usize;
-            *slot = candidate_index(self.grouped(), group_b, choice).min(self.candidates.len() - 1);
-        }
-        out
-    }
-
-    /// The word layout as masks and shifts ([`Shape`]).
-    fn shape(&self) -> Shape {
-        let layout = self.layout;
-        let fdc = layout.full_data_cells();
-        let data_cells = (1u64 << fdc) - 1;
-        let mut block_masks = [0; MAX_WORD_BLOCKS];
-        let mut choice_shifts = [0; MAX_WORD_BLOCKS];
-        let fields = block_masks.iter_mut().zip(&mut choice_shifts);
-        for (j, (mask, shift)) in fields.enumerate().take(layout.blocks()) {
-            let cells = layout.block_cells(j);
-            *mask = ((1 << cells.len()) - 1) << cells.start;
-            *shift = self.choice_field(j).0 as u32;
-        }
-        Shape {
-            width: layout.granularity_bits / 2,
-            blocks: layout.blocks(),
-            candidates: self.candidates.len(),
-            block_masks,
-            choice_shifts,
-            choice_mask: if self.grouped() { 1 } else { 3 },
-            group_bit: self.grouped().then(|| self.group_bit()),
-            pass_through: (layout.data_bits() - 2 * fdc) as u32,
-            first_aux: fdc,
-            aux_cells: WORD_CELLS - fdc,
-            data_mask: data_cells | data_cells << WORD_CELLS,
-        }
+        let shape = &self.shape;
+        let group_b = shape.group_bit.is_some_and(|bit| aux_bits & bit != 0);
+        core::array::from_fn(|j| {
+            shape.resolve(group_b, shape.choice(aux_bits, j)).min(shape.candidates - 1)
+        })
     }
 
     /// The aux cells' cost when the word's reclaimed bits are `bits`: aux
@@ -556,7 +530,7 @@ impl WlcCosetCodec {
         old: &PhysicalLine,
     ) -> PhysicalLine {
         let (planes, stored) = (data.symbol_planes(), old.state_planes());
-        let shape = &tables.shape;
+        let shape = &self.shape;
         let candidates = shape.candidates;
         let (mut out0, mut out1) = ([0u64; PLANE_WORDS], [0u64; PLANE_WORDS]);
         let mut sweeps = [LaneSweep::EMPTY; MAX_WORD_CANDIDATES];
@@ -649,7 +623,6 @@ impl WlcCosetCodec {
                 })
             }),
             aux_states: Symbol::ALL.map(|symbol| aux.state_of(symbol).index() as u64),
-            shape: self.shape(),
         }
     }
 
@@ -681,7 +654,7 @@ impl WlcCosetCodec {
             let raw = TransitionTable::new(&SymbolMapping::default_mapping(), energy);
             return self.encode_raw(data, old, &raw);
         }
-        let shape = self.shape();
+        let shape = &self.shape;
         let (fdc, blocks) = (self.layout.full_data_cells(), self.layout.blocks());
         let mut out = self.new_line(old, CellState::S1);
         for word in 0..LINE_WORDS {
@@ -710,7 +683,7 @@ impl WlcCosetCodec {
                     energy.transition_energy_pj(stored, self.aux_mapping.state_of(symbol))
                 });
             }
-            let (group_b, aux_bits) = self.choose(&shape, &sweeps[..self.candidates.len()], &costs);
+            let (group_b, aux_bits) = self.choose(shape, &sweeps[..shape.candidates], &costs);
             for j in 0..blocks {
                 let candidate = &self.candidates[shape.resolve(group_b, shape.choice(aux_bits, j))];
                 for cell in self.layout.block_cells(j) {
@@ -805,9 +778,8 @@ impl LineCodec for WlcCosetCodec {
         for word in 0..LINE_WORDS {
             let (pw, base) = (word / 2, WORD_CELLS * (word % 2));
             let candidates = self.unpack_candidates(aux.word(word) >> data_bits);
-            for (j, &idx) in candidates.iter().enumerate().take(self.layout.blocks()) {
-                let cells = self.layout.block_cells(j);
-                let mask = ((1u64 << cells.len()) - 1) << (base + cells.start);
+            for (j, &idx) in candidates.iter().enumerate().take(self.shape.blocks) {
+                let mask = self.shape.block_masks[j] << base;
                 let (c0, c1) = &inverses[idx];
                 p0[pw] = (p0[pw] & !mask) | (c0[pw] & mask);
                 p1[pw] = (p1[pw] & !mask) | (c1[pw] & mask);
