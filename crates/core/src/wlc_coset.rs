@@ -35,8 +35,8 @@ enum CosetTables {
     Float(Priced<f64>),
 }
 
-/// The coset-encoded format's transition tables, their costs in arithmetic
-/// `T`, and the word layout as the encode body reads it.
+/// The coset-encoded format's transition tables and their costs in
+/// arithmetic `T`.
 struct Priced<T> {
     candidates: [TransitionTable; MAX_WORD_CANDIDATES],
     /// Each candidate's programming energy per target state.
@@ -466,7 +466,7 @@ impl WlcCosetCodec {
                 let updated = |g: usize| -> u32 {
                     (0..blocks)
                         .map(|j| {
-                            let candidate = shape.choice(bits[g], j) * (1 + g);
+                            let candidate = shape.resolve(g == 1, shape.choice(bits[g], j));
                             let changed = sweeps[candidate].changed >> word.base;
                             (changed & shape.block_masks[j]).count_ones()
                         })
