@@ -6,7 +6,7 @@
 //! report the best compressed size, which is what the DIN scheme needs to
 //! decide whether a line can be encoded.
 
-use crate::Compressor;
+use crate::{Compressor, LineStream};
 use wlcrc_ecc::BitBuf;
 use wlcrc_pcm::line::MemoryLine;
 use wlcrc_pcm::{LINE_BITS, LINE_BYTES};
@@ -21,7 +21,9 @@ pub struct BdiConfig {
 }
 
 impl BdiConfig {
-    /// The eight standard base-delta configurations.
+    /// The six standard base-delta configurations: 8-byte bases with 1-,
+    /// 2- and 4-byte deltas, 4-byte bases with 1- and 2-byte deltas, and
+    /// 2-byte bases with 1-byte deltas.
     pub const ALL: [BdiConfig; 6] = [
         BdiConfig { base_bytes: 8, delta_bytes: 1 },
         BdiConfig { base_bytes: 8, delta_bytes: 2 },
@@ -108,8 +110,80 @@ impl Bdi {
 }
 
 impl Bdi {
+    /// Encodes the line into an explicit BDI stream, or `None` when no
+    /// configuration fits. The layout is [`Bdi::encode_stream`]'s, at most
+    /// 331 bits (an 8-byte base with 4-byte deltas).
+    pub fn encode_words(&self, line: &MemoryLine) -> Option<LineStream> {
+        let mut stream = LineStream::EMPTY;
+        let words = line.words();
+        if words.iter().all(|&w| w == words[0]) {
+            // Tag 0 (all-zero line) or 1 (a repeated 64-bit value).
+            if words[0] == 0 {
+                stream.push(0, 3);
+            } else {
+                stream.push(1, 3);
+                stream.push(words[0], 64);
+            }
+            return Some(stream);
+        }
+        // The first of the smallest fitting configurations, as
+        // `min_by_key` over `ALL` picks it.
+        let mut best: Option<(usize, usize, i64)> = None;
+        for (idx, cfg) in BdiConfig::ALL.iter().enumerate() {
+            let bits = cfg.compressed_bits();
+            if best.is_none_or(|(_, fewest, _)| bits < fewest) {
+                if let Some(base) = base_of(line, *cfg) {
+                    best = Some((idx, bits, base));
+                }
+            }
+        }
+        let (idx, _, base) = best?;
+        let cfg = BdiConfig::ALL[idx];
+        let limit = 1i64 << (cfg.delta_bytes * 8 - 1);
+        stream.push(2 + idx as u64, 3);
+        stream.push(base as u64, cfg.base_bytes * 8);
+        for i in 0..LINE_BYTES / cfg.base_bytes {
+            let v = element(line, cfg, i);
+            let near_zero = v >= -limit && v < limit;
+            let delta = if near_zero { v } else { v.wrapping_sub(base) };
+            stream.push(u64::from(near_zero) | (delta as u64) << 1, 1 + cfg.delta_bytes * 8);
+        }
+        Some(stream)
+    }
+
+    /// Decodes a stream produced by [`Bdi::encode_words`]. Trailing padding
+    /// bits are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream is truncated.
+    pub fn decode_words(&self, stream: &LineStream) -> MemoryLine {
+        let tag = stream.read(0, 3) as usize;
+        if tag == 0 {
+            return MemoryLine::ZERO;
+        }
+        if tag == 1 {
+            return MemoryLine::from_words([stream.read(3, 64); 8]);
+        }
+        let cfg = BdiConfig::ALL[tag - 2];
+        let (base_bits, delta_bits) = (cfg.base_bytes * 8, cfg.delta_bytes * 8);
+        let base = sign_extend(stream.read(3, base_bits), base_bits);
+        let mut pos = 3 + base_bits;
+        let mut line = MemoryLine::ZERO;
+        for i in 0..LINE_BYTES / cfg.base_bytes {
+            let near_zero = stream.read(pos, 1) == 1;
+            let delta = sign_extend(stream.read(pos + 1, delta_bits), delta_bits);
+            pos += 1 + delta_bits;
+            let value = if near_zero { delta } else { base.wrapping_add(delta) };
+            let bit = i * base_bits;
+            line.words_mut()[bit / 64] |= (value as u64 & low_mask(base_bits)) << (bit % 64);
+        }
+        line
+    }
+
     /// Encodes the line into an explicit BDI bit stream, or `None` when no
-    /// configuration fits.
+    /// configuration fits: the [`BitBuf`] builder of [`Bdi::encode_words`]'
+    /// stream, kept as its scalar oracle.
     ///
     /// Layout: a 3-bit tag (0 = all-zero line, 1 = repeated 64-bit value,
     /// 2 + i = configuration `BdiConfig::ALL[i]`), followed by the base value
@@ -161,7 +235,7 @@ impl Bdi {
     }
 
     /// Decodes a bit stream produced by [`Bdi::encode_stream`]. Trailing
-    /// padding bits are ignored.
+    /// padding bits are ignored. The scalar oracle of [`Bdi::decode_words`].
     ///
     /// # Panics
     ///
@@ -201,6 +275,47 @@ impl Bdi {
         }
         MemoryLine::from_bytes(&out)
     }
+}
+
+/// The low `bits` bits set.
+#[inline]
+fn low_mask(bits: usize) -> u64 {
+    u64::MAX >> (64 - bits)
+}
+
+/// `value`'s low `bits` bits, sign-extended.
+#[inline]
+fn sign_extend(value: u64, bits: usize) -> i64 {
+    ((value << (64 - bits)) as i64) >> (64 - bits)
+}
+
+/// Element `i` of the line under `cfg`: bytes `i·base..(i + 1)·base`,
+/// little-endian and sign-extended.
+#[inline]
+fn element(line: &MemoryLine, cfg: BdiConfig, i: usize) -> i64 {
+    let bits = cfg.base_bytes * 8;
+    let bit = i * bits;
+    sign_extend(line.word(bit / 64) >> (bit % 64), bits)
+}
+
+/// The base of the line under `cfg` (its first element outside the zero
+/// base's delta range, or 0), if every element is within the delta range of
+/// that base or of zero: [`Bdi::fits`] on line words.
+fn base_of(line: &MemoryLine, cfg: BdiConfig) -> Option<i64> {
+    let limit = 1i128 << (cfg.delta_bytes * 8 - 1);
+    let mut base: Option<i64> = None;
+    for i in 0..LINE_BYTES / cfg.base_bytes {
+        let v = element(line, cfg, i);
+        if (-limit..limit).contains(&i128::from(v)) {
+            continue;
+        }
+        match base {
+            None => base = Some(v),
+            Some(b) if (-limit..limit).contains(&(i128::from(v) - i128::from(b))) => {}
+            Some(_) => return None,
+        }
+    }
+    Some(base.unwrap_or(0))
 }
 
 impl Compressor for Bdi {

@@ -7,15 +7,16 @@
 //!
 //! We model COC as the best of a family of sub-compressors (FPC and BDI at
 //! 32/64-bit element sizes plus per-byte and per-halfword significance
-//! truncation variants), and expose [`Coc::repack`], which produces the
+//! truncation variants), and expose [`Coc::repack_words`], which produces the
 //! bit-packed layout a COC-compressed line would occupy, so that the
 //! `COC+4cosets` scheme can evaluate differential-write costs on the packed
-//! representation just like the hardware would.
+//! representation just like the hardware would. [`Coc::repack`] builds the
+//! same layout as a [`BitBuf`], its scalar oracle.
 
-use crate::{Bdi, Compressor, Fpc};
+use crate::{Bdi, Compressor, Fpc, LineStream};
 use wlcrc_ecc::BitBuf;
-use wlcrc_pcm::line::MemoryLine;
-use wlcrc_pcm::LINE_BITS;
+use wlcrc_pcm::line::{word as wordutil, MemoryLine};
+use wlcrc_pcm::{LINE_BITS, LINE_WORDS};
 
 /// The coverage-oriented compressor.
 #[derive(Debug, Clone, Default)]
@@ -83,7 +84,25 @@ impl Coc {
     /// The compressed bit layout COC would store for this line. The packing
     /// simply concatenates the significant bytes of every word (using the
     /// byte-truncation variant), which is enough to model how compression
-    /// destroys bit-position alignment for differential writes.
+    /// destroys bit-position alignment for differential writes: per word, a
+    /// 4-bit kept-byte count, then the kept bytes. A line of eight full
+    /// words packs to 544 bits, past the 512 the stream holds; its length
+    /// still counts them all.
+    pub fn repack_words(line: &MemoryLine) -> LineStream {
+        let mut stream = LineStream::EMPTY;
+        for &w in line.words() {
+            // The fewest bytes `w` sign-extends from: one for the sign bit
+            // and every bit below the redundant copies of it.
+            let sign_copies = if (w as i64) < 0 { w.leading_ones() } else { w.leading_zeros() };
+            let keep = (65 - sign_copies as usize).div_ceil(8);
+            stream.push(keep as u64, 4);
+            stream.push(w, keep * 8);
+        }
+        stream
+    }
+
+    /// The [`BitBuf`] builder of [`Coc::repack_words`]' layout, kept as its
+    /// scalar oracle.
     pub fn repack(line: &MemoryLine) -> BitBuf {
         let mut bits = BitBuf::with_capacity(LINE_BITS);
         for &w in line.words() {
@@ -105,6 +124,75 @@ impl Coc {
             bits.push_u64(w & if keep == 8 { u64::MAX } else { (1 << (keep * 8)) - 1 }, keep * 8);
         }
         bits
+    }
+
+    /// Unpacks a [`Coc::repack_words`] layout held in line words: a 4-bit
+    /// kept-byte count per word (clamped to 1..=8) followed by the kept
+    /// bytes, with the dropped bytes rebuilt by sign extension. Bits past
+    /// the line read as zero, so any 512 bits unpack.
+    pub fn unpack_words(words: &[u64; LINE_WORDS]) -> MemoryLine {
+        let mut line = MemoryLine::ZERO;
+        let mut pos = 0usize;
+        for word in 0..LINE_WORDS {
+            let keep = (stream_bits(words, pos, 4) as usize).clamp(1, 8);
+            let value = stream_bits(words, pos + 4, 8 * keep);
+            pos += 4 + 8 * keep;
+            line.set_word(word, wordutil::sign_extend_from(value, 8 * keep - 1));
+        }
+        line
+    }
+
+    /// Parses the byte-truncation packing produced by [`Coc::repack`] back
+    /// into a memory line, bit by bit: the scalar oracle of
+    /// [`Coc::unpack_words`]. Bits past the stream read as zero.
+    pub fn unpack(bits: &BitBuf) -> MemoryLine {
+        let mut line = MemoryLine::ZERO;
+        let mut pos = 0usize;
+        for word in 0..8 {
+            let mut keep = 0usize;
+            for b in 0..4 {
+                if bits.get_opt(pos + b).unwrap_or(false) {
+                    keep |= 1 << b;
+                }
+            }
+            pos += 4;
+            let keep = keep.clamp(1, 8);
+            let mut bytes = [0u8; 8];
+            for byte in bytes.iter_mut().take(keep) {
+                let mut v = 0u8;
+                for b in 0..8 {
+                    if bits.get_opt(pos + b).unwrap_or(false) {
+                        v |= 1 << b;
+                    }
+                }
+                pos += 8;
+                *byte = v;
+            }
+            // Sign-extend the dropped high-order bytes.
+            let fill = if bytes[keep - 1] & 0x80 != 0 { 0xFF } else { 0x00 };
+            for byte in bytes.iter_mut().skip(keep) {
+                *byte = fill;
+            }
+            line.set_word(word, u64::from_le_bytes(bytes));
+        }
+        line
+    }
+}
+
+/// Reads `len` (at most 64) bits starting at bit `pos` of a zero-padded
+/// 512-bit stream; bits past the end read as zero.
+fn stream_bits(words: &[u64; LINE_WORDS], pos: usize, len: usize) -> u64 {
+    let (w, offset) = (pos / 64, pos % 64);
+    let lo = words.get(w).map_or(0, |&word| word >> offset);
+    let hi = match (offset, words.get(w + 1)) {
+        (1.., Some(&word)) => word << (64 - offset),
+        _ => 0,
+    };
+    let value = lo | hi;
+    if len == 64 {
+        value
+    } else {
+        value & ((1u64 << len) - 1)
     }
 }
 

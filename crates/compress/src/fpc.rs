@@ -7,7 +7,7 @@
 //! significance-based scheme at the level of detail needed to decide whether
 //! a line fits a target size (DIN requires ≤ 369 bits with FPC+BDI).
 
-use crate::Compressor;
+use crate::{Compressor, LineStream};
 use wlcrc_ecc::BitBuf;
 use wlcrc_pcm::line::MemoryLine;
 use wlcrc_pcm::LINE_BITS;
@@ -112,7 +112,41 @@ impl Fpc {
 
 impl Fpc {
     /// Encodes the line into an FPC bit stream: for each of the sixteen 32-bit
-    /// words, a 3-bit pattern prefix followed by the pattern payload.
+    /// words, a 3-bit pattern prefix followed by the pattern payload. An
+    /// incompressible line's stream runs to 560 bits, past the 512 a
+    /// [`LineStream`] holds; its length still counts them all.
+    pub fn encode_words(&self, line: &MemoryLine) -> LineStream {
+        let mut stream = LineStream::EMPTY;
+        for i in 0..WORDS32 {
+            let w32 = (line.word(i / 2) >> (32 * (i % 2))) as u32;
+            let pattern = Fpc::classify(w32);
+            let code = u64::from(pattern_code(pattern)) | payload_of(w32, pattern) << PREFIX_BITS;
+            stream.push(code, PREFIX_BITS + pattern.payload_bits());
+        }
+        stream
+    }
+
+    /// Decodes a stream produced by [`Fpc::encode_words`] back into the
+    /// original line. Trailing padding bits are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream is truncated.
+    pub fn decode_words(&self, stream: &LineStream) -> MemoryLine {
+        let mut line = MemoryLine::ZERO;
+        let mut pos = 0usize;
+        for i in 0..WORDS32 {
+            let pattern = pattern_from_code(stream.read(pos, PREFIX_BITS) as u8);
+            let payload = stream.read(pos + PREFIX_BITS, pattern.payload_bits());
+            pos += PREFIX_BITS + pattern.payload_bits();
+            let w32 = u64::from(word_from_payload(payload, pattern));
+            line.words_mut()[i / 2] |= w32 << (32 * (i % 2));
+        }
+        line
+    }
+
+    /// The [`BitBuf`] builder of [`Fpc::encode_words`]' stream, kept as its
+    /// scalar oracle.
     pub fn encode_stream(&self, line: &MemoryLine) -> BitBuf {
         let mut bits = BitBuf::with_capacity(LINE_BITS);
         for i in 0..WORDS32 {
@@ -126,7 +160,8 @@ impl Fpc {
     }
 
     /// Decodes a bit stream produced by [`Fpc::encode_stream`] back into the
-    /// original line. Trailing padding bits are ignored.
+    /// original line. Trailing padding bits are ignored. The scalar oracle
+    /// of [`Fpc::decode_words`].
     ///
     /// # Panics
     ///

@@ -17,7 +17,8 @@
 //! All compressors implement the [`Compressor`] trait, reporting whether a
 //! line is compressible to a requested target size and producing the
 //! compressed payload as an explicit bit layout so downstream codecs can
-//! store it.
+//! store it. The codecs' hot paths build those layouts as [`LineStream`]s,
+//! fixed line words plus a bit length.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,11 +26,13 @@
 pub mod bdi;
 pub mod coc;
 pub mod fpc;
+pub mod stream;
 pub mod wlc;
 
 pub use bdi::Bdi;
 pub use coc::Coc;
 pub use fpc::Fpc;
+pub use stream::LineStream;
 pub use wlc::{Wlc, WlcCompressed};
 
 use wlcrc_pcm::line::MemoryLine;

@@ -22,7 +22,7 @@ use wlcrc_ecc::BitBuf;
 use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
 use wlcrc_pcm::kernel::{self, Selectors, TransitionTable, PLANE_WORDS};
-use wlcrc_pcm::line::{word as wordutil, MemoryLine};
+use wlcrc_pcm::line::MemoryLine;
 use wlcrc_pcm::mapping::SymbolMapping;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
 use wlcrc_pcm::state::CellState;
@@ -61,6 +61,15 @@ impl Format {
 
     fn blocks(self) -> usize {
         self.payload_cells() / self.block_cells()
+    }
+
+    /// The format a repacked payload of `bits` bits takes.
+    fn of_packed_len(bits: usize) -> Format {
+        match bits {
+            0..=448 => Format::Fine16,
+            449..=480 => Format::Coarse32,
+            _ => Format::Raw,
+        }
     }
 
     fn flag_state(self) -> CellState {
@@ -115,19 +124,18 @@ impl CocCosetCodec {
     /// packed payload as a zero-padded memory line (bit `i` of the repacked
     /// stream becomes line bit `i`).
     fn repack(data: &MemoryLine) -> (Format, MemoryLine) {
+        let packed = Coc::repack_words(data);
+        (Format::of_packed_len(packed.len()), MemoryLine::from_words(*packed.words()))
+    }
+
+    /// [`Self::repack`] through the [`BitBuf`] oracle [`Coc::repack`].
+    fn repack_scalar(data: &MemoryLine) -> (Format, MemoryLine) {
         let packed = Coc::repack(data);
-        let format = if packed.len() <= 448 {
-            Format::Fine16
-        } else if packed.len() <= 480 {
-            Format::Coarse32
-        } else {
-            Format::Raw
-        };
         let mut payload = MemoryLine::ZERO;
         for (i, &w) in packed.words().iter().enumerate().take(LINE_WORDS) {
             payload.set_word(i, w);
         }
-        (format, payload)
+        (Format::of_packed_len(packed.len()), payload)
     }
 
     fn candidate_tables(&self, energy: &EnergyModel) -> [TransitionTable; 4] {
@@ -189,9 +197,11 @@ impl CocCosetCodec {
             out1[cell / 64] |= u64::from(winner >> 1) << (cell % 64);
         }
         out.set_data_planes(&out0, &out1);
-        for cell in format.payload_cells()..LINE_CELLS {
-            out.set_class(cell, CellClass::Aux);
+        let mut aux = [0u64; PLANE_WORDS];
+        for (w, mask) in kernel::plane_words(format.payload_cells()..LINE_CELLS) {
+            aux[w] = mask;
         }
+        out.set_data_classes(&aux);
         out
     }
 
@@ -204,7 +214,7 @@ impl CocCosetCodec {
         old: &PhysicalLine,
         energy: &EnergyModel,
     ) -> PhysicalLine {
-        let (format, payload) = Self::repack(data);
+        let (format, payload) = Self::repack_scalar(data);
         if format == Format::Raw {
             return self.encode_raw(data, old, &TransitionTable::new(&self.mapping, energy));
         }
@@ -273,7 +283,7 @@ impl CocCosetCodec {
                     (u64::from(symbol.lsb()) | (u64::from(symbol.msb()) << 1)) << (bit % 64);
             }
         }
-        unpack_coc(&BitBuf::from_words(words, payload_bits))
+        Coc::unpack(&BitBuf::from_words(words, payload_bits))
     }
 }
 
@@ -333,7 +343,7 @@ impl LineCodec for CocCosetCodec {
             p0[w] |= c0[w] & mask;
             p1[w] |= c1[w] & mask;
         }
-        unpack_payload(kernel::line_from_planes(&p0, &p1).words())
+        Coc::unpack_words(kernel::line_from_planes(&p0, &p1).words())
     }
 }
 
@@ -352,75 +362,6 @@ impl TableCodec for CocCosetCodec {
         }
         self.encode_payload(format, &payload, old, &tables.candidates)
     }
-}
-
-/// Reads `len` (at most 64) bits starting at bit `pos` of a zero-padded
-/// 512-bit stream; bits past the end read as zero.
-fn stream_bits(words: &[u64; LINE_WORDS], pos: usize, len: usize) -> u64 {
-    let (w, offset) = (pos / 64, pos % 64);
-    let lo = words.get(w).map_or(0, |&word| word >> offset);
-    let hi = match (offset, words.get(w + 1)) {
-        (1.., Some(&word)) => word << (64 - offset),
-        _ => 0,
-    };
-    let value = lo | hi;
-    if len == 64 {
-        value
-    } else {
-        value & ((1u64 << len) - 1)
-    }
-}
-
-/// Word-level [`unpack_coc`] of a payload held as line words: a 4-bit
-/// kept-byte count per word followed by the kept bytes, with the dropped
-/// bytes rebuilt by sign extension.
-fn unpack_payload(words: &[u64; LINE_WORDS]) -> MemoryLine {
-    let mut line = MemoryLine::ZERO;
-    let mut pos = 0usize;
-    for word in 0..LINE_WORDS {
-        let keep = (stream_bits(words, pos, 4) as usize).clamp(1, 8);
-        let value = stream_bits(words, pos + 4, 8 * keep);
-        pos += 4 + 8 * keep;
-        line.set_word(word, wordutil::sign_extend_from(value, 8 * keep - 1));
-    }
-    line
-}
-
-/// Parses the byte-truncation packing produced by [`Coc::repack`] back into a
-/// memory line. The format is self-describing: a 4-bit kept-byte count per
-/// word followed by the kept bytes, with the dropped bytes rebuilt by sign
-/// extension.
-fn unpack_coc(bits: &BitBuf) -> MemoryLine {
-    let mut line = MemoryLine::ZERO;
-    let mut pos = 0usize;
-    for word in 0..8 {
-        let mut keep = 0usize;
-        for b in 0..4 {
-            if bits.get_opt(pos + b).unwrap_or(false) {
-                keep |= 1 << b;
-            }
-        }
-        pos += 4;
-        let keep = keep.clamp(1, 8);
-        let mut bytes = [0u8; 8];
-        for byte in bytes.iter_mut().take(keep) {
-            let mut v = 0u8;
-            for b in 0..8 {
-                if bits.get_opt(pos + b).unwrap_or(false) {
-                    v |= 1 << b;
-                }
-            }
-            pos += 8;
-            *byte = v;
-        }
-        // Sign-extend the dropped high-order bytes.
-        let fill = if bytes[keep - 1] & 0x80 != 0 { 0xFF } else { 0x00 };
-        for byte in bytes.iter_mut().skip(keep) {
-            *byte = fill;
-        }
-        line.set_word(word, u64::from_le_bytes(bytes));
-    }
-    line
 }
 
 #[cfg(test)]
@@ -538,8 +479,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..100 {
             let line = structured_line(&mut rng);
-            let packed = Coc::repack(&line);
-            assert_eq!(unpack_coc(&packed), line);
+            assert_eq!(Coc::unpack(&Coc::repack(&line)), line);
+            assert_eq!(Coc::unpack_words(Coc::repack_words(&line).words()), line);
         }
     }
 }

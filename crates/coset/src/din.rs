@@ -8,7 +8,8 @@
 //! do not compress far enough are written unencoded. One auxiliary flag
 //! symbol per line distinguishes the two formats.
 
-use wlcrc_compress::{Bdi, Fpc};
+use std::sync::OnceLock;
+use wlcrc_compress::{Bdi, Fpc, LineStream};
 use wlcrc_ecc::{Bch, BitBuf, PackedBch};
 use wlcrc_pcm::codec::{self, LineCodec, LineEncoder, TableCodec};
 use wlcrc_pcm::energy::EnergyModel;
@@ -26,14 +27,27 @@ pub const COMPRESSION_THRESHOLD_BITS: usize = 369;
 /// Bits available for the expanded payload: 512 − 20 BCH parity bits.
 const EXPANDED_BITS: usize = LINE_BITS - 20;
 
+/// DIN's BCH code and its word-parallel parity/syndrome tables for the fixed
+/// 492-bit payload, built on first use and shared by every [`DinCodec`] of
+/// the process.
+fn bch_tables() -> &'static (Bch, PackedBch) {
+    static TABLES: OnceLock<(Bch, PackedBch)> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let bch = Bch::din_default();
+        let packed = bch.packed(EXPANDED_BITS);
+        (bch, packed)
+    })
+}
+
 /// The DIN codec.
 #[derive(Debug, Clone)]
 pub struct DinCodec {
     fpc: Fpc,
     bdi: Bdi,
-    bch: Bch,
-    /// Word-parallel parity/syndrome tables for the fixed 492-bit payload.
-    packed: PackedBch,
+    /// The shared BCH code ([`bch_tables`]).
+    bch: &'static Bch,
+    /// The shared word-parallel tables of [`Self::bch`].
+    packed: &'static PackedBch,
     mapping: SymbolMapping,
     /// Target-plane select masks of the fixed mapping. DIN's encoding never
     /// depends on the energy model (it picks code words by content, not
@@ -44,10 +58,10 @@ pub struct DinCodec {
 
 impl DinCodec {
     /// Creates a DIN codec with the paper's parameters (FPC+BDI, 369-bit
-    /// threshold, BCH with 20 parity bits).
+    /// threshold, BCH with 20 parity bits). The BCH tables are built by the
+    /// process's first call and shared, so later calls build nothing.
     pub fn new() -> DinCodec {
-        let bch = Bch::din_default();
-        let packed = bch.packed(EXPANDED_BITS);
+        let (bch, packed) = bch_tables();
         let mapping = SymbolMapping::default_mapping();
         let table = TransitionTable::new(&mapping, &EnergyModel::paper_default());
         DinCodec { fpc: Fpc::new(), bdi: Bdi::new(), bch, packed, mapping, table }
@@ -56,25 +70,30 @@ impl DinCodec {
     /// The raw compressed stream (without the compressor-select bit) and
     /// which compressor produced it (`true` = BDI), if the line compresses
     /// to the 369-bit threshold.
-    fn compressed_payload(&self, line: &MemoryLine) -> Option<(bool, BitBuf)> {
+    fn compressed_payload(&self, line: &MemoryLine) -> Option<(bool, LineStream)> {
         // Prefer FPC (self-terminating, always decodable), fall back to BDI.
-        let fpc_stream = self.fpc.encode_stream(line);
+        let fpc_stream = self.fpc.encode_words(line);
         if fpc_stream.len() < COMPRESSION_THRESHOLD_BITS {
             return Some((false, fpc_stream));
         }
-        let bdi_stream = self.bdi.encode_stream(line)?;
-        if bdi_stream.len() < COMPRESSION_THRESHOLD_BITS {
-            Some((true, bdi_stream))
-        } else {
-            None
-        }
+        let bdi_stream = self.bdi.encode_words(line)?;
+        (bdi_stream.len() < COMPRESSION_THRESHOLD_BITS).then_some((true, bdi_stream))
     }
 
     /// The compressed bit stream (with a leading compressor-select bit), if
-    /// the line compresses to the 369-bit threshold. Used by the scalar
-    /// oracle path.
+    /// the line compresses to the 369-bit threshold, built from the
+    /// compressors' [`BitBuf`] streams. Used by the scalar oracle path.
     fn compressed_stream(&self, line: &MemoryLine) -> Option<BitBuf> {
-        let (bdi, payload) = self.compressed_payload(line)?;
+        let fpc_stream = self.fpc.encode_stream(line);
+        let (bdi, payload) = if fpc_stream.len() < COMPRESSION_THRESHOLD_BITS {
+            (false, fpc_stream)
+        } else {
+            let bdi_stream = self.bdi.encode_stream(line)?;
+            if bdi_stream.len() >= COMPRESSION_THRESHOLD_BITS {
+                return None;
+            }
+            (true, bdi_stream)
+        };
         let mut out = BitBuf::with_capacity(payload.len() + 1);
         out.push(bdi);
         out.extend_from(&payload);
@@ -163,14 +182,14 @@ impl DinCodec {
     /// compressor-select bit, runs the 3-to-4 expansion a u64 chunk at a
     /// time through [`Self::EXPAND12`], and folds in the word-parallel BCH
     /// parity. Returns the full 512-bit stored content as a line.
-    fn expand_words(&self, bdi: bool, payload: &BitBuf) -> MemoryLine {
+    fn expand_words(&self, bdi: bool, payload: &LineStream) -> MemoryLine {
         // Selector-prepended stream, assembled in fixed words: the payload
         // words shifted left one bit with carry, the selector at bit 0. The
-        // payload is at most 368 bits (6 words), so the carries stay in
-        // bounds.
+        // payload is at most 368 bits (6 words), so its last two words are
+        // zero and the carries stay in bounds.
         let mut stream = [0u64; LINE_WORDS];
         stream[0] = u64::from(bdi);
-        for (i, &w) in payload.words().iter().enumerate() {
+        for (i, &w) in payload.words()[..LINE_WORDS - 1].iter().enumerate() {
             stream[i] |= w << 1;
             stream[i + 1] |= w >> 63;
         }
@@ -384,15 +403,14 @@ impl LineCodec for DinCodec {
             opos += 3;
         }
         let selector_bdi = stream[0] & 1 == 1;
-        let mut payload_words = vec![0u64; (opos - 1).div_ceil(64)];
-        for (w, slot) in payload_words.iter_mut().enumerate() {
-            *slot = (stream[w] >> 1) | (stream[w + 1] << 63);
-        }
-        let payload = BitBuf::from_words(payload_words, opos - 1);
+        let payload = LineStream::from_words(
+            core::array::from_fn(|w| (stream[w] >> 1) | stream.get(w + 1).map_or(0, |&n| n << 63)),
+            opos - 1,
+        );
         if selector_bdi {
-            self.bdi.decode_stream(&payload)
+            self.bdi.decode_words(&payload)
         } else {
-            self.fpc.decode_stream(&payload)
+            self.fpc.decode_words(&payload)
         }
     }
 }
@@ -537,6 +555,28 @@ mod tests {
             assert_eq!(kernel_enc, scalar_enc, "round {round}");
             assert_eq!(codec.decode(&kernel_enc), codec.decode_scalar(&scalar_enc));
             assert_eq!(codec.decode(&kernel_enc), data);
+        }
+    }
+
+    #[test]
+    fn bdi_compressed_lines_match_the_scalar_oracle() {
+        // Arrays of nearby pointers: FPC misses the threshold, BDI's 8-byte
+        // base with 2-byte deltas fits it.
+        let codec = DinCodec::new();
+        let energy = EnergyModel::paper_default();
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut old = codec.initial_line();
+        for _ in 0..40 {
+            let base = 0x7FFF_0000_0000 | rng.gen::<u64>() >> 24;
+            let data =
+                MemoryLine::from_words(std::array::from_fn(|_| base + rng.gen_range(0..4096)));
+            assert!(codec.fpc.encode_words(&data).len() >= COMPRESSION_THRESHOLD_BITS);
+            let enc = codec.encode(&data, &old, &energy);
+            assert_eq!(enc, codec.encode_scalar(&data, &old, &energy));
+            assert_eq!(enc.state(256), CellState::S1, "compressed flag");
+            assert_eq!(codec.decode(&enc), codec.decode_scalar(&enc));
+            assert_eq!(codec.decode(&enc), data);
+            old = enc;
         }
     }
 

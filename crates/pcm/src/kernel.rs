@@ -21,17 +21,20 @@
 //!   AND/OR/XOR operations, isolate the cells whose state would change, and
 //!   reduce each target-state bucket with one `popcount` — a few dozen word
 //!   operations per 64 cells instead of hundreds of scalar steps.
-//! * Sweeps over sub-word blocks ([`select_blocks_uniform`], [`sweep_lanes`])
-//!   count every block of a plane word at once: a lane-wise partial
+//! * Sweeps over sub-word blocks ([`select_blocks_uniform`],
+//!   [`block_costs_uniform_with_targets`], [`sweep_lanes`]) share one lane
+//!   pricing of every block of a plane word at once: a lane-wise partial
 //!   popcount, the SWAR popcount stopped at the block width, leaves each
-//!   block's count in its own lane.
+//!   block's count in its own lane, and [`Cost::lane_costs`] turns the
+//!   counts into energies.
 //! * Costs are totalled in one of two [`Cost`] arithmetics, read off the
 //!   tables: exact `u64` picojoules when every table is integer-valued
 //!   ([`TransitionTable::integer_valued`]), `f64` otherwise. In `u64`,
 //!   [`Cost::lane_costs`] prices every block of a plane word with one
 //!   lane-wise multiply-add per target-state bucket.
 //! * [`select_blocks_uniform`] is the one block-selection entry point of the
-//!   coset codecs whose blocks tile the line, at every block width. It
+//!   coset codecs whose blocks tile the line, at every block width from 4
+//!   cells (the paper's 8-bit granularity) to the whole line. It
 //!   prices the selector cells the caller describes ([`Selectors`]) in its
 //!   arithmetic, so no codec asks whether its energy table is integer, and
 //!   hands back the winners' target planes.
@@ -517,32 +520,6 @@ fn lane_popcounts(mut x: u64, width: usize) -> u64 {
     x
 }
 
-/// The per-block bucket counts of one plane word for one candidate: lane
-/// `i` of `lanes[s]` counts the changed cells of block `i` (cells
-/// `i * width..(i + 1) * width` of the word) whose target state is
-/// `S(s+1)`.
-#[derive(Clone, Copy)]
-struct LaneCounts {
-    lanes: [u64; 4],
-    lane_mask: u64,
-}
-
-impl LaneCounts {
-    #[inline]
-    fn new(changed: u64, t0: u64, t1: u64, width: usize) -> LaneCounts {
-        LaneCounts {
-            lanes: buckets(changed, t0, t1).map(|bucket| lane_popcounts(bucket, width)),
-            lane_mask: (1u64 << width) - 1,
-        }
-    }
-
-    /// The four bucket counts of the block whose lane starts at bit `shift`.
-    #[inline]
-    fn counts(&self, shift: usize) -> [u64; 4] {
-        self.lanes.map(|lane| (lane >> shift) & self.lane_mask)
-    }
-}
-
 /// Bit-parallel equivalent of `wlcrc_coset::cost::block_cost`: the
 /// differential-write energy (pJ) of storing the symbols in `cells` of `data`
 /// through `table`, given the states in `old`.
@@ -590,16 +567,18 @@ pub fn block_cost_bounded(
 /// few mask merges instead of re-mapping every cell.
 ///
 /// For blocks smaller than a plane word this amortises the target-plane and
-/// changed-mask computation across every block sharing the word — the
-/// per-block work drops to four masked popcounts — which is what makes the
-/// fine-granularity (8/16/32-bit) candidate sweeps of the restricted codec
-/// profitable. A block of whole words adds its words' costs in ascending
-/// order, as [`block_cost`] does.
+/// changed-mask computation across every block sharing the word: the
+/// word's blocks are priced at once, lane-wise, in the table's arithmetic
+/// (exact `u64` when it is integer-valued, `f64` otherwise), which is what
+/// makes the fine-granularity (8/16/32-bit) candidate sweeps of the
+/// restricted codec profitable. A block of whole words adds its words'
+/// costs in ascending order, as [`block_cost`] does.
 ///
 /// # Panics
 ///
 /// Panics if `out` is shorter than `blocks`, `cells_per_block` is not a
-/// power of two, or the blocks overrun the line's 256 data cells.
+/// power of two of at least 4 cells (a lane holds at least 4), or the
+/// blocks overrun the line's 256 data cells.
 pub fn block_costs_uniform_with_targets(
     data: &SymbolPlanes,
     old: &StatePlanes,
@@ -609,10 +588,7 @@ pub fn block_costs_uniform_with_targets(
     out: &mut [f64],
     targets: &mut ([u64; PLANE_WORDS], [u64; PLANE_WORDS]),
 ) {
-    assert!(
-        cells_per_block.is_power_of_two() && blocks * cells_per_block <= LINE_CELLS,
-        "blocks must tile the line's plane words"
-    );
+    assert_tiling(cells_per_block, blocks);
     let out = &mut out[..blocks];
     out.fill(0.0);
     let blocks_per_word = 64 / cells_per_block.min(64);
@@ -624,12 +600,32 @@ pub fn block_costs_uniform_with_targets(
                 bucket_cost(table.word_counts(data, old, w, u64::MAX), table);
             continue;
         }
-        let changed = (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]);
-        let lanes = LaneCounts::new(changed, t0, t1, cells_per_block);
-        for (b, slot) in out[w * blocks_per_word..].iter_mut().take(blocks_per_word).enumerate() {
-            *slot = bucket_cost(lanes.counts(b * cells_per_block), table);
+        let buckets = buckets((t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]), t0, t1);
+        let mut prices = [0.0; MAX_LANES];
+        match &table.write_int {
+            Some(weights) => {
+                let mut exact = [0u64; MAX_LANES];
+                price_word(&buckets, weights, cells_per_block, &mut exact);
+                prices = exact.map(|cost| cost as f64);
+            }
+            None => price_word(&buckets, &table.write_pj, cells_per_block, &mut prices),
+        }
+        let blocks = out[w * blocks_per_word..].iter_mut().take(blocks_per_word);
+        for (slot, price) in blocks.zip(prices) {
+            *slot = price;
         }
     }
+}
+
+/// The block tiling every uniform sweep accepts: blocks of a power of two
+/// of at least 4 cells (the narrowest lane [`Cost::lane_costs`] prices),
+/// tiling the line's 256 data cells from cell 0.
+fn assert_tiling(cells_per_block: usize, blocks: usize) {
+    assert!(
+        cells_per_block.is_power_of_two() && cells_per_block >= 4,
+        "blocks are a power of two of at least 4 cells, not {cells_per_block}"
+    );
+    assert!(blocks * cells_per_block <= LINE_CELLS, "blocks must tile the line's plane words");
 }
 
 /// The selector cells that record each block's chosen candidate, which
@@ -725,21 +721,22 @@ fn select_fn<T: Cost>(candidates: usize) -> SelectFn {
 ///
 /// Totals are exact `u64` picojoules when every table is integer-valued
 /// (the paper's Table II and the Figure 14 configurations), and `f64`
-/// otherwise. No per-candidate cost arrays are materialised. Sub-word blocks
-/// (1 to 32 cells) are counted lane-wise, all blocks of a plane word at
-/// once, and sum data cost then selector cost; a word no candidate
-/// reprograms (a rewrite of identical content) is decided by its selector
-/// cells alone. Whole-word blocks (64, 128 or 256 cells) take one
-/// `count_ones` per word and bucket, and sum from the selector cost, adding
-/// the block's words in ascending order.
+/// otherwise. Sub-word blocks (4 to 32 cells) are priced lane-wise, every
+/// block of a plane word at once through [`Cost::lane_costs`], and sum data
+/// cost then selector cost; a word no candidate reprograms (a rewrite of
+/// identical content) is decided by its selector cells alone. Whole-word
+/// blocks (64, 128 or 256 cells) take one `count_ones` per word and bucket,
+/// and sum from the selector cost, adding the block's words in ascending
+/// order.
 ///
 /// # Panics
 ///
-/// Panics if `cells_per_block` is not a power of two, the blocks overrun
-/// the line's 256 data cells, `winners` is shorter than the block count,
-/// the stored line lacks a block's selector cells, or `tables` holds no or
-/// more than eight candidates (more than four with one selector cell, more
-/// than `codes` with two).
+/// Panics if `cells_per_block` is not a power of two of at least 4 cells
+/// (a lane holds at least 4, and no codec's blocks are narrower than 8
+/// bits), the blocks overrun the line's 256 data cells, `winners` is shorter
+/// than the block count, the stored line lacks a block's selector cells, or
+/// `tables` holds no or more than eight candidates (more than four with one
+/// selector cell, more than `codes` with two).
 #[allow(clippy::too_many_arguments)]
 pub fn select_blocks_uniform(
     data: &SymbolPlanes,
@@ -752,10 +749,7 @@ pub fn select_blocks_uniform(
     out0: &mut [u64; PLANE_WORDS],
     out1: &mut [u64; PLANE_WORDS],
 ) {
-    assert!(
-        cells_per_block.is_power_of_two() && blocks * cells_per_block <= LINE_CELLS,
-        "blocks must tile the line's plane words"
-    );
+    assert_tiling(cells_per_block, blocks);
     assert!(winners.len() >= blocks, "winners slice too short");
     assert!((1..=8).contains(&tables.len()), "one to eight candidates");
     let select = if tables.iter().all(|table| table.write_int.is_some()) {
@@ -799,23 +793,23 @@ fn select_core<T: Cost, const N: usize>(
     for (w, chunk) in winners.chunks_mut(blocks_per_word).enumerate() {
         let planes = tables.each_ref().map(|table| table.target_planes(data, w));
         let changed = planes.map(|(t0, t1)| (t0 ^ old.plane0[w]) | (t1 ^ old.plane1[w]));
-        let lanes = changed.iter().any(|&c| c != 0).then(|| {
-            core::array::from_fn::<_, N, _>(|idx| {
-                LaneCounts::new(changed[idx], planes[idx].0, planes[idx].1, cells_per_block)
-            })
+        let prices = changed.iter().any(|&c| c != 0).then(|| {
+            let mut prices = [[T::ZERO; MAX_LANES]; N];
+            for (idx, prices) in prices.iter_mut().enumerate() {
+                let (t0, t1) = planes[idx];
+                price_word(&buckets(changed[idx], t0, t1), &weights[idx], cells_per_block, prices);
+            }
+            prices
         });
         for (b, slot) in chunk.iter_mut().enumerate() {
-            let shift = b * cells_per_block;
             let selector = selector_costs(&sweep.selectors, &weights, w * blocks_per_word + b);
-            let costs = match &lanes {
-                Some(lanes) => core::array::from_fn(|idx| {
-                    T::dot(lanes[idx].counts(shift), &weights[idx]) + selector[idx]
-                }),
+            let costs = match &prices {
+                Some(prices) => core::array::from_fn(|idx| prices[idx][b] + selector[idx]),
                 None => selector,
             };
             let best = first_minimum(&costs);
             *slot = best as u8;
-            let mask = block_mask << shift;
+            let mask = block_mask << (b * cells_per_block);
             out0[w] |= planes[best].0 & mask;
             out1[w] |= planes[best].1 & mask;
         }
@@ -885,17 +879,35 @@ pub fn sweep_lanes<T: Cost>(
     let (t0, t1) = table.target_planes(data, word);
     let changed = ((t0 ^ old.plane0[word]) | (t1 ^ old.plane1[word])) & priced;
     (out.targets, out.changed) = ((t0, t1), changed);
-    let buckets = buckets(changed, t0, t1);
+    price_word(&buckets(changed, t0, t1), weights, width, &mut out.costs);
+}
+
+/// The one lane pricing of the kernel, shared by [`sweep_lanes`],
+/// [`select_blocks_uniform`] and [`block_costs_uniform_with_targets`]:
+/// every `width`-cell block's cost of one plane word, in arithmetic `T`,
+/// from the word's four target-state buckets ([`buckets`]). Costs past the
+/// word's `64 / width` blocks are left as they are.
+///
+/// # Panics
+///
+/// Panics if `width` is not 4, 8, 16 or 32.
+#[inline(always)]
+fn price_word<T: Cost>(
+    buckets: &[u64; 4],
+    weights: &[T; 4],
+    width: usize,
+    costs: &mut [T; MAX_LANES],
+) {
     match width {
-        4 => price_lanes::<T, 4>(&buckets, weights, &mut out.costs),
-        8 => price_lanes::<T, 8>(&buckets, weights, &mut out.costs),
-        16 => price_lanes::<T, 16>(&buckets, weights, &mut out.costs),
-        32 => price_lanes::<T, 32>(&buckets, weights, &mut out.costs),
+        4 => price_lanes::<T, 4>(buckets, weights, costs),
+        8 => price_lanes::<T, 8>(buckets, weights, costs),
+        16 => price_lanes::<T, 16>(buckets, weights, costs),
+        32 => price_lanes::<T, 32>(buckets, weights, costs),
         _ => panic!("lanes are 4, 8, 16 or 32 cells wide, not {width}"),
     }
 }
 
-/// [`sweep_lanes`]' pricing at one lane width, so the lane loops unroll.
+/// [`price_word`] at one lane width, so the lane loops unroll.
 #[inline(always)]
 fn price_lanes<T: Cost, const WIDTH: usize>(
     buckets: &[u64; 4],
@@ -1003,6 +1015,7 @@ mod tests {
     use crate::MAX_LINE_CELLS;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::panic::AssertUnwindSafe;
 
     fn random_line(rng: &mut StdRng) -> MemoryLine {
         let mut words = [0u64; LINE_WORDS];
@@ -1320,6 +1333,30 @@ mod tests {
                 ];
                 for (selector_cells, selectors) in shapes {
                     if selector_cells == 1 && candidates > 4 {
+                        continue;
+                    }
+                    if cells_per_block < 4 {
+                        // Narrower than a lane: refused, whatever the rest.
+                        let (mut winners, mut out) = ([0u8; 256], [[0u64; PLANE_WORDS]; 2]);
+                        let [out0, out1] = &mut out;
+                        let refused = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            select_blocks_uniform(
+                                &dp,
+                                &op,
+                                cells_per_block,
+                                LINE_CELLS / cells_per_block,
+                                &tables,
+                                selectors,
+                                &mut winners,
+                                out0,
+                                out1,
+                            )
+                        }));
+                        let message = refused.expect_err("blocks under 4 cells must be refused");
+                        let expected = format!(
+                            "blocks are a power of two of at least 4 cells, not {cells_per_block}"
+                        );
+                        assert_eq!(message.downcast_ref::<String>(), Some(&expected));
                         continue;
                     }
                     // All but the last block, as far as the selector cells

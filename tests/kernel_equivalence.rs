@@ -4,8 +4,10 @@
 //! (`encode_scalar`), for all schemes × content classes × stored states ×
 //! energy configurations; every prepared encoder must match its codec's
 //! `LineCodec::encode`, first touches over the codec's initial line
-//! included; and the packed `BitBuf` streams must round-trip exactly like
-//! the `Vec<bool>` streams they replaced. The plane-based accounting tail
+//! included; the word streams of FPC, BDI and the COC repack must match
+//! their `BitBuf` oracles bit for bit and length for length, and the packed
+//! `BitBuf` streams must round-trip exactly like the `Vec<bool>` streams
+//! they replaced. The plane-based accounting tail
 //! (`differential_write`, `evaluate_disturbance`) and the fixed-mapping
 //! store/load are checked against the cell-by-cell loops they replaced, kept
 //! here as oracles. The compression-gated codecs' plane decodes are checked
@@ -18,7 +20,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use wlcrc_repro::compress::{Bdi, Coc, Fpc};
+use wlcrc_repro::compress::{Bdi, Coc, Fpc, LineStream};
 use wlcrc_repro::coset::{
     DinCodec, FlipMinCodec, FnwCodec, Granularity, NCosetsCodec, RestrictedCosetCodec,
 };
@@ -71,6 +73,100 @@ fn arb_din_line() -> impl Strategy<Value = MemoryLine> {
             MemoryLine::from_words(words)
         }
     })
+}
+
+/// One line per BDI tag, in tag order: the all-zero line (tag 0), a
+/// repeated value (tag 1), then for each `BdiConfig::ALL[k]` (tag `2 + k`) a
+/// line of elements near one base that no smaller configuration, nor an
+/// equally small earlier one, fits; then a line two equally small
+/// configurations fit ([`BDI_TAGS`]). Then one line per COC+4cosets format:
+/// small values (at most 448 packed bits, 16-bit blocks), six full words and
+/// two of three bytes (464 bits, 32-bit blocks) and eight full words (544
+/// bits, raw). Last, a line whose words keep 8 down to 1 significant bytes,
+/// and a biased line.
+fn arb_stream_lines() -> impl Strategy<Value = Vec<MemoryLine>> {
+    (prop::array::uniform8(any::<u64>()), arb_biased_line()).prop_map(|(r, biased)| {
+        // `n` deltas below `bound`, but `fixed`'s (index, delta) pairs.
+        let deltas = |n: usize, bound: u64, fixed: &[(usize, u64)]| -> Vec<u64> {
+            (0..n)
+                .map(|i| match fixed.iter().find(|(at, _)| *at == i) {
+                    Some(&(_, delta)) => delta,
+                    None => r[i % 8].rotate_left(7 * i as u32) % bound,
+                })
+                .collect()
+        };
+        // Elements `base + delta` of `bits` bits each, in line order.
+        let elements = |bits: usize, base: u64, deltas: Vec<u64>| {
+            let mut words = [0u64; 8];
+            for (i, delta) in deltas.into_iter().enumerate() {
+                words[i * bits / 64] |= (base + delta) << (i * bits % 64);
+            }
+            MemoryLine::from_words(words)
+        };
+        let full = |w: u64| (w & !(1 << 63)) | 1 << 62;
+        vec![
+            MemoryLine::ZERO,
+            MemoryLine::from_words([r[0] | 1; 8]),
+            // 8-byte base, 1-byte deltas.
+            elements(64, 1 << 62 | r[0] >> 4, deltas(8, 128, &[(0, 0), (1, 1)])),
+            // 8-byte base, 2-byte deltas: word 1 is 1000 past word 0.
+            elements(
+                64,
+                0x4000_0000_4000_0000 | r[0] & 0x0FFF_FFFF_0FFF_FFFF,
+                deltas(8, 1 << 15, &[(0, 0), (1, 1000)]),
+            ),
+            // 8-byte base, 4-byte deltas: word 1 is 100,000 past word 0, and
+            // the upper halves' top 16 bits sit 0x700 apart from the lower's.
+            elements(
+                64,
+                0x4800_0000_4000_0000 | r[0] & 0x00FF_FFFF_00FF_FFFF,
+                deltas(8, 1 << 24, &[(0, 0), (1, 100_000)]),
+            ),
+            // 4-byte base, 1-byte deltas: words differ in their upper halves.
+            elements(
+                32,
+                0x4000_0000 | r[0] & 0x0FFF_FFFF,
+                deltas(16, 128, &[(0, 0), (1, 0), (3, 1)]),
+            ),
+            // 4-byte base, 2-byte deltas.
+            elements(
+                32,
+                0x4000_0000 | r[0] & 0x0FFF_FFFF,
+                deltas(16, 1 << 15, &[(0, 0), (1, 0), (2, 1000), (3, 1)]),
+            ),
+            // 2-byte base, 1-byte deltas: 4-byte elements differ in their upper
+            // halves, and so do words.
+            elements(
+                16,
+                0x4000 | r[0] & 0x0FFF,
+                deltas(32, 128, &[(0, 0), (1, 0), (3, 1), (5, 1)]),
+            ),
+            // 4-byte elements b:0, b:b, b:b, then zeros: both the 4-byte base
+            // with 2-byte deltas and the 2-byte base with 1-byte deltas fit,
+            // in 304 bits each, and the earlier (tag 6) wins.
+            elements(16, 0, [0, 1, 1, 1, 1, 1].map(|b| b * (0x1000 | r[1] & 0x0FFF)).to_vec()),
+            MemoryLine::from_words(std::array::from_fn(|i| r[i] & 0xFFFF)),
+            MemoryLine::from_words(std::array::from_fn(|i| match i {
+                2 | 6 => 0x40_0000 | r[i] & 0x3F_FFFF,
+                _ => full(r[i]),
+            })),
+            MemoryLine::from_words(r.map(full)),
+            MemoryLine::from_words(std::array::from_fn(|i| {
+                ((r[i] as i64) >> (8 * i as u64 + r[i] % 8)) as u64
+            })),
+            biased,
+        ]
+    })
+}
+
+/// The BDI tag of each leading line of [`arb_stream_lines`].
+const BDI_TAGS: [u64; 9] = [0, 1, 2, 3, 4, 5, 6, 7, 6];
+
+/// A word stream matches its `BitBuf` oracle: the same length, and the
+/// oracle's first 512 bits in its words.
+fn matches_oracle(stream: &LineStream, oracle: &BitBuf) -> bool {
+    let held = oracle.words().iter().copied().chain(std::iter::repeat(0)).take(LINE_WORDS);
+    stream.len() == oracle.len() && held.eq(stream.words().iter().copied())
 }
 
 fn arb_energy() -> impl Strategy<Value = EnergyModel> {
@@ -381,31 +477,61 @@ proptest! {
         prop_assert_eq!(block_updated_cells(&dp, &op, cells, &table), expect_updated);
     }
 
-    // BitBuf streams must round-trip for every compressor, and converting a
+    // The word streams must match their BitBuf oracles and round-trip for
+    // every compressor, BitBuf streams must round-trip too, and converting a
     // stream through Vec<bool> and back must be the identity.
     #[test]
-    fn fpc_bitbuf_stream_round_trips(line in arb_biased_line()) {
+    fn fpc_bitbuf_stream_round_trips(lines in arb_stream_lines()) {
         let fpc = Fpc::new();
-        let stream = fpc.encode_stream(&line);
-        prop_assert_eq!(fpc.decode_stream(&stream), line);
-        prop_assert_eq!(BitBuf::from_bools(&stream.to_bools()), stream);
-    }
-
-    #[test]
-    fn bdi_bitbuf_stream_round_trips(line in arb_biased_line()) {
-        let bdi = Bdi::new();
-        if let Some(stream) = bdi.encode_stream(&line) {
-            prop_assert_eq!(bdi.decode_stream(&stream), line);
+        for line in lines {
+            let (words, stream) = (fpc.encode_words(&line), fpc.encode_stream(&line));
+            prop_assert!(matches_oracle(&words, &stream), "{:?}", line);
+            if words.len() <= LINE_BITS {
+                prop_assert_eq!(fpc.decode_words(&words), line);
+            }
+            prop_assert_eq!(fpc.decode_stream(&stream), line);
             prop_assert_eq!(BitBuf::from_bools(&stream.to_bools()), stream);
         }
     }
 
     #[test]
-    fn coc_repack_bitbuf_matches_bools(line in arb_biased_line()) {
-        let packed = Coc::repack(&line);
-        prop_assert_eq!(BitBuf::from_bools(&packed.to_bools()), packed.clone());
-        // The packed length is what the COC+4cosets format decision reads.
-        prop_assert!(packed.len() <= 8 * (4 + 64));
+    fn bdi_bitbuf_stream_round_trips(lines in arb_stream_lines()) {
+        let bdi = Bdi::new();
+        for (i, line) in lines.into_iter().enumerate() {
+            let (words, stream) = (bdi.encode_words(&line), bdi.encode_stream(&line));
+            if let Some(&tag) = BDI_TAGS.get(i) {
+                prop_assert_eq!(words.map(|words| words.read(0, 3)), Some(tag), "BDI tag of line {}", i);
+            }
+            prop_assert_eq!(words.is_some(), stream.is_some());
+            if let (Some(words), Some(stream)) = (words, stream) {
+                prop_assert!(matches_oracle(&words, &stream), "{:?}", line);
+                prop_assert_eq!(bdi.decode_words(&words), line);
+                prop_assert_eq!(bdi.decode_stream(&stream), line);
+                prop_assert_eq!(BitBuf::from_bools(&stream.to_bools()), stream);
+            }
+        }
+    }
+
+    #[test]
+    fn coc_repack_bitbuf_matches_bools(lines in arb_stream_lines()) {
+        for (i, line) in lines.into_iter().enumerate() {
+            let (words, packed) = (Coc::repack_words(&line), Coc::repack(&line));
+            prop_assert!(matches_oracle(&words, &packed), "{:?}", line);
+            prop_assert_eq!(BitBuf::from_bools(&packed.to_bools()), packed.clone());
+            // The packed length is what the COC+4cosets format decision reads.
+            let len = packed.len();
+            prop_assert!(len <= 8 * (4 + 64));
+            match i {
+                9 => prop_assert!(len <= 448, "16-bit-block format: {}", len),
+                10 => prop_assert!((449..=480).contains(&len), "32-bit-block format: {}", len),
+                11 => prop_assert!(len > 480, "raw: {}", len),
+                _ => {}
+            }
+            prop_assert_eq!(Coc::unpack(&packed), line);
+            if words.len() <= LINE_BITS {
+                prop_assert_eq!(Coc::unpack_words(words.words()), line);
+            }
+        }
     }
 
     #[test]
